@@ -293,11 +293,6 @@ def parse(text: str) -> Puzzle:
     return puzzle
 
 
-def parse_file(path) -> Puzzle:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
 def _parse_item(p: _Parser, b: _PuzzleBuilder) -> None:
     tok = p.peek()
     if tok.kind != "ident":

@@ -1,38 +1,95 @@
-"""Exhaustive world enumeration and forced-conclusion reports.
+"""Consistent worlds and forced-conclusion reports, computed as truth tables.
 
-The solver walks every candidate assignment of types, guilt and free atoms,
-keeps the worlds where all constraints hold, and reports the facts that are
-identical across every surviving world. Facts are forced or they are not;
-there are no preference heuristics. Enumeration order is fixed (types in
-declaration order, guilt sets by ascending bitmask, free atoms by sorted
-key) so identical puzzles always produce identical reports.
+A candidate world gives every suspect a type from their domain and a guilt
+value, and a value to every free key: each user free atom and one
+whodunit-knowledge atom per person whose knowledge some constraint mentions.
+Unreferenced free atoms are left out: they would double the world count
+without carrying information. The solver numbers the candidates
+
+    index = ((type_index * 2^n) + guilt_mask) * 2^m + free_bits
+
+where `type_index` is the mixed-radix index of the suspects' types (each
+domain in declaration order, the last suspect varying fastest), bit k of
+`guilt_mask` is suspect k's guilt, and `free_bits` holds the m sorted free
+keys, the last key in bit 0. Ascending index order is therefore the
+canonical enumeration order: types, then guilt sets by ascending bitmask,
+then free values by sorted key with false before true.
+
+Every atom and every constraint is a bitset over that index, a Python int
+whose bit i is its truth value in candidate i (truth tables as bit vectors,
+Knuth, TAOCP 4A, 7.1.1-7.1.3). An atom's bitset is a periodic pattern built
+by doubling; `count op k` comes from exact-popcount bitsets over the guilt
+masks; connectives are `& | ^` against the all-ones mask; `truthful(label)`
+reuses the face-value bitset of the label's body. A statement by speaker s
+with body B compiles once to
+
+    AT_s & B | PT_s & B' | AL_s & ~B | RL_s & ~B'
+
+where B' is B compiled with guilty(s) read as false. A whodunit atom exists
+only for an innocent person, so its bit is forced to 0 when the person is
+guilty and the key is left out of the world built from such a candidate. The
+consistent worlds are the set bits of the AND of every constraint; the
+report reads popcounts and ANDs of it, and `enumerate_worlds` decodes its
+set bits in ascending order.
+
+Whole-space bitsets would take 2^28 bits each at the default ceiling, so the
+index space is cut into chunks of at most `_CHUNK_CANDIDATES` candidates.
+A chunk fixes the leading index digits (type digits first, then the high
+guilt bits), which turns those positions' atoms into constants; enumeration
+stays lazy, one chunk at a time. Facts are forced or they are not; there are
+no preference heuristics. `check_world` stays a plain per-world checklist:
+it is the reference the engine is tested against.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
 from .model import (
     ALL_TYPES,
+    And,
     AtMostDistinct,
+    Const,
+    CountCmp,
     ExactTruthTellers,
+    Formula,
+    Free,
+    FromIsland,
+    Guilty,
+    HasType,
+    Iff,
+    Implies,
     Island,
+    KnowsWhodunit,
+    LiesWhenAskedGuilt,
+    Not,
     OneOfEach,
+    Or,
     Puzzle,
     SpeakerType,
+    Statement,
+    Truthful,
     UnknownReference,
     World,
     eval_formula,
-    free_names,
+    iter_subformulas,
     knows_whodunit_key,
-    knows_whodunit_persons,
 )
 from .semantics import admissible_for_type
 
 DEFAULT_CANDIDATE_CEILING = 2 ** 28
+
+# Candidates per chunk: bounds every bitset at 128 KiB.
+_CHUNK_CANDIDATES = 2 ** 20
+
+AT = SpeakerType.ABSOLUTE_TRUTH_TELLER
+PT = SpeakerType.PARTIAL_TRUTH_TELLER
+AL = SpeakerType.ABSOLUTE_LIAR
+RL = SpeakerType.RESPONSIBLE_LIAR
 
 
 class SearchSpaceError(ValueError):
@@ -85,26 +142,6 @@ class WorldCheck:
         return self.ok
 
 
-def _free_dimensions(puzzle: Puzzle) -> tuple[list[str], list[str]]:
-    """Free-atom names and whodunit-knowledge persons that actually occur in
-    some constraint. Unreferenced free atoms are excluded: they would double
-    the world count without carrying information."""
-    names: set[str] = set()
-    kw_persons: set[str] = set()
-    for formula in puzzle.constraint_formulas():
-        names |= free_names(formula)
-        kw_persons |= knows_whodunit_persons(formula)
-    return sorted(names), sorted(kw_persons)
-
-
-def _candidate_count(puzzle: Puzzle) -> int:
-    names, kw_persons = _free_dimensions(puzzle)
-    total = 1
-    for person in puzzle.suspects:
-        total *= len(puzzle.type_domain[person])
-    return total * 2 ** len(puzzle.suspects) * 2 ** (len(names) + len(kw_persons))
-
-
 def _cardinality_ok(puzzle: Puzzle, types: tuple[SpeakerType, ...]) -> bool:
     card = puzzle.type_cardinality
     if card is None:
@@ -118,13 +155,240 @@ def _cardinality_ok(puzzle: Puzzle, types: tuple[SpeakerType, ...]) -> bool:
     raise UnknownReference(f"unknown type-cardinality constraint {card!r}")
 
 
-def _count_ok(puzzle: Puzzle, guilty_count: int) -> bool:
-    op, k = puzzle.count.op, puzzle.count.k
+def _compares(op: str, value: int, k: int) -> bool:
     if op == "=":
-        return guilty_count == k
+        return value == k
     if op == "<=":
-        return guilty_count <= k
-    return guilty_count >= k
+        return value <= k
+    return value >= k
+
+
+def _count_ok(puzzle: Puzzle, guilty_count: int) -> bool:
+    return _compares(puzzle.count.op, guilty_count, puzzle.count.k)
+
+
+def _tile(pattern: int, period: int, width: int) -> int:
+    """`pattern`, `period` bits long, repeated to fill `width` bits (a
+    multiple of `period`), by doubling."""
+    copies, result, filled = width // period, 0, 0
+    while True:
+        if copies & 1:
+            result |= pattern << filled
+            filled += period
+        copies >>= 1
+        if not copies:
+            return result
+        pattern |= pattern << period
+        period *= 2
+
+
+def _union(bitsets: Iterable[int]) -> int:
+    result = 0
+    for bits in bitsets:
+        result |= bits
+    return result
+
+
+def _exact_counts(bitsets: list[int], ones: int) -> list[int]:
+    """exact[c]: the candidates where exactly c of `bitsets` hold."""
+    exact = [ones]
+    for bits in bitsets:
+        without = ones ^ bits
+        exact = [(e & without) | (fewer & bits) for e, fewer in zip(exact + [0], [0] + exact)]
+    return exact
+
+
+class _Space:
+    """The numbered candidate space of a valid puzzle within the ceiling.
+
+    Index digits, most significant first: one type digit per suspect (radix
+    = domain size), guilt bits from the last suspect down to the first, then
+    one bit per free key.
+    """
+
+    def __init__(self, puzzle: Puzzle, ceiling: int):
+        puzzle.validate()
+        names: set[str] = set()
+        kw_persons: set[str] = set()
+        for formula in puzzle.constraint_formulas():
+            for node in iter_subformulas(formula):
+                if isinstance(node, Free):
+                    names.add(node.name)
+                elif isinstance(node, KnowsWhodunit):
+                    kw_persons.add(node.person)
+        self.puzzle = puzzle
+        self.suspects = puzzle.suspects
+        self.table = puzzle.statement_table()
+        self.kw_persons = sorted(kw_persons)
+        self.keys = sorted(list(names) + [knows_whodunit_key(p) for p in kw_persons])
+        self.domains = [
+            tuple(t for t in ALL_TYPES if t in puzzle.type_domain[p]) for p in self.suspects
+        ]
+        n = len(self.suspects)
+        self.radices = [len(d) for d in self.domains] + [2] * (n + len(self.keys))
+        self.candidates = math.prod(self.radices)
+        if self.candidates > ceiling:
+            raise SearchSpaceError(self.candidates, ceiling)
+
+    def chunks(self) -> Iterator[_Chunk]:
+        """Chunks in ascending index order: the longest run of trailing
+        digits that fits in `_CHUNK_CANDIDATES` varies inside a chunk, the
+        leading digits are fixed per chunk."""
+        split, size = len(self.radices), 1
+        while split and size * self.radices[split - 1] <= _CHUNK_CANDIDATES:
+            split -= 1
+            size *= self.radices[split]
+        for prefix in itertools.product(*map(range, self.radices[:split])):
+            yield _Chunk(self, prefix)
+
+    def world(self, digits: list[int]) -> World:
+        n = len(self.suspects)
+        type_of = {p: dom[d] for p, dom, d in zip(self.suspects, self.domains, digits)}
+        guilty = frozenset(p for i, p in enumerate(self.suspects) if digits[2 * n - 1 - i])
+        hidden = {knows_whodunit_key(p) for p in guilty}
+        free_values = {
+            key: bool(d) for key, d in zip(self.keys, digits[2 * n:]) if key not in hidden
+        }
+        return World(type_of=type_of, guilty=guilty, free_values=free_values)
+
+
+class _Chunk:
+    """Bitsets over the candidates that share one prefix of leading index
+    digits; bit r is the r-th such candidate in index order."""
+
+    def __init__(self, space: _Space, prefix: tuple[int, ...]):
+        self.space = space
+        self.prefix = prefix
+        self.tail = space.radices[len(prefix):]
+        self.size = math.prod(self.tail)
+        self.ones = (1 << self.size) - 1
+        self.strides = [math.prod(self.tail[k + 1:]) for k in range(len(self.tail))]
+        n = len(space.suspects)
+        self.guilty = {p: self._digit(2 * n - 1 - i, 1) for i, p in enumerate(space.suspects)}
+        self.types = {}
+        for q, (p, domain) in enumerate(zip(space.suspects, space.domains)):
+            self.types[p] = {t: self._digit(q, domain.index(t)) if t in domain else 0
+                             for t in ALL_TYPES}
+        self.free = {key: self._digit(2 * n + j, 1) for j, key in enumerate(space.keys)}
+        # Guilt and free digits are the low part of the index, so the exact
+        # guilt counts are built over one period of them and tiled on demand.
+        low = max(len(prefix), n)
+        self._period = math.prod(space.radices[low:])
+        self._fixed_guilty = sum(prefix[n:2 * n])
+        self._exact_guilty = _exact_counts(
+            [self._digit(q, 1, self._period) for q in range(low, 2 * n)], (1 << self._period) - 1
+        )
+        self._face: dict[str, int] = {}
+
+    def _digit(self, q: int, d: int, width: Optional[int] = None) -> int:
+        """Candidates whose index digit q is d, over the chunk's low `width`
+        bits (the whole chunk by default)."""
+        k = q - len(self.prefix)
+        if k < 0:
+            return self.ones if self.prefix[q] == d else 0
+        stride = self.strides[k]
+        return _tile((1 << stride) - 1, stride * self.tail[k], width or self.size) << (d * stride)
+
+    def count(self, op: str, k: int) -> int:
+        """Candidates whose number of guilty suspects satisfies `op k`."""
+        pattern = _union(bits for c, bits in enumerate(self._exact_guilty)
+                         if _compares(op, self._fixed_guilty + c, k))
+        return _tile(pattern, self._period, self.size)
+
+    def cardinality(self) -> int:
+        card = self.space.puzzle.type_cardinality
+        if card is None:
+            return self.ones
+        if isinstance(card, ExactTruthTellers):
+            tt = [types[AT] | types[PT] for types in self.types.values()]
+            return _exact_counts(tt, self.ones)[card.n]
+        present = [_union(types[t] for types in self.types.values()) for t in ALL_TYPES]
+        distinct = _exact_counts(present, self.ones)
+        if isinstance(card, OneOfEach):
+            return distinct[len(ALL_TYPES)]
+        if isinstance(card, AtMostDistinct):
+            return _union(distinct[:card.n + 1])
+        raise UnknownReference(f"unknown type-cardinality constraint {card!r}")
+
+    def truthful(self, label: str) -> int:
+        """The face value of a statement's body."""
+        if label not in self._face:
+            self._face[label] = self.compile(self.space.table[label].body)
+        return self._face[label]
+
+    def compile(self, formula: Formula, innocent: Optional[str] = None) -> int:
+        """Candidates where `formula` holds, with guilty(innocent) read as false."""
+        ones = self.ones
+        match formula:
+            case Const(value):
+                return ones if value else 0
+            case Guilty(person):
+                return 0 if person == innocent else self.guilty[person]
+            case HasType(person, speaker_type):
+                return self.types[person][speaker_type]
+            case FromIsland(person, island):
+                return _union(bits for t, bits in self.types[person].items() if t.island is island)
+            case CountCmp(op, k):
+                return self.count(op, k)
+            case Truthful(label):
+                return self.truthful(label)
+            case LiesWhenAskedGuilt(person):
+                types, guilty = self.types[person], self.guilty[person]
+                return types[PT] & guilty | types[AL] | types[RL] & ~guilty
+            case KnowsWhodunit(person):
+                return self.guilty[person] | self.free[knows_whodunit_key(person)]
+            case Free(name):
+                return self.free[name]
+            case Not(operand):
+                return ones ^ self.compile(operand, innocent)
+            case And(left, right):
+                return self.compile(left, innocent) & self.compile(right, innocent)
+            case Or(left, right):
+                return self.compile(left, innocent) | self.compile(right, innocent)
+            case Implies(left, right):
+                return (ones ^ self.compile(left, innocent)) | self.compile(right, innocent)
+            case Iff(left, right):
+                return ones ^ self.compile(left, innocent) ^ self.compile(right, innocent)
+            case _:
+                raise UnknownReference(f"unknown formula node {formula!r}")
+
+    def admissible(self, stmt: Statement) -> int:
+        """Candidates where the speaker's type admits the statement."""
+        types = self.types[stmt.speaker]
+        body = self.truthful(stmt.label)
+        result = types[AT] & body | types[AL] & ~body
+        if types[PT] | types[RL]:
+            pretend = self.compile(stmt.body, innocent=stmt.speaker)
+            result |= types[PT] & pretend | types[RL] & ~pretend
+        return result
+
+    def consistent(self) -> int:
+        """Candidates that pass every constraint of the puzzle."""
+        puzzle = self.space.puzzle
+        cons = self.cardinality() & self.count(puzzle.count.op, puzzle.count.k)
+        for person in self.space.kw_persons:
+            cons &= ~(self.guilty[person] & self.free[knows_whodunit_key(person)])
+        for formula in puzzle.axioms:
+            cons &= self.compile(formula)
+        for stmt in puzzle.statements:
+            if not cons:
+                break
+            if stmt.body is not None:
+                cons &= self.admissible(stmt)
+        return cons
+
+    def worlds(self, cons: int) -> Iterator[World]:
+        """The worlds of the set bits of `cons`, in ascending order."""
+        digits = list(self.prefix) + [0] * len(self.tail)
+        start = len(self.prefix)
+        bits = bin(cons)[:1:-1]  # bit r is bits[r]
+        r = bits.find("1")
+        while r >= 0:
+            rest = r
+            for k in range(len(self.tail) - 1, -1, -1):
+                rest, digits[start + k] = divmod(rest, self.tail[k])
+            yield self.space.world(digits)
+            r = bits.find("1", r + 1)
 
 
 def enumerate_worlds(
@@ -138,58 +402,31 @@ def enumerate_worlds(
     speaker. Guilty suspects know the resolution by construction, so the
     whodunit-knowledge axiom cannot be violated here.
     """
-    puzzle.validate()
-    candidates = _candidate_count(puzzle)
-    if candidates > ceiling:
-        raise SearchSpaceError(candidates, ceiling)
-
-    suspects = puzzle.suspects
-    n = len(suspects)
-    table = puzzle.statement_table()
-    modeled = [s for s in puzzle.statements if s.body is not None]
-    names, kw_persons = _free_dimensions(puzzle)
-
-    domains = [
-        [t for t in ALL_TYPES if t in puzzle.type_domain[p]]
-        for p in suspects
-    ]
-    for types in itertools.product(*domains):
-        if not _cardinality_ok(puzzle, types):
-            continue
-        type_of = dict(zip(suspects, types))
-        for mask in range(2 ** n):
-            guilty = frozenset(s for i, s in enumerate(suspects) if mask >> i & 1)
-            if not _count_ok(puzzle, len(guilty)):
-                continue
-            keys = sorted(names + [knows_whodunit_key(p) for p in kw_persons if p not in guilty])
-            for bits in itertools.product((False, True), repeat=len(keys)):
-                world = World(type_of=type_of, guilty=guilty,
-                              free_values=dict(zip(keys, bits)))
-                if not all(eval_formula(world, ax, table) for ax in puzzle.axioms):
-                    continue
-                if all(
-                    admissible_for_type(world, s.speaker, s.body, type_of[s.speaker], table)
-                    for s in modeled
-                ):
-                    yield world
+    space = _Space(puzzle, ceiling)
+    for chunk in space.chunks():
+        yield from chunk.worlds(chunk.consistent())
 
 
 def solve(puzzle: Puzzle, *, ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SolveReport:
     """Aggregate the consistent worlds into forced facts and a verdict."""
+    space = _Space(puzzle, ceiling)
     suspects = puzzle.suspects
     count = 0
-    guilt_sets: set[frozenset[str]] = set()
-    always_guilty = set(suspects)
-    never_guilty = set(suspects)
+    maybe_guilty: set[str] = set()
+    maybe_innocent: set[str] = set()
     seen_types: dict[str, set[SpeakerType]] = {p: set() for p in suspects}
 
-    for world in enumerate_worlds(puzzle, ceiling=ceiling):
-        count += 1
-        guilt_sets.add(world.guilty)
-        always_guilty &= world.guilty
-        never_guilty -= world.guilty
+    for chunk in space.chunks():
+        cons = chunk.consistent()
+        if not cons:
+            continue
+        count += cons.bit_count()
         for p in suspects:
-            seen_types[p].add(world.type_of[p])
+            if cons & chunk.guilty[p]:
+                maybe_guilty.add(p)
+            if cons & ~chunk.guilty[p]:
+                maybe_innocent.add(p)
+            seen_types[p].update(t for t, bits in chunk.types[p].items() if cons & bits)
 
     warnings = tuple(
         f"statement {s.label} ({s.speaker}) is unmodeled and adds no constraint: {s.text!r}"
@@ -200,9 +437,10 @@ def solve(puzzle: Puzzle, *, ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SolveR
     if count == 0:
         return SolveReport(Verdict.INCONSISTENT, 0, (), (), {}, (), warnings)
 
+    undecided = maybe_guilty & maybe_innocent
     if count == 1:
         verdict = Verdict.UNIQUE_WORLD
-    elif len(guilt_sets) == 1:
+    elif not undecided:
         verdict = Verdict.UNIQUE_GUILT
     else:
         verdict = Verdict.MULTIPLE
@@ -210,15 +448,12 @@ def solve(puzzle: Puzzle, *, ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SolveR
     forced_types = {
         p: next(iter(seen_types[p])) for p in suspects if len(seen_types[p]) == 1
     }
-    unresolved = tuple(
-        p for p in suspects
-        if (p not in always_guilty and p not in never_guilty) or len(seen_types[p]) > 1
-    )
+    unresolved = tuple(p for p in suspects if p in undecided or len(seen_types[p]) > 1)
     return SolveReport(
         verdict=verdict,
         world_count=count,
-        forced_guilty=tuple(p for p in suspects if p in always_guilty),
-        forced_innocent=tuple(p for p in suspects if p in never_guilty),
+        forced_guilty=tuple(p for p in suspects if p not in maybe_innocent),
+        forced_innocent=tuple(p for p in suspects if p not in maybe_guilty),
         forced_types=forced_types,
         unresolved=unresolved,
         warnings=warnings,

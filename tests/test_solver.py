@@ -2,15 +2,18 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from islander import solver
 from islander.dsl import parse
 from islander.model import (
     ALL_TYPES,
     CountCmp,
     Guilty,
     HasType,
+    Implies,
     Not,
     Puzzle,
     SpeakerType,
@@ -29,6 +32,7 @@ from islander.solver import (
 )
 
 from conftest import (
+    CORPUS_NAMES,
     corpus_text,
     enumerated_world_keys,
     oracle_world_keys,
@@ -41,6 +45,58 @@ AT = SpeakerType.ABSOLUTE_TRUTH_TELLER
 PT = SpeakerType.PARTIAL_TRUTH_TELLER
 AL = SpeakerType.ABSOLUTE_LIAR
 RL = SpeakerType.RESPONSIBLE_LIAR
+
+
+def assert_documented_enumeration_order():
+    # Types in declaration order, then guilt masks ascending, then free
+    # assignments by sorted name with false before true.
+    puzzle = parse(
+        "puzzle { suspects A; types A: {AT, AL}; criminals <= 1; "
+        'statement s1 A: free("z") or free("a") or true; }'
+    )
+    worlds = list(enumerate_worlds(puzzle))
+    expected = [
+        (t, guilty, {"a": a, "z": z})
+        for t in (AT, AL)
+        for guilty in (frozenset(), frozenset({"A"}))
+        for a in (False, True)
+        for z in (False, True)
+    ]
+    got = [(w.type_of["A"], w.guilty, dict(w.free_values)) for w in worlds]
+    # The AT speaker needs the disjunction true (always is, via the
+    # constant), the AL speaker needs it false (never is), so only the
+    # AT half of the candidate order survives.
+    assert got == [row for row in expected if row[0] is AT]
+
+
+def oracle_report(puzzle: Puzzle) -> dict:
+    """The report fields of solve(), aggregated straight from the worlds the
+    brute-force oracle accepts."""
+    worlds = oracle_world_keys(puzzle)
+    if not worlds:
+        return {"verdict": "inconsistent", "consistent_world_count": 0, "forced_guilty": [],
+                "forced_innocent": [], "forced_types": {}, "unresolved": []}
+    guilt_sets = {frozenset(guilty) for _, guilty, _ in worlds}
+    seen_types = {p: {dict(types)[p] for types, _, _ in worlds} for p in puzzle.suspects}
+    always = frozenset.intersection(*guilt_sets)
+    ever = frozenset.union(*guilt_sets)
+    if len(worlds) == 1:
+        verdict = "unique_world"
+    elif len(guilt_sets) == 1:
+        verdict = "unique_guilt"
+    else:
+        verdict = "multiple"
+    return {
+        "verdict": verdict,
+        "consistent_world_count": len(worlds),
+        "forced_guilty": [p for p in puzzle.suspects if p in always],
+        "forced_innocent": [p for p in puzzle.suspects if p not in ever],
+        "forced_types": {p: next(iter(ts)) for p, ts in seen_types.items() if len(ts) == 1},
+        "unresolved": [
+            p for p in puzzle.suspects
+            if (p not in always and p in ever) or len(seen_types[p]) > 1
+        ],
+    }
 
 
 class TestEnumerateWorlds:
@@ -74,25 +130,7 @@ class TestEnumerateWorlds:
         assert first == second
 
     def test_documented_enumeration_order(self):
-        # Types in declaration order, then guilt masks ascending, then free
-        # assignments by sorted name with false before true.
-        puzzle = parse(
-            "puzzle { suspects A; types A: {AT, AL}; criminals <= 1; "
-            'statement s1 A: free("z") or free("a") or true; }'
-        )
-        worlds = list(enumerate_worlds(puzzle))
-        expected = [
-            (t, guilty, {"a": a, "z": z})
-            for t in (AT, AL)
-            for guilty in (frozenset(), frozenset({"A"}))
-            for a in (False, True)
-            for z in (False, True)
-        ]
-        got = [(w.type_of["A"], w.guilty, dict(w.free_values)) for w in worlds]
-        # The AT speaker needs the disjunction true (always is, via the
-        # constant), the AL speaker needs it false (never is), so only the
-        # AT half of the candidate order survives.
-        assert got == [row for row in expected if row[0] is AT]
+        assert_documented_enumeration_order()
 
     def test_criminal_count_choice_set(self):
         puzzle = parse(
@@ -216,7 +254,6 @@ class TestCheckWorld:
 
 class TestOracleEquivalence:
     def test_corpus_puzzles_match_brute_force(self):
-        from conftest import CORPUS_NAMES
         for name in CORPUS_NAMES:
             puzzle = parse(corpus_text(name))
             assert enumerated_world_keys(puzzle) == oracle_world_keys(puzzle), name
@@ -228,6 +265,89 @@ class TestOracleEquivalence:
             assert enumerated_world_keys(puzzle) == oracle_world_keys(puzzle), (
                 f"divergence on random puzzle {i}"
             )
+
+
+    def test_solve_reports_match_brute_force_aggregation(self):
+        puzzles = [parse(corpus_text(name)) for name in CORPUS_NAMES]
+        rng = random.Random(31337)
+        puzzles += [random_puzzle(rng, max_candidates=6000) for _ in range(200)]
+        for i, puzzle in enumerate(puzzles):
+            report = solve(puzzle).to_json_dict()
+            del report["warnings"]
+            assert report == oracle_report(puzzle), f"puzzle {i}"
+
+
+class TestChunkedSpace:
+    """The solver cuts the candidate space into chunks; tiny chunks must not
+    change any world, its order, or the report."""
+
+    TINY = 2 ** 4
+
+    def test_random_puzzles_match_oracle_across_chunks(self, monkeypatch):
+        rng = random.Random(1618)
+        for i in range(60):
+            puzzle = random_puzzle(rng, max_candidates=6000)
+            whole = [w.key() for w in enumerate_worlds(puzzle)]
+            report = solve(puzzle)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_CHUNK_CANDIDATES", self.TINY)
+                chunked = [w.key() for w in enumerate_worlds(puzzle)]
+                assert solve(puzzle) == report, f"random puzzle {i}"
+            assert chunked == whole, f"random puzzle {i}"
+            assert set(chunked) == oracle_world_keys(puzzle), f"random puzzle {i}"
+
+    def test_documented_order_across_chunks(self, monkeypatch):
+        # 16 candidates in chunks of 4: type and guilt fixed per chunk.
+        monkeypatch.setattr(solver, "_CHUNK_CANDIDATES", 2 ** 2)
+        assert_documented_enumeration_order()
+
+    def test_huge_space_streams_lazily(self, monkeypatch):
+        monkeypatch.setattr(solver, "_CHUNK_CANDIDATES", self.TINY)
+        suspects = tuple(f"S{i}" for i in range(12))
+        puzzle = Puzzle(
+            suspects=suspects,
+            type_domain={s: frozenset(ALL_TYPES) for s in suspects},
+            count=CountCmp(">=", 1),
+        )
+        stream = enumerate_worlds(puzzle, ceiling=2 ** 40)
+        assert next(stream).guilty == frozenset({"S0"})
+
+
+class TestBoundedMemory:
+    def test_eight_suspect_chain_solves_in_bounded_memory(self):
+        # 4^8 type assignments x 2^8 guilt sets = 2^24 candidates.
+        suspects = tuple(f"S{i}" for i in range(8))
+        statements = tuple(
+            Statement(f"s{i}", s, Implies(Guilty(suspects[(i + 1) % 8]), Not(Guilty(s))))
+            for i, s in enumerate(suspects)
+        )
+        puzzle = Puzzle(
+            suspects=suspects,
+            type_domain={s: frozenset(ALL_TYPES) for s in suspects},
+            count=CountCmp("=", 1),
+            statements=statements,
+        )
+        tracemalloc.start()
+        try:
+            report = solve(puzzle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert report.world_count == sum(1 for _ in enumerate_worlds(puzzle))
+        assert report.world_count > 0
+
+
+class TestNoPerWorldEvaluation:
+    def test_solve_and_enumerate_never_evaluate_a_single_world(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-world evaluation on the solve path")
+
+        monkeypatch.setattr(solver, "eval_formula", refuse)
+        monkeypatch.setattr(solver, "admissible_for_type", refuse)
+        for name in CORPUS_NAMES:
+            puzzle = parse(corpus_text(name))
+            assert solve(puzzle).world_count == sum(1 for _ in enumerate_worlds(puzzle))
 
 
 class TestMonotonicity:
