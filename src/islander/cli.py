@@ -10,6 +10,7 @@ or I/O errors. `simulate` exits 0 only when every trial succeeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -78,7 +79,9 @@ def _default_seed() -> int:
         raise SystemExit(f"islander: {SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="islander",
         description="Solve guilt puzzles and simulate detective questioning strategies.",

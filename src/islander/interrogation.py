@@ -13,11 +13,25 @@ guilt question, where partial truth-tellers lie when guilty and responsible
 liars always answer yes. A liar whose honest answer would be "I don't know"
 picks yes or no adversarially from a seeded source, so the robust strategies
 below are checked to be independent of those coin flips.
+
+Possibility answers come from a per-asker index, `KnowledgeWorld.
+epistemic_index`: for each person, frozensets of whom they know to be guilty
+and whom they know to be innocent, themselves included. It is built in one
+pass over the knowledge table on the first question that needs it, so a
+world asked only control, direct-guilt or secret questions never holds it.
+With the index, the possible-innocent, size-excluding-self and detective
+questions cost O(1) in the crowd size, and the subset and exact-group
+questions cost C-level set operations over the group. `knows` remains the
+plain per-pair lookup the tests' oracles use.
+
+Generated worlds are limited to MAX_CROWD persons, because generation draws
+once per ordered pair of persons; a larger crowd is refused before any draw.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
@@ -27,6 +41,11 @@ from .model import Island, SpeakerType
 TT_POOL = (SpeakerType.ABSOLUTE_TRUTH_TELLER, SpeakerType.PARTIAL_TRUTH_TELLER)
 LIAR_POOL = (SpeakerType.ABSOLUTE_LIAR, SpeakerType.RESPONSIBLE_LIAR)
 ISLAND_MODES = ("tt", "liars", "mixed")
+
+# Largest crowd a generated world may have. Generation draws once per ordered
+# pair of distinct persons and may keep an entry for each, so this bounds
+# the knowledge table at 2048 * 2047 (just under 2**22) pairs.
+MAX_CROWD = 2048
 
 
 class PreconditionError(ValueError):
@@ -73,6 +92,30 @@ class KnowledgeWorld:
         if self.count_public is not None and self.count_public != len(self.guilty):
             raise KnowledgeWorldError("public count disagrees with the guilty set")
 
+    @functools.cached_property
+    def _person_set(self) -> frozenset[str]:
+        return frozenset(self.persons)
+
+    @functools.cached_property
+    def epistemic_index(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+        """For each person p, (whom p knows to be guilty, whom p knows to be
+        innocent), p included by their own guilt. Built in one pass over
+        `knowledge` on first use, so worlds asked only control questions
+        never hold it."""
+        must: dict[str, set[str]] = {p: set() for p in self.persons}
+        banned: dict[str, set[str]] = {p: set() for p in self.persons}
+        # Enum members as locals: a class-attribute lookup per entry would
+        # cost more than the rest of the loop.
+        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
+        for (p, q), entry in self.knowledge.items():
+            if entry is knows_guilty:
+                must[p].add(q)
+            elif entry is knows_innocent:
+                banned[p].add(q)
+        for p in self.persons:
+            (must if p in self.guilty else banned)[p].add(p)
+        return {p: (frozenset(must[p]), frozenset(banned[p])) for p in self.persons}
+
     def knows(self, p: str, q: str) -> Knowledge:
         return self.knowledge.get((p, q), Knowledge.UNKNOWN)
 
@@ -84,9 +127,8 @@ class KnowledgeWorld:
 
     def knows_full_roster(self, p: str) -> bool:
         """Does p know the guilt status of every other person?"""
-        return all(
-            self.knows(p, q) is not Knowledge.UNKNOWN for q in self.persons if q != p
-        )
+        must, banned = self.epistemic_index[p]
+        return len(must) + len(banned) == len(self.persons)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +246,9 @@ def _yes_no(person: str, question: Question, value: bool) -> Answer:
 # Truthful answers (epistemic core)
 # ---------------------------------------------------------------------------
 
-def _epistemic_base(kw: KnowledgeWorld, p: str) -> tuple[set[str], set[str]]:
+def _epistemic_base(kw: KnowledgeWorld, p: str) -> tuple[frozenset[str], frozenset[str]]:
     """Persons p knows to be in every compatible criminal set / in none."""
-    must = {q for q in kw.persons if q != p and kw.knows(p, q) is Knowledge.KNOWS_GUILTY}
-    banned = {q for q in kw.persons if q != p and kw.knows(p, q) is Knowledge.KNOWS_INNOCENT}
-    if p in kw.guilty:
-        must.add(p)
-    else:
-        banned.add(p)
-    return must, banned
+    return kw.epistemic_index[p]
 
 
 def _compatible_exists(
@@ -226,16 +262,18 @@ def _compatible_exists(
     """Is some criminal set compatible with p's knowledge under the extra
     constraints? Compatible means: contains everything p knows guilty and p
     (iff guilty), avoids everyone p knows innocent, is non-empty, and has
-    the public size when one is known."""
+    the public size when one is known. Factivity keeps `must` and `banned`
+    disjoint, so the persons a compatible set may hold are counted, not listed."""
     must, banned = _epistemic_base(kw, p)
-    if must & (banned | exclude):
+    if not must.isdisjoint(exclude):
         return False
-    if within is not None and not must <= within:
+    if within is None:
+        allowed = len(kw.persons) - len(banned) - len(exclude - banned)
+    elif not must <= within:
         return False
-    universe = set(kw.persons) - banned - exclude
-    if within is not None:
-        universe &= set(within)
-    extras = len(universe) - len(must)
+    else:
+        allowed = len(within) - len(within & banned) - len(within & (exclude - banned))
+    extras = allowed - len(must)
     if size is not None and kw.count_public is not None and size != kw.count_public:
         return False
     target = size if size is not None else kw.count_public
@@ -248,7 +286,7 @@ def _exact_compatible(kw: KnowledgeWorld, p: str, group: frozenset[str]) -> bool
     must, banned = _epistemic_base(kw, p)
     if not group:
         return False
-    if not must <= group or group & banned:
+    if not must <= group or not banned.isdisjoint(group):
         return False
     if kw.count_public is not None and len(group) != kw.count_public:
         return False
@@ -265,7 +303,7 @@ def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:
         return True
     must, banned = _epistemic_base(kw, p)
     target = kw.count_public - 1
-    extras = len(set(kw.persons) - banned) - len(must)
+    extras = len(kw.persons) - len(banned) - len(must)
     return len(must) <= target <= len(must) + extras
 
 
@@ -275,8 +313,8 @@ def _require_person(kw: KnowledgeWorld, p: str) -> None:
 
 
 def _require_group(kw: KnowledgeWorld, group: Iterable[str]) -> None:
-    bad = set(group) - set(kw.persons)
-    if bad:
+    if not kw._person_set.issuperset(group):
+        bad = set(group) - kw._person_set
         raise PreconditionError(f"question group references unknown persons {sorted(bad)}")
 
 
@@ -667,6 +705,11 @@ def generate_knowledge_world(
     """
     if n < 1:
         raise PreconditionError("need at least one person")
+    if n > MAX_CROWD:
+        raise PreconditionError(
+            f"a crowd of {n} persons exceeds the limit of {MAX_CROWD}: the knowledge "
+            f"table holds one entry per ordered pair of persons"
+        )
     if island not in ISLAND_MODES:
         raise PreconditionError(f"unknown island mode '{island}'")
     if not 0.0 <= density <= 1.0:
@@ -686,13 +729,15 @@ def generate_knowledge_world(
     type_of = {p: rng.choice(pool) for p in persons}
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
+    entry_of = {
+        q: Knowledge.KNOWS_GUILTY if q in guilty else Knowledge.KNOWS_INNOCENT for q in persons
+    }
+    draw = rng.random
     knowledge: dict[tuple[str, str], Knowledge] = {}
     for p in persons:
         for q in persons:
-            if p != q and rng.random() < density:
-                knowledge[(p, q)] = (
-                    Knowledge.KNOWS_GUILTY if q in guilty else Knowledge.KNOWS_INNOCENT
-                )
+            if p != q and draw() < density:
+                knowledge[(p, q)] = entry_of[q]
     return KnowledgeWorld(
         persons=persons,
         type_of=type_of,

@@ -2,10 +2,12 @@
 
 import json
 import shutil
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 
+from islander import cli
 from islander.cli import main
 
 
@@ -143,6 +145,22 @@ class TestSimulateCommand:
         assert code == 1
         assert "infeasible" in err
 
+    def test_crowd_limit_refused_without_traceback(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "simulate", "--strategy", "solve_mixed", "--n", "1000000",
+                "--criminals", "1", "--trials", "1", "--knowledge-density", "0.5",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("islander: precondition refused: ")
+        assert "2048" in err and "Traceback" not in err
+        assert peak < 2 ** 20
+
     def test_trials_must_be_positive(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--strategy", "solve_mixed", "--trials", "0",
@@ -208,3 +226,27 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parsers(self, capsys):
+        argvs = (
+            ("solve", str(corpus_dir() / "ben.puz"), "--json"),
+            ("simulate", "--strategy", "bogus"),
+            ("--help",),
+            ("simulate", "--strategy", "neil", "--island", "tt", "--criminals", "1",
+             "--count-public", "--trials", "3", "--seed", "4", "--json"),
+            ("simulate", "--help"),
+            ("solve",),
+            ("solve", str(corpus_dir() / "will.puz")),
+            ("corpus", "--json", "--dir", str(corpus_dir())),
+            ("simulate", "--strategy", "solve_mixed", "--trials", "2", "--seed", "9"),
+        )
+        reused = [run(capsys, *argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 1, 0, 0, 0]
+        assert "usage: islander" in reused[2][1] and "invalid choice" in reused[1][2]

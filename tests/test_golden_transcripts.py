@@ -1,0 +1,218 @@
+"""Golden transcripts: seeded strategy runs and `simulate --json` output,
+pinned byte for byte.
+
+For every strategy, on every island it accepts, at knowledge densities 0,
+0.3 and 1 and crowds of 1, 2, 7 and 30, the fixture holds a digest of the
+generated world, a digest of the transcript rows (person, question, answer,
+token), the question count and the sorted accused set, or the refusal
+message when the strategy's premises do not hold. It also holds the whole
+`simulate --json` stdout of one configuration per strategy. Together they
+pin the random draw order of world generation and of the liars'
+adversarial choices.
+
+Digests are sha256 over JSON of ordered or sorted data, so they do not
+depend on PYTHONHASHSEED. Regenerate the fixture only for a deliberate,
+documented change of output:
+
+    PYTHONPATH=src python tests/test_golden_transcripts.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import zlib
+from functools import partial
+from pathlib import Path
+
+from islander.cli import main
+from islander.interrogation import (
+    PreconditionError,
+    describe_question,
+    generate_knowledge_world,
+    run_ask_all_about_others,
+    run_classify_islands,
+    run_count_known,
+    run_count_unknown,
+    run_neil,
+    run_secret_attribute,
+    strategy_solve_liars,
+    strategy_solve_mixed,
+    strategy_solve_truthtellers,
+)
+
+FIXTURE = Path(__file__).with_name("golden_transcripts.json")
+ADVERSARY_SALT = 0x5DEECE66D
+DENSITIES = (0.0, 0.3, 1.0)
+SIZES = (1, 2, 7, 30)
+ALL_ISLANDS = ("tt", "liars", "mixed")
+
+
+def _classify(kw, rng):
+    tt, _, transcript = run_classify_islands(kw, rng)
+    return tt, transcript
+
+
+def _result(run):
+    def runner(kw, rng):
+        result = run(kw, rng)
+        return result.accused, result.transcript
+    return runner
+
+
+# name -> (islands it accepts, runner, count_public: True/False, or None to vary).
+STRATEGIES = {
+    "classify_islands": (ALL_ISLANDS, _classify, None),
+    "ask_all_about_others": (ALL_ISLANDS, _result(run_ask_all_about_others), None),
+    "count_known": (ALL_ISLANDS, _result(run_count_known), True),
+    "count_unknown": (ALL_ISLANDS, _result(run_count_unknown), False),
+    "solve_truthtellers": (("tt",), _result(strategy_solve_truthtellers), None),
+    "solve_liars": (("liars",), _result(strategy_solve_liars), None),
+    "solve_liars_paper_literal": (
+        ("liars",), _result(partial(strategy_solve_liars, mode="paper-literal")), None,
+    ),
+    "solve_mixed": (ALL_ISLANDS, _result(strategy_solve_mixed), None),
+    "neil": (("tt", "liars"), _result(run_neil), True),
+    "secret_attribute": (("tt",), _result(run_secret_attribute), None),
+}
+
+SIMULATE_ARGV = {
+    "classify_islands": ("--island", "mixed", "--criminals", "1-3", "--knowledge-density", "0.3"),
+    "ask_all_about_others": (
+        "--island", "mixed", "--criminals", "1-3", "--knowledge-density", "0.3",
+    ),
+    "count_known": ("--island", "mixed", "--criminals", "1-3", "--count-public"),
+    "count_unknown": ("--island", "mixed", "--criminals", "1-3"),
+    "solve_truthtellers": ("--island", "tt", "--criminals", "1-3", "--knowledge-density", "0.3"),
+    "solve_liars": ("--island", "liars", "--criminals", "1-3", "--knowledge-density", "0.3"),
+    "solve_liars_paper_literal": (
+        "--island", "liars", "--criminals", "1-3", "--count-public", "--mode", "paper-literal",
+    ),
+    "solve_mixed": ("--island", "mixed", "--criminals", "1-3", "--knowledge-density", "0.3"),
+    "neil": ("--island", "tt", "--criminals", "1", "--count-public"),
+    "secret_attribute": ("--island", "tt", "--criminals", "1-3", "--knowledge-density", "0.3"),
+}
+
+
+def _digest(data) -> str:
+    text = json.dumps(data, separators=(",", ":"), ensure_ascii=True)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _world_rows(kw) -> list:
+    return [
+        list(kw.persons),
+        [kw.type_of[p].value for p in kw.persons],
+        sorted(kw.guilty),
+        sorted([p, q, entry.value] for (p, q), entry in kw.knowledge.items()),
+        kw.count_public,
+        kw.secret,
+    ]
+
+
+def _transcript_rows(transcript) -> list:
+    return [[a.person, describe_question(a.question), a.value.value, a.token]
+            for a in transcript]
+
+
+def record_worlds() -> dict:
+    entries = {}
+    for name, (islands, runner, public) in STRATEGIES.items():
+        for island in islands:
+            for density in DENSITIES:
+                for n in SIZES:
+                    key = f"{name}/{island}/d{density}/n{n}"
+                    seed = zlib.crc32(key.encode("ascii"))
+                    kw = generate_knowledge_world(
+                        n=n,
+                        island=island,
+                        criminals=1 if name == "neil" else (1, n),
+                        density=density,
+                        count_public=bool(seed & 1) if public is None else public,
+                        secret=name == "secret_attribute",
+                        seed=seed,
+                    )
+                    entry = {"world": _digest(_world_rows(kw))}
+                    try:
+                        accused, transcript = runner(kw, random.Random(seed ^ ADVERSARY_SALT))
+                    except PreconditionError as exc:
+                        entry["refused"] = str(exc)
+                    else:
+                        entry["accused"] = sorted(accused)
+                        entry["questions"] = len(transcript)
+                        entry["transcript"] = _digest(_transcript_rows(transcript))
+                    entries[key] = entry
+    return entries
+
+
+def simulate_argv(name: str) -> list[str]:
+    strategy = "solve_liars" if name.startswith("solve_liars") else name
+    return ["simulate", "--strategy", strategy, "--n", "7", "--trials", "5",
+            "--seed", "11", "--json", *SIMULATE_ARGV[name]]
+
+
+def record_simulate() -> dict:
+    runs = {}
+    for name in SIMULATE_ARGV:
+        argv = simulate_argv(name)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs[name] = {"argv": argv, "exit": code, "stdout": out.getvalue(),
+                      "stderr": err.getvalue()}
+    return runs
+
+
+def record() -> dict:
+    return {"worlds": record_worlds(), "simulate": record_simulate()}
+
+
+def _load_fixture() -> dict:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def _mismatches(expected: dict, actual: dict) -> list[str]:
+    return [key for key in sorted(set(expected) | set(actual))
+            if expected.get(key) != actual.get(key)]
+
+
+def test_strategy_transcripts_match_golden():
+    fixture = _load_fixture()["worlds"]
+    assert _mismatches(fixture, record_worlds()) == []
+
+
+def test_simulate_json_matches_golden():
+    fixture = _load_fixture()["simulate"]
+    assert _mismatches(fixture, record_simulate()) == []
+    for run in fixture.values():
+        assert run["exit"] == 0 and json.loads(run["stdout"])["successes"] == 5
+
+
+def test_golden_digests_ignore_hash_seed():
+    """The recording is the same under two fixed hash seeds, so the digests
+    never depend on set iteration order."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]];"
+        " import test_golden_transcripts as g; print(json.dumps(g.record(), sort_keys=True))"
+    )
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", script, src, str(Path(__file__).parent)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1] == _load_fixture()
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {FIXTURE}")

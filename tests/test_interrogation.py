@@ -2,10 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from islander import interrogation
 from islander.interrogation import (
+    MAX_CROWD,
     AnswerValue,
     DetectivePossiblyGuilty,
     DidDetectiveDoIt,
@@ -21,7 +24,12 @@ from islander.interrogation import (
     PreconditionError,
     SecretAttribute,
     generate_knowledge_world,
+    run_ask_all_about_others,
+    run_classify_islands,
+    run_count_known,
+    run_count_unknown,
     run_neil,
+    run_secret_attribute,
     spoken_answer,
     strategy_ask_all_about_others,
     strategy_classify_islands,
@@ -219,6 +227,120 @@ class TestPossibilityOracle:
                     == expected, (seed, p)
                 honest = truthful_answer(kw, p, DidDetectiveDoIt()).value
                 assert honest is (UNKNOWN if expected else NO)
+
+
+class TestKnowledgeIndex:
+    """The per-asker index against a plain rescan of the crowd."""
+
+    @staticmethod
+    def rescan(kw, p):
+        must = {q for q in kw.persons if q != p and kw.knows(p, q) is Knowledge.KNOWS_GUILTY}
+        banned = {q for q in kw.persons if q != p and kw.knows(p, q) is Knowledge.KNOWS_INNOCENT}
+        (must if p in kw.guilty else banned).add(p)
+        full_roster = all(kw.knows(p, q) is not Knowledge.UNKNOWN
+                          for q in kw.persons if q != p)
+        return (frozenset(must), frozenset(banned)), full_roster
+
+    def assert_matches_rescan(self, kw):
+        for p in kw.persons:
+            base, full_roster = self.rescan(kw, p)
+            assert kw.epistemic_index[p] == base
+            assert interrogation._epistemic_base(kw, p) == base
+            assert kw.knows_full_roster(p) is full_roster
+
+    def test_generated_worlds(self):
+        rng = random.Random(31)
+        for seed in range(80):
+            n = rng.randint(1, 12)
+            kw = generate_knowledge_world(
+                n=n, island="mixed", criminals=(1, n),
+                density=rng.choice((0.0, 0.3, 0.8, 1.0)), seed=seed,
+            )
+            self.assert_matches_rescan(kw)
+            assert set(kw.epistemic_index) == set(kw.persons)
+
+    def test_hand_built_worlds_with_explicit_unknown_entries(self):
+        knowledge = {
+            ("A", "B"): Knowledge.UNKNOWN,
+            ("A", "C"): Knowledge.KNOWS_GUILTY,
+            ("B", "A"): Knowledge.KNOWS_INNOCENT,
+            ("B", "C"): Knowledge.UNKNOWN,
+            ("C", "A"): Knowledge.KNOWS_INNOCENT,
+            ("C", "B"): Knowledge.KNOWS_INNOCENT,
+            ("C", "D"): Knowledge.KNOWS_INNOCENT,
+            ("D", "A"): Knowledge.UNKNOWN,
+            ("D", "B"): Knowledge.UNKNOWN,
+            ("D", "C"): Knowledge.UNKNOWN,
+        }
+        kw = make_kw({"A": AT, "B": PT, "C": AL, "D": RL}, {"C"}, knowledge=knowledge)
+        self.assert_matches_rescan(kw)
+        assert kw.epistemic_index["A"] == (frozenset({"C"}), frozenset({"A"}))
+        assert kw.epistemic_index["D"] == (frozenset(), frozenset({"D"}))
+        assert kw.knows_full_roster("C") and not kw.knows_full_roster("A")
+        assert not kw.all_knowledge_unknown()
+        blank = make_kw({"A": AT, "B": AL}, {"B"},
+                        knowledge={("A", "B"): Knowledge.UNKNOWN,
+                                   ("B", "A"): Knowledge.UNKNOWN})
+        self.assert_matches_rescan(blank)
+        assert blank.all_knowledge_unknown()
+
+    def test_no_answer_rescans_the_crowd(self, monkeypatch):
+        def no_rescan(self, p, q):
+            raise AssertionError("an answer looked up a knowledge pair")
+
+        monkeypatch.setattr(KnowledgeWorld, "knows", no_rescan)
+
+        def world(island, density, public=False, criminals=(1, 3), secret=False):
+            return generate_knowledge_world(
+                n=9, island=island, criminals=criminals, density=density,
+                count_public=public, secret=secret, seed=seed,
+            )
+
+        for seed in range(12):
+            tt = world("tt", 0.4, secret=True)
+            liars = world("liars", 0.4)
+            mixed = world("mixed", 0.4, public=seed % 2 == 0)
+            blank_public = world("mixed", 0.0, public=True)
+            blank_secret = world("mixed", 0.0)
+            lone_tt = world("tt", 0.0, public=True, criminals=1)
+            lone_liars = world("liars", 0.0, public=True, criminals=1)
+            blank_liars = world("liars", 0.0, public=True)
+            assert strategy_solve_truthtellers(tt).accused == tt.guilty
+            assert run_secret_attribute(tt).accused == tt.guilty
+            assert strategy_solve_liars(liars).accused == liars.guilty
+            assert strategy_solve_liars(blank_liars, mode="paper-literal").accused \
+                == blank_liars.guilty
+            assert strategy_solve_mixed(mixed).accused == mixed.guilty
+            assert run_ask_all_about_others(mixed).accused <= mixed.guilty
+            run_classify_islands(mixed)
+            assert run_count_known(blank_public).accused == blank_public.guilty
+            assert run_count_unknown(blank_secret).accused == blank_secret.guilty
+            assert run_neil(lone_tt).accused == lone_tt.guilty
+            assert run_neil(lone_liars).accused == lone_liars.guilty
+            for p in mixed.persons:
+                for question in (
+                    PossibleSubset(frozenset(mixed.persons[:4])),
+                    PossibleExact(frozenset(mixed.persons[2:5])),
+                    PossibleSizeExcludingSelf(2),
+                    PossibleInnocent(mixed.persons[-1]),
+                    DidDetectiveDoIt(),
+                    DetectivePossiblyGuilty(),
+                ):
+                    truthful_answer(mixed, p, question)
+
+    def test_control_questions_leave_the_index_unbuilt(self):
+        kw = generate_knowledge_world(
+            n=1000, island="mixed", criminals=(1, 3), density=0.3, seed=5,
+        )
+        tracemalloc.start()
+        try:
+            tt, liars, transcript = run_classify_islands(kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(transcript) == 1000 and len(tt) + len(liars) == 1000
+        assert peak < 2 * 2 ** 20
+        assert "epistemic_index" not in vars(kw)
 
 
 class TestSpokenAnswers:
@@ -560,6 +682,18 @@ class TestGenerator:
         assert all(t.island is Island.TRUTH_TELLERS for t in tt.type_of.values())
         liars = generate_knowledge_world(5, "liars", 1, seed=3)
         assert all(t.island is Island.LIARS for t in liars.type_of.values())
+
+    def test_crowd_limit_refuses_before_drawing(self):
+        for n in (MAX_CROWD + 1, 10 ** 6):
+            tracemalloc.start()
+            try:
+                with pytest.raises(PreconditionError, match=f"limit of {MAX_CROWD}"):
+                    generate_knowledge_world(n, "mixed", 1, density=0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2 ** 10
+        assert MAX_CROWD * (MAX_CROWD - 1) <= 2 ** 22
 
     def test_infeasible_configs(self):
         with pytest.raises(PreconditionError):
