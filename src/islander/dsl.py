@@ -4,12 +4,23 @@ The grammar is documented in docs/grammar.md. Parsing is total: any input
 either yields a validated Puzzle or raises ParseError with a 1-based source
 span covering the offending token. serialize() emits a canonical form with
 the round-trip law parse(serialize(p)) == p.
+
+The lexer makes one regular-expression match per token. Formulas are read
+by precedence climbing over an explicit operator stack, and validation
+walks them over an explicit stack too, so parsing has no nesting limit:
+parentheses, `not`s and connective chains may be nested or chained to any
+depth or length. Known limit: serialize(), formula ==/hash, eval_formula
+and the expansion of `axiom forall` (replace_person) still recurse over the
+formula tree, and raise RecursionError on formulas nested a few hundred
+levels deep (see docs/grammar.md); a `forall` body that deep makes parse()
+raise it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     ALL_TYPES,
@@ -65,8 +76,7 @@ class ParseError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "eof", or the punctuation itself
     text: str
     line: int
@@ -77,9 +87,28 @@ class Token:
         return SourceSpan(self.line, self.column, max(1, len(self.text)))
 
 
-_PUNCT = ("<->", "->", "<=", ">=", "{", "}", "(", ")", ",", ";", ":", "=")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+
+# One match per token: the blanks before it, then one alternative per token
+# class, tried in this order. A comment runs to the end of its line. `string`
+# matches only well-formed literals (an unrolled loop, so a missing quote
+# cannot make it backtrack). Punctuation is listed longest first. The bare
+# `\Z` takes the blanks at the end of the text, and `bad` any other
+# character, so every position of a text starts a match.
+_TOKEN_RE = re.compile(r"""
+    [ \t\r]*
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct><->|->|<=|>=|[{}(),;:=])
+      | (?P<newline>\n)
+      | (?P<int>[0-9]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<string>"[^"\\\n]*(?:\\["\\][^"\\\n]*)*")
+      | \Z
+      | (?P<bad>.)
+    )
+""", re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 KEYWORDS = frozenset({
     "puzzle", "suspects", "island", "types", "criminals", "typecount",
@@ -100,70 +129,50 @@ ATOM_EXPECTED = (
 
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+    line, line_start, pos, end = 1, 0, 0, len(text)
+    eof_column = None
+    for m in _TOKEN_RE.finditer(text):
+        pos = m.end()
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        value = m[kind]
+        column = pos - len(value) - line_start + 1
+        if kind == "ident" or kind == "int":
+            append(new(Token, (kind, value, line, column)))
+        elif kind == "punct":
+            append(new(Token, (value, value, line, column)))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            raw: list[str] = []
-            while j < n and text[j] not in ('"', "\n"):
-                if text[j] == "\\":
-                    if j + 1 >= n or text[j + 1] not in ('"', "\\"):
-                        raise ParseError(
-                            SourceSpan(start_line, start_col + (j - i), 2),
-                            "bad string escape", ("\\\"", "\\\\"),
-                        )
-                    raw.append(text[j + 1])
-                    j += 2
-                else:
-                    raw.append(text[j])
-                    j += 1
-            if j >= n or text[j] == "\n":
-                raise ParseError(
-                    SourceSpan(start_line, start_col, j - i),
-                    "unterminated string literal",
-                )
-            tokens.append(Token("string", "".join(raw), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token(punct, punct, line, col))
-                col += len(punct)
-                i += len(punct)
-                break
-        else:
-            raise ParseError(SourceSpan(line, col, 1), f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "end of input", line, col))
+            line_start = pos
+        elif kind == "string":
+            append(new(Token, ("string", _ESCAPE_RE.sub(r"\1", value[1:-1]), line, column)))
+        elif kind == "bad":
+            if value == '"':
+                raise _bad_string(text, pos - 1, line, column)
+            raise ParseError(SourceSpan(line, column, 1), f"unexpected character {value!r}")
+        elif pos == end:
+            # A comment that ends the text: the end-of-input token sits at its '#'.
+            eof_column = column
+    append(Token("eof", "end of input", line, eof_column or pos - line_start + 1))
     return tokens
+
+
+def _bad_string(text: str, i: int, line: int, col: int) -> ParseError:
+    """The error for the '"' at text[i], which starts no well-formed string:
+    a bad escape, or no closing quote on its line."""
+    j, n = i + 1, len(text)
+    while j < n and text[j] not in ('"', "\n"):
+        if text[j] == "\\":
+            if j + 1 >= n or text[j + 1] not in ('"', "\\"):
+                return ParseError(SourceSpan(line, col + (j - i), 2),
+                                  "bad string escape", ("\\\"", "\\\\"))
+            j += 2
+        else:
+            j += 1
+    return ParseError(SourceSpan(line, col, j - i), "unterminated string literal")
 
 
 # ---------------------------------------------------------------------------
@@ -484,66 +493,74 @@ def _parse_axiom(p: _Parser, b: _PuzzleBuilder) -> None:
     p.expect_punct(";")
 
 
+# Connective precedence, shared with the serializer: `not` binds tightest,
+# `->` and `<->` group to the right, `and` and `or` to the left.
+_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+_BINARY = {"<->": Iff, "->": Implies, "or": Or, "and": And}
+_RIGHT_ASSOC = (Iff, Implies)
+# Operator-stack entries for "(" and "not"; a binary operator is pushed as
+# (precedence, node class, left operand).
+_OPEN = (0, None, None)
+_NOT = (_PRECEDENCE[Not], Not, None)
+
+
 def _parse_formula(p: _Parser, b: _PuzzleBuilder,
                    extra_persons: frozenset[str] = frozenset()) -> Formula:
-    return _parse_iff(p, b, extra_persons)
+    """Precedence climbing over an explicit operator stack, so nesting depth
+    and chain length never touch the Python stack. The grammar is the one in
+    docs/grammar.md; errors are raised at the same tokens as by a recursive
+    descent over it."""
+    tokens = p.tokens
+    stack: list[tuple] = []
+    while True:
+        tok = tokens[p.pos]
+        if tok.kind == "(":
+            stack.append(_OPEN)
+            p.pos += 1
+            continue
+        if tok.kind == "ident" and tok.text == "not":
+            stack.append(_NOT)
+            p.pos += 1
+            continue
+        value = _parse_primary(p, b, extra_persons)
+        while True:  # operator position, with `value` the operand just read
+            tok = tokens[p.pos]
+            op = _BINARY.get(tok.text if tok.kind == "ident" else tok.kind)
+            if op is None:
+                floor = 0  # the formula or a parenthesis ends here
+            else:
+                floor = _PRECEDENCE[op] - (op not in _RIGHT_ASSOC)
+            while stack and stack[-1][0] > floor:
+                _, node, left = stack.pop()
+                value = node(value) if left is None else node(left, value)
+            if op is not None:
+                stack.append((_PRECEDENCE[op], op, value))
+                p.pos += 1
+                break
+            if not stack:
+                return value
+            p.expect_punct(")")
+            stack.pop()
 
 
-def _parse_iff(p, b, extra) -> Formula:
-    left = _parse_implies(p, b, extra)
-    if p.peek().kind == "<->":
-        p.advance()
-        return Iff(left, _parse_iff(p, b, extra))
-    return left
-
-
-def _parse_implies(p, b, extra) -> Formula:
-    left = _parse_or(p, b, extra)
-    if p.peek().kind == "->":
-        p.advance()
-        return Implies(left, _parse_implies(p, b, extra))
-    return left
-
-
-def _parse_or(p, b, extra) -> Formula:
-    left = _parse_and(p, b, extra)
-    while p.at_keyword("or"):
-        p.advance()
-        left = Or(left, _parse_and(p, b, extra))
-    return left
-
-
-def _parse_and(p, b, extra) -> Formula:
-    left = _parse_unary(p, b, extra)
-    while p.at_keyword("and"):
-        p.advance()
-        left = And(left, _parse_unary(p, b, extra))
-    return left
-
-
-def _parse_unary(p, b, extra) -> Formula:
-    if p.at_keyword("not"):
-        p.advance()
-        return Not(_parse_unary(p, b, extra))
-    return _parse_primary(p, b, extra)
+# Atoms of the form `name(person)`.
+_PERSON_ATOMS = {"guilty": Guilty, "lies_about_guilt": LiesWhenAskedGuilt,
+                 "knows_whodunit": KnowsWhodunit}
 
 
 def _parse_primary(p, b, extra) -> Formula:
+    """One atom; parentheses and `not` are _parse_formula's."""
     tok = p.peek()
-    if tok.kind == "(":
-        p.advance()
-        inner = _parse_formula(p, b, extra)
-        p.expect_punct(")")
-        return inner
     if tok.kind != "ident":
         raise ParseError(tok.span, f"unexpected token '{tok.text}'", ATOM_EXPECTED)
 
-    if tok.text == "guilty":
+    atom = _PERSON_ATOMS.get(tok.text)
+    if atom is not None:
         p.advance()
         p.expect_punct("(")
         person = _expect_suspect(p, b, extra)
         p.expect_punct(")")
-        return Guilty(person)
+        return atom(person)
     if tok.text == "type":
         p.advance()
         p.expect_punct("(")
@@ -589,18 +606,6 @@ def _parse_primary(p, b, extra) -> Formula:
         p.advance()
         p.expect_punct(")")
         return Truthful(label_tok.text)
-    if tok.text == "lies_about_guilt":
-        p.advance()
-        p.expect_punct("(")
-        person = _expect_suspect(p, b, extra)
-        p.expect_punct(")")
-        return LiesWhenAskedGuilt(person)
-    if tok.text == "knows_whodunit":
-        p.advance()
-        p.expect_punct("(")
-        person = _expect_suspect(p, b, extra)
-        p.expect_punct(")")
-        return KnowsWhodunit(person)
     if tok.text == "free":
         p.advance()
         p.expect_punct("(")
@@ -626,9 +631,6 @@ def _parse_primary(p, b, extra) -> Formula:
 # ---------------------------------------------------------------------------
 # Serializer
 # ---------------------------------------------------------------------------
-
-_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-
 
 def _prec(formula: Formula) -> int:
     return _PRECEDENCE.get(type(formula), 6)

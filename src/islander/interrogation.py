@@ -82,12 +82,15 @@ class KnowledgeWorld:
             raise KnowledgeWorldError("the guilty set is empty: no crime to solve")
         if not self.guilty <= set(self.persons):
             raise KnowledgeWorldError("guilty set references unknown persons")
+        # Locals, not attribute lookups, in the loop over up to n^2 entries.
+        type_of, guilty = self.type_of, self.guilty
+        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
         for (p, q), entry in self.knowledge.items():
-            if p not in self.type_of or q not in self.type_of or p == q:
+            if p not in type_of or q not in type_of or p == q:
                 raise KnowledgeWorldError(f"bad knowledge pair ({p}, {q})")
-            if entry is Knowledge.KNOWS_GUILTY and q not in self.guilty:
+            if entry is knows_guilty and q not in guilty:
                 raise KnowledgeWorldError(f"{p} cannot know innocent {q} to be guilty")
-            if entry is Knowledge.KNOWS_INNOCENT and q in self.guilty:
+            if entry is knows_innocent and q in guilty:
                 raise KnowledgeWorldError(f"{p} cannot know guilty {q} to be innocent")
         if self.count_public is not None and self.count_public != len(self.guilty):
             raise KnowledgeWorldError("public count disagrees with the guilty set")

@@ -155,32 +155,23 @@ FALSE = Const(False)
 COUNT_OPS = ("=", "<=", ">=")
 
 
+_CONNECTIVES = (And, Or, Implies, Iff)
+_PERSON_ATOMS = (Guilty, HasType, FromIsland, LiesWhenAskedGuilt, KnowsWhodunit)
+
+
 def iter_subformulas(formula: Formula) -> Iterator[Formula]:
-    """Pre-order walk over a formula tree."""
-    yield formula
-    match formula:
-        case Not(operand):
-            yield from iter_subformulas(operand)
-        case And(left, right) | Or(left, right) | Implies(left, right) | Iff(left, right):
-            yield from iter_subformulas(left)
-            yield from iter_subformulas(right)
-        case _:
-            pass
-
-
-def referenced_persons(formula: Formula) -> set[str]:
-    persons: set[str] = set()
-    for node in iter_subformulas(formula):
-        match node:
-            case Guilty(p) | HasType(p, _) | FromIsland(p, _) | LiesWhenAskedGuilt(p) | KnowsWhodunit(p):
-                persons.add(p)
-            case _:
-                pass
-    return persons
-
-
-def referenced_labels(formula: Formula) -> set[str]:
-    return {node.label for node in iter_subformulas(formula) if isinstance(node, Truthful)}
+    """Pre-order walk over a formula tree, left operand first, over an
+    explicit stack: its depth never touches the Python stack."""
+    stack = [formula]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        yield node
+        if isinstance(node, _CONNECTIVES):
+            push(node.right)
+            push(node.left)
+        elif isinstance(node, Not):
+            push(node.operand)
 
 
 def free_names(formula: Formula) -> set[str]:
@@ -332,6 +323,7 @@ class Puzzle:
             raise PuzzleError("criminal count bound must be non-negative")
 
         labels_seen: set[str] = set()
+        modeled = {s.label for s in self.statements if not s.is_unmodeled}
         for stmt in self.statements:
             if stmt.label in labels_seen:
                 raise PuzzleError(f"duplicate statement label '{stmt.label}'")
@@ -340,13 +332,12 @@ class Puzzle:
                     f"statement '{stmt.label}' has unknown speaker '{stmt.speaker}'"
                 )
             if stmt.body is not None:
-                self._check_formula_refs(stmt.body, earlier_labels=labels_seen,
+                self._check_formula_refs(stmt.body, labels_seen, modeled,
                                          where=f"statement '{stmt.label}'")
             labels_seen.add(stmt.label)
 
-        modeled = {s.label for s in self.statements if not s.is_unmodeled}
         for i, axiom in enumerate(self.axioms):
-            self._check_formula_refs(axiom, earlier_labels=modeled, where=f"axiom {i + 1}")
+            self._check_formula_refs(axiom, modeled, modeled, where=f"axiom {i + 1}")
 
         card = self.type_cardinality
         if isinstance(card, OneOfEach) and len(self.suspects) != len(ALL_TYPES):
@@ -356,22 +347,33 @@ class Puzzle:
         if isinstance(card, AtMostDistinct) and card.n < 1:
             raise PuzzleError("distinct-type bound must be at least 1")
 
-    def _check_formula_refs(self, formula: Formula, earlier_labels: set[str], where: str) -> None:
-        modeled = {s.label: s for s in self.statements if not s.is_unmodeled}
-        for person in referenced_persons(formula):
-            if person not in self.type_domain:
-                raise PuzzleError(f"{where} references unknown person '{person}'")
-        for label in referenced_labels(formula):
-            if label not in earlier_labels:
+    def _check_formula_refs(self, formula: Formula, earlier_labels: set[str],
+                            modeled: set[str], where: str) -> None:
+        """One walk over `formula`. An unknown person is reported first, then
+        a bad truthful() label, then a bad count op, each the first met in
+        pre-order."""
+        bad_label: Optional[str] = None
+        bad_op: Optional[str] = None
+        for node in iter_subformulas(formula):
+            if isinstance(node, _PERSON_ATOMS):
+                if node.person not in self.type_domain:
+                    raise PuzzleError(f"{where} references unknown person '{node.person}'")
+            elif isinstance(node, Truthful):
+                if bad_label is None and (node.label not in earlier_labels
+                                          or node.label not in modeled):
+                    bad_label = node.label
+            elif isinstance(node, CountCmp):
+                if bad_op is None and node.op not in COUNT_OPS:
+                    bad_op = node.op
+        if bad_label is not None:
+            if bad_label not in earlier_labels:
                 raise PuzzleError(
-                    f"{where} has a truthful() reference to '{label}', which is not "
+                    f"{where} has a truthful() reference to '{bad_label}', which is not "
                     "an earlier modeled statement"
                 )
-            if label not in modeled:
-                raise PuzzleError(f"{where} references unmodeled statement '{label}'")
-        for node in iter_subformulas(formula):
-            if isinstance(node, CountCmp) and node.op not in COUNT_OPS:
-                raise PuzzleError(f"{where} uses bad count comparison op '{node.op}'")
+            raise PuzzleError(f"{where} references unmodeled statement '{bad_label}'")
+        if bad_op is not None:
+            raise PuzzleError(f"{where} uses bad count comparison op '{bad_op}'")
 
 
 @dataclass(frozen=True)

@@ -317,11 +317,43 @@ class _Chunk:
         return self._face[label]
 
     def compile(self, formula: Formula, innocent: Optional[str] = None) -> int:
-        """Candidates where `formula` holds, with guilty(innocent) read as false."""
+        """Candidates where `formula` holds, with guilty(innocent) read as false.
+
+        A post-order walk over an explicit stack, so a formula's depth never
+        touches the Python stack: a connective is expanded into its class,
+        pushed as a marker, then its operands; when the marker comes back
+        off the stack, its operands' bitsets are on top of `done`."""
         ones = self.ones
+        todo: list = [formula]
+        done: list[int] = []
+        while todo:
+            node = todo.pop()
+            if node is Not:
+                done[-1] ^= ones
+            elif node is And:
+                right = done.pop()
+                done[-1] &= right
+            elif node is Or:
+                right = done.pop()
+                done[-1] |= right
+            elif node is Implies:
+                right = done.pop()
+                done[-1] = (ones ^ done[-1]) | right
+            elif node is Iff:
+                right = done.pop()
+                done[-1] ^= ones ^ right
+            elif isinstance(node, Not):
+                todo += (Not, node.operand)
+            elif isinstance(node, (And, Or, Implies, Iff)):
+                todo += (type(node), node.right, node.left)
+            else:
+                done.append(self._atom(node, innocent))
+        return done[0]
+
+    def _atom(self, formula: Formula, innocent: Optional[str]) -> int:
         match formula:
             case Const(value):
-                return ones if value else 0
+                return self.ones if value else 0
             case Guilty(person):
                 return 0 if person == innocent else self.guilty[person]
             case HasType(person, speaker_type):
@@ -339,16 +371,6 @@ class _Chunk:
                 return self.guilty[person] | self.free[knows_whodunit_key(person)]
             case Free(name):
                 return self.free[name]
-            case Not(operand):
-                return ones ^ self.compile(operand, innocent)
-            case And(left, right):
-                return self.compile(left, innocent) & self.compile(right, innocent)
-            case Or(left, right):
-                return self.compile(left, innocent) | self.compile(right, innocent)
-            case Implies(left, right):
-                return (ones ^ self.compile(left, innocent)) | self.compile(right, innocent)
-            case Iff(left, right):
-                return ones ^ self.compile(left, innocent) ^ self.compile(right, innocent)
             case _:
                 raise UnknownReference(f"unknown formula node {formula!r}")
 

@@ -82,6 +82,18 @@ def enumerated_world_keys(puzzle: Puzzle) -> set[tuple]:
     return keys
 
 
+def chain_puzzle_text(terms: int, op: str) -> str:
+    """A puzzle whose first statement chains `terms` atoms with `op`, cycling
+    through three atoms; for `and`/`or` any length >= 3 means the same as 3."""
+    atoms = ("guilty(A)", "type(B)=PT", "knows_whodunit(C)")
+    chain = f" {op} ".join(atoms[i % 3] for i in range(terms))
+    return (
+        "puzzle {\n  suspects A, B, C;\n  criminals >= 1;\n"
+        f"  statement s1 A: {chain};\n"
+        "  statement s2 B: truthful(s1) or guilty(C);\n}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Random puzzles for soundness/completeness and property tests
 # ---------------------------------------------------------------------------

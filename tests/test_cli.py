@@ -2,6 +2,8 @@
 
 import json
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 
 from islander import cli
 from islander.cli import main
+
+from conftest import chain_puzzle_text
 
 
 def corpus_dir() -> Path:
@@ -66,6 +70,24 @@ class TestSolveCommand:
     def test_usage_error_exits_one(self, capsys):
         assert run(capsys, "solve")[0] == 1
         assert run(capsys, "frobnicate")[0] == 1
+
+
+class TestLongFormulaFile:
+    def test_solve_of_a_5000_term_statement_exits_with_its_verdict(self, capsys, tmp_path):
+        long, short = tmp_path / "long.puz", tmp_path / "short.puz"
+        long.write_text(chain_puzzle_text(5000, "or"))
+        short.write_text(chain_puzzle_text(3, "or"))
+        code, out, _ = run(capsys, "solve", str(short), "--json")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv.pop(1));"
+             " from islander.cli import main; sys.exit(main())",
+             src, "solve", str(long), "--json"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 class TestCorpusCommand:

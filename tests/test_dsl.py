@@ -5,17 +5,24 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from islander.dsl import ParseError, _lex, format_formula, parse, serialize
+from islander.dsl import ATOM_EXPECTED, ParseError, _lex, format_formula, parse, serialize
 from islander.model import (
     ALL_TYPES,
+    And,
     AtMostDistinct,
     CountCmp,
     ExactTruthTellers,
+    Guilty,
+    Iff,
+    Implies,
+    Not,
     OneOfEach,
     Or,
     Puzzle,
     SpeakerType,
+    iter_subformulas,
 )
 from islander.solver import solve
 
@@ -84,6 +91,132 @@ class TestParseBasics:
     def test_comments_and_whitespace(self):
         text = "# header\npuzzle {  # inline\n  suspects A;\n  criminals = 1; # eol\n}\n"
         assert parse(text).suspects == ("A",)
+
+
+PREFIX = "puzzle { suspects A, B, C; criminals >= 1; statement s1 A: "
+ATOMS = ("guilty(A)", "guilty(B)", "guilty(C)")
+DEEP = 10_000
+
+
+@st.composite
+def deep_texts(draw):
+    """(formula text, number of atoms, nesting depth of the AST): an atom
+    wrapped in up to four layers, each of parentheses, `not`s or a chain of
+    one connective with the inner formula as one of its operands."""
+    body, atoms, depth = draw(st.sampled_from(ATOMS)), 1, 0
+    layers = st.tuples(st.sampled_from(("(", "not", "and", "or", "->", "<->")),
+                       st.integers(1, 3000))
+    for kind, count in draw(st.lists(layers, min_size=1, max_size=4)):
+        if kind == "(":
+            body = "(" * count + body + ")" * count
+        elif kind == "not":
+            body, depth = "not " * count + f"({body})", depth + count
+        else:
+            terms = [ATOMS[i % 3] for i in range(count)]
+            terms.insert(draw(st.integers(0, count)), f"({body})")
+            body, atoms, depth = f" {kind} ".join(terms), atoms + count, depth + count
+    return body, atoms, depth
+
+
+def _body(formula: str):
+    return parse(PREFIX + formula + "; }").statements[0].body
+
+
+def _spine(formula, cls, attr: str):
+    """How many `cls` nodes lead from `formula` along `attr`, and the node
+    where that path ends."""
+    length = 0
+    while isinstance(formula, cls):
+        formula, length = getattr(formula, attr), length + 1
+    return length, formula
+
+
+class TestLexer:
+    def test_token_columns_across_tabs_strings_crlf_and_comments(self):
+        tokens = _lex('a\t"x\\"y" # c\r\n  <-> ->;# end')
+        assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+            ("ident", "a", 1, 1), ("string", 'x"y', 1, 3), ("<->", "<->", 2, 3),
+            ("->", "->", 2, 7), (";", ";", 2, 9), ("eof", "end of input", 2, 10),
+        ]
+
+    def test_end_of_input_after_a_trailing_comment_sits_at_the_hash(self):
+        text = "puzzle { suspects A; criminals = 1;  # no closing brace"
+        assert _lex(text)[-1].column == text.index("#") + 1
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.span.line, info.value.span.column) == (1, text.index("#") + 1)
+
+    @pytest.mark.parametrize("text, span, message, expected", [
+        ("puzzle { suspects A; criminals = 1;\r\n\tstatement s1 A: guilty(A) and;\r\n}",
+         (2, 31, 1), "unexpected token ';'", ATOM_EXPECTED),
+        ('puzzle { suspects A; criminals = 1; statement s1 A: '
+         'unmodeled "say \\"hi\\" \\\\ ok" ; statement s2 A: @; }',
+         (1, 100, 1), "unexpected character '@'", ()),
+        ('puzzle { suspects A;\n  criminals = 1; statement s1 A: unmodeled "a\\qb"; }',
+         (2, 46, 2), "bad string escape", ('\\"', "\\\\")),
+        ('puzzle { suspects A;\n\t criminals = 1; statement s1 A: unmodeled "open; }\n',
+         (2, 44, 8), "unterminated string literal", ()),
+    ])
+    def test_error_spans(self, text, span, message, expected):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        err = info.value
+        assert (err.span.line, err.span.column, err.span.length) == span
+        assert (err.message, err.expected) == (message, expected)
+
+
+class TestDepth:
+    """Nesting depth and chain length never reach the Python stack."""
+
+    def test_nested_parentheses_parse_to_the_bare_atom(self):
+        assert _body("(" * DEEP + "guilty(B)" + ")" * DEEP) == Guilty("B")
+
+    @pytest.mark.parametrize("op, cls", [("and", And), ("or", Or)])
+    def test_left_associative_chains_are_left_deep(self, op, cls):
+        formula = _body(f" {op} ".join(ATOMS[i % 3] for i in range(DEEP)))
+        nodes = list(iter_subformulas(formula))
+        assert len(nodes) == 2 * DEEP - 1
+        assert _spine(formula, cls, "left") == (DEEP - 1, Guilty("A"))
+        assert [n for n in nodes if isinstance(n, Guilty)] == \
+            [Guilty("ABC"[i % 3]) for i in range(DEEP)]
+
+    @pytest.mark.parametrize("op, cls", [("->", Implies), ("<->", Iff)])
+    def test_right_associative_chains_are_right_deep(self, op, cls):
+        formula = _body(f" {op} ".join(ATOMS[i % 3] for i in range(DEEP)))
+        assert len(list(iter_subformulas(formula))) == 2 * DEEP - 1
+        assert _spine(formula, cls, "right") == (DEEP - 1, Guilty("ABC"[(DEEP - 1) % 3]))
+
+    def test_nested_not(self):
+        assert _spine(_body("not " * 2000 + "guilty(C)"), Not, "operand") == (2000, Guilty("C"))
+
+    @pytest.mark.parametrize("depth", [3, DEEP])
+    @pytest.mark.parametrize("shape", ["paren_dropped", "paren_cut", "and_cut", "imp_cut_in_atom",
+                                       "not_cut", "not_paren_dropped"])
+    def test_broken_deep_texts_fail_where_shallow_ones_do(self, shape, depth):
+        """The span of each error follows one rule at every depth; at depth 3
+        it is the span the recursive-descent parser gave."""
+        chain = " and ".join(ATOMS[i % 3] for i in range(depth))
+        text, expected = {
+            "paren_dropped": (PREFIX + "(" * depth + "guilty(B)" + ")" * (depth - 1) + "; }",
+                              ("';'", ("')'",))),
+            "paren_cut": (PREFIX + "(" * depth + "guilty(B)", ("eof", ("')'",))),
+            "and_cut": (PREFIX + chain + " and", ("eof", ATOM_EXPECTED)),
+            "imp_cut_in_atom": (PREFIX + chain.replace("and", "->") + " -> guilty(",
+                                ("eof", ("a suspect name",))),
+            "not_cut": (PREFIX + "not " * depth, ("eof", ATOM_EXPECTED)),
+            "not_paren_dropped": (PREFIX + "not (" * depth + "guilty(A)" + ")" * (depth - 1)
+                                  + "; }", ("';'", ("')'",))),
+        }[shape]
+        token, expected_tokens = expected
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        err = info.value
+        if token == "eof":
+            column, message = len(text) + 1, "unexpected token 'end of input'"
+        else:
+            column, message = text.rindex(";") + 1, "unexpected token ';'"
+        assert (err.span.line, err.span.column, err.message, err.expected) == \
+            (1, column, message, expected_tokens)
 
 
 class TestParseErrors:
@@ -218,6 +351,30 @@ class TestParseErrors:
                 parse(junk)
             except ParseError:
                 pass  # the only acceptable failure mode
+
+    @given(deep_texts(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_totality_fuzz_deep_and_wide(self, case, data):
+        body, atoms, depth = case
+        text = PREFIX + body + "; }"
+        how = data.draw(st.sampled_from(("none", "drop", "cut", "insert")))
+        at = data.draw(st.integers(len(PREFIX), len(text) - 1))
+        if how == "drop":
+            text = text[:at] + text[at + 1:]
+        elif how == "cut":
+            text = text[:at]
+        elif how == "insert":
+            text = text[:at] + data.draw(st.sampled_from("()<->;# an")) + text[at:]
+        try:
+            puzzle = parse(text)
+        except ParseError:
+            assert how != "none"
+            return  # the only acceptable failure mode
+        if how == "none":
+            formula = puzzle.statements[0].body
+            assert sum(isinstance(node, Guilty) for node in iter_subformulas(formula)) == atoms
+            if depth <= 200:  # serialize and formula == are still recursive
+                assert parse(serialize(puzzle)) == puzzle
 
 
 class TestRoundTrip:

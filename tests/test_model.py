@@ -301,3 +301,28 @@ class TestPuzzleValidation:
     def test_axiom_unknown_person(self):
         with pytest.raises(PuzzleError, match="Z"):
             self.base_puzzle(axioms=(Guilty("Z"),)).validate()
+
+    @pytest.mark.parametrize("body, axiom, message", [
+        (And(CountCmp("<", 1), And(Truthful("s0"), Guilty("Z"))), TRUE,
+         "statement 's1' references unknown person 'Z'"),
+        (And(CountCmp("<", 1), Truthful("s0")), TRUE,
+         "statement 's1' references unmodeled statement 's0'"),
+        (Or(CountCmp("<", 1), Truthful("s9")), TRUE,
+         "statement 's1' has a truthful() reference to 's9', which is not an earlier "
+         "modeled statement"),
+        (Or(CountCmp("<", 1), Guilty("A")), TRUE,
+         "statement 's1' uses bad count comparison op '<'"),
+        (Guilty("A"), Truthful("s0"),
+         "axiom 1 has a truthful() reference to 's0', which is not an earlier "
+         "modeled statement"),
+    ])
+    def test_formula_reference_errors_in_order_of_precedence(self, body, axiom, message):
+        """Unknown persons before bad labels before bad count ops, wherever
+        each sits in the formula."""
+        puzzle = self.base_puzzle(
+            statements=(Statement("s0", "A", None, text="noise"), Statement("s1", "A", body)),
+            axioms=(axiom,),
+        )
+        with pytest.raises(PuzzleError) as info:
+            puzzle.validate()
+        assert str(info.value) == message

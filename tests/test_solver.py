@@ -33,6 +33,7 @@ from islander.solver import (
 
 from conftest import (
     CORPUS_NAMES,
+    chain_puzzle_text,
     corpus_text,
     enumerated_world_keys,
     oracle_world_keys,
@@ -336,6 +337,16 @@ class TestBoundedMemory:
         assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
         assert report.world_count == sum(1 for _ in enumerate_worlds(puzzle))
         assert report.world_count > 0
+
+
+class TestLongFormulas:
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_long_chain_solves_like_its_three_atoms(self, op):
+        """The compiler walks a 5000-term statement without recursion."""
+        long, short = parse(chain_puzzle_text(5000, op)), parse(chain_puzzle_text(3, op))
+        assert solve(long) == solve(short)
+        assert [w.key() for w in enumerate_worlds(long)] == \
+            [w.key() for w in enumerate_worlds(short)]
 
 
 class TestNoPerWorldEvaluation:
