@@ -23,7 +23,6 @@ from .interrogation import (
     AnswerValue,
     Island,
     KnowledgeWorld,
-    Knowledge,
     PreconditionError,
     StrategyResult,
     describe_question,
@@ -254,8 +253,10 @@ def _parse_criminals(raw: str, n: int):
 
 
 def _known_criminals(kw: KnowledgeWorld) -> frozenset[str]:
+    """The criminals whose guilt someone else knows."""
     return frozenset(
-        q for (p, q), entry in kw.knowledge.items() if entry is Knowledge.KNOWS_GUILTY
+        q for j, q in enumerate(kw.persons)
+        if q in kw.guilty and any(row[j] for row in kw.rows)
     )
 
 
@@ -310,13 +311,14 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     criminals = _parse_criminals(args.criminals, args.n)
 
+    # Each trial's seed is drawn when the trial starts and only running
+    # question statistics are kept, so memory does not grow with --trials.
     master = random.Random(seed)
-    trial_seeds = [master.randrange(2 ** 63) for _ in range(args.trials)]
-
     successes = 0
     failures = []
-    question_counts = []
-    for trial, world_seed in enumerate(trial_seeds):
+    fewest, most, total = None, 0, 0
+    for trial in range(args.trials):
+        world_seed = master.randrange(2 ** 63)
         try:
             kw = generate_knowledge_world(
                 n=args.n,
@@ -334,7 +336,9 @@ def _cmd_simulate(args) -> int:
         except PreconditionError as exc:
             print(f"islander: precondition refused: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        question_counts.append(questions)
+        fewest = questions if fewest is None else min(fewest, questions)
+        most = max(most, questions)
+        total += questions
         if ok:
             successes += 1
         else:
@@ -346,11 +350,7 @@ def _cmd_simulate(args) -> int:
                 "transcript": _transcript_json(transcript),
             })
 
-    stats = {
-        "min": min(question_counts),
-        "max": max(question_counts),
-        "mean": round(sum(question_counts) / len(question_counts), 4),
-    }
+    stats = {"min": fewest, "max": most, "mean": round(total / args.trials, 4)}
     if args.json:
         payload = {
             "strategy": args.strategy,

@@ -14,27 +14,49 @@ liars always answer yes. A liar whose honest answer would be "I don't know"
 picks yes or no adversarially from a seeded source, so the robust strategies
 below are checked to be independent of those coin flips.
 
+Knowledge is stored as one `bytes` row per asker, `KnowledgeWorld.rows`:
+byte j of person i's row is 1 when i knows the guilt status of person j.
+The entry itself is always the truth, read from the guilty set, so
+factivity holds by construction. A world built from a (p, q) -> Knowledge
+dict has each entry checked once and turned into rows; a generated world
+passes a `KnowledgeRows` mapping, a read-only (p, q) view of its rows, and
+only the rows' shape is checked. Everything below the constructor reads the
+rows.
+
+Generation draws once per ordered pair, `rng.random() < density`, in
+p-major order, and fills each row from one `getrandbits` call instead
+(`_draw_rows`). This is exact, not an approximation: `random()` is made
+from two consecutive 32-bit generator outputs, `getrandbits` returns the
+same outputs in a known layout, and the comparison with `density` is decided
+on integers, from the top byte of each draw and, in about 1 case in 256,
+from the full 53 bits. The same draws leave the generator in the same state,
+so the secret drawn after them, and every seeded output, stay the same.
+
 Possibility answers come from a per-asker index, `KnowledgeWorld.
 epistemic_index`: for each person, frozensets of whom they know to be guilty
-and whom they know to be innocent, themselves included. It is built in one
-pass over the knowledge table on the first question that needs it, so a
-world asked only control, direct-guilt or secret questions never holds it.
-With the index, the possible-innocent, size-excluding-self and detective
-questions cost O(1) in the crowd size, and the subset and exact-group
-questions cost C-level set operations over the group. `knows` remains the
-plain per-pair lookup the tests' oracles use.
+and whom they know to be innocent, themselves included. It is built from the
+rows on the first question that needs it, so a world asked only control,
+direct-guilt or secret questions never holds it. With the index, the
+possible-innocent, size-excluding-self and detective questions cost O(1) in
+the crowd size, and the subset and exact-group questions cost C-level set
+operations over the group. `knows` remains the plain per-pair lookup the
+tests' oracles use.
 
 Generated worlds are limited to MAX_CROWD persons, because generation draws
-once per ordered pair of persons; a larger crowd is refused before any draw.
+once per ordered pair of persons and keeps a byte per pair; a larger crowd is
+refused before any draw.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import functools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .model import Island, SpeakerType
 
@@ -43,8 +65,8 @@ LIAR_POOL = (SpeakerType.ABSOLUTE_LIAR, SpeakerType.RESPONSIBLE_LIAR)
 ISLAND_MODES = ("tt", "liars", "mixed")
 
 # Largest crowd a generated world may have. Generation draws once per ordered
-# pair of distinct persons and may keep an entry for each, so this bounds
-# the knowledge table at 2048 * 2047 (just under 2**22) pairs.
+# pair of distinct persons and keeps one byte per ordered pair, so this bounds
+# the knowledge rows at 2048**2 bytes (4 MiB).
 MAX_CROWD = 2048
 
 
@@ -62,6 +84,58 @@ class Knowledge(enum.Enum):
     UNKNOWN = "unknown"
 
 
+class KnowledgeRows(collections.abc.Mapping):
+    """A read-only (p, q) -> Knowledge mapping over one byte row per asker.
+
+    Byte j of the row of `persons[i]` is 1 when that person knows the guilt
+    status of `persons[j]`, else 0; the entry is the truth, read from
+    `guilty`, so it is factive by construction. Keys are the known pairs
+    only, p-major and q in roster order. Only the shape of the rows is
+    checked, at C speed: n `bytes` rows of n bytes, each 0 or 1, with 0 at
+    the person's own position."""
+
+    def __init__(
+        self, persons: tuple[str, ...], guilty: frozenset[str], rows: tuple[bytes, ...]
+    ) -> None:
+        n = len(persons)
+        if len(rows) != n or any(
+            type(row) is not bytes or len(row) != n or row[i] or row.translate(None, b"\0\1")
+            for i, row in enumerate(rows)
+        ):
+            raise KnowledgeWorldError(
+                "knowledge rows must be one bytes row of n bytes, each 0 or 1, per "
+                "person, with 0 at the person's own position"
+            )
+        self.persons = persons
+        self.guilty = guilty
+        self.rows = rows
+
+    @functools.cached_property
+    def _position(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.persons)}
+
+    def __getitem__(self, pair: tuple[str, str]) -> Knowledge:
+        p, q = pair
+        position = self._position
+        if p not in position or q not in position or not self.rows[position[p]][position[q]]:
+            raise KeyError(pair)
+        return Knowledge.KNOWS_GUILTY if q in self.guilty else Knowledge.KNOWS_INNOCENT
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        persons = self.persons
+        for p, row in zip(persons, self.rows):
+            for q in compress(persons, row):
+                yield p, q
+
+    def __len__(self) -> int:
+        # Each byte is 0 or 1, so a row's set bits count its known pairs
+        # (several times faster than `bytes.count`).
+        return sum(int.from_bytes(row, "little").bit_count() for row in self.rows)
+
+    def __repr__(self) -> str:
+        return f"KnowledgeRows(<{len(self)} known pairs among {len(self.persons)} persons>)"
+
+
 @dataclass(frozen=True)
 class KnowledgeWorld:
     persons: tuple[str, ...]
@@ -70,6 +144,9 @@ class KnowledgeWorld:
     knowledge: Mapping[tuple[str, str], Knowledge] = field(default_factory=dict)
     count_public: Optional[int] = None
     secret: Optional[str] = None
+    # One bytes row per asker, in roster order, as in `KnowledgeRows`: the
+    # only form of the knowledge that answers, `knows` and the CLI read.
+    rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.persons:
@@ -82,51 +159,91 @@ class KnowledgeWorld:
             raise KnowledgeWorldError("the guilty set is empty: no crime to solve")
         if not self.guilty <= set(self.persons):
             raise KnowledgeWorldError("guilty set references unknown persons")
-        # Locals, not attribute lookups, in the loop over up to n^2 entries.
-        type_of, guilty = self.type_of, self.guilty
-        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
-        for (p, q), entry in self.knowledge.items():
-            if p not in type_of or q not in type_of or p == q:
-                raise KnowledgeWorldError(f"bad knowledge pair ({p}, {q})")
-            if entry is knows_guilty and q not in guilty:
-                raise KnowledgeWorldError(f"{p} cannot know innocent {q} to be guilty")
-            if entry is knows_innocent and q in guilty:
-                raise KnowledgeWorldError(f"{p} cannot know guilty {q} to be innocent")
+        if isinstance(self.knowledge, KnowledgeRows):
+            # Factive by construction and shape-checked when built: only
+            # whose rows they are is left to check.
+            if self.knowledge.persons != self.persons or self.knowledge.guilty != self.guilty:
+                raise KnowledgeWorldError(
+                    "knowledge rows belong to another roster or guilty set"
+                )
+            rows = self.knowledge.rows
+        else:
+            rows = self._rows_from_entries(self.knowledge)
+        object.__setattr__(self, "rows", rows)
         if self.count_public is not None and self.count_public != len(self.guilty):
             raise KnowledgeWorldError("public count disagrees with the guilty set")
+
+    def _rows_from_entries(
+        self, knowledge: Mapping[tuple[str, str], Knowledge]
+    ) -> tuple[bytes, ...]:
+        """Check each (p, q) entry, then set its byte in p's row."""
+        position = self._position
+        rows = [bytearray(len(self.persons)) for _ in self.persons]
+        # Locals, not attribute lookups, in the loop over up to n^2 entries.
+        guilty = self.guilty
+        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
+        unknown = Knowledge.UNKNOWN
+        for (p, q), entry in knowledge.items():
+            if p not in position or q not in position or p == q:
+                raise KnowledgeWorldError(f"bad knowledge pair ({p}, {q})")
+            if entry is knows_guilty:
+                if q not in guilty:
+                    raise KnowledgeWorldError(f"{p} cannot know innocent {q} to be guilty")
+            elif entry is knows_innocent:
+                if q in guilty:
+                    raise KnowledgeWorldError(f"{p} cannot know guilty {q} to be innocent")
+            elif entry is unknown:
+                continue
+            else:
+                raise KnowledgeWorldError(f"bad knowledge entry for ({p}, {q}): {entry!r}")
+            rows[position[p]][position[q]] = 1
+        return tuple(map(bytes, rows))
 
     @functools.cached_property
     def _person_set(self) -> frozenset[str]:
         return frozenset(self.persons)
 
     @functools.cached_property
+    def _position(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.persons)}
+
+    @functools.cached_property
     def epistemic_index(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
         """For each person p, (whom p knows to be guilty, whom p knows to be
-        innocent), p included by their own guilt. Built in one pass over
-        `knowledge` on first use, so worlds asked only control questions
-        never hold it."""
-        must: dict[str, set[str]] = {p: set() for p in self.persons}
-        banned: dict[str, set[str]] = {p: set() for p in self.persons}
-        # Enum members as locals: a class-attribute lookup per entry would
-        # cost more than the rest of the loop.
-        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
-        for (p, q), entry in self.knowledge.items():
-            if entry is knows_guilty:
-                must[p].add(q)
-            elif entry is knows_innocent:
-                banned[p].add(q)
-        for p in self.persons:
-            (must if p in self.guilty else banned)[p].add(p)
-        return {p: (frozenset(must[p]), frozenset(banned[p])) for p in self.persons}
+        innocent), p included by their own guilt. Built from the rows on
+        first use, so worlds asked only control questions never hold it."""
+        persons, guilty = self.persons, self.guilty
+        guilty_at = [j for j, q in enumerate(persons) if q in guilty]
+        index = {}
+        for i, (p, row) in enumerate(zip(persons, self.rows)):
+            if 1 not in row:
+                # Nothing known (every row of a blank-knowledge world): one
+                # C-level scan, not a copy and a walk over the crowd.
+                index[p] = (frozenset((p,)), frozenset()) if p in guilty \
+                    else (frozenset(), frozenset((p,)))
+                continue
+            must = [persons[j] for j in guilty_at if row[j]]
+            innocent_known = bytearray(row)
+            for j in guilty_at:
+                innocent_known[j] = 0
+            if p in guilty:
+                must.append(p)
+            else:
+                innocent_known[i] = 1
+            index[p] = (frozenset(must), frozenset(compress(persons, innocent_known)))
+        return index
 
     def knows(self, p: str, q: str) -> Knowledge:
-        return self.knowledge.get((p, q), Knowledge.UNKNOWN)
+        position = self._position
+        if p in position and q in position and self.rows[position[p]][position[q]]:
+            return Knowledge.KNOWS_GUILTY if q in self.guilty else Knowledge.KNOWS_INNOCENT
+        return Knowledge.UNKNOWN
 
     def island_of(self, p: str) -> Island:
         return self.type_of[p].island
 
     def all_knowledge_unknown(self) -> bool:
-        return all(v is Knowledge.UNKNOWN for v in self.knowledge.values())
+        return not any(1 in row for row in self.rows)
 
     def knows_full_roster(self, p: str) -> bool:
         """Does p know the guilt status of every other person?"""
@@ -544,12 +661,13 @@ def strategy_solve_truthtellers(
     phase1 = run_ask_all_about_others(kw, rng)
     accused = set(phase1.accused)
     transcript = list(phase1.transcript)
-    everyone = set(kw.persons)
+    everyone = kw._person_set
     for p in kw.persons:
         if p in accused:
             continue
-        group = frozenset(accused | (everyone - {p}))
-        answer = spoken_answer(kw, p, PossibleSubset(group), rng)
+        # The accused are all among everyone but p, so this is the group of
+        # the identified criminals and the rest of the crowd.
+        answer = spoken_answer(kw, p, PossibleSubset(everyone - {p}), rng)
         transcript.append(answer)
         if answer.value is AnswerValue.NO:
             accused.add(p)
@@ -576,10 +694,10 @@ def strategy_solve_liars(
         raise PreconditionError(f"unknown liars-strategy mode '{mode}'")
     transcript: list[Answer] = []
     accused: set[str] = set()
-    everyone = set(kw.persons)
+    everyone = kw._person_set
     for p in kw.persons:
         if mode == "robust":
-            question: Question = PossibleSubset(frozenset(everyone - {p}))
+            question: Question = PossibleSubset(everyone - {p})
         else:
             others = sorted(everyone - {p})
             if not others:
@@ -609,9 +727,9 @@ def strategy_solve_mixed(
     tt, _, transcript_list = run_classify_islands(kw, rng)
     transcript = list(transcript_list)
     accused: set[str] = set()
-    everyone = set(kw.persons)
+    everyone = kw._person_set
     for p in kw.persons:
-        answer = spoken_answer(kw, p, PossibleSubset(frozenset(everyone - {p})), rng)
+        answer = spoken_answer(kw, p, PossibleSubset(everyone - {p}), rng)
         transcript.append(answer)
         guilty_mark = AnswerValue.NO if p in tt else AnswerValue.YES
         if answer.value is guilty_mark:
@@ -691,6 +809,44 @@ def strategy_secret_attribute(
 # Random world generation
 # ---------------------------------------------------------------------------
 
+def _draw_rows(rng: random.Random, n: int, density: float) -> tuple[bytes, ...]:
+    """The knowledge rows of n persons: byte j of row i is 1 when
+    `rng.random() < density` for the ordered pair (i, j), 0 on the diagonal.
+
+    Makes exactly the draws of `for i: for j != i: rng.random() < density`,
+    in that order, and leaves `rng` in the same state. `random()` is
+    X / 2**53 with X = (a >> 5) << 26 | (b >> 6) for the next two 32-bit
+    outputs a, b, and `getrandbits(64 * (n - 1))` returns the next
+    2 * (n - 1) outputs, first output least significant; so byte 3 of each
+    8-byte little-endian group is the top byte t = X >> 45 of one draw.
+    With c = ceil(density * 2**53) (exact: `ldexp` only moves the exponent),
+    random() < density exactly when X < c; t < c >> 45 settles that as yes,
+    t > c >> 45 as no, and the rare draws with t == c >> 45 are compared
+    in full.
+    """
+    if n == 1:
+        return (b"\x00",)
+    c = math.ceil(math.ldexp(density, 53))
+    split = c >> 45
+    # By top byte: 1 below, 2 for a tie to settle from the full draw, 0 above.
+    verdict = (b"\x01" * split + b"\x02" + b"\x00" * 255)[:256]
+    draws = n - 1
+    rows = []
+    for i in range(n):
+        buf = rng.getrandbits(64 * draws).to_bytes(8 * draws, "little")
+        row = buf[3::8].translate(verdict)
+        tie = row.find(2)
+        if tie >= 0:
+            row = bytearray(row)
+            while tie >= 0:
+                a = int.from_bytes(buf[8 * tie: 8 * tie + 4], "little")
+                b = int.from_bytes(buf[8 * tie + 4: 8 * tie + 8], "little")
+                row[tie] = ((a >> 5) << 26 | (b >> 6)) < c
+                tie = row.find(2, tie + 1)
+        rows.append(b"".join((row[:i], b"\x00", row[i:])))
+    return tuple(rows)
+
+
 def generate_knowledge_world(
     n: int,
     island: str = "mixed",
@@ -732,20 +888,11 @@ def generate_knowledge_world(
     type_of = {p: rng.choice(pool) for p in persons}
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
-    entry_of = {
-        q: Knowledge.KNOWS_GUILTY if q in guilty else Knowledge.KNOWS_INNOCENT for q in persons
-    }
-    draw = rng.random
-    knowledge: dict[tuple[str, str], Knowledge] = {}
-    for p in persons:
-        for q in persons:
-            if p != q and draw() < density:
-                knowledge[(p, q)] = entry_of[q]
     return KnowledgeWorld(
         persons=persons,
         type_of=type_of,
         guilty=guilty,
-        knowledge=knowledge,
+        knowledge=KnowledgeRows(persons, guilty, _draw_rows(rng, n, density)),
         count_public=k if count_public else None,
         secret=f"secret-{rng.getrandbits(32):08x}" if secret else None,
     )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from islander import cli
 from islander.cli import main
+from islander.interrogation import Knowledge, generate_knowledge_world
 
 from conftest import chain_puzzle_text
 
@@ -225,6 +226,32 @@ class TestSimulateCommand:
             "--criminals", "1", "--trials", "5", "--seed", "123", "--json",
         )
         assert json.loads(out)["seed"] == 123
+
+    def test_known_criminals_match_a_rescan(self):
+        for seed in range(30):
+            kw = generate_knowledge_world(8, "mixed", (1, 4), 0.2, seed=seed)
+            rescan = {q for p in kw.persons for q in kw.persons
+                      if kw.knows(p, q) is Knowledge.KNOWS_GUILTY}
+            assert cli._known_criminals(kw) == rescan
+
+
+class TestSimulateMemory:
+    def test_memory_does_not_grow_with_trials(self, capsys):
+        def peak(trials):
+            argv = ["simulate", "--strategy", "classify_islands", "--n", "2",
+                    "--trials", str(trials), "--seed", "5", "--json"]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 and out["successes"] == trials
+            return peak
+
+        peak(10)
+        assert peak(20000) - peak(2000) < 256 * 2 ** 10
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from islander.interrogation import (
     DidDetectiveDoIt,
     DirectGuilt,
     Knowledge,
+    KnowledgeRows,
     KnowledgeWorld,
     KnowledgeWorldError,
     KnownFact,
@@ -724,3 +725,112 @@ class TestKnowledgeWorldInvariants:
         with pytest.raises(KnowledgeWorldError, match="pair"):
             make_kw({"A": AT, "B": AT}, {"A"},
                     knowledge={("A", "A"): Knowledge.KNOWS_GUILTY})
+
+    def test_rejects_entries_that_are_not_knowledge(self):
+        with pytest.raises(KnowledgeWorldError, match="bad knowledge entry"):
+            make_kw({"A": AT, "B": AT}, {"A"}, knowledge={("B", "A"): "knows_guilty"})
+
+    def test_rejects_malformed_knowledge_rows(self):
+        persons, guilty = ("A", "B"), frozenset({"A"})
+        good = (b"\x00\x01", b"\x01\x00")
+        for rows in (
+            good[:1],
+            (b"\x00\x01", b"\x01"),
+            (b"\x01\x01", b"\x01\x00"),
+            (b"\x00\x02", b"\x01\x00"),
+            (bytearray(b"\x00\x01"), b"\x01\x00"),
+        ):
+            with pytest.raises(KnowledgeWorldError, match="knowledge rows"):
+                KnowledgeRows(persons, guilty, rows)
+        for table in (
+            KnowledgeRows(("A", "C"), guilty, good),
+            KnowledgeRows(persons, frozenset({"B"}), good),
+        ):
+            with pytest.raises(KnowledgeWorldError, match="knowledge rows"):
+                make_kw({"A": AT, "B": AT}, guilty, knowledge=table)
+        table = KnowledgeRows(persons, guilty, good)
+        kw = make_kw({"A": AT, "B": AT}, guilty, knowledge=table)
+        assert dict(kw.knowledge) == {("A", "B"): Knowledge.KNOWS_INNOCENT,
+                                      ("B", "A"): Knowledge.KNOWS_GUILTY}
+        assert len(table) == 2 and ("A", "A") not in table and ("A", "X") not in table
+
+
+def plain_rows(rng, n, density):
+    """The reference the bulk draw must equal: one `rng.random()` per
+    ordered pair of distinct persons, p-major."""
+    draw = rng.random
+    return tuple(
+        bytes(1 if p != q and draw() < density else 0 for q in range(n)) for p in range(n)
+    )
+
+
+def plain_world(n, island, criminals, density, count_public=False, secret=False, seed=0):
+    """`generate_knowledge_world` with the knowledge drawn by the plain loop
+    into a (p, q)-keyed dict."""
+    rng = random.Random(seed)
+    persons = tuple(f"P{i}" for i in range(1, n + 1))
+    pool = {"tt": interrogation.TT_POOL, "liars": interrogation.LIAR_POOL,
+            "mixed": interrogation.TT_POOL + interrogation.LIAR_POOL}[island]
+    type_of = {p: rng.choice(pool) for p in persons}
+    low, high = (criminals, criminals) if isinstance(criminals, int) else criminals
+    k = low if low == high else rng.randint(low, high)
+    guilty = frozenset(rng.sample(persons, k))
+    knowledge = {}
+    for p in persons:
+        for q in persons:
+            if p != q and rng.random() < density:
+                knowledge[(p, q)] = (
+                    Knowledge.KNOWS_GUILTY if q in guilty else Knowledge.KNOWS_INNOCENT
+                )
+    return KnowledgeWorld(
+        persons=persons, type_of=type_of, guilty=guilty, knowledge=knowledge,
+        count_public=k if count_public else None,
+        secret=f"secret-{rng.getrandbits(32):08x}" if secret else None,
+    )
+
+
+_DENSITIES = (
+    [0.0, 1.0, 2 ** -53, 5e-324, 1 - 2 ** -53, 1 / 3]
+    + [k / 256 for k in (1, 77, 128, 255)]
+    + [random.Random(11).random() for _ in range(4)]
+)
+
+
+class TestBulkDraw:
+    """The bulk row draw against the plain per-pair loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 129])
+    def test_rows_and_generator_state_match_the_plain_loop(self, n):
+        for density in _DENSITIES:
+            for seed in (0, 1, 2):
+                bulk, plain = random.Random(seed), random.Random(seed)
+                assert interrogation._draw_rows(bulk, n, density) \
+                    == plain_rows(plain, n, density), (n, density, seed)
+                assert bulk.getrandbits(64) == plain.getrandbits(64), (n, density, seed)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_generated_worlds_equal_plain_loop_worlds(self, n):
+        for seed in (0, 1):
+            args = (n, "mixed", (1, 3), 0.3)
+            kw = generate_knowledge_world(*args, count_public=True, secret=True, seed=seed)
+            ref = plain_world(*args, count_public=True, secret=True, seed=seed)
+            assert kw == ref and ref == kw
+            assert kw.rows == ref.rows
+            assert kw.secret == ref.secret
+            assert len(kw.knowledge) == len(ref.knowledge)
+            assert list(kw.knowledge.items()) == list(ref.knowledge.items())
+            assert kw.epistemic_index == ref.epistemic_index
+            for p in kw.persons:
+                for q in kw.persons:
+                    assert kw.knows(p, q) is ref.knows(p, q)
+
+    def test_memory_bound_at_max_crowd(self):
+        tracemalloc.start()
+        try:
+            kw = generate_knowledge_world(MAX_CROWD, "mixed", (1, 3), 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The rows take MAX_CROWD**2 bytes, 4 MiB.
+        assert len(kw.rows) == MAX_CROWD
+        assert peak < 8 * 2 ** 20
