@@ -20,22 +20,12 @@ from pathlib import Path
 
 from .dsl import ParseError, parse
 from .interrogation import (
+    STRATEGIES,
     AnswerValue,
-    Island,
-    KnowledgeWorld,
     PreconditionError,
-    StrategyResult,
     describe_question,
     generate_knowledge_world,
-    run_ask_all_about_others,
-    run_classify_islands,
-    run_count_known,
-    run_count_unknown,
-    run_neil,
-    run_secret_attribute,
-    strategy_solve_liars,
-    strategy_solve_mixed,
-    strategy_solve_truthtellers,
+    run_strategy,
 )
 from .solver import SearchSpaceError, SolveReport, Verdict, solve
 
@@ -54,18 +44,6 @@ _VERDICT_EXIT = {
     Verdict.MULTIPLE: EXIT_MULTIPLE,
     Verdict.INCONSISTENT: EXIT_INCONSISTENT,
 }
-
-STRATEGIES = (
-    "classify_islands",
-    "ask_all_about_others",
-    "count_known",
-    "count_unknown",
-    "solve_truthtellers",
-    "solve_liars",
-    "solve_mixed",
-    "neil",
-    "secret_attribute",
-)
 
 
 def _default_seed() -> int:
@@ -96,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--dir", default=None, help="corpus directory override")
 
     p_sim = sub.add_parser("simulate", help="run a strategy over randomized worlds")
-    p_sim.add_argument("--strategy", required=True, choices=STRATEGIES)
+    p_sim.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
     p_sim.add_argument("--island", default="mixed", choices=("tt", "liars", "mixed"))
     p_sim.add_argument("--n", type=int, default=5, help="number of persons per world")
     p_sim.add_argument("--criminals", default="1", help="criminal count, e.g. 2 or 1-3")
@@ -159,7 +137,7 @@ def _cmd_solve(args) -> int:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"islander: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -188,38 +166,45 @@ def _corpus_entries(directory) -> list:
                   key=lambda e: e.name)
 
 
+def _corpus_detail(directory, entry, name: str) -> str:
+    """Why one corpus puzzle fails its expectation, or "" when it passes."""
+    try:
+        report = solve(parse(entry.read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read {entry.name}: {exc}"
+    except ParseError as exc:
+        return f"parse error: {exc}"
+    except SearchSpaceError as exc:
+        return str(exc)
+    expected_name = f"{name}.expected.json"
+    try:
+        expected = json.loads((directory / expected_name).read_text(encoding="utf-8"))
+    except OSError:
+        return f"missing expectation file {expected_name}"
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return f"unreadable expectation file {expected_name}: {exc}"
+    if not isinstance(expected, dict):
+        return f"unreadable expectation file {expected_name}: not a JSON object"
+    actual = report.to_json_dict()
+    if actual == expected:
+        return ""
+    diffs = [key for key in sorted(set(expected) | set(actual))
+             if expected.get(key) != actual.get(key)]
+    return "mismatch in " + ", ".join(diffs)
+
+
 def _cmd_corpus(args) -> int:
     directory = Path(args.dir) if args.dir else resources.files("islander") / "corpus"
+    try:
+        entries = _corpus_entries(directory)
+    except OSError as exc:
+        print(f"islander: cannot read {directory}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     results = []
-    for entry in _corpus_entries(directory):
+    for entry in entries:
         name = entry.name[: -len(".puz")]
-        detail = ""
-        passed = False
-        try:
-            report = solve(parse(entry.read_text(encoding="utf-8")))
-            expected_name = f"{name}.expected.json"
-            expected_entry = directory / expected_name
-            try:
-                expected = json.loads(expected_entry.read_text(encoding="utf-8"))
-            except (OSError, FileNotFoundError):
-                detail = f"missing expectation file {expected_name}"
-            except json.JSONDecodeError as exc:
-                detail = f"unreadable expectation file {expected_name}: {exc}"
-            else:
-                actual = report.to_json_dict()
-                if actual == expected:
-                    passed = True
-                else:
-                    diffs = [
-                        key for key in sorted(set(expected) | set(actual))
-                        if expected.get(key) != actual.get(key)
-                    ]
-                    detail = "mismatch in " + ", ".join(diffs)
-        except ParseError as exc:
-            detail = f"parse error: {exc}"
-        except SearchSpaceError as exc:
-            detail = str(exc)
-        results.append({"name": name, "passed": passed, "detail": detail})
+        detail = _corpus_detail(directory, entry, name)
+        results.append({"name": name, "passed": not detail, "detail": detail})
 
     all_passed = bool(results) and all(r["passed"] for r in results)
     if args.json:
@@ -252,41 +237,6 @@ def _parse_criminals(raw: str, n: int):
     return low if low == high else (low, high)
 
 
-def _known_criminals(kw: KnowledgeWorld) -> frozenset[str]:
-    """The criminals whose guilt someone else knows."""
-    return frozenset(
-        q for j, q in enumerate(kw.persons)
-        if q in kw.guilty and any(row[j] for row in kw.rows)
-    )
-
-
-def _run_strategy(name: str, kw: KnowledgeWorld, rng: random.Random, mode: str):
-    """Returns (success, accused, questions, transcript)."""
-    if name == "classify_islands":
-        tt, liars, transcript = run_classify_islands(kw, rng)
-        actual_tt = frozenset(p for p in kw.persons if kw.island_of(p) is Island.TRUTH_TELLERS)
-        return tt == actual_tt, tt, len(transcript), transcript
-    if name == "ask_all_about_others":
-        result = run_ask_all_about_others(kw, rng)
-        ok = result.accused <= kw.guilty and result.accused >= _known_criminals(kw)
-        return ok, result.accused, result.questions_asked, list(result.transcript)
-
-    runners = {
-        "count_known": run_count_known,
-        "count_unknown": run_count_unknown,
-        "solve_truthtellers": strategy_solve_truthtellers,
-        "solve_mixed": strategy_solve_mixed,
-        "neil": run_neil,
-        "secret_attribute": run_secret_attribute,
-    }
-    if name == "solve_liars":
-        result: StrategyResult = strategy_solve_liars(kw, rng, mode=mode)
-    else:
-        result = runners[name](kw, rng)
-    ok = result.accused == kw.guilty
-    return ok, result.accused, result.questions_asked, list(result.transcript)
-
-
 def _transcript_json(transcript) -> list[dict]:
     rows = []
     for answer in transcript:
@@ -302,8 +252,10 @@ def _transcript_json(transcript) -> list[dict]:
 
 
 def _cmd_simulate(args) -> int:
-    if args.mode != "robust" and args.strategy != "solve_liars":
-        print("islander: --mode applies only to the solve_liars strategy", file=sys.stderr)
+    strategy = STRATEGIES[args.strategy]
+    if args.mode != "robust" and not strategy.takes_mode:
+        takers = ", ".join(name for name, s in STRATEGIES.items() if s.takes_mode)
+        print(f"islander: --mode applies only to the {takers} strategy", file=sys.stderr)
         return EXIT_ERROR
     if args.trials < 1:
         print("islander: --trials must be at least 1", file=sys.stderr)
@@ -313,8 +265,10 @@ def _cmd_simulate(args) -> int:
 
     # Each trial's seed is drawn when the trial starts and only running
     # question statistics are kept, so memory does not grow with --trials.
+    # Text mode prints ten failures, so it keeps only those, without their
+    # transcripts, and a count.
     master = random.Random(seed)
-    successes = 0
+    successes = failed = 0
     failures = []
     fewest, most, total = None, 0, 0
     for trial in range(args.trials):
@@ -326,29 +280,32 @@ def _cmd_simulate(args) -> int:
                 criminals=criminals,
                 density=args.knowledge_density,
                 count_public=args.count_public,
-                secret=args.strategy == "secret_attribute",
+                secret=strategy.needs_secret,
                 seed=world_seed,
             )
             rng = random.Random(world_seed ^ _ADVERSARY_SALT)
-            ok, accused, questions, transcript = _run_strategy(
-                args.strategy, kw, rng, args.mode
-            )
+            result = run_strategy(kw, args.strategy, rng, args.mode)
         except PreconditionError as exc:
             print(f"islander: precondition refused: {exc}", file=sys.stderr)
             return EXIT_ERROR
+        questions = result.questions_asked
         fewest = questions if fewest is None else min(fewest, questions)
         most = max(most, questions)
         total += questions
-        if ok:
+        if strategy.succeeds(kw, result):
             successes += 1
-        else:
-            failures.append({
+            continue
+        failed += 1
+        if args.json or failed <= 10:
+            failure = {
                 "trial": trial,
                 "world_seed": world_seed,
                 "expected": sorted(kw.guilty),
-                "accused": sorted(accused),
-                "transcript": _transcript_json(transcript),
-            })
+                "accused": sorted(result.accused),
+            }
+            if args.json:
+                failure["transcript"] = _transcript_json(result.transcript)
+            failures.append(failure)
 
     stats = {"min": fewest, "max": most, "mean": round(total / args.trials, 4)}
     if args.json:
@@ -373,12 +330,12 @@ def _cmd_simulate(args) -> int:
         print(f"trials: {args.trials}  successes: {successes}")
         print(f"questions per trial: min {stats['min']}, mean {stats['mean']}, "
               f"max {stats['max']}")
-        for f in failures[:10]:
+        for f in failures:
             print(f"trial {f['trial']} (world seed {f['world_seed']}): "
                   f"expected {', '.join(f['expected'])}; accused "
                   f"{', '.join(f['accused']) or '(nobody)'}")
-        if len(failures) > 10:
-            print(f"... and {len(failures) - 10} more failures")
+        if failed > 10:
+            print(f"... and {failed - 10} more failures")
     return EXIT_OK if successes == args.trials else EXIT_ERROR
 
 

@@ -14,6 +14,12 @@ liars always answer yes. A liar whose honest answer would be "I don't know"
 picks yes or no adversarially from a seeded source, so the robust strategies
 below are checked to be independent of those coin flips.
 
+`STRATEGIES` is the one place where a strategy and its premises are
+declared: for each name, its `run_<name>` runner, the island modes and
+count premise it accepts, whether it needs a secret or takes a mode, and
+what counts as success. `run_strategy` runs any entry by name, and the
+CLI's `--strategy` choices are the table's keys.
+
 Knowledge is stored as one `bytes` row per asker, `KnowledgeWorld.rows`:
 byte j of person i's row is 1 when i knows the guilt status of person j.
 The entry itself is always the truth, read from the guilty set, so
@@ -56,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .model import Island, SpeakerType
 
@@ -145,7 +151,7 @@ class KnowledgeWorld:
     count_public: Optional[int] = None
     secret: Optional[str] = None
     # One bytes row per asker, in roster order, as in `KnowledgeRows`: the
-    # only form of the knowledge that answers, `knows` and the CLI read.
+    # only form of the knowledge that answers, `knows` and `known_criminals` read.
     rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -244,6 +250,13 @@ class KnowledgeWorld:
 
     def all_knowledge_unknown(self) -> bool:
         return not any(1 in row for row in self.rows)
+
+    def known_criminals(self) -> frozenset[str]:
+        """The criminals whose guilt someone else knows."""
+        return frozenset(
+            q for j, q in enumerate(self.persons)
+            if q in self.guilty and any(row[j] for row in self.rows)
+        )
 
     def knows_full_roster(self, p: str) -> bool:
         """Does p know the guilt status of every other person?"""
@@ -366,11 +379,6 @@ def _yes_no(person: str, question: Question, value: bool) -> Answer:
 # Truthful answers (epistemic core)
 # ---------------------------------------------------------------------------
 
-def _epistemic_base(kw: KnowledgeWorld, p: str) -> tuple[frozenset[str], frozenset[str]]:
-    """Persons p knows to be in every compatible criminal set / in none."""
-    return kw.epistemic_index[p]
-
-
 def _compatible_exists(
     kw: KnowledgeWorld,
     p: str,
@@ -384,7 +392,7 @@ def _compatible_exists(
     (iff guilty), avoids everyone p knows innocent, is non-empty, and has
     the public size when one is known. Factivity keeps `must` and `banned`
     disjoint, so the persons a compatible set may hold are counted, not listed."""
-    must, banned = _epistemic_base(kw, p)
+    must, banned = kw.epistemic_index[p]
     if not must.isdisjoint(exclude):
         return False
     if within is None:
@@ -403,7 +411,7 @@ def _compatible_exists(
 
 
 def _exact_compatible(kw: KnowledgeWorld, p: str, group: frozenset[str]) -> bool:
-    must, banned = _epistemic_base(kw, p)
+    must, banned = kw.epistemic_index[p]
     if not group:
         return False
     if not must <= group or not banned.isdisjoint(group):
@@ -421,7 +429,7 @@ def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:
         return False
     if kw.count_public is None:
         return True
-    must, banned = _epistemic_base(kw, p)
+    must, banned = kw.epistemic_index[p]
     target = kw.count_public - 1
     extras = len(kw.persons) - len(banned) - len(must)
     return len(must) <= target <= len(must) + extras
@@ -545,21 +553,13 @@ def _require_all_unknown(kw: KnowledgeWorld, what: str) -> None:
 
 def run_classify_islands(
     kw: KnowledgeWorld, rng: Optional[random.Random] = None
-) -> tuple[frozenset[str], frozenset[str], list[Answer]]:
+) -> StrategyResult:
     """Sort everyone by island with one control question each. Truth-tellers
-    affirm a known truth; liars deny it."""
+    affirm a known truth; liars deny it. The accused are the persons
+    classified as truth-tellers."""
     rng = rng or random.Random(0)
     transcript = [spoken_answer(kw, p, KnownFact(True), rng) for p in kw.persons]
-    tt = frozenset(a.person for a in transcript if a.value is AnswerValue.YES)
-    liars = frozenset(kw.persons) - tt
-    return tt, liars, transcript
-
-
-def strategy_classify_islands(
-    kw: KnowledgeWorld, rng: Optional[random.Random] = None
-) -> tuple[frozenset[str], frozenset[str]]:
-    tt, liars, _ = run_classify_islands(kw, rng)
-    return tt, liars
+    return _result((a.person for a in transcript if a.value is AnswerValue.YES), transcript)
 
 
 def run_ask_all_about_others(
@@ -588,12 +588,6 @@ def run_ask_all_about_others(
     return _result(accused, transcript)
 
 
-def strategy_ask_all_about_others(
-    kw: KnowledgeWorld, rng: Optional[random.Random] = None
-) -> frozenset[str]:
-    return run_ask_all_about_others(kw, rng).accused
-
-
 def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
     """With the criminal count public and nobody knowing about anybody else,
     ask each person whether that many criminals could exist without them.
@@ -612,12 +606,6 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
         if answer.value is expected:
             accused.add(p)
     return _result(accused, transcript)
-
-
-def strategy_count_known(
-    kw: KnowledgeWorld, rng: Optional[random.Random] = None
-) -> frozenset[str]:
-    return run_count_known(kw, rng).accused
 
 
 def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -642,13 +630,7 @@ def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -
     return _result(accused, transcript)
 
 
-def strategy_count_unknown(
-    kw: KnowledgeWorld, rng: Optional[random.Random] = None
-) -> frozenset[str]:
-    return run_count_unknown(kw, rng).accused
-
-
-def strategy_solve_truthtellers(
+def run_solve_truthtellers(
     kw: KnowledgeWorld, rng: Optional[random.Random] = None
 ) -> StrategyResult:
     """Two phases on the truth-tellers' island. First everyone is asked about
@@ -674,7 +656,7 @@ def strategy_solve_truthtellers(
     return _result(accused, transcript)
 
 
-def strategy_solve_liars(
+def run_solve_liars(
     kw: KnowledgeWorld,
     rng: Optional[random.Random] = None,
     mode: str = "robust",
@@ -717,15 +699,16 @@ def strategy_solve_liars(
     return _result(accused, transcript)
 
 
-def strategy_solve_mixed(
+def run_solve_mixed(
     kw: KnowledgeWorld, rng: Optional[random.Random] = None
 ) -> StrategyResult:
     """Classify islands with one question each, then ask each person whether
     the criminals could all be among the others, reading the answer through
     the island. At most two questions per person, for any crowd."""
     rng = rng or random.Random(0)
-    tt, _, transcript_list = run_classify_islands(kw, rng)
-    transcript = list(transcript_list)
+    classified = run_classify_islands(kw, rng)
+    tt = classified.accused
+    transcript = list(classified.transcript)
     accused: set[str] = set()
     everyone = kw._person_set
     for p in kw.persons:
@@ -770,15 +753,6 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     return _result(accused, transcript)
 
 
-def strategy_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> str:
-    result = run_neil(kw, rng)
-    if len(result.accused) != 1:
-        raise PreconditionError(
-            f"expected exactly one self-betraying answer, got {sorted(result.accused)}"
-        )
-    return next(iter(result.accused))
-
-
 def run_secret_attribute(
     kw: KnowledgeWorld, rng: Optional[random.Random] = None
 ) -> StrategyResult:
@@ -799,10 +773,73 @@ def run_secret_attribute(
     return _result(accused, transcript)
 
 
-def strategy_secret_attribute(
-    kw: KnowledgeWorld, rng: Optional[random.Random] = None
-) -> frozenset[str]:
-    return run_secret_attribute(kw, rng).accused
+# ---------------------------------------------------------------------------
+# Strategy registry
+# ---------------------------------------------------------------------------
+
+def _accuses_the_guilty(kw: KnowledgeWorld, result: StrategyResult) -> bool:
+    return result.accused == kw.guilty
+
+
+def _finds_the_truth_tellers(kw: KnowledgeWorld, result: StrategyResult) -> bool:
+    return result.accused == frozenset(
+        p for p in kw.persons if kw.island_of(p) is Island.TRUTH_TELLERS
+    )
+
+
+def _accuses_the_known_criminals(kw: KnowledgeWorld, result: StrategyResult) -> bool:
+    return kw.known_criminals() <= result.accused <= kw.guilty
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """A strategy's runner and the premises it is declared for.
+
+    `islands` are the island modes of `generate_knowledge_world` whose worlds
+    the runner accepts. `count_public` is True or False when the runner needs
+    the criminal count public or hidden, None when either will do.
+    `needs_secret` says the world must carry a secret attribute, and
+    `takes_mode` that the runner has variants chosen by a `mode` argument.
+    `succeeds(kw, result)` says whether a run did what the strategy promises."""
+
+    run: Callable[..., StrategyResult]
+    islands: tuple[str, ...] = ISLAND_MODES
+    count_public: Optional[bool] = None
+    needs_secret: bool = False
+    succeeds: Callable[[KnowledgeWorld, StrategyResult], bool] = _accuses_the_guilty
+    takes_mode: bool = False
+
+
+# In the order the CLI lists them.
+STRATEGIES: dict[str, Strategy] = {
+    "classify_islands": Strategy(run_classify_islands, succeeds=_finds_the_truth_tellers),
+    "ask_all_about_others": Strategy(
+        run_ask_all_about_others, succeeds=_accuses_the_known_criminals
+    ),
+    "count_known": Strategy(run_count_known, count_public=True),
+    "count_unknown": Strategy(run_count_unknown, count_public=False),
+    "solve_truthtellers": Strategy(run_solve_truthtellers, islands=("tt",)),
+    "solve_liars": Strategy(run_solve_liars, islands=("liars",), takes_mode=True),
+    "solve_mixed": Strategy(run_solve_mixed),
+    "neil": Strategy(run_neil, islands=("tt", "liars"), count_public=True),
+    "secret_attribute": Strategy(run_secret_attribute, islands=("tt",), needs_secret=True),
+}
+
+
+def run_strategy(
+    kw: KnowledgeWorld,
+    name: str,
+    rng: Optional[random.Random] = None,
+    mode: str = "robust",
+) -> StrategyResult:
+    """Run the registered strategy `name` on `kw`. Only a strategy that
+    `takes_mode` accepts a mode other than "robust"."""
+    strategy = STRATEGIES[name]
+    if strategy.takes_mode:
+        return strategy.run(kw, rng, mode)
+    if mode != "robust":
+        raise PreconditionError(f"the {name} strategy has no mode '{mode}'")
+    return strategy.run(kw, rng)
 
 
 # ---------------------------------------------------------------------------

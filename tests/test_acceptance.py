@@ -15,13 +15,13 @@ from islander.interrogation import (
     Knowledge,
     KnowledgeWorld,
     generate_knowledge_world,
+    run_count_known,
+    run_count_unknown,
     run_neil,
-    strategy_count_known,
-    strategy_count_unknown,
-    strategy_secret_attribute,
-    strategy_solve_liars,
-    strategy_solve_mixed,
-    strategy_solve_truthtellers,
+    run_secret_attribute,
+    run_solve_liars,
+    run_solve_mixed,
+    run_solve_truthtellers,
 )
 from islander.model import (
     ALL_TYPES,
@@ -162,8 +162,7 @@ def test_criterion_4_solver_oracle_equivalence():
 
 def _exact_over(worlds, strategy):
     for kw, rng in worlds:
-        result = strategy(kw, rng)
-        accused = result if isinstance(result, frozenset) else result.accused
+        accused = strategy(kw, rng).accused
         assert accused == kw.guilty, (kw, accused)
 
 
@@ -187,12 +186,12 @@ def test_criterion_5_strategy_exactness():
                 )
                 yield kw, random.Random(i ^ 0xADEAD)
 
-        _exact_over(batch(strategy_solve_truthtellers, "tt", salt=1),
-                    strategy_solve_truthtellers)
-        _exact_over(batch(strategy_solve_liars, "liars", salt=2),
-                    lambda kw, rng: strategy_solve_liars(kw, rng, mode="robust"))
-        _exact_over(batch(strategy_solve_mixed, "mixed", salt=3),
-                    strategy_solve_mixed)
+        _exact_over(batch(run_solve_truthtellers, "tt", salt=1),
+                    run_solve_truthtellers)
+        _exact_over(batch(run_solve_liars, "liars", salt=2),
+                    lambda kw, rng: run_solve_liars(kw, rng, mode="robust"))
+        _exact_over(batch(run_solve_mixed, "mixed", salt=3),
+                    run_solve_mixed)
         _exact_over(
             itertools.chain(
                 batch(None, "tt", count_public=True, density_cycle=(0.0,),
@@ -200,14 +199,14 @@ def test_criterion_5_strategy_exactness():
                 batch(None, "liars", count_public=True, density_cycle=(0.0,),
                       salt=5, trials=500),
             ),
-            strategy_count_known,
+            run_count_known,
         )
         _exact_over(
             itertools.chain(
                 batch(None, "tt", density_cycle=(0.0,), salt=6, trials=500),
                 batch(None, "liars", density_cycle=(0.0,), salt=7, trials=500),
             ),
-            strategy_count_unknown,
+            run_count_unknown,
         )
         _exact_over(
             itertools.chain(
@@ -219,18 +218,18 @@ def test_criterion_5_strategy_exactness():
             lambda kw, rng: run_neil(kw, rng),
         )
         _exact_over(batch(None, "tt", secret=True, salt=10),
-                    strategy_secret_attribute)
+                    run_secret_attribute)
 
         # The literal liars questioning, under its stated blank-knowledge
         # premise, with the criminal count public and not.
         _exact_over(
             batch(None, "liars", density_cycle=(0.0,), salt=11, trials=500),
-            lambda kw, rng: strategy_solve_liars(kw, rng, mode="paper-literal"),
+            lambda kw, rng: run_solve_liars(kw, rng, mode="paper-literal"),
         )
         _exact_over(
             batch(None, "liars", density_cycle=(0.0,), count_public=True,
                   criminals=lambda n: (1, max(1, n - 1)), salt=12, trials=500),
-            lambda kw, rng: strategy_solve_liars(kw, rng, mode="paper-literal"),
+            lambda kw, rng: run_solve_liars(kw, rng, mode="paper-literal"),
         )
 
         # Stored counterexample: outside the blank-knowledge premise the
@@ -244,12 +243,12 @@ def test_criterion_5_strategy_exactness():
         )
         misaccusing = [
             seed for seed in range(100)
-            if strategy_solve_liars(kw, random.Random(seed),
+            if run_solve_liars(kw, random.Random(seed),
                                     mode="paper-literal").accused != kw.guilty
         ]
         assert misaccusing, "expected a misaccusing seed for the literal mode"
         for seed in misaccusing:
-            assert strategy_solve_liars(kw, random.Random(seed)).accused == kw.guilty
+            assert run_solve_liars(kw, random.Random(seed)).accused == kw.guilty
 
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"strategy checks took {elapsed:.2f}s"

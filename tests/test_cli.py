@@ -11,7 +11,7 @@ from pathlib import Path
 
 from islander import cli
 from islander.cli import main
-from islander.interrogation import Knowledge, generate_knowledge_world
+from islander.interrogation import STRATEGIES
 
 from conftest import chain_puzzle_text
 
@@ -24,6 +24,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI in a child process, so that a traceback would reach stderr."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv.pop(1));"
+         " from islander.cli import main; sys.exit(main())",
+         src, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestSolveCommand:
@@ -72,6 +85,14 @@ class TestSolveCommand:
         assert run(capsys, "solve")[0] == 1
         assert run(capsys, "frobnicate")[0] == 1
 
+    def test_non_utf8_file_exits_one_without_traceback(self, tmp_path):
+        puz = tmp_path / "latin1.puz"
+        puz.write_bytes(b"puzzle { suspects Andr\xe9; criminals = 1; }")
+        code, out, err = run_process("solve", str(puz))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"islander: cannot read {puz}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestLongFormulaFile:
     def test_solve_of_a_5000_term_statement_exits_with_its_verdict(self, capsys, tmp_path):
@@ -79,16 +100,9 @@ class TestLongFormulaFile:
         long.write_text(chain_puzzle_text(5000, "or"))
         short.write_text(chain_puzzle_text(3, "or"))
         code, out, _ = run(capsys, "solve", str(short), "--json")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; sys.path.insert(0, sys.argv.pop(1));"
-             " from islander.cli import main; sys.exit(main())",
-             src, "solve", str(long), "--json"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert "Traceback" not in done.stderr
-        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+        done = run_process("solve", str(long), "--json")
+        assert "Traceback" not in done[2]
+        assert done == (code, out, "")
 
 
 class TestCorpusCommand:
@@ -117,6 +131,37 @@ class TestCorpusCommand:
         lines = [l for l in out.splitlines() if l.startswith("jonathan ")]
         assert lines and "FAIL" in lines[0] and "forced_guilty" in lines[0]
         assert out.count("PASS") == 9
+
+    def test_missing_directory_exits_one_without_traceback(self, tmp_path):
+        missing = tmp_path / "nowhere"
+        code, out, err = run_process("corpus", "--dir", str(missing))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"islander: cannot read {missing}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_file_as_directory_exits_one_without_traceback(self):
+        puz = corpus_dir() / "will.puz"
+        code, out, err = run_process("corpus", "--dir", str(puz))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"islander: cannot read {puz}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_utf8_puzzle_is_a_fail_row(self, tmp_path):
+        shutil.copy(corpus_dir() / "will.puz", tmp_path / "will.puz")
+        shutil.copy(corpus_dir() / "will.expected.json", tmp_path / "will.expected.json")
+        (tmp_path / "latin1.puz").write_bytes(b"puzzle { suspects Andr\xe9; criminals = 1; }")
+        code, out, err = run_process("corpus", "--dir", str(tmp_path))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0].startswith("latin1  FAIL  cannot read latin1.puz: ")
+        assert out.splitlines()[1] == "will    PASS"
+
+    def test_non_utf8_or_non_object_expectation_is_a_fail_row(self, tmp_path):
+        for content in (b"{\"verdict\": \"unique_guilt\xe9\"}", b"[]"):
+            shutil.copy(corpus_dir() / "will.puz", tmp_path / "will.puz")
+            (tmp_path / "will.expected.json").write_bytes(content)
+            code, out, err = run_process("corpus", "--dir", str(tmp_path))
+            assert (code, err) == (1, "")
+            assert out.startswith("will  FAIL  unreadable expectation file will.expected.json: ")
 
     def test_missing_expectation_fails(self, capsys, tmp_path):
         shutil.copy(corpus_dir() / "will.puz", tmp_path / "will.puz")
@@ -227,12 +272,10 @@ class TestSimulateCommand:
         )
         assert json.loads(out)["seed"] == 123
 
-    def test_known_criminals_match_a_rescan(self):
-        for seed in range(30):
-            kw = generate_knowledge_world(8, "mixed", (1, 4), 0.2, seed=seed)
-            rescan = {q for p in kw.persons for q in kw.persons
-                      if kw.knows(p, q) is Knowledge.KNOWS_GUILTY}
-            assert cli._known_criminals(kw) == rescan
+    def test_strategy_choices_are_the_registry(self):
+        simulate = cli._build_parser()._subparsers._group_actions[0].choices["simulate"]
+        (strategy,) = [a for a in simulate._actions if a.dest == "strategy"]
+        assert strategy.choices == tuple(STRATEGIES)
 
 
 class TestSimulateMemory:
@@ -252,6 +295,25 @@ class TestSimulateMemory:
 
         peak(10)
         assert peak(20000) - peak(2000) < 256 * 2 ** 10
+
+    def test_text_mode_memory_does_not_grow_with_failing_trials(self, capsys):
+        def peak(trials):
+            argv = ["simulate", "--strategy", "solve_liars", "--mode", "paper-literal",
+                    "--island", "liars", "--knowledge-density", "0.5", "--n", "50",
+                    "--criminals", "1-3", "--seed", "3", "--trials", str(trials)]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out = capsys.readouterr().out
+            assert code == 1 and "successes: 0" in out
+            assert f"... and {trials - 10} more failures" in out
+            return peak
+
+        peak(11)
+        assert peak(500) - peak(50) < 256 * 2 ** 10
 
 
 class TestDeterminism:

@@ -28,59 +28,27 @@ import random
 import subprocess
 import sys
 import zlib
-from functools import partial
 from pathlib import Path
 
+from islander import interrogation
 from islander.cli import main
 from islander.interrogation import (
+    STRATEGIES,
     PreconditionError,
     describe_question,
     generate_knowledge_world,
-    run_ask_all_about_others,
-    run_classify_islands,
-    run_count_known,
-    run_count_unknown,
-    run_neil,
-    run_secret_attribute,
-    strategy_solve_liars,
-    strategy_solve_mixed,
-    strategy_solve_truthtellers,
+    run_strategy,
 )
 
 FIXTURE = Path(__file__).with_name("golden_transcripts.json")
 ADVERSARY_SALT = 0x5DEECE66D
 DENSITIES = (0.0, 0.3, 1.0)
 SIZES = (1, 2, 7, 30)
-ALL_ISLANDS = ("tt", "liars", "mixed")
 
-
-def _classify(kw, rng):
-    tt, _, transcript = run_classify_islands(kw, rng)
-    return tt, transcript
-
-
-def _result(run):
-    def runner(kw, rng):
-        result = run(kw, rng)
-        return result.accused, result.transcript
-    return runner
-
-
-# name -> (islands it accepts, runner, count_public: True/False, or None to vary).
-STRATEGIES = {
-    "classify_islands": (ALL_ISLANDS, _classify, None),
-    "ask_all_about_others": (ALL_ISLANDS, _result(run_ask_all_about_others), None),
-    "count_known": (ALL_ISLANDS, _result(run_count_known), True),
-    "count_unknown": (ALL_ISLANDS, _result(run_count_unknown), False),
-    "solve_truthtellers": (("tt",), _result(strategy_solve_truthtellers), None),
-    "solve_liars": (("liars",), _result(strategy_solve_liars), None),
-    "solve_liars_paper_literal": (
-        ("liars",), _result(partial(strategy_solve_liars, mode="paper-literal")), None,
-    ),
-    "solve_mixed": (ALL_ISLANDS, _result(strategy_solve_mixed), None),
-    "neil": (("tt", "liars"), _result(run_neil), True),
-    "secret_attribute": (("tt",), _result(run_secret_attribute), None),
-}
+# Fixture row -> (registry name, mode): every registered strategy, on the
+# islands and count premise it declares, plus the literal liars mode.
+ROWS = {name: (name, "robust") for name in STRATEGIES}
+ROWS["solve_liars_paper_literal"] = ("solve_liars", "paper-literal")
 
 SIMULATE_ARGV = {
     "classify_islands": ("--island", "mixed", "--criminals", "1-3", "--knowledge-density", "0.3"),
@@ -121,38 +89,46 @@ def _transcript_rows(transcript) -> list:
             for a in transcript]
 
 
-def record_worlds() -> dict:
-    entries = {}
-    for name, (islands, runner, public) in STRATEGIES.items():
-        for island in islands:
+def golden_worlds():
+    """(fixture key, registry name, mode, world, seed) for every pinned world."""
+    for row, (name, mode) in ROWS.items():
+        strategy = STRATEGIES[name]
+        for island in strategy.islands:
             for density in DENSITIES:
                 for n in SIZES:
-                    key = f"{name}/{island}/d{density}/n{n}"
+                    key = f"{row}/{island}/d{density}/n{n}"
                     seed = zlib.crc32(key.encode("ascii"))
+                    public = strategy.count_public
                     kw = generate_knowledge_world(
                         n=n,
                         island=island,
                         criminals=1 if name == "neil" else (1, n),
                         density=density,
                         count_public=bool(seed & 1) if public is None else public,
-                        secret=name == "secret_attribute",
+                        secret=strategy.needs_secret,
                         seed=seed,
                     )
-                    entry = {"world": _digest(_world_rows(kw))}
-                    try:
-                        accused, transcript = runner(kw, random.Random(seed ^ ADVERSARY_SALT))
-                    except PreconditionError as exc:
-                        entry["refused"] = str(exc)
-                    else:
-                        entry["accused"] = sorted(accused)
-                        entry["questions"] = len(transcript)
-                        entry["transcript"] = _digest(_transcript_rows(transcript))
-                    entries[key] = entry
+                    yield key, name, mode, kw, seed
+
+
+def record_worlds() -> dict:
+    entries = {}
+    for key, name, mode, kw, seed in golden_worlds():
+        entry = {"world": _digest(_world_rows(kw))}
+        try:
+            result = run_strategy(kw, name, random.Random(seed ^ ADVERSARY_SALT), mode)
+        except PreconditionError as exc:
+            entry["refused"] = str(exc)
+        else:
+            entry["accused"] = sorted(result.accused)
+            entry["questions"] = len(result.transcript)
+            entry["transcript"] = _digest(_transcript_rows(result.transcript))
+        entries[key] = entry
     return entries
 
 
 def simulate_argv(name: str) -> list[str]:
-    strategy = "solve_liars" if name.startswith("solve_liars") else name
+    strategy, _ = ROWS[name]
     return ["simulate", "--strategy", strategy, "--n", "7", "--trials", "5",
             "--seed", "11", "--json", *SIMULATE_ARGV[name]]
 
@@ -185,6 +161,26 @@ def _mismatches(expected: dict, actual: dict) -> list[str]:
 def test_strategy_transcripts_match_golden():
     fixture = _load_fixture()["worlds"]
     assert _mismatches(fixture, record_worlds()) == []
+
+
+def _outcome(run, seed):
+    try:
+        result = run(random.Random(seed ^ ADVERSARY_SALT))
+    except PreconditionError as exc:
+        return str(exc)
+    return result.accused, result.transcript
+
+
+def test_run_strategy_matches_each_runner():
+    """Each registry entry holds its strategy's one runner, `run_<name>`, and
+    `run_strategy` gives what that runner gives on every pinned world."""
+    for name, strategy in STRATEGIES.items():
+        assert strategy.run is getattr(interrogation, f"run_{name}")
+    for key, name, mode, kw, seed in golden_worlds():
+        runner = getattr(interrogation, f"run_{name}")
+        extra = {} if mode == "robust" else {"mode": mode}
+        direct = _outcome(lambda rng: runner(kw, rng, **extra), seed)
+        assert _outcome(lambda rng: run_strategy(kw, name, rng, mode), seed) == direct, key
 
 
 def test_simulate_json_matches_golden():

@@ -8,7 +8,9 @@ import pytest
 
 from islander import interrogation
 from islander.interrogation import (
+    ISLAND_MODES,
     MAX_CROWD,
+    STRATEGIES,
     AnswerValue,
     DetectivePossiblyGuilty,
     DidDetectiveDoIt,
@@ -31,16 +33,11 @@ from islander.interrogation import (
     run_count_unknown,
     run_neil,
     run_secret_attribute,
+    run_solve_liars,
+    run_solve_mixed,
+    run_solve_truthtellers,
+    run_strategy,
     spoken_answer,
-    strategy_ask_all_about_others,
-    strategy_classify_islands,
-    strategy_count_known,
-    strategy_count_unknown,
-    strategy_neil,
-    strategy_secret_attribute,
-    strategy_solve_liars,
-    strategy_solve_mixed,
-    strategy_solve_truthtellers,
     truthful_answer,
 )
 from islander.model import Island, SpeakerType
@@ -246,8 +243,14 @@ class TestKnowledgeIndex:
         for p in kw.persons:
             base, full_roster = self.rescan(kw, p)
             assert kw.epistemic_index[p] == base
-            assert interrogation._epistemic_base(kw, p) == base
             assert kw.knows_full_roster(p) is full_roster
+
+    def test_known_criminals_match_a_rescan(self):
+        for seed in range(30):
+            kw = generate_knowledge_world(8, "mixed", (1, 4), 0.2, seed=seed)
+            rescan = {q for p in kw.persons for q in kw.persons
+                      if kw.knows(p, q) is Knowledge.KNOWS_GUILTY}
+            assert kw.known_criminals() == rescan
 
     def test_generated_worlds(self):
         rng = random.Random(31)
@@ -306,12 +309,12 @@ class TestKnowledgeIndex:
             lone_tt = world("tt", 0.0, public=True, criminals=1)
             lone_liars = world("liars", 0.0, public=True, criminals=1)
             blank_liars = world("liars", 0.0, public=True)
-            assert strategy_solve_truthtellers(tt).accused == tt.guilty
+            assert run_solve_truthtellers(tt).accused == tt.guilty
             assert run_secret_attribute(tt).accused == tt.guilty
-            assert strategy_solve_liars(liars).accused == liars.guilty
-            assert strategy_solve_liars(blank_liars, mode="paper-literal").accused \
+            assert run_solve_liars(liars).accused == liars.guilty
+            assert run_solve_liars(blank_liars, mode="paper-literal").accused \
                 == blank_liars.guilty
-            assert strategy_solve_mixed(mixed).accused == mixed.guilty
+            assert run_solve_mixed(mixed).accused == mixed.guilty
             assert run_ask_all_about_others(mixed).accused <= mixed.guilty
             run_classify_islands(mixed)
             assert run_count_known(blank_public).accused == blank_public.guilty
@@ -335,10 +338,12 @@ class TestKnowledgeIndex:
         )
         tracemalloc.start()
         try:
-            tt, liars, transcript = run_classify_islands(kw)
+            result = run_classify_islands(kw)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        tt, transcript = result.accused, result.transcript
+        liars = frozenset(kw.persons) - tt
         assert len(transcript) == 1000 and len(tt) + len(liars) == 1000
         assert peak < 2 * 2 ** 20
         assert "epistemic_index" not in vars(kw)
@@ -393,7 +398,8 @@ class TestSpokenAnswers:
 class TestClassifyIslands:
     def test_one_of_each_partition(self):
         kw = make_kw({"A": AT, "B": PT, "C": AL, "D": RL}, {"A", "C"})
-        tt, liars = strategy_classify_islands(kw)
+        tt = run_classify_islands(kw).accused
+        liars = frozenset(kw.persons) - tt
         assert tt == frozenset({"A", "B"})
         assert liars == frozenset({"C", "D"})
 
@@ -405,16 +411,16 @@ class TestAskAllAboutOthers:
             ("P2", "P1"): Knowledge.KNOWS_GUILTY,
         }
         kw = all_truth_tellers(3, {"P1", "P2"}, knowledge=knowledge)
-        assert strategy_ask_all_about_others(kw) == frozenset({"P1", "P2"})
+        assert run_ask_all_about_others(kw).accused == frozenset({"P1", "P2"})
 
     def test_unknown_lone_criminal_goes_unaccused(self):
         kw = all_truth_tellers(3, {"P1"})
-        assert strategy_ask_all_about_others(kw) == frozenset()
+        assert run_ask_all_about_others(kw).accused == frozenset()
 
     def test_liar_island_knowledge_flips_through(self):
         knowledge = {("P1", "P2"): Knowledge.KNOWS_GUILTY}
         kw = make_kw({"P1": RL, "P2": AL, "P3": AL}, {"P2"}, knowledge=knowledge)
-        assert strategy_ask_all_about_others(kw) == frozenset({"P2"})
+        assert run_ask_all_about_others(kw).accused == frozenset({"P2"})
 
     def test_no_false_positives_on_random_worlds(self):
         for seed in range(150):
@@ -422,7 +428,7 @@ class TestAskAllAboutOthers:
                 n=6, island="mixed", criminals=(1, 5),
                 density=(seed % 5) / 4.0, seed=seed,
             )
-            accused = strategy_ask_all_about_others(kw)
+            accused = run_ask_all_about_others(kw).accused
             assert accused <= kw.guilty
             known = {
                 q for (p, q), e in kw.knowledge.items()
@@ -434,43 +440,43 @@ class TestAskAllAboutOthers:
 class TestCountStrategies:
     def test_public_count_two_of_five(self):
         kw = all_truth_tellers(5, {"P2", "P4"}, count_public=2)
-        assert strategy_count_known(kw) == frozenset({"P2", "P4"})
+        assert run_count_known(kw).accused == frozenset({"P2", "P4"})
 
     def test_public_count_one_reduces_to_lone_culprit(self):
         kw = all_truth_tellers(4, {"P3"}, count_public=1)
-        assert strategy_count_known(kw) == frozenset({"P3"})
+        assert run_count_known(kw).accused == frozenset({"P3"})
 
     def test_public_count_on_liars_island(self):
         kw = all_liars(5, {"P2", "P4"}, count_public=2)
-        assert strategy_count_known(kw) == frozenset({"P2", "P4"})
+        assert run_count_known(kw).accused == frozenset({"P2", "P4"})
 
     def test_public_count_requires_public_count(self):
         kw = all_truth_tellers(4, {"P1"})
         with pytest.raises(PreconditionError, match="public"):
-            strategy_count_known(kw)
+            run_count_known(kw)
 
     def test_public_count_refuses_informed_crowds(self):
         knowledge = {("P1", "P2"): Knowledge.KNOWS_GUILTY}
         kw = all_truth_tellers(4, {"P2"}, knowledge=knowledge, count_public=1)
         with pytest.raises(PreconditionError, match="know"):
-            strategy_count_known(kw)
+            run_count_known(kw)
 
     def test_unknown_count_money_parade(self):
         kw = all_truth_tellers(6, {"P1", "P3", "P5"})
-        assert strategy_count_unknown(kw) == frozenset({"P1", "P3", "P5"})
+        assert run_count_unknown(kw).accused == frozenset({"P1", "P3", "P5"})
 
     def test_unknown_count_everyone_guilty(self):
         kw = all_truth_tellers(4, {"P1", "P2", "P3", "P4"})
-        assert strategy_count_unknown(kw) == frozenset(kw.persons)
+        assert run_count_unknown(kw).accused == frozenset(kw.persons)
 
     def test_unknown_count_lone_liar(self):
         kw = all_liars(3, {"P2"})
-        assert strategy_count_unknown(kw) == frozenset({"P2"})
+        assert run_count_unknown(kw).accused == frozenset({"P2"})
 
     def test_unknown_count_refuses_public_count(self):
         kw = all_truth_tellers(3, {"P1"}, count_public=1)
         with pytest.raises(PreconditionError, match="count"):
-            strategy_count_unknown(kw)
+            run_count_unknown(kw)
 
 
 class TestSolveStrategies:
@@ -481,12 +487,12 @@ class TestSolveStrategies:
             ("P2", "P1"): Knowledge.KNOWS_GUILTY,
         }
         kw = all_truth_tellers(5, {"P1", "P2", "P4"}, knowledge=knowledge)
-        result = strategy_solve_truthtellers(kw)
+        result = run_solve_truthtellers(kw)
         assert result.accused == frozenset({"P1", "P2", "P4"})
 
     def test_truth_tellers_all_secrets(self):
         kw = all_truth_tellers(4, {"P2"})
-        result = strategy_solve_truthtellers(kw)
+        result = run_solve_truthtellers(kw)
         assert result.accused == frozenset({"P2"})
 
     def test_truth_tellers_complete_knowledge(self):
@@ -494,22 +500,22 @@ class TestSolveStrategies:
             (p, "P2"): Knowledge.KNOWS_GUILTY for p in ("P1", "P3", "P4")
         }
         kw = all_truth_tellers(4, {"P2"}, knowledge=knowledge)
-        result = strategy_solve_truthtellers(kw)
+        result = run_solve_truthtellers(kw)
         assert result.accused == frozenset({"P2"})
 
     def test_truth_tellers_refuses_liars(self):
         kw = all_liars(3, {"P1"})
         with pytest.raises(PreconditionError, match="island"):
-            strategy_solve_truthtellers(kw)
+            run_solve_truthtellers(kw)
 
     def test_liars_robust_two_secret_criminals(self):
         kw = all_liars(4, {"P2", "P3"})
-        result = strategy_solve_liars(kw)
+        result = run_solve_liars(kw)
         assert result.accused == frozenset({"P2", "P3"})
 
     def test_liars_single_guilty(self):
         kw = all_liars(1, {"P1"})
-        result = strategy_solve_liars(kw)
+        result = run_solve_liars(kw)
         assert result.accused == frozenset({"P1"})
 
     def test_liars_literal_exact_under_blank_knowledge(self):
@@ -517,7 +523,7 @@ class TestSolveStrategies:
             kw = generate_knowledge_world(
                 n=5, island="liars", criminals=(1, 5), density=0.0, seed=seed,
             )
-            result = strategy_solve_liars(kw, random.Random(seed), mode="paper-literal")
+            result = run_solve_liars(kw, random.Random(seed), mode="paper-literal")
             assert result.accused == kw.guilty
 
     def test_liars_literal_can_misaccuse_an_informed_innocent(self):
@@ -527,23 +533,23 @@ class TestSolveStrategies:
         kw = make_kw({"P1": AL, "P2": AL, "P3": AL}, {"P2"}, knowledge=knowledge)
         failed = []
         for seed in range(100):
-            result = strategy_solve_liars(kw, random.Random(seed), mode="paper-literal")
+            result = run_solve_liars(kw, random.Random(seed), mode="paper-literal")
             if result.accused != kw.guilty:
                 failed.append((seed, result.accused))
         assert failed, "expected at least one misaccusing seed"
         assert any("P1" in accused for _, accused in failed)
         # The robust variant is exact on the very same world.
         for seed, _ in failed:
-            assert strategy_solve_liars(kw, random.Random(seed)).accused == kw.guilty
+            assert run_solve_liars(kw, random.Random(seed)).accused == kw.guilty
 
     def test_mixed_one_of_each(self):
         kw = make_kw({"A": AT, "B": PT, "C": AL, "D": RL}, {"B", "C"})
-        result = strategy_solve_mixed(kw)
+        result = run_solve_mixed(kw)
         assert result.accused == frozenset({"B", "C"})
 
     def test_mixed_degenerates_to_truth_tellers(self):
         kw = all_truth_tellers(4, {"P1", "P4"})
-        result = strategy_solve_mixed(kw)
+        result = run_solve_mixed(kw)
         assert result.accused == frozenset({"P1", "P4"})
 
     def test_mixed_question_budget(self):
@@ -553,7 +559,7 @@ class TestSolveStrategies:
                 n=n, island="mixed", criminals=(1, n),
                 density=(seed % 4) / 3.0, seed=seed,
             )
-            result = strategy_solve_mixed(kw)
+            result = run_solve_mixed(kw)
             assert result.accused == kw.guilty
             assert result.questions_asked <= 2 * n
 
@@ -564,7 +570,7 @@ class TestSolveStrategies:
                 density=(seed % 3) / 2.0, seed=seed,
             )
             accusations = {
-                strategy_solve_mixed(kw, random.Random(adv)).accused
+                run_solve_mixed(kw, random.Random(adv)).accused
                 for adv in (0, 1, 2, 3)
             }
             assert len(accusations) == 1
@@ -573,7 +579,7 @@ class TestSolveStrategies:
 class TestNeil:
     def test_lone_criminal_answers_no(self):
         kw = all_truth_tellers(4, {"P3"}, count_public=1)
-        assert strategy_neil(kw) == "P3"
+        assert run_neil(kw).accused == {"P3"}
         result = run_neil(kw)
         values = {a.person: a.value for a in result.transcript}
         assert values["P3"] is NO
@@ -581,11 +587,11 @@ class TestNeil:
 
     def test_single_suspect(self):
         kw = all_truth_tellers(1, {"P1"}, count_public=1)
-        assert strategy_neil(kw) == "P1"
+        assert run_neil(kw).accused == {"P1"}
 
     def test_liars_island_variant_flips_to_yes(self):
         kw = all_liars(4, {"P2"}, count_public=1)
-        assert strategy_neil(kw) == "P2"
+        assert run_neil(kw).accused == {"P2"}
         result = run_neil(kw)
         values = {a.person: a.value for a in result.transcript}
         assert values["P2"] is YES
@@ -593,35 +599,35 @@ class TestNeil:
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="one criminal"):
-            strategy_neil(all_truth_tellers(3, {"P1", "P2"}, count_public=2))
+            run_neil(all_truth_tellers(3, {"P1", "P2"}, count_public=2))
         with pytest.raises(PreconditionError, match="public"):
-            strategy_neil(all_truth_tellers(3, {"P1"}))
+            run_neil(all_truth_tellers(3, {"P1"}))
         knowledge = {("P2", "P1"): Knowledge.KNOWS_GUILTY}
         with pytest.raises(PreconditionError, match="know"):
-            strategy_neil(all_truth_tellers(3, {"P1"}, knowledge=knowledge, count_public=1))
+            run_neil(all_truth_tellers(3, {"P1"}, knowledge=knowledge, count_public=1))
         mixed = make_kw({"A": AT, "B": AL}, {"A"}, count_public=1)
         with pytest.raises(PreconditionError, match="island"):
-            strategy_neil(mixed)
+            run_neil(mixed)
 
 
 class TestSecretAttribute:
     def test_five_neighbors_one_thief(self):
         kw = all_truth_tellers(5, {"P4"}, secret="secret-blue")
-        assert strategy_secret_attribute(kw) == frozenset({"P4"})
+        assert run_secret_attribute(kw).accused == frozenset({"P4"})
 
     def test_colluding_thieves_both_know(self):
         kw = all_truth_tellers(5, {"P1", "P2"}, secret="secret-blue")
-        assert strategy_secret_attribute(kw) == frozenset({"P1", "P2"})
+        assert run_secret_attribute(kw).accused == frozenset({"P1", "P2"})
 
     def test_refuses_liar_crowds(self):
         kw = all_liars(3, {"P1"}, secret="secret-blue")
         with pytest.raises(PreconditionError, match="island"):
-            strategy_secret_attribute(kw)
+            run_secret_attribute(kw)
 
     def test_requires_a_secret(self):
         kw = all_truth_tellers(3, {"P1"})
         with pytest.raises(PreconditionError, match="secret"):
-            strategy_secret_attribute(kw)
+            run_secret_attribute(kw)
 
 
 class TestZeroFalseAccusations:
@@ -637,10 +643,10 @@ class TestZeroFalseAccusations:
             mixed = generate_knowledge_world(
                 n=n, island="mixed", criminals=(1, n), density=(seed % 4) / 3.0, seed=seed,
             )
-            assert strategy_solve_truthtellers(tt).accused <= tt.guilty
-            assert strategy_solve_liars(liars).accused <= liars.guilty
-            assert strategy_solve_mixed(mixed).accused <= mixed.guilty
-            assert strategy_ask_all_about_others(mixed) <= mixed.guilty
+            assert run_solve_truthtellers(tt).accused <= tt.guilty
+            assert run_solve_liars(liars).accused <= liars.guilty
+            assert run_solve_mixed(mixed).accused <= mixed.guilty
+            assert run_ask_all_about_others(mixed).accused <= mixed.guilty
 
 
 class TestGenerator:
@@ -834,3 +840,35 @@ class TestBulkDraw:
         # The rows take MAX_CROWD**2 bytes, 4 MiB.
         assert len(kw.rows) == MAX_CROWD
         assert peak < 8 * 2 ** 20
+
+
+class TestStrategyRegistry:
+    """Each registry entry's declared premises against what its runner does."""
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_worlds_outside_the_declared_premises_are_refused(self, name):
+        strategy = STRATEGIES[name]
+
+        def world(island, count_public):
+            return generate_knowledge_world(
+                n=30, island=island, criminals=1, density=0.0,
+                count_public=count_public, secret=strategy.needs_secret, seed=17,
+            )
+
+        public = bool(strategy.count_public)
+        for island in ISLAND_MODES:
+            if island not in strategy.islands:
+                with pytest.raises(PreconditionError, match="island"):
+                    run_strategy(world(island, public), name)
+        if strategy.count_public is not None:
+            with pytest.raises(PreconditionError, match="count"):
+                run_strategy(world(strategy.islands[0], not public), name)
+
+    def test_only_a_strategy_that_takes_a_mode_accepts_one(self):
+        kw = generate_knowledge_world(5, "liars", (1, 3), 0.0, seed=2)
+        for name, strategy in STRATEGIES.items():
+            if strategy.takes_mode:
+                assert run_strategy(kw, name, mode="paper-literal").accused == kw.guilty
+            else:
+                with pytest.raises(PreconditionError, match="mode"):
+                    run_strategy(kw, name, mode="paper-literal")
