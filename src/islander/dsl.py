@@ -6,14 +6,11 @@ span covering the offending token. serialize() emits a canonical form with
 the round-trip law parse(serialize(p)) == p.
 
 The lexer makes one regular-expression match per token. Formulas are read
-by precedence climbing over an explicit operator stack, and validation
-walks them over an explicit stack too, so parsing has no nesting limit:
-parentheses, `not`s and connective chains may be nested or chained to any
-depth or length. Known limit: serialize(), formula ==/hash, eval_formula
-and the expansion of `axiom forall` (replace_person) still recurse over the
-formula tree, and raise RecursionError on formulas nested a few hundred
-levels deep (see docs/grammar.md); a `forall` body that deep makes parse()
-raise it.
+by precedence climbing over an explicit operator stack, and validation,
+serialize(), ==, hash and the `axiom forall` expansion walk them over
+explicit stacks too, so any nesting depth or chain length works. Only
+eval_formula and check_world, the deliberately plain reference, recurse:
+they raise RecursionError about 1000 levels deep (see docs/grammar.md).
 """
 
 from __future__ import annotations
@@ -632,57 +629,51 @@ def _parse_primary(p, b, extra) -> Formula:
 # Serializer
 # ---------------------------------------------------------------------------
 
-def _prec(formula: Formula) -> int:
-    return _PRECEDENCE.get(type(formula), 6)
+_SYMBOL = {cls: symbol for symbol, cls in _BINARY.items()}
+# The concrete syntax of every atom but Const, as str.format templates.
+_ATOM_SYNTAX = {
+    Guilty: "guilty({0.person})", HasType: "type({0.person})={0.speaker_type.value}",
+    FromIsland: "island({0.person})={0.island.value}", CountCmp: "count {0.op} {0.k}",
+    Truthful: "truthful({0.label})", LiesWhenAskedGuilt: "lies_about_guilt({0.person})",
+    KnowsWhodunit: "knows_whodunit({0.person})", Free: 'free("{0.name}")',
+}
 
 
 def format_formula(formula: Formula) -> str:
     """Deterministic concrete syntax, parenthesized just enough to reparse
-    into a structurally identical tree."""
-    match formula:
-        case Const(value):
-            return "true" if value else "false"
-        case Guilty(person):
-            return f"guilty({person})"
-        case HasType(person, speaker_type):
-            return f"type({person})={speaker_type.value}"
-        case FromIsland(person, island):
-            return f"island({person})={island.value}"
-        case CountCmp(op, k):
-            return f"count {op} {k}"
-        case Truthful(label):
-            return f"truthful({label})"
-        case LiesWhenAskedGuilt(person):
-            return f"lies_about_guilt({person})"
-        case KnowsWhodunit(person):
-            return f"knows_whodunit({person})"
-        case Free(name):
-            return f'free("{name}")'
-        case Not(operand):
-            inner = format_formula(operand)
-            if _prec(operand) < _PRECEDENCE[Not]:
-                inner = f"({inner})"
-            return f"not {inner}"
-        case And(left, right):
-            return _format_binary(left, right, "and", _PRECEDENCE[And], right_assoc=False)
-        case Or(left, right):
-            return _format_binary(left, right, "or", _PRECEDENCE[Or], right_assoc=False)
-        case Implies(left, right):
-            return _format_binary(left, right, "->", _PRECEDENCE[Implies], right_assoc=True)
-        case Iff(left, right):
-            return _format_binary(left, right, "<->", _PRECEDENCE[Iff], right_assoc=True)
-        case _:
-            raise ValueError(f"cannot format {formula!r}")
+    into a structurally identical tree: one in-order walk over an explicit
+    stack of formulas and text pieces, so depth never touches the Python stack."""
+    parts: list[str] = []
+    text, stack = parts.append, [formula]
 
+    def push_operand(operand: Formula, bound: int) -> None:
+        if _PRECEDENCE.get(type(operand), 6) < bound:  # atoms bind tightest: 6
+            stack.extend((")", operand, "("))
+        else:
+            stack.append(operand)
 
-def _format_binary(left: Formula, right: Formula, op: str, prec: int, right_assoc: bool) -> str:
-    ls = format_formula(left)
-    rs = format_formula(right)
-    if _prec(left) < prec or (right_assoc and _prec(left) == prec):
-        ls = f"({ls})"
-    if _prec(right) < prec or (not right_assoc and _prec(right) == prec):
-        rs = f"({rs})"
-    return f"{ls} {op} {rs}"
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            text(node)
+        elif kind in _ATOM_SYNTAX:
+            text(_ATOM_SYNTAX[kind].format(node))
+        elif kind is Const:
+            text("true" if node.value else "false")
+        elif kind is Not:
+            text("not ")
+            push_operand(node.operand, _PRECEDENCE[Not])
+        elif kind in _SYMBOL:
+            # An operand of equal precedence is parenthesized on the side the
+            # connective does not group to.
+            prec, right_assoc = _PRECEDENCE[kind], kind in _RIGHT_ASSOC
+            push_operand(node.right, prec + (not right_assoc))
+            stack.append(f" {_SYMBOL[kind]} ")
+            push_operand(node.left, prec + right_assoc)
+        else:
+            raise ValueError(f"cannot format {node!r}")
+    return "".join(parts)
 
 
 def _escape(text: str) -> str:

@@ -12,8 +12,8 @@ given type could actually utter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class Island(enum.Enum):
@@ -115,31 +115,57 @@ class Const:
     value: bool
 
 
-@dataclass(frozen=True)
-class Not:
+class _Connective:
+    """Shared base of Not, And, Or, Implies and Iff: `==` and `hash` walk the
+    tree in pre-order over an explicit stack, so depth never reaches the Python stack."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [self, other]  # pairs of nodes at the same position, flattened
+        while stack:
+            b, a = stack.pop(), stack.pop()
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind in _BINARY_CONNECTIVES:
+                stack += (a.right, b.right, a.left, b.left)
+            elif kind is Not:
+                stack += (a.operand, b.operand)
+            elif not a == b:  # two atoms: their own dataclass ==
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(type(node) if isinstance(node, _Connective) else node
+                          for node in iter_subformulas(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class Not(_Connective):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@dataclass(frozen=True, eq=False)
+class Iff(_Connective):
     left: "Formula"
     right: "Formula"
 
@@ -155,7 +181,7 @@ FALSE = Const(False)
 COUNT_OPS = ("=", "<=", ">=")
 
 
-_CONNECTIVES = (And, Or, Implies, Iff)
+_BINARY_CONNECTIVES = frozenset({And, Or, Implies, Iff})
 _PERSON_ATOMS = (Guilty, HasType, FromIsland, LiesWhenAskedGuilt, KnowsWhodunit)
 
 
@@ -167,10 +193,10 @@ def iter_subformulas(formula: Formula) -> Iterator[Formula]:
     while stack:
         node = pop()
         yield node
-        if isinstance(node, _CONNECTIVES):
+        if type(node) in _BINARY_CONNECTIVES:
             push(node.right)
             push(node.left)
-        elif isinstance(node, Not):
+        elif type(node) is Not:
             push(node.operand)
 
 
@@ -182,31 +208,30 @@ def knows_whodunit_persons(formula: Formula) -> set[str]:
     return {node.person for node in iter_subformulas(formula) if isinstance(node, KnowsWhodunit)}
 
 
+def map_atoms(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild `formula` with every atom replaced by fn(atom), post-order over
+    an explicit stack; fn should be pure, as its call order is unspecified. A
+    subtree whose atoms fn all returns unchanged is shared, not copied."""
+    done: list[Formula] = []
+    # Reversed, a left-first pre-order meets each node after its operands,
+    # with the left operand's result on top of the right one's.
+    for node in reversed(list(iter_subformulas(formula))):
+        if type(node) is Not:
+            operand = done.pop()
+            done.append(node if operand is node.operand else Not(operand))
+        elif type(node) in _BINARY_CONNECTIVES:
+            left, right = done.pop(), done.pop()
+            done.append(node if left is node.left and right is node.right
+                        else type(node)(left, right))
+        else:
+            done.append(fn(node))
+    return done.pop()
+
+
 def replace_person(formula: Formula, old: str, new: str) -> Formula:
     """Rename every person reference `old` to `new` (used by the DSL forall sugar)."""
-    match formula:
-        case Guilty(p):
-            return Guilty(new) if p == old else formula
-        case HasType(p, t):
-            return HasType(new, t) if p == old else formula
-        case FromIsland(p, isl):
-            return FromIsland(new, isl) if p == old else formula
-        case LiesWhenAskedGuilt(p):
-            return LiesWhenAskedGuilt(new) if p == old else formula
-        case KnowsWhodunit(p):
-            return KnowsWhodunit(new) if p == old else formula
-        case Not(x):
-            return Not(replace_person(x, old, new))
-        case And(a, b):
-            return And(replace_person(a, old, new), replace_person(b, old, new))
-        case Or(a, b):
-            return Or(replace_person(a, old, new), replace_person(b, old, new))
-        case Implies(a, b):
-            return Implies(replace_person(a, old, new), replace_person(b, old, new))
-        case Iff(a, b):
-            return Iff(replace_person(a, old, new), replace_person(b, old, new))
-        case _:
-            return formula
+    return map_atoms(formula, lambda atom: replace(atom, person=new)
+                     if isinstance(atom, _PERSON_ATOMS) and atom.person == old else atom)
 
 
 def substitute_self_guilt(formula: Formula, speaker: str, value: bool) -> Formula:
@@ -215,25 +240,8 @@ def substitute_self_guilt(formula: Formula, speaker: str, value: bool) -> Formul
     All other atoms, including Truthful references and the speaker's other
     atoms, are left untouched. Idempotent, and distributes over connectives.
     """
-    match formula:
-        case Guilty(p) if p == speaker:
-            return Const(value)
-        case Not(x):
-            return Not(substitute_self_guilt(x, speaker, value))
-        case And(a, b):
-            return And(substitute_self_guilt(a, speaker, value),
-                       substitute_self_guilt(b, speaker, value))
-        case Or(a, b):
-            return Or(substitute_self_guilt(a, speaker, value),
-                      substitute_self_guilt(b, speaker, value))
-        case Implies(a, b):
-            return Implies(substitute_self_guilt(a, speaker, value),
-                           substitute_self_guilt(b, speaker, value))
-        case Iff(a, b):
-            return Iff(substitute_self_guilt(a, speaker, value),
-                       substitute_self_guilt(b, speaker, value))
-        case _:
-            return formula
+    return map_atoms(formula, lambda atom: Const(value)
+                     if isinstance(atom, Guilty) and atom.person == speaker else atom)
 
 
 # ---------------------------------------------------------------------------

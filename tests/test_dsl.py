@@ -100,26 +100,37 @@ DEEP = 10_000
 
 @st.composite
 def deep_texts(draw):
-    """(formula text, number of atoms, nesting depth of the AST): an atom
-    wrapped in up to four layers, each of parentheses, `not`s or a chain of
-    one connective with the inner formula as one of its operands."""
-    body, atoms, depth = draw(st.sampled_from(ATOMS)), 1, 0
+    """(formula text, number of atoms): an atom wrapped in up to four layers,
+    each of parentheses, `not`s or a chain of one connective with the inner
+    formula as one of its operands."""
+    body, atoms = draw(st.sampled_from(ATOMS)), 1
     layers = st.tuples(st.sampled_from(("(", "not", "and", "or", "->", "<->")),
                        st.integers(1, 3000))
     for kind, count in draw(st.lists(layers, min_size=1, max_size=4)):
         if kind == "(":
             body = "(" * count + body + ")" * count
         elif kind == "not":
-            body, depth = "not " * count + f"({body})", depth + count
+            body = "not " * count + f"({body})"
         else:
             terms = [ATOMS[i % 3] for i in range(count)]
             terms.insert(draw(st.integers(0, count)), f"({body})")
-            body, atoms, depth = f" {kind} ".join(terms), atoms + count, depth + count
-    return body, atoms, depth
+            body, atoms = f" {kind} ".join(terms), atoms + count
+    return body, atoms
 
 
 def _body(formula: str):
     return parse(PREFIX + formula + "; }").statements[0].body
+
+
+def _deep_body(op: str, deepest: str = "guilty(A)") -> str:
+    """A formula DEEP levels deep whose deepest leaf is `deepest`: DEEP
+    nested `not`s, or a chain of DEEP terms, left-deep for `and`/`or` and
+    right-deep for `->`/`<->`."""
+    if op == "not":
+        return "not " * DEEP + deepest
+    terms = [ATOMS[i % 3] for i in range(DEEP)]
+    terms[0 if op in ("and", "or") else -1] = deepest
+    return f" {op} ".join(terms)
 
 
 def _spine(formula, cls, attr: str):
@@ -188,6 +199,25 @@ class TestDepth:
 
     def test_nested_not(self):
         assert _spine(_body("not " * 2000 + "guilty(C)"), Not, "operand") == (2000, Guilty("C"))
+
+    @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
+    def test_deep_formulas_serialize_compare_and_hash(self, op):
+        """serialize, == and hash walk a 10^4-deep tree without recursion."""
+        puzzle = parse(PREFIX + _deep_body(op) + "; }")
+        body = puzzle.statements[0].body
+        assert format_formula(body) == _deep_body(op)
+        again = parse(serialize(puzzle))
+        assert again == puzzle
+        assert again.statements[0].body is not body
+        assert hash(again.statements[0].body) == hash(body)
+
+    @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
+    @pytest.mark.parametrize("deepest", ["guilty(B)", "type(A)=AT"])
+    def test_deep_formulas_differing_in_the_deepest_leaf_are_unequal(self, op, deepest):
+        body, other = _body(_deep_body(op)), _body(_deep_body(op, deepest))
+        assert body != other
+        assert not body == other
+        assert other != body
 
     @pytest.mark.parametrize("depth", [3, DEEP])
     @pytest.mark.parametrize("shape", ["paren_dropped", "paren_cut", "and_cut", "imp_cut_in_atom",
@@ -355,7 +385,7 @@ class TestParseErrors:
     @given(deep_texts(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_totality_fuzz_deep_and_wide(self, case, data):
-        body, atoms, depth = case
+        body, atoms = case
         text = PREFIX + body + "; }"
         how = data.draw(st.sampled_from(("none", "drop", "cut", "insert")))
         at = data.draw(st.integers(len(PREFIX), len(text) - 1))
@@ -373,8 +403,7 @@ class TestParseErrors:
         if how == "none":
             formula = puzzle.statements[0].body
             assert sum(isinstance(node, Guilty) for node in iter_subformulas(formula)) == atoms
-            if depth <= 200:  # serialize and formula == are still recursive
-                assert parse(serialize(puzzle)) == puzzle
+            assert parse(serialize(puzzle)) == puzzle
 
 
 class TestRoundTrip:

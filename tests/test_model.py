@@ -1,4 +1,8 @@
-"""Formula evaluation, self-guilt substitution, and puzzle validation."""
+"""Formula evaluation, equality, rewriting (map_atoms, self-guilt substitution,
+person renaming), and puzzle validation."""
+
+from dataclasses import replace
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -32,6 +36,8 @@ from islander.model import (
     eval_formula,
     knows_whodunit_key,
     lies_when_asked_guilt,
+    map_atoms,
+    replace_person,
     substitute_self_guilt,
 )
 
@@ -235,6 +241,53 @@ class TestSubstituteSelfGuilt:
     def test_formulas_without_self_guilt_unchanged_under_eval(self, world, formula, value):
         assert eval_formula(world, substitute_self_guilt(formula, "A", value)) == \
             eval_formula(world, formula)
+
+
+class TestFormulaEquality:
+    def test_connectives_of_different_kinds_are_unequal(self):
+        a, b = Guilty("A"), Guilty("B")
+        assert And(a, b) != Or(a, b)
+        assert Implies(a, b) != Iff(a, b)
+        assert And(a, b) == And(Guilty("A"), Guilty("B"))
+        assert hash(And(a, b)) == hash(And(Guilty("A"), Guilty("B")))
+
+    def test_a_connective_never_equals_an_atom_or_a_non_formula(self):
+        formula = Not(Guilty("A"))
+        for other in ("not guilty(A)", None, (Guilty("A"),), Guilty("A")):
+            assert formula != other
+            assert not formula == other
+
+    @given(formula_strategy(), formula_strategy())
+    def test_equality_is_structural_and_hash_follows_it(self, f, g):
+        copy = map_atoms(f, replace)
+        assert copy == f and hash(copy) == hash(f)
+        assert (f == g) == (repr(f) == repr(g))
+        if f == g:
+            assert hash(f) == hash(g)
+
+
+class TestReplacePerson:
+    def test_renames_all_five_person_atoms_keeping_their_other_fields(self):
+        def body(p):
+            return And(Guilty(p), Or(HasType(p, PT), Implies(
+                FromIsland(p, Island.LIARS),
+                Iff(LiesWhenAskedGuilt(p), Not(KnowsWhodunit(p))))))
+
+        assert replace_person(body("X"), "X", "A") == body("A")
+
+    def test_other_atoms_and_persons_are_untouched(self):
+        others = (Truthful("X"), Free("X"), CountCmp(">=", 1), Const(True),
+                  Guilty("B"), HasType("B", AT), FromIsland("B", Island.LIARS),
+                  LiesWhenAskedGuilt("B"), KnowsWhodunit("B"))
+        formula = reduce(Or, others)
+        assert replace_person(formula, "X", "A") is formula
+        renamed = replace_person(And(Guilty("X"), formula), "X", "A")
+        assert renamed == And(Guilty("A"), formula)
+        assert renamed.right is formula
+
+    @given(formula_strategy())
+    def test_identity_map_shares_the_whole_formula(self, formula):
+        assert map_atoms(formula, lambda atom: atom) is formula
 
 
 class TestPuzzleValidation:

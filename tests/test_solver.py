@@ -348,6 +348,22 @@ class TestLongFormulas:
         assert [w.key() for w in enumerate_worlds(long)] == \
             [w.key() for w in enumerate_worlds(short)]
 
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_long_forall_body_solves_like_its_three_atoms(self, op):
+        """`axiom forall` expands a 10^4-term body without recursion."""
+        def text(terms):
+            atoms = ("guilty(X)", "type(X)=PT", "knows_whodunit(X)")
+            chain = f" {op} ".join(atoms[i % 3] for i in range(terms))
+            return ("puzzle {\n  suspects A, B, C;\n  criminals >= 1;\n"
+                    "  statement s1 A: guilty(B) or not guilty(C);\n"
+                    f"  axiom forall X: {chain};\n}}\n")
+
+        long, short = parse(text(10_000)), parse(text(3))
+        assert len(long.axioms) == len(short.axioms) == 3
+        assert solve(long) == solve(short)
+        assert [w.key() for w in enumerate_worlds(long)] == \
+            [w.key() for w in enumerate_worlds(short)]
+
 
 class TestNoPerWorldEvaluation:
     def test_solve_and_enumerate_never_evaluate_a_single_world(self, monkeypatch):
