@@ -41,14 +41,7 @@ from .model import (
     eval_formula,
     substitute_self_guilt,
 )
-from .semantics import (
-    AdmissibilityRule,
-    UtteranceMode,
-    admissibility_rule,
-    admissible_for_type,
-    admissible_utterance,
-    lies_when_asked_guilt,
-)
+from .semantics import admissible_for_type, lies_when_asked_guilt
 from .solver import (
     SearchSpaceError,
     SolveReport,

@@ -7,7 +7,7 @@ the round-trip law parse(serialize(p)) == p.
 
 The lexer makes one regular-expression match per token. Formulas are read
 by precedence climbing over an explicit operator stack, and validation,
-serialize(), ==, hash and the `axiom forall` expansion walk them over
+serialize(), ==, hash, repr and the `axiom forall` expansion walk them over
 explicit stacks too, so any nesting depth or chain length works. Only
 eval_formula and check_world, the deliberately plain reference, recurse:
 they raise RecursionError about 1000 levels deep (see docs/grammar.md).
@@ -35,6 +35,7 @@ from .model import (
     Implies,
     Island,
     KnowsWhodunit,
+    LIAR_TYPES,
     LiesWhenAskedGuilt,
     Not,
     OneOfEach,
@@ -43,12 +44,11 @@ from .model import (
     PuzzleError,
     SpeakerType,
     Statement,
+    TRUTH_TELLER_TYPES,
     Truthful,
     TypeCardinality,
     replace_person,
 )
-
-FILE_EXTENSION = ".puz"
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ KEYWORDS = frozenset({
     "guilty", "type", "count", "truthful", "lies_about_guilt",
     "knows_whodunit", "free", "true", "false",
     "not", "and", "or",
-    "AT", "PT", "AL", "RL",
+    *(t.value for t in ALL_TYPES),
 })
 
 ATOM_EXPECTED = (
@@ -232,7 +232,7 @@ class _Parser:
 class _PuzzleBuilder:
     def __init__(self) -> None:
         self.suspects: list[str] = []
-        self.island: Island | str | None = None
+        self.island: str | None = None
         self.explicit_types: dict[str, frozenset[SpeakerType]] = {}
         self.count: CountCmp | None = None
         self.count_axioms: list[Formula] = []
@@ -267,14 +267,8 @@ def parse(text: str) -> Puzzle:
     if b.count is None:
         raise ParseError(closing.span, "missing criminals directive")
 
-    default = {
-        None: frozenset(ALL_TYPES),
-        "mixed": frozenset(ALL_TYPES),
-        "truthtellers": frozenset(
-            {SpeakerType.ABSOLUTE_TRUTH_TELLER, SpeakerType.PARTIAL_TRUTH_TELLER}
-        ),
-        "liars": frozenset({SpeakerType.ABSOLUTE_LIAR, SpeakerType.RESPONSIBLE_LIAR}),
-    }[b.island]
+    default = {"truthtellers": TRUTH_TELLER_TYPES, "liars": LIAR_TYPES}.get(
+        b.island, frozenset(ALL_TYPES))
     type_domain = {s: b.explicit_types.get(s, default) for s in b.suspects}
 
     if isinstance(b.cardinality, OneOfEach) and len(b.suspects) != len(ALL_TYPES):

@@ -9,8 +9,9 @@ crime definitely occurred, so compatible sets are never empty.
 
 Answers come out through the speaker's type: truth-teller types answer
 truthfully, liar types flip yes and no. The one exception is the direct
-guilt question, where partial truth-tellers lie when guilty and responsible
-liars always answer yes. A liar whose honest answer would be "I don't know"
+guilt question, which the partial types (`SpeakerType.partial`) answer as
+if innocent: partial truth-tellers say no, and responsible liars, flipping
+that no, always say yes. A liar whose honest answer would be "I don't know"
 picks yes or no adversarially from a seeded source, so the robust strategies
 below are checked to be independent of those coin flips.
 
@@ -64,10 +65,11 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .model import Island, SpeakerType
+from .model import ALL_TYPES, LIAR_TYPES, TRUTH_TELLER_TYPES, Island, SpeakerType
 
-TT_POOL = (SpeakerType.ABSOLUTE_TRUTH_TELLER, SpeakerType.PARTIAL_TRUTH_TELLER)
-LIAR_POOL = (SpeakerType.ABSOLUTE_LIAR, SpeakerType.RESPONSIBLE_LIAR)
+# In ALL_TYPES order: generation draws `rng.choice` from these tuples.
+TT_POOL = tuple(t for t in ALL_TYPES if t in TRUTH_TELLER_TYPES)
+LIAR_POOL = tuple(t for t in ALL_TYPES if t in LIAR_TYPES)
 ISLAND_MODES = ("tt", "liars", "mixed")
 
 # Largest crowd a generated world may have. Generation draws once per ordered
@@ -147,12 +149,14 @@ class KnowledgeWorld:
     persons: tuple[str, ...]
     type_of: Mapping[str, SpeakerType]
     guilty: frozenset[str]
-    knowledge: Mapping[tuple[str, str], Knowledge] = field(default_factory=dict)
+    # Compared through `rows`: worlds that know the same pairs are equal
+    # however their knowledge was given.
+    knowledge: Mapping[tuple[str, str], Knowledge] = field(default_factory=dict, compare=False)
     count_public: Optional[int] = None
     secret: Optional[str] = None
     # One bytes row per asker, in roster order, as in `KnowledgeRows`: the
     # only form of the knowledge that answers, `knows` and `known_criminals` read.
-    rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[bytes, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.persons:
@@ -487,21 +491,18 @@ def truthful_answer(kw: KnowledgeWorld, p: str, question: Question) -> Answer:
 def spoken_answer(
     kw: KnowledgeWorld, p: str, question: Question, rng: Optional[random.Random] = None
 ) -> Answer:
-    """The answer p actually gives, filtered through their speaker type."""
+    """The answer p actually gives, filtered through their speaker type: a
+    partial type's honest answer to the guilt question is no, and a liar
+    then flips yes and no."""
     rng = rng or random.Random(0)
     honest = truthful_answer(kw, p, question)
     speaker_type = kw.type_of[p]
-
-    if speaker_type is SpeakerType.ABSOLUTE_TRUTH_TELLER:
-        return honest
-    if speaker_type is SpeakerType.PARTIAL_TRUTH_TELLER:
-        if isinstance(question, DirectGuilt) and p in kw.guilty:
-            return Answer(p, question, AnswerValue.NO)
+    if speaker_type.partial and isinstance(question, DirectGuilt):
+        honest = Answer(p, question, AnswerValue.NO)
+    if speaker_type.island is Island.TRUTH_TELLERS:
         return honest
 
     # Liar types from here on.
-    if isinstance(question, DirectGuilt) and speaker_type is SpeakerType.RESPONSIBLE_LIAR:
-        return Answer(p, question, AnswerValue.YES)
     if isinstance(question, SecretAttribute):
         return Answer(p, question, AnswerValue.TOKEN, token=_wrong_token(kw, rng))
     if honest.value is AnswerValue.YES:

@@ -7,6 +7,11 @@ a type for every suspect, a guilty set, and values for any free atoms.
 Everything here is immutable and side-effect free; the solver enumerates
 worlds and the semantics module decides which statements a speaker of a
 given type could actually utter.
+
+`SpeakerType` is the one table of the paper's rule: each type's island and
+whether it is partial, answering the guilt question as if innocent.
+`lies_when_asked_guilt`, admissibility, spoken answers and the island type
+sets are all derived from those two fields.
 """
 
 from __future__ import annotations
@@ -22,16 +27,28 @@ class Island(enum.Enum):
 
 
 class SpeakerType(enum.Enum):
-    ABSOLUTE_TRUTH_TELLER = "AT"
-    PARTIAL_TRUTH_TELLER = "PT"
-    ABSOLUTE_LIAR = "AL"
-    RESPONSIBLE_LIAR = "RL"
+    """The four speaker types, one row each: (code, island, partial).
 
-    @property
-    def island(self) -> Island:
-        if self in (SpeakerType.ABSOLUTE_TRUTH_TELLER, SpeakerType.PARTIAL_TRUTH_TELLER):
-            return Island.TRUTH_TELLERS
-        return Island.LIARS
+    `island` says whether the type tells the truth or lies; `partial` marks
+    the paper's one deviation, a type that answers "Are you guilty?" as if
+    innocent. Every rule in the package is derived from these two fields.
+    The code is the member's value, as written in `.puz` files and JSON.
+    """
+
+    island: Island
+    partial: bool
+
+    ABSOLUTE_TRUTH_TELLER = ("AT", Island.TRUTH_TELLERS, False)
+    PARTIAL_TRUTH_TELLER = ("PT", Island.TRUTH_TELLERS, True)
+    ABSOLUTE_LIAR = ("AL", Island.LIARS, False)
+    RESPONSIBLE_LIAR = ("RL", Island.LIARS, True)
+
+    def __new__(cls, code: str, island: Island, partial: bool) -> "SpeakerType":
+        member = object.__new__(cls)
+        member._value_ = code
+        member.island = island
+        member.partial = partial
+        return member
 
     def __repr__(self) -> str:  # keeps solver reports and test diffs short
         return self.value
@@ -39,10 +56,8 @@ class SpeakerType(enum.Enum):
 
 ALL_TYPES: tuple[SpeakerType, ...] = tuple(SpeakerType)
 
-TRUTH_TELLER_TYPES = frozenset(
-    {SpeakerType.ABSOLUTE_TRUTH_TELLER, SpeakerType.PARTIAL_TRUTH_TELLER}
-)
-LIAR_TYPES = frozenset({SpeakerType.ABSOLUTE_LIAR, SpeakerType.RESPONSIBLE_LIAR})
+TRUTH_TELLER_TYPES = frozenset(t for t in ALL_TYPES if t.island is Island.TRUTH_TELLERS)
+LIAR_TYPES = frozenset(ALL_TYPES) - TRUTH_TELLER_TYPES
 
 
 class UnknownReference(ValueError):
@@ -116,8 +131,9 @@ class Const:
 
 
 class _Connective:
-    """Shared base of Not, And, Or, Implies and Iff: `==` and `hash` walk the
-    tree in pre-order over an explicit stack, so depth never reaches the Python stack."""
+    """Shared base of Not, And, Or, Implies and Iff: `==`, `hash` and `repr`
+    walk the tree in pre-order over an explicit stack, so depth never reaches
+    the Python stack. `repr` prints the dataclass text."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -140,31 +156,49 @@ class _Connective:
         return hash(tuple(type(node) if isinstance(node, _Connective) else node
                           for node in iter_subformulas(self)))
 
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[object] = [self]  # nodes still to print, and the text between them
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is str:
+                parts.append(node)
+            elif kind is Not:
+                parts.append("Not(operand=")
+                stack += (")", node.operand)
+            elif kind in _BINARY_CONNECTIVES:
+                parts.append(f"{kind.__qualname__}(left=")
+                stack += (")", node.right, ", right=", node.left)
+            else:
+                parts.append(repr(node))
+        return "".join(parts)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Connective):
     operand: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(_Connective):
     left: "Formula"
     right: "Formula"
@@ -414,20 +448,13 @@ class World:
 def lies_when_asked_guilt(world: World, person: str) -> bool:
     """Would this person lie if asked point-blank whether they are guilty?
 
-    Absolute truth-tellers never do; partial truth-tellers exactly when
-    guilty; absolute liars always; responsible liars exactly when innocent.
+    A partial type answers as if innocent, which is a lie exactly when
+    guilty; a liar then says the opposite of that answer.
     """
     if person not in world.type_of:
         raise UnknownReference(f"unknown person '{person}'")
     t = world.type_of[person]
-    guilty = person in world.guilty
-    if t is SpeakerType.ABSOLUTE_TRUTH_TELLER:
-        return False
-    if t is SpeakerType.PARTIAL_TRUTH_TELLER:
-        return guilty
-    if t is SpeakerType.ABSOLUTE_LIAR:
-        return True
-    return not guilty
+    return (t.island is Island.LIARS) is not (t.partial and person in world.guilty)
 
 
 def eval_formula(

@@ -1,22 +1,21 @@
 """Utterance semantics: which sentences can each speaker type actually say.
 
-An absolute truth-teller may utter a sentence only if it is true; an
-absolute liar only if it is false. The partial types first pretend to be
-innocent: the speaker's own guilt atom is substituted with false, and the
-truth requirement (true for partial truth-tellers, false for responsible
-liars) is applied to the result. Only a literal self-guilt atom counts as
-"the guilt question"; no equivalence detection is attempted, so these
-speakers answer all indirect questions straight.
+A speaker on the truth-tellers' island may utter a sentence only if it is
+true; one on the liars' island only if it is false. A partial type
+(`SpeakerType.partial`) first pretends to be innocent: the speaker's own
+guilt atom is substituted with false, and the island's requirement is
+applied to the result. Only a literal self-guilt atom counts as "the guilt
+question"; no equivalence detection is attempted, so these speakers answer
+all indirect questions straight.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import (
     Formula,
+    Island,
     SpeakerType,
     Statement,
     World,
@@ -25,47 +24,7 @@ from .model import (
     substitute_self_guilt,
 )
 
-__all__ = [
-    "UtteranceMode",
-    "AdmissibilityRule",
-    "ADMISSIBILITY_RULES",
-    "admissibility_rule",
-    "admissible_for_type",
-    "admissible_utterance",
-    "lies_when_asked_guilt",
-]
-
-
-class UtteranceMode(enum.Enum):
-    REQUIRE_TRUE = "require_true"
-    REQUIRE_FALSE = "require_false"
-
-
-@dataclass(frozen=True)
-class AdmissibilityRule:
-    speaker_type: SpeakerType
-    mode: UtteranceMode
-    substitute_self_guilt: bool
-
-
-ADMISSIBILITY_RULES: dict[SpeakerType, AdmissibilityRule] = {
-    SpeakerType.ABSOLUTE_TRUTH_TELLER: AdmissibilityRule(
-        SpeakerType.ABSOLUTE_TRUTH_TELLER, UtteranceMode.REQUIRE_TRUE, False
-    ),
-    SpeakerType.PARTIAL_TRUTH_TELLER: AdmissibilityRule(
-        SpeakerType.PARTIAL_TRUTH_TELLER, UtteranceMode.REQUIRE_TRUE, True
-    ),
-    SpeakerType.ABSOLUTE_LIAR: AdmissibilityRule(
-        SpeakerType.ABSOLUTE_LIAR, UtteranceMode.REQUIRE_FALSE, False
-    ),
-    SpeakerType.RESPONSIBLE_LIAR: AdmissibilityRule(
-        SpeakerType.RESPONSIBLE_LIAR, UtteranceMode.REQUIRE_FALSE, True
-    ),
-}
-
-
-def admissibility_rule(speaker_type: SpeakerType) -> AdmissibilityRule:
-    return ADMISSIBILITY_RULES[speaker_type]
+__all__ = ["admissible_for_type", "lies_when_asked_guilt"]
 
 
 def admissible_for_type(
@@ -80,18 +39,7 @@ def admissible_for_type(
     The hypothetical type selects the rule; the formula itself is still
     evaluated against the world as it stands.
     """
-    rule = ADMISSIBILITY_RULES[speaker_type]
-    if rule.substitute_self_guilt:
+    if speaker_type.partial:
         body = substitute_self_guilt(body, speaker, False)
     value = eval_formula(world, body, statements)
-    return value is (rule.mode is UtteranceMode.REQUIRE_TRUE)
-
-
-def admissible_utterance(
-    world: World,
-    speaker: str,
-    body: Formula,
-    statements: Optional[Mapping[str, Statement]] = None,
-) -> bool:
-    """Could this speaker, with their actual type in the world, say `body`?"""
-    return admissible_for_type(world, speaker, body, world.type_of[speaker], statements)
+    return value is (speaker_type.island is Island.TRUTH_TELLERS)

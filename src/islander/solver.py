@@ -163,10 +163,6 @@ def _compares(op: str, value: int, k: int) -> bool:
     return value >= k
 
 
-def _count_ok(puzzle: Puzzle, guilty_count: int) -> bool:
-    return _compares(puzzle.count.op, guilty_count, puzzle.count.k)
-
-
 def _tile(pattern: int, period: int, width: int) -> int:
     """`pattern`, `period` bits long, repeated to fill `width` bits (a
     multiple of `period`), by doubling."""
@@ -506,7 +502,7 @@ def check_world(puzzle: Puzzle, world: World) -> WorldCheck:
     if not _cardinality_ok(puzzle, types):
         violations.append("type cardinality: the type multiset violates the puzzle's constraint")
 
-    if not _count_ok(puzzle, len(world.guilty)):
+    if not _compares(puzzle.count.op, len(world.guilty), puzzle.count.k):
         violations.append(
             f"count constraint: {len(world.guilty)} guilty fails 'criminals {puzzle.count.op} {puzzle.count.k}'"
         )

@@ -212,6 +212,28 @@ class TestDepth:
         assert hash(again.statements[0].body) == hash(body)
 
     @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
+    def test_deep_formulas_repr(self, op):
+        """repr prints the dataclass text of a 10^4-deep tree without recursion."""
+        atom = [f"Guilty(person='{'ABC'[i % 3]}')" for i in range(DEEP)]
+        if op == "not":
+            expected = "Not(operand=" * DEEP + atom[0] + ")" * DEEP
+        elif op in ("and", "or"):  # left-deep
+            name = {"and": "And", "or": "Or"}[op]
+            expected = (f"{name}(left=" * (DEEP - 1) + atom[0]
+                        + "".join(f", right={a})" for a in atom[1:]))
+        else:  # right-deep
+            name = {"->": "Implies", "<->": "Iff"}[op]
+            expected = ("".join(f"{name}(left={a}, right=" for a in atom[:-1])
+                        + atom[-1] + ")" * (DEEP - 1))
+        try:
+            text = repr(_body(_deep_body(op)))
+        except RecursionError:
+            # Fail outside the handler: pytest takes minutes to report a
+            # traceback thousands of frames deep.
+            text = "RecursionError"
+        assert text == expected
+
+    @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
     @pytest.mark.parametrize("deepest", ["guilty(B)", "type(A)=AT"])
     def test_deep_formulas_differing_in_the_deepest_leaf_are_unequal(self, op, deepest):
         body, other = _body(_deep_body(op)), _body(_deep_body(op, deepest))

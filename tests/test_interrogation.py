@@ -40,7 +40,8 @@ from islander.interrogation import (
     spoken_answer,
     truthful_answer,
 )
-from islander.model import Island, SpeakerType
+from islander.model import Guilty, Island, Not, SpeakerType, World
+from islander.semantics import admissible_for_type
 
 AT = SpeakerType.ABSOLUTE_TRUTH_TELLER
 PT = SpeakerType.PARTIAL_TRUTH_TELLER
@@ -393,6 +394,45 @@ class TestSpokenAnswers:
         answer = spoken_answer(kw, "P1", question)
         assert answer.person == "P1"
         assert answer.question == question
+
+
+class TestKnowledgeWorldEquality:
+    """Worlds compare by what is known, however the knowledge was given."""
+
+    TYPES = {"A": AT, "B": AL, "C": PT}
+
+    def test_explicit_unknown_entries_equal_an_empty_mapping(self):
+        explicit = make_kw(self.TYPES, {"B"}, knowledge={("A", "B"): Knowledge.UNKNOWN})
+        blank = make_kw(self.TYPES, {"B"})
+        assert explicit == blank and blank == explicit
+
+    def test_one_differing_row_byte_is_unequal(self):
+        blank = make_kw(self.TYPES, {"B"})
+        informed = make_kw(self.TYPES, {"B"}, knowledge={("C", "A"): Knowledge.KNOWS_INNOCENT})
+        assert sum(x != y for r, s in zip(blank.rows, informed.rows)
+                   for x, y in zip(r, s)) == 1
+        assert blank != informed and informed != blank
+
+
+class TestPaperRuleAcrossLayers:
+    """The simulator's answers agree with the solver's admissibility rule."""
+
+    @pytest.mark.parametrize("guilty", [False, True])
+    @pytest.mark.parametrize("t", [AT, PT, AL, RL])
+    def test_direct_guilt_answer_is_the_admissible_claim(self, t, guilty):
+        kw = make_kw({"S": t, "O": AT}, {"S"} if guilty else {"O"})
+        world = World(kw.type_of, kw.guilty)
+        answer = spoken_answer(kw, "S", DirectGuilt()).value
+        assert (answer is YES) is admissible_for_type(world, "S", Guilty("S"), t)
+        assert (answer is NO) is admissible_for_type(world, "S", Not(Guilty("S")), t)
+
+    @pytest.mark.parametrize("guilty", [False, True])
+    @pytest.mark.parametrize("t", [AT, PT, AL, RL])
+    def test_control_answer_is_flipped_exactly_for_liars(self, t, guilty):
+        kw = make_kw({"S": t, "O": AT}, {"S"} if guilty else {"O"})
+        for truth in (False, True):
+            spoken = spoken_answer(kw, "S", KnownFact(truth)).value
+            assert (spoken is (YES if truth else NO)) is (t not in (AL, RL))
 
 
 class TestClassifyIslands:

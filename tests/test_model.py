@@ -257,6 +257,10 @@ class TestFormulaEquality:
             assert formula != other
             assert not formula == other
 
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(And(Guilty("A"), Not(HasType("B", AL)))) == \
+            "And(left=Guilty(person='A'), right=Not(operand=HasType(person='B', speaker_type=AL)))"
+
     @given(formula_strategy(), formula_strategy())
     def test_equality_is_structural_and_hash_follows_it(self, f, g):
         copy = map_atoms(f, replace)

@@ -1,4 +1,5 @@
-"""Admissibility rules for the four speaker types and their symmetries."""
+"""Admissibility for the four speaker types, derived from their island and
+`partial` fields, and its symmetries."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,14 +13,7 @@ from islander.model import (
     SpeakerType,
     World,
 )
-from islander.semantics import (
-    ADMISSIBILITY_RULES,
-    UtteranceMode,
-    admissibility_rule,
-    admissible_for_type,
-    admissible_utterance,
-    lies_when_asked_guilt,
-)
+from islander.semantics import admissible_for_type, lies_when_asked_guilt
 
 from test_model import PERSONS, formula_strategy, world_strategy
 
@@ -39,15 +33,15 @@ def world_with(speaker_type, guilty):
 
 class TestRuleTable:
     def test_modes_and_substitution(self):
-        assert admissibility_rule(AT).mode is UtteranceMode.REQUIRE_TRUE
-        assert not admissibility_rule(AT).substitute_self_guilt
-        assert admissibility_rule(PT).mode is UtteranceMode.REQUIRE_TRUE
-        assert admissibility_rule(PT).substitute_self_guilt
-        assert admissibility_rule(AL).mode is UtteranceMode.REQUIRE_FALSE
-        assert not admissibility_rule(AL).substitute_self_guilt
-        assert admissibility_rule(RL).mode is UtteranceMode.REQUIRE_FALSE
-        assert admissibility_rule(RL).substitute_self_guilt
-        assert set(ADMISSIBILITY_RULES) == set(ALL_TYPES)
+        # The island sets what an utterance must evaluate to; `partial`
+        # turns on the self-guilt substitution.
+        assert [(t.value, t.island, t.partial) for t in ALL_TYPES] == [
+            ("AT", Island.TRUTH_TELLERS, False),
+            ("PT", Island.TRUTH_TELLERS, True),
+            ("AL", Island.LIARS, False),
+            ("RL", Island.LIARS, True),
+        ]
+        assert [SpeakerType(t.value) for t in ALL_TYPES] == [AT, PT, AL, RL]
 
     def test_islands(self):
         assert AT.island is Island.TRUTH_TELLERS
@@ -59,16 +53,16 @@ class TestRuleTable:
 class TestExamples:
     def test_guilty_absolute_truth_teller_cannot_claim_innocence(self):
         w = world_with(AT, guilty=True)
-        assert not admissible_utterance(w, "S", Not(Guilty("S")))
+        assert not admissible_for_type(w, "S", Not(Guilty("S")), w.type_of["S"])
 
     def test_guilty_partial_truth_teller_claims_innocence(self):
         w = world_with(PT, guilty=True)
-        assert admissible_utterance(w, "S", Not(Guilty("S")))
+        assert admissible_for_type(w, "S", Not(Guilty("S")), w.type_of["S"])
 
     def test_innocent_responsible_liar_claims_guilt_never_innocence(self):
         w = world_with(RL, guilty=False)
-        assert admissible_utterance(w, "S", Guilty("S"))
-        assert not admissible_utterance(w, "S", Not(Guilty("S")))
+        assert admissible_for_type(w, "S", Guilty("S"), w.type_of["S"])
+        assert not admissible_for_type(w, "S", Not(Guilty("S")), w.type_of["S"])
 
     @given(world_strategy)
     def test_absolute_liar_can_always_state_a_falsehood(self, world):
@@ -77,12 +71,12 @@ class TestExamples:
     def test_partial_truth_teller_can_never_admit_guilt(self):
         for guilty in (False, True):
             w = world_with(PT, guilty)
-            assert not admissible_utterance(w, "S", Guilty("S"))
+            assert not admissible_for_type(w, "S", Guilty("S"), w.type_of["S"])
 
     def test_responsible_liar_can_always_admit_guilt(self):
         for guilty in (False, True):
             w = world_with(RL, guilty)
-            assert admissible_utterance(w, "S", Guilty("S"))
+            assert admissible_for_type(w, "S", Guilty("S"), w.type_of["S"])
 
 
 class TestLiesWhenAskedGuilt:
