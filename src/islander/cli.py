@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .dsl import ParseError, parse
 from .interrogation import (
+    ISLAND_MODES,
     STRATEGIES,
     AnswerValue,
     PreconditionError,
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a strategy over randomized worlds")
     p_sim.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
-    p_sim.add_argument("--island", default="mixed", choices=("tt", "liars", "mixed"))
+    p_sim.add_argument("--island", default="mixed", choices=ISLAND_MODES)
     p_sim.add_argument("--n", type=int, default=5, help="number of persons per world")
     p_sim.add_argument("--criminals", default="1", help="criminal count, e.g. 2 or 1-3")
     p_sim.add_argument("--trials", type=int, default=100)

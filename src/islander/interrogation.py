@@ -19,7 +19,12 @@ below are checked to be independent of those coin flips.
 declared: for each name, its `run_<name>` runner, the island modes and
 count premise it accepts, whether it needs a secret or takes a mode, and
 what counts as success. `run_strategy` runs any entry by name, and the
-CLI's `--strategy` choices are the table's keys.
+CLI's `--strategy` choices are the table's keys. The runners share one
+ask-and-read loop, `_ask_each`: ask each person a question and accuse them
+on the answer a criminal gives from their island, the flip of a
+truth-teller's mark for a liar. Only `run_ask_all_about_others`, which
+accuses the person asked about rather than the one answering, keeps a loop
+of its own.
 
 Knowledge is stored as one `bytes` row per asker, `KnowledgeWorld.rows`:
 byte j of person i's row is 1 when i knows the guilt status of person j.
@@ -63,7 +68,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import ALL_TYPES, LIAR_TYPES, TRUTH_TELLER_TYPES, Island, SpeakerType
 
@@ -414,17 +419,6 @@ def _compatible_exists(
     return target >= 1 and len(must) <= target <= len(must) + extras
 
 
-def _exact_compatible(kw: KnowledgeWorld, p: str, group: frozenset[str]) -> bool:
-    must, banned = kw.epistemic_index[p]
-    if not group:
-        return False
-    if not must <= group or not banned.isdisjoint(group):
-        return False
-    if kw.count_public is not None and len(group) != kw.count_public:
-        return False
-    return True
-
-
 def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:
     """Could the detective (an outsider) be among the criminals, as far as p
     can tell? Someone who knows the whole roster's guilt is treated as
@@ -466,7 +460,8 @@ def truthful_answer(kw: KnowledgeWorld, p: str, question: Question) -> Answer:
             return _yes_no(p, question, _compatible_exists(kw, p, within=group))
         case PossibleExact(group):
             _require_group(kw, group)
-            return _yes_no(p, question, _exact_compatible(kw, p, group))
+            # The one subset of the group as large as the group is the group.
+            return _yes_no(p, question, _compatible_exists(kw, p, within=group, size=len(group)))
         case PossibleSizeExcludingSelf(m):
             return _yes_no(p, question, _compatible_exists(kw, p, exclude=frozenset({p}), size=m))
         case PossibleInnocent(target):
@@ -532,8 +527,38 @@ class StrategyResult:
     questions_asked: int
 
 
-def _result(accused: Iterable[str], transcript: list[Answer]) -> StrategyResult:
+def _result(accused: Iterable[str], transcript: Sequence[Answer]) -> StrategyResult:
     return StrategyResult(frozenset(accused), tuple(transcript), len(transcript))
+
+
+def _ask_each(
+    kw: KnowledgeWorld,
+    rng: random.Random,
+    question: Callable[[str], Question],
+    guilty_says: AnswerValue,
+    island_of: Callable[[str], Island],
+    persons: Optional[Iterable[str]] = None,
+) -> StrategyResult:
+    """Ask each of `persons` (everyone, in roster order, by default)
+    `question(p)`, and accuse p when p's spoken answer is `guilty_says` from
+    a truth-teller or the flipped answer from a liar, p's island being
+    `island_of(p)`. The one ask-and-read loop of the strategies."""
+    flipped = AnswerValue.NO if guilty_says is AnswerValue.YES else AnswerValue.YES
+    says = {Island.TRUTH_TELLERS: guilty_says, Island.LIARS: flipped}
+    transcript: list[Answer] = []
+    accused: list[str] = []
+    for p in kw.persons if persons is None else persons:
+        answer = spoken_answer(kw, p, question(p), rng)
+        transcript.append(answer)
+        if answer.value is says[island_of(p)]:
+            accused.append(p)
+    return _result(accused, transcript)
+
+
+def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
+    """For each p: could the criminals all be among everyone but p?"""
+    everyone = kw._person_set
+    return lambda p: PossibleSubset(everyone - {p})
 
 
 def _require_single_island(kw: KnowledgeWorld, island: Island, what: str) -> None:
@@ -597,16 +622,8 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
     if kw.count_public is None:
         raise PreconditionError("count premise violated: the criminal count must be public")
     _require_all_unknown(kw, "the public-count strategy")
-    m = kw.count_public
-    transcript: list[Answer] = []
-    accused: set[str] = set()
-    for p in kw.persons:
-        answer = spoken_answer(kw, p, PossibleSizeExcludingSelf(m), rng)
-        transcript.append(answer)
-        expected = AnswerValue.NO if kw.island_of(p) is Island.TRUTH_TELLERS else AnswerValue.YES
-        if answer.value is expected:
-            accused.add(p)
-    return _result(accused, transcript)
+    question = PossibleSizeExcludingSelf(kw.count_public)
+    return _ask_each(kw, rng, lambda p: question, AnswerValue.NO, kw.island_of)
 
 
 def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -619,16 +636,8 @@ def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -
             "count premise violated: this strategy assumes the criminal count is not public"
         )
     _require_all_unknown(kw, "the unknown-count strategy")
-    everyone = frozenset(kw.persons)
-    transcript: list[Answer] = []
-    accused: set[str] = set()
-    for p in kw.persons:
-        answer = spoken_answer(kw, p, PossibleExact(everyone), rng)
-        transcript.append(answer)
-        expected = AnswerValue.YES if kw.island_of(p) is Island.TRUTH_TELLERS else AnswerValue.NO
-        if answer.value is expected:
-            accused.add(p)
-    return _result(accused, transcript)
+    question = PossibleExact(kw._person_set)
+    return _ask_each(kw, rng, lambda p: question, AnswerValue.YES, kw.island_of)
 
 
 def run_solve_truthtellers(
@@ -641,20 +650,12 @@ def run_solve_truthtellers(
     i.e. without them; only a criminal must answer no."""
     rng = rng or random.Random(0)
     _require_single_island(kw, Island.TRUTH_TELLERS, "the truth-tellers strategy")
-    phase1 = run_ask_all_about_others(kw, rng)
-    accused = set(phase1.accused)
-    transcript = list(phase1.transcript)
-    everyone = kw._person_set
-    for p in kw.persons:
-        if p in accused:
-            continue
-        # The accused are all among everyone but p, so this is the group of
-        # the identified criminals and the rest of the crowd.
-        answer = spoken_answer(kw, p, PossibleSubset(everyone - {p}), rng)
-        transcript.append(answer)
-        if answer.value is AnswerValue.NO:
-            accused.add(p)
-    return _result(accused, transcript)
+    known = run_ask_all_about_others(kw, rng)
+    # The accused are all among everyone but p, so this asks about the
+    # identified criminals and the rest of the crowd.
+    rest = _ask_each(kw, rng, _among_the_others(kw), AnswerValue.NO, kw.island_of,
+                     [p for p in kw.persons if p not in known.accused])
+    return _result(known.accused | rest.accused, known.transcript + rest.transcript)
 
 
 def run_solve_liars(
@@ -675,29 +676,20 @@ def run_solve_liars(
     _require_single_island(kw, Island.LIARS, "the liars strategy")
     if mode not in ("robust", "paper-literal"):
         raise PreconditionError(f"unknown liars-strategy mode '{mode}'")
-    transcript: list[Answer] = []
-    accused: set[str] = set()
-    everyone = kw._person_set
-    for p in kw.persons:
-        if mode == "robust":
-            question: Question = PossibleSubset(everyone - {p})
-        else:
-            others = sorted(everyone - {p})
-            if not others:
-                raise PreconditionError(
-                    "the literal liars strategy needs at least two persons"
-                )
-            size = kw.count_public if kw.count_public is not None else rng.randint(1, len(others))
-            if size > len(others):
-                raise PreconditionError(
-                    "the literal liars strategy cannot draw a list when everyone is guilty"
-                )
-            question = PossibleExact(frozenset(rng.sample(others, size)))
-        answer = spoken_answer(kw, p, question, rng)
-        transcript.append(answer)
-        if answer.value is AnswerValue.YES:
-            accused.add(p)
-    return _result(accused, transcript)
+
+    def literal(p: str) -> Question:
+        others = sorted(kw._person_set - {p})
+        if not others:
+            raise PreconditionError("the literal liars strategy needs at least two persons")
+        size = kw.count_public if kw.count_public is not None else rng.randint(1, len(others))
+        if size > len(others):
+            raise PreconditionError(
+                "the literal liars strategy cannot draw a list when everyone is guilty"
+            )
+        return PossibleExact(frozenset(rng.sample(others, size)))
+
+    question = _among_the_others(kw) if mode == "robust" else literal
+    return _ask_each(kw, rng, question, AnswerValue.NO, kw.island_of)
 
 
 def run_solve_mixed(
@@ -709,16 +701,9 @@ def run_solve_mixed(
     rng = rng or random.Random(0)
     classified = run_classify_islands(kw, rng)
     tt = classified.accused
-    transcript = list(classified.transcript)
-    accused: set[str] = set()
-    everyone = kw._person_set
-    for p in kw.persons:
-        answer = spoken_answer(kw, p, PossibleSubset(everyone - {p}), rng)
-        transcript.append(answer)
-        guilty_mark = AnswerValue.NO if p in tt else AnswerValue.YES
-        if answer.value is guilty_mark:
-            accused.add(p)
-    return _result(accused, transcript)
+    found = _ask_each(kw, rng, _among_the_others(kw), AnswerValue.NO,
+                      lambda p: Island.TRUTH_TELLERS if p in tt else Island.LIARS)
+    return _result(found.accused, classified.transcript + found.transcript)
 
 
 def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -737,21 +722,10 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     islands = {kw.island_of(p) for p in kw.persons}
     if len(islands) != 1:
         raise PreconditionError("this strategy needs a single-island crowd")
-    island = islands.pop()
-
-    transcript: list[Answer] = []
-    accused: set[str] = set()
-    for p in kw.persons:
-        if island is Island.TRUTH_TELLERS:
-            answer = spoken_answer(kw, p, DidDetectiveDoIt(), rng)
-            if answer.value is AnswerValue.NO:
-                accused.add(p)
-        else:
-            answer = spoken_answer(kw, p, DetectivePossiblyGuilty(), rng)
-            if answer.value is AnswerValue.YES:
-                accused.add(p)
-        transcript.append(answer)
-    return _result(accused, transcript)
+    question: Question = (
+        DidDetectiveDoIt() if islands.pop() is Island.TRUTH_TELLERS else DetectivePossiblyGuilty()
+    )
+    return _ask_each(kw, rng, lambda p: question, AnswerValue.NO, kw.island_of)
 
 
 def run_secret_attribute(

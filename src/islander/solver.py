@@ -20,12 +20,15 @@ whose bit i is its truth value in candidate i (truth tables as bit vectors,
 Knuth, TAOCP 4A, 7.1.1-7.1.3). An atom's bitset is a periodic pattern built
 by doubling; `count op k` comes from exact-popcount bitsets over the guilt
 masks; connectives are `& | ^` against the all-ones mask; `truthful(label)`
-reuses the face-value bitset of the label's body. A statement by speaker s
+reuses the face-value bitset of the label's body. The island and guilt-
+question rules read two unions of each suspect's type bitsets, `liar[p]` and
+`partial[p]`, after `SpeakerType`'s two fields. A statement by speaker s
 with body B compiles once to
 
-    AT_s & B | PT_s & B' | AL_s & ~B | RL_s & ~B'
+    liar[s] ^ (B & ~partial[s] | B' & partial[s])
 
-where B' is B compiled with guilty(s) read as false. A whodunit atom exists
+where B' is B compiled with guilty(s) read as false, only where partial[s]
+is set. A whodunit atom exists
 only for an innocent person, so its bit is forced to 0 when the person is
 guilty and the key is left out of the world built from such a candidate. The
 consistent worlds are the set bits of the AND of every constraint; the
@@ -85,11 +88,6 @@ DEFAULT_CANDIDATE_CEILING = 2 ** 28
 
 # Candidates per chunk: bounds every bitset at 128 KiB.
 _CHUNK_CANDIDATES = 2 ** 20
-
-AT = SpeakerType.ABSOLUTE_TRUTH_TELLER
-PT = SpeakerType.PARTIAL_TRUTH_TELLER
-AL = SpeakerType.ABSOLUTE_LIAR
-RL = SpeakerType.RESPONSIBLE_LIAR
 
 
 class SearchSpaceError(ValueError):
@@ -265,6 +263,10 @@ class _Chunk:
         for q, (p, domain) in enumerate(zip(space.suspects, space.domains)):
             self.types[p] = {t: self._digit(q, domain.index(t)) if t in domain else 0
                              for t in ALL_TYPES}
+        self.liar = {p: _union(bits for t, bits in types.items() if t.island is Island.LIARS)
+                     for p, types in self.types.items()}
+        self.partial = {p: _union(bits for t, bits in types.items() if t.partial)
+                        for p, types in self.types.items()}
         self.free = {key: self._digit(2 * n + j, 1) for j, key in enumerate(space.keys)}
         # Guilt and free digits are the low part of the index, so the exact
         # guilt counts are built over one period of them and tiled on demand.
@@ -296,7 +298,7 @@ class _Chunk:
         if card is None:
             return self.ones
         if isinstance(card, ExactTruthTellers):
-            tt = [types[AT] | types[PT] for types in self.types.values()]
+            tt = [self.ones ^ liar for liar in self.liar.values()]
             return _exact_counts(tt, self.ones)[card.n]
         present = [_union(types[t] for types in self.types.values()) for t in ALL_TYPES]
         distinct = _exact_counts(present, self.ones)
@@ -355,14 +357,14 @@ class _Chunk:
             case HasType(person, speaker_type):
                 return self.types[person][speaker_type]
             case FromIsland(person, island):
-                return _union(bits for t, bits in self.types[person].items() if t.island is island)
+                liar = self.liar[person]
+                return liar if island is Island.LIARS else self.ones ^ liar
             case CountCmp(op, k):
                 return self.count(op, k)
             case Truthful(label):
                 return self.truthful(label)
             case LiesWhenAskedGuilt(person):
-                types, guilty = self.types[person], self.guilty[person]
-                return types[PT] & guilty | types[AL] | types[RL] & ~guilty
+                return self.liar[person] ^ (self.partial[person] & self.guilty[person])
             case KnowsWhodunit(person):
                 return self.guilty[person] | self.free[knows_whodunit_key(person)]
             case Free(name):
@@ -372,13 +374,12 @@ class _Chunk:
 
     def admissible(self, stmt: Statement) -> int:
         """Candidates where the speaker's type admits the statement."""
-        types = self.types[stmt.speaker]
-        body = self.truthful(stmt.label)
-        result = types[AT] & body | types[AL] & ~body
-        if types[PT] | types[RL]:
+        said = self.truthful(stmt.label)
+        partial = self.partial[stmt.speaker]
+        if partial:
             pretend = self.compile(stmt.body, innocent=stmt.speaker)
-            result |= types[PT] & pretend | types[RL] & ~pretend
-        return result
+            said ^= (said ^ pretend) & partial
+        return self.liar[stmt.speaker] ^ said
 
     def consistent(self) -> int:
         """Candidates that pass every constraint of the puzzle."""

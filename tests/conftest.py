@@ -8,6 +8,8 @@ import itertools
 import random
 from importlib import resources
 
+import pytest
+
 from islander.model import (
     ALL_TYPES,
     And,
@@ -80,6 +82,20 @@ def enumerated_world_keys(puzzle: Puzzle) -> set[tuple]:
         assert key not in keys, "enumeration yielded a duplicate world"
         keys.add(key)
     return keys
+
+
+def no_recursion(call, *args):
+    """`call(*args)`, or a one-line test failure if it raises RecursionError.
+
+    For every call on a formula 1000 or more levels deep: pytest takes
+    minutes to report a traceback thousands of frames deep, each frame
+    holding a deep formula, so the error is caught here and the test fails
+    after the handler, with no traceback."""
+    try:
+        return call(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"{call.__qualname__} raised RecursionError", pytrace=False)
 
 
 def chain_puzzle_text(terms: int, op: str) -> str:

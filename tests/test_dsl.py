@@ -1,6 +1,7 @@
 """Parser and serializer: grammar coverage, error spans, round-trips."""
 
 import json
+import operator
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from islander.model import (
 )
 from islander.solver import solve
 
-from conftest import CORPUS_NAMES, corpus_text, random_puzzle
+from conftest import CORPUS_NAMES, corpus_text, no_recursion, random_puzzle
 from test_model import formula_strategy
 
 MINIMAL = 'puzzle { suspects A; criminals = 1; island truthtellers; statement s1 A: guilty(A); }'
@@ -119,7 +120,7 @@ def deep_texts(draw):
 
 
 def _body(formula: str):
-    return parse(PREFIX + formula + "; }").statements[0].body
+    return no_recursion(parse, PREFIX + formula + "; }").statements[0].body
 
 
 def _deep_body(op: str, deepest: str = "guilty(A)") -> str:
@@ -185,7 +186,7 @@ class TestDepth:
     @pytest.mark.parametrize("op, cls", [("and", And), ("or", Or)])
     def test_left_associative_chains_are_left_deep(self, op, cls):
         formula = _body(f" {op} ".join(ATOMS[i % 3] for i in range(DEEP)))
-        nodes = list(iter_subformulas(formula))
+        nodes = no_recursion(list, iter_subformulas(formula))
         assert len(nodes) == 2 * DEEP - 1
         assert _spine(formula, cls, "left") == (DEEP - 1, Guilty("A"))
         assert [n for n in nodes if isinstance(n, Guilty)] == \
@@ -194,7 +195,7 @@ class TestDepth:
     @pytest.mark.parametrize("op, cls", [("->", Implies), ("<->", Iff)])
     def test_right_associative_chains_are_right_deep(self, op, cls):
         formula = _body(f" {op} ".join(ATOMS[i % 3] for i in range(DEEP)))
-        assert len(list(iter_subformulas(formula))) == 2 * DEEP - 1
+        assert len(no_recursion(list, iter_subformulas(formula))) == 2 * DEEP - 1
         assert _spine(formula, cls, "right") == (DEEP - 1, Guilty("ABC"[(DEEP - 1) % 3]))
 
     def test_nested_not(self):
@@ -203,13 +204,13 @@ class TestDepth:
     @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
     def test_deep_formulas_serialize_compare_and_hash(self, op):
         """serialize, == and hash walk a 10^4-deep tree without recursion."""
-        puzzle = parse(PREFIX + _deep_body(op) + "; }")
+        puzzle = no_recursion(parse, PREFIX + _deep_body(op) + "; }")
         body = puzzle.statements[0].body
-        assert format_formula(body) == _deep_body(op)
-        again = parse(serialize(puzzle))
-        assert again == puzzle
+        assert no_recursion(format_formula, body) == _deep_body(op)
+        again = no_recursion(parse, no_recursion(serialize, puzzle))
+        assert no_recursion(operator.eq, again, puzzle)
         assert again.statements[0].body is not body
-        assert hash(again.statements[0].body) == hash(body)
+        assert no_recursion(hash, again.statements[0].body) == no_recursion(hash, body)
 
     @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
     def test_deep_formulas_repr(self, op):
@@ -225,21 +226,15 @@ class TestDepth:
             name = {"->": "Implies", "<->": "Iff"}[op]
             expected = ("".join(f"{name}(left={a}, right=" for a in atom[:-1])
                         + atom[-1] + ")" * (DEEP - 1))
-        try:
-            text = repr(_body(_deep_body(op)))
-        except RecursionError:
-            # Fail outside the handler: pytest takes minutes to report a
-            # traceback thousands of frames deep.
-            text = "RecursionError"
-        assert text == expected
+        assert no_recursion(repr, _body(_deep_body(op))) == expected
 
     @pytest.mark.parametrize("op", ["and", "or", "->", "<->", "not"])
     @pytest.mark.parametrize("deepest", ["guilty(B)", "type(A)=AT"])
     def test_deep_formulas_differing_in_the_deepest_leaf_are_unequal(self, op, deepest):
         body, other = _body(_deep_body(op)), _body(_deep_body(op, deepest))
-        assert body != other
-        assert not body == other
-        assert other != body
+        assert no_recursion(operator.ne, body, other)
+        assert not no_recursion(operator.eq, body, other)
+        assert no_recursion(operator.ne, other, body)
 
     @pytest.mark.parametrize("depth", [3, DEEP])
     @pytest.mark.parametrize("shape", ["paren_dropped", "paren_cut", "and_cut", "imp_cut_in_atom",
@@ -261,7 +256,7 @@ class TestDepth:
         }[shape]
         token, expected_tokens = expected
         with pytest.raises(ParseError) as info:
-            parse(text)
+            no_recursion(parse, text)
         err = info.value
         if token == "eof":
             column, message = len(text) + 1, "unexpected token 'end of input'"
@@ -418,14 +413,14 @@ class TestParseErrors:
         elif how == "insert":
             text = text[:at] + data.draw(st.sampled_from("()<->;# an")) + text[at:]
         try:
-            puzzle = parse(text)
+            puzzle = no_recursion(parse, text)
         except ParseError:
             assert how != "none"
             return  # the only acceptable failure mode
         if how == "none":
             formula = puzzle.statements[0].body
             assert sum(isinstance(node, Guilty) for node in iter_subformulas(formula)) == atoms
-            assert parse(serialize(puzzle)) == puzzle
+            assert no_recursion(operator.eq, parse(no_recursion(serialize, puzzle)), puzzle)
 
 
 class TestRoundTrip:

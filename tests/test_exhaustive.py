@@ -1,0 +1,82 @@
+"""Every registered strategy on every world of a small crowd.
+
+Criterion 5 samples random worlds; the paper's claims hold for every world.
+Here a crowd of up to three is covered whole: every type vector, every
+non-empty guilty set and every knowledge pattern (one bit per ordered pair,
+given directly as `KnowledgeRows`), each with the count hidden and public
+and a secret set. Each run must either succeed by its entry's `succeeds`
+or be refused with `PreconditionError`.
+
+- n <= 2: every world, for every registry entry;
+- n = 3: every world on the islands each `solve_*` entry declares.
+
+A liar's answer to an honest "I don't know" comes from one seeded source;
+branching over both answers is not covered here. Only the default mode of
+a strategy that takes a mode is run.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from islander.interrogation import (
+    LIAR_POOL,
+    STRATEGIES,
+    TT_POOL,
+    KnowledgeRows,
+    KnowledgeWorld,
+    PreconditionError,
+    run_strategy,
+)
+from islander.model import ALL_TYPES
+
+POOLS = {"tt": TT_POOL, "liars": LIAR_POOL, "mixed": ALL_TYPES}
+
+
+def all_worlds(n, types):
+    """Every world of n persons whose types are drawn from `types`."""
+    persons = tuple(f"P{i}" for i in range(1, n + 1))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    patterns = []
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        rows = [bytearray(n) for _ in persons]
+        for (i, j), bit in zip(pairs, bits):
+            rows[i][j] = bit
+        patterns.append(tuple(map(bytes, rows)))
+    for type_vector in itertools.product(types, repeat=n):
+        type_of = dict(zip(persons, type_vector))
+        for r in range(1, n + 1):
+            for guilty in map(frozenset, itertools.combinations(persons, r)):
+                for rows in patterns:
+                    knowledge = KnowledgeRows(persons, guilty, rows)
+                    for count_public in (None, len(guilty)):
+                        yield KnowledgeWorld(persons, type_of, guilty, knowledge,
+                                             count_public, secret="secret")
+
+
+def check_every_world(name, worlds):
+    """Run `name` on each world; return how many runs were not refused."""
+    succeeds = STRATEGIES[name].succeeds
+    ran = 0
+    for kw in worlds:
+        try:
+            result = run_strategy(kw, name, random.Random(0))
+        except PreconditionError:
+            continue
+        assert succeeds(kw, result), (name, kw, result.accused)
+        ran += 1
+    return ran
+
+
+@pytest.mark.parametrize("name", list(STRATEGIES))
+def test_every_world_of_one_or_two_persons(name):
+    worlds = itertools.chain(all_worlds(1, ALL_TYPES), all_worlds(2, ALL_TYPES))
+    assert check_every_world(name, worlds) > 0
+
+
+@pytest.mark.parametrize("name", [name for name in STRATEGIES if name.startswith("solve_")])
+def test_every_world_of_three_persons_on_the_declared_islands(name):
+    types = [t for t in ALL_TYPES
+             if any(t in POOLS[island] for island in STRATEGIES[name].islands)]
+    assert check_every_world(name, all_worlds(3, types)) > 0

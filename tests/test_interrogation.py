@@ -178,6 +178,9 @@ class TestPossibilityOracle:
             )
             for p in kw.persons:
                 sets = self.compatible_sets(kw, p)
+                # A random group is seldom compatible: check the yes side too.
+                for s in sets:
+                    assert truthful_answer(kw, p, PossibleExact(s)).value is YES
                 group = frozenset(rng.sample(kw.persons, rng.randint(0, n)))
                 expected = any(s <= group for s in sets)
                 assert (truthful_answer(kw, p, PossibleSubset(group)).value is YES) == expected

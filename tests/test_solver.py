@@ -1,5 +1,6 @@
 """World enumeration, solve reports, and the check_world oracle."""
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -11,9 +12,13 @@ from islander.dsl import parse
 from islander.model import (
     ALL_TYPES,
     CountCmp,
+    ExactTruthTellers,
+    FromIsland,
     Guilty,
     HasType,
     Implies,
+    Island,
+    LiesWhenAskedGuilt,
     Not,
     Puzzle,
     SpeakerType,
@@ -36,6 +41,7 @@ from conftest import (
     chain_puzzle_text,
     corpus_text,
     enumerated_world_keys,
+    no_recursion,
     oracle_world_keys,
     random_formula,
     random_puzzle,
@@ -267,6 +273,24 @@ class TestOracleEquivalence:
                 f"divergence on random puzzle {i}"
             )
 
+    def test_type_atoms_match_brute_force(self):
+        """The island and guilt-question atoms, which `random_formula` does
+        not draw, on two suspects over every pair of non-empty domains."""
+        domains = [frozenset(c) for r in range(1, len(ALL_TYPES) + 1)
+                   for c in itertools.combinations(ALL_TYPES, r)]
+        bodies = (FromIsland("B", Island.LIARS), FromIsland("B", Island.TRUTH_TELLERS),
+                  LiesWhenAskedGuilt("A"), LiesWhenAskedGuilt("B"),
+                  Guilty("A"), Not(Guilty("A")))
+        for domain_a, domain_b, body, cardinality in itertools.product(
+                domains, domains, bodies, (None, ExactTruthTellers(1))):
+            puzzle = Puzzle(
+                suspects=("A", "B"),
+                type_domain={"A": domain_a, "B": domain_b},
+                count=CountCmp(">=", 0),
+                statements=(Statement("s1", "A", body),),
+                type_cardinality=cardinality,
+            )
+            assert enumerated_world_keys(puzzle) == oracle_world_keys(puzzle), puzzle
 
     def test_solve_reports_match_brute_force_aggregation(self):
         puzzles = [parse(corpus_text(name)) for name in CORPUS_NAMES]
@@ -343,9 +367,10 @@ class TestLongFormulas:
     @pytest.mark.parametrize("op", ["and", "or"])
     def test_long_chain_solves_like_its_three_atoms(self, op):
         """The compiler walks a 5000-term statement without recursion."""
-        long, short = parse(chain_puzzle_text(5000, op)), parse(chain_puzzle_text(3, op))
-        assert solve(long) == solve(short)
-        assert [w.key() for w in enumerate_worlds(long)] == \
+        long = no_recursion(parse, chain_puzzle_text(5000, op))
+        short = parse(chain_puzzle_text(3, op))
+        assert no_recursion(solve, long) == solve(short)
+        assert no_recursion(list, (w.key() for w in enumerate_worlds(long))) == \
             [w.key() for w in enumerate_worlds(short)]
 
     @pytest.mark.parametrize("op", ["and", "or"])
@@ -358,10 +383,10 @@ class TestLongFormulas:
                     "  statement s1 A: guilty(B) or not guilty(C);\n"
                     f"  axiom forall X: {chain};\n}}\n")
 
-        long, short = parse(text(10_000)), parse(text(3))
+        long, short = no_recursion(parse, text(10_000)), parse(text(3))
         assert len(long.axioms) == len(short.axioms) == 3
-        assert solve(long) == solve(short)
-        assert [w.key() for w in enumerate_worlds(long)] == \
+        assert no_recursion(solve, long) == solve(short)
+        assert no_recursion(list, (w.key() for w in enumerate_worlds(long))) == \
             [w.key() for w in enumerate_worlds(short)]
 
 
