@@ -97,12 +97,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
+    commands = {"solve": _cmd_solve, "corpus": _cmd_corpus, "simulate": _cmd_simulate}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "corpus":
-            return _cmd_corpus(args)
-        return _cmd_simulate(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # here, so that a reader gone away is met in this block
+        return code
+    except BrokenPipeError:  # stdout is flushed again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except SystemExit as exc:
         if exc.code not in (0, None) and isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

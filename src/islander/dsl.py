@@ -217,7 +217,10 @@ class _Parser:
         if tok.kind != "int":
             raise ParseError(tok.span, f"unexpected token '{tok.text}'", ("an integer",))
         self.advance()
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int-conversion limit
+            raise ParseError(tok.span, f"integer literal of {len(tok.text)} digits is too long")
 
     def expect_name(self, what: str) -> Token:
         """A fresh identifier, i.e. not one of the grammar's reserved words."""
@@ -278,19 +281,17 @@ def parse(text: str) -> Puzzle:
         raise ParseError(b.cardinality_tok.span,
                          "typecount exceeds the number of suspects")
 
-    puzzle = Puzzle(
-        suspects=tuple(b.suspects),
-        type_domain=type_domain,
-        count=b.count,
-        statements=tuple(b.statements),
-        axioms=tuple(b.count_axioms) + tuple(b.axioms),
-        type_cardinality=b.cardinality,
-    )
     try:
-        puzzle.validate()
+        return Puzzle(
+            suspects=tuple(b.suspects),
+            type_domain=type_domain,
+            count=b.count,
+            statements=tuple(b.statements),
+            axioms=tuple(b.count_axioms) + tuple(b.axioms),
+            type_cardinality=b.cardinality,
+        )
     except PuzzleError as exc:  # backstop; parser checks should catch all of these
         raise ParseError(closing.span, str(exc)) from exc
-    return puzzle
 
 
 def _parse_item(p: _Parser, b: _PuzzleBuilder) -> None:

@@ -26,14 +26,13 @@ truth-teller's mark for a liar. Only `run_ask_all_about_others`, which
 accuses the person asked about rather than the one answering, keeps a loop
 of its own.
 
-Knowledge is stored as one `bytes` row per asker, `KnowledgeWorld.rows`:
-byte j of person i's row is 1 when i knows the guilt status of person j.
-The entry itself is always the truth, read from the guilty set, so
-factivity holds by construction. A world built from a (p, q) -> Knowledge
-dict has each entry checked once and turned into rows; a generated world
-passes a `KnowledgeRows` mapping, a read-only (p, q) view of its rows, and
-only the rows' shape is checked. Everything below the constructor reads the
-rows.
+A world's knowledge is always a `KnowledgeRows`: one `bytes` row per asker,
+`KnowledgeWorld.knowledge.rows`, where byte j of person i's row is 1 when i
+knows the guilt status of person j. The entry itself is the truth, read
+from the guilty set, so factivity holds by construction. A (p, q) ->
+Knowledge dict is checked entry by entry and converted once
+(`KnowledgeRows.from_entries`); generated rows get only a shape check.
+Everything below the constructor reads the rows.
 
 Generation draws once per ordered pair, `rng.random() < density`, in
 p-major order, and fills each row from one `getrandbits` call instead
@@ -105,7 +104,8 @@ class KnowledgeRows(collections.abc.Mapping):
     `guilty`, so it is factive by construction. Keys are the known pairs
     only, p-major and q in roster order. Only the shape of the rows is
     checked, at C speed: n `bytes` rows of n bytes, each 0 or 1, with 0 at
-    the person's own position."""
+    the person's own position. Two tables are equal when their persons,
+    guilty sets and rows are."""
 
     def __init__(
         self, persons: tuple[str, ...], guilty: frozenset[str], rows: tuple[bytes, ...]
@@ -122,6 +122,31 @@ class KnowledgeRows(collections.abc.Mapping):
         self.persons = persons
         self.guilty = guilty
         self.rows = rows
+
+    @classmethod
+    def from_entries(cls, persons: tuple[str, ...], guilty: frozenset[str],
+                     knowledge: Mapping[tuple[str, str], Knowledge]) -> "KnowledgeRows":
+        """Check each (p, q) entry, then set its byte in p's row."""
+        position = {p: i for i, p in enumerate(persons)}
+        rows = [bytearray(len(persons)) for _ in persons]
+        # Locals, not attribute lookups, in the loop over up to n^2 entries.
+        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
+        unknown = Knowledge.UNKNOWN
+        for (p, q), entry in knowledge.items():
+            if p not in position or q not in position or p == q:
+                raise KnowledgeWorldError(f"bad knowledge pair ({p}, {q})")
+            if entry is knows_guilty:
+                if q not in guilty:
+                    raise KnowledgeWorldError(f"{p} cannot know innocent {q} to be guilty")
+            elif entry is knows_innocent:
+                if q in guilty:
+                    raise KnowledgeWorldError(f"{p} cannot know guilty {q} to be innocent")
+            elif entry is unknown:
+                continue
+            else:
+                raise KnowledgeWorldError(f"bad knowledge entry for ({p}, {q}): {entry!r}")
+            rows[position[p]][position[q]] = 1
+        return cls(persons, guilty, tuple(map(bytes, rows)))
 
     @functools.cached_property
     def _position(self) -> dict[str, int]:
@@ -145,6 +170,11 @@ class KnowledgeRows(collections.abc.Mapping):
         # (several times faster than `bytes.count`).
         return sum(int.from_bytes(row, "little").bit_count() for row in self.rows)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeRows):
+            return NotImplemented
+        return (self.persons, self.guilty, self.rows) == (other.persons, other.guilty, other.rows)
+
     def __repr__(self) -> str:
         return f"KnowledgeRows(<{len(self)} known pairs among {len(self.persons)} persons>)"
 
@@ -154,14 +184,11 @@ class KnowledgeWorld:
     persons: tuple[str, ...]
     type_of: Mapping[str, SpeakerType]
     guilty: frozenset[str]
-    # Compared through `rows`: worlds that know the same pairs are equal
-    # however their knowledge was given.
-    knowledge: Mapping[tuple[str, str], Knowledge] = field(default_factory=dict, compare=False)
+    # A `KnowledgeRows` once built: a (p, q) -> Knowledge mapping is checked
+    # and converted, so worlds that know the same pairs compare equal.
+    knowledge: Mapping[tuple[str, str], Knowledge] = field(default_factory=dict)
     count_public: Optional[int] = None
     secret: Optional[str] = None
-    # One bytes row per asker, in roster order, as in `KnowledgeRows`: the
-    # only form of the knowledge that answers, `knows` and `known_criminals` read.
-    rows: tuple[bytes, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.persons:
@@ -174,53 +201,18 @@ class KnowledgeWorld:
             raise KnowledgeWorldError("the guilty set is empty: no crime to solve")
         if not self.guilty <= set(self.persons):
             raise KnowledgeWorldError("guilty set references unknown persons")
-        if isinstance(self.knowledge, KnowledgeRows):
-            # Factive by construction and shape-checked when built: only
-            # whose rows they are is left to check.
-            if self.knowledge.persons != self.persons or self.knowledge.guilty != self.guilty:
-                raise KnowledgeWorldError(
-                    "knowledge rows belong to another roster or guilty set"
-                )
-            rows = self.knowledge.rows
-        else:
-            rows = self._rows_from_entries(self.knowledge)
-        object.__setattr__(self, "rows", rows)
+        if not isinstance(self.knowledge, KnowledgeRows):
+            object.__setattr__(self, "knowledge", KnowledgeRows.from_entries(
+                self.persons, self.guilty, self.knowledge))
+        elif (self.knowledge.persons, self.knowledge.guilty) != (self.persons, self.guilty):
+            # Rows given whole were checked when built; only whose they are is left.
+            raise KnowledgeWorldError("knowledge rows belong to another roster or guilty set")
         if self.count_public is not None and self.count_public != len(self.guilty):
             raise KnowledgeWorldError("public count disagrees with the guilty set")
-
-    def _rows_from_entries(
-        self, knowledge: Mapping[tuple[str, str], Knowledge]
-    ) -> tuple[bytes, ...]:
-        """Check each (p, q) entry, then set its byte in p's row."""
-        position = self._position
-        rows = [bytearray(len(self.persons)) for _ in self.persons]
-        # Locals, not attribute lookups, in the loop over up to n^2 entries.
-        guilty = self.guilty
-        knows_guilty, knows_innocent = Knowledge.KNOWS_GUILTY, Knowledge.KNOWS_INNOCENT
-        unknown = Knowledge.UNKNOWN
-        for (p, q), entry in knowledge.items():
-            if p not in position or q not in position or p == q:
-                raise KnowledgeWorldError(f"bad knowledge pair ({p}, {q})")
-            if entry is knows_guilty:
-                if q not in guilty:
-                    raise KnowledgeWorldError(f"{p} cannot know innocent {q} to be guilty")
-            elif entry is knows_innocent:
-                if q in guilty:
-                    raise KnowledgeWorldError(f"{p} cannot know guilty {q} to be innocent")
-            elif entry is unknown:
-                continue
-            else:
-                raise KnowledgeWorldError(f"bad knowledge entry for ({p}, {q}): {entry!r}")
-            rows[position[p]][position[q]] = 1
-        return tuple(map(bytes, rows))
 
     @functools.cached_property
     def _person_set(self) -> frozenset[str]:
         return frozenset(self.persons)
-
-    @functools.cached_property
-    def _position(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.persons)}
 
     @functools.cached_property
     def epistemic_index(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
@@ -230,7 +222,7 @@ class KnowledgeWorld:
         persons, guilty = self.persons, self.guilty
         guilty_at = [j for j, q in enumerate(persons) if q in guilty]
         index = {}
-        for i, (p, row) in enumerate(zip(persons, self.rows)):
+        for i, (p, row) in enumerate(zip(persons, self.knowledge.rows)):
             if 1 not in row:
                 # Nothing known (every row of a blank-knowledge world): one
                 # C-level scan, not a copy and a walk over the crowd.
@@ -249,22 +241,19 @@ class KnowledgeWorld:
         return index
 
     def knows(self, p: str, q: str) -> Knowledge:
-        position = self._position
-        if p in position and q in position and self.rows[position[p]][position[q]]:
-            return Knowledge.KNOWS_GUILTY if q in self.guilty else Knowledge.KNOWS_INNOCENT
-        return Knowledge.UNKNOWN
+        return self.knowledge.get((p, q), Knowledge.UNKNOWN)
 
     def island_of(self, p: str) -> Island:
         return self.type_of[p].island
 
     def all_knowledge_unknown(self) -> bool:
-        return not any(1 in row for row in self.rows)
+        return not any(1 in row for row in self.knowledge.rows)
 
     def known_criminals(self) -> frozenset[str]:
         """The criminals whose guilt someone else knows."""
         return frozenset(
             q for j, q in enumerate(self.persons)
-            if q in self.guilty and any(row[j] for row in self.rows)
+            if q in self.guilty and any(row[j] for row in self.knowledge.rows)
         )
 
     def knows_full_roster(self, p: str) -> bool:
@@ -670,8 +659,9 @@ def run_solve_liars(
     a guilty liar flips their honest no to yes regardless of what anyone
     knows. The literal mode instead asks about a random list of people not
     including the askee; it is guaranteed only when nobody knows anything
-    about anybody else, since an innocent who knows of a criminal missing
-    from the list would honestly answer no and get misaccused."""
+    about anybody else, since an innocent whose knowledge rules the list out
+    (a criminal missing from it, or an innocent on it) would honestly answer
+    no and get misaccused."""
     rng = rng or random.Random(0)
     _require_single_island(kw, Island.LIARS, "the liars strategy")
     if mode not in ("robust", "paper-literal"):

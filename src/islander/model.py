@@ -2,8 +2,10 @@
 
 A puzzle fixes a roster of suspects, a per-suspect set of allowed speaker
 types, a constraint on how many suspects are guilty, a list of labelled
-statements, and extra axioms. A world is one complete candidate resolution:
-a type for every suspect, a guilty set, and values for any free atoms.
+statements, and extra axioms. A puzzle validates itself when built, raising
+PuzzleError, so no later layer checks it again. A world is one complete
+candidate resolution: a type for every suspect, a guilty set, and values for
+any free atoms.
 Everything here is immutable and side-effect free; the solver enumerates
 worlds and the semantics module decides which statements a speaker of a
 given type could actually utter.
@@ -339,6 +341,9 @@ class Puzzle:
     statements: tuple[Statement, ...] = ()
     axioms: tuple[Formula, ...] = ()
     type_cardinality: Optional[TypeCardinality] = None
+
+    def __post_init__(self) -> None:  # valid when built
+        self.validate()
 
     def statement_table(self) -> dict[str, Statement]:
         return {s.label: s for s in self.statements}

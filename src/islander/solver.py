@@ -201,7 +201,6 @@ class _Space:
     """
 
     def __init__(self, puzzle: Puzzle, ceiling: int):
-        puzzle.validate()
         names: set[str] = set()
         kw_persons: set[str] = set()
         for formula in puzzle.constraint_formulas():

@@ -189,7 +189,6 @@ def random_puzzle(rng: random.Random, max_n: int = 4, max_candidates: int = 20_0
             axioms=axioms,
             type_cardinality=cardinality,
         )
-        puzzle.validate()
 
         total = 1
         for s in suspects:

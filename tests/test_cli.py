@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON output, corpus checking, simulation."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 from islander import cli
 from islander.cli import main
 from islander.interrogation import STRATEGIES
+from islander.model import Puzzle
 
 from conftest import chain_puzzle_text
 
@@ -26,16 +28,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def process_argv(*argv):
+    """The command line of the CLI in a child process, run from this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return [sys.executable, "-c",
+            "import sys; sys.path.insert(0, sys.argv.pop(1));"
+            " from islander.cli import main; sys.exit(main())",
+            src, *argv]
+
+
 def run_process(*argv):
     """The CLI in a child process, so that a traceback would reach stderr."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; sys.path.insert(0, sys.argv.pop(1));"
-         " from islander.cli import main; sys.exit(main())",
-         src, *argv],
-        capture_output=True, text=True, timeout=120,
-    )
+    done = subprocess.run(process_argv(*argv), capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -92,6 +96,60 @@ class TestSolveCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"islander: cannot read {puz}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_integer_past_the_conversion_limit_exits_one_without_traceback(self, tmp_path):
+        puz = tmp_path / "huge.puz"
+        puz.write_text("puzzle { suspects A; criminals = " + "1" * 5000 + "; }")
+        code, out, err = run_process("solve", str(puz))
+        assert (code, out) == (1, "")
+        assert err == f"{puz}:1:34: integer literal of 5000 digits is too long\n"
+
+    def test_each_puzzle_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+        validate = Puzzle.validate
+
+        def counting(puzzle):
+            calls.append(puzzle)
+            validate(puzzle)
+
+        monkeypatch.setattr(Puzzle, "validate", counting)
+        code, out, _ = run(capsys, "solve", "--json", str(corpus_dir() / "ashwin.puz"))
+        assert code == 0 and json.loads(out)["verdict"] == "unique_guilt"
+        assert len(calls) == 1
+
+
+class TestClosedPipe:
+    def test_solve_into_a_pipe_closed_before_the_start_exits_one_quietly(self):
+        # The read end is closed before the child starts, so its first write
+        # fails; without the pipe the command exits 0.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.Popen(
+                process_argv("solve", "--json", str(corpus_dir() / "ashwin.puz")),
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (1, b"")
+
+    def test_simulate_json_into_a_closed_pipe_exits_one_without_traceback(self):
+        # About 450 KB of JSON, far more than a pipe buffers, so the child is
+        # still writing when the reader goes away.
+        child = subprocess.Popen(
+            process_argv("simulate", "--strategy", "solve_liars", "--island", "liars",
+                         "--mode", "paper-literal", "--knowledge-density", "0.3",
+                         "--n", "40", "--criminals", "1-3", "--trials", "50",
+                         "--seed", "1", "--json"),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+        assert head.startswith(b'{\n  "strategy": "solve_liars"')
+        assert err == b""
 
 
 class TestLongFormulaFile:

@@ -3,12 +3,21 @@
 import json
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from islander.dsl import ATOM_EXPECTED, ParseError, _lex, format_formula, parse, serialize
+from islander.dsl import (
+    ATOM_EXPECTED,
+    ParseError,
+    SourceSpan,
+    _lex,
+    format_formula,
+    parse,
+    serialize,
+)
 from islander.model import (
     ALL_TYPES,
     And,
@@ -284,6 +293,25 @@ class TestParseErrors:
         # The span pins the offending token.
         assert err.span.line == 1
         assert err.span.length == len("gilty")
+
+    @pytest.mark.parametrize("items", [
+        "criminals = {n};",
+        "criminals in {{1, {n}}};",
+        "criminals >= 1; statement s1 A: count = {n};",
+        "criminals >= 1; typecount exactly {n} truthtellers;",
+        "criminals >= 1; typecount at_most_distinct {n};",
+    ])
+    def test_integer_past_the_conversion_limit(self, items):
+        """One digit past the interpreter's int-conversion limit is a
+        ParseError on the literal; at the limit the integer parses."""
+        limit = sys.get_int_max_str_digits()
+        digits = "1" * (limit + 1)
+        text = "puzzle { suspects A; " + items.format(n=digits) + " }"
+        err = self.expect_error(text)
+        assert err.message == f"integer literal of {limit + 1} digits is too long"
+        assert err.span == SourceSpan(1, text.index(digits) + 1, limit + 1)
+        if "statement" in items:
+            parse(text.replace(digits, digits[1:]))
 
     def test_lexical_error(self):
         err = self.expect_error("puzzle { suspects A; criminals = 1; % }")

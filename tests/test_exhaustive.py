@@ -12,7 +12,9 @@ or be refused with `PreconditionError`.
 
 A liar's answer to an honest "I don't know" comes from one seeded source;
 branching over both answers is not covered here. Only the default mode of
-a strategy that takes a mode is run.
+a strategy that takes a mode is run by those two tests. The paper-literal
+mode of `solve_liars` is checked on its own premise, blank knowledge, with
+three adversary seeds; the smallest world where it fails is pinned.
 """
 
 import itertools
@@ -24,12 +26,14 @@ from islander.interrogation import (
     LIAR_POOL,
     STRATEGIES,
     TT_POOL,
+    Knowledge,
     KnowledgeRows,
     KnowledgeWorld,
     PreconditionError,
+    run_solve_liars,
     run_strategy,
 )
-from islander.model import ALL_TYPES
+from islander.model import ALL_TYPES, SpeakerType
 
 POOLS = {"tt": TT_POOL, "liars": LIAR_POOL, "mixed": ALL_TYPES}
 
@@ -80,3 +84,48 @@ def test_every_world_of_three_persons_on_the_declared_islands(name):
     types = [t for t in ALL_TYPES
              if any(t in POOLS[island] for island in STRATEGIES[name].islands)]
     assert check_every_world(name, all_worlds(3, types)) > 0
+
+
+LITERAL_SEEDS = (0, 1, 2)
+
+
+def literal_outcome(kw, seed):
+    """The accused of the paper-literal liars mode, or None when refused."""
+    try:
+        return run_solve_liars(kw, random.Random(seed), mode="paper-literal").accused
+    except PreconditionError:
+        return None
+
+
+def test_paper_literal_liars_on_every_blank_world_of_up_to_three_persons():
+    """Exact on every blank-knowledge liars' island world, count hidden and
+    public; refused only where no list can be drawn: a lone person, or
+    everyone guilty with the count public."""
+    ran = 0
+    for n in (1, 2, 3):
+        for kw in all_worlds(n, LIAR_POOL):
+            if not kw.all_knowledge_unknown():
+                continue
+            refusable = n == 1 or kw.count_public == n
+            for seed in LITERAL_SEEDS:
+                accused = literal_outcome(kw, seed)
+                assert accused == (None if refusable else kw.guilty), (kw, seed)
+                ran += accused is not None
+    assert ran > 0
+
+
+def test_paper_literal_liars_smallest_failing_world():
+    """Below three persons the literal mode is exact whatever is known. At
+    three, one known pair is enough to break it: P3 knows that P2 is
+    innocent, so when P3's drawn list holds P2 ({P1, P2} at seed 0) the
+    innocent P3 honestly answers no, says yes, and is accused. The robust
+    mode stays exact."""
+    for n in (1, 2):
+        for kw in all_worlds(n, LIAR_POOL):
+            for seed in LITERAL_SEEDS:
+                assert literal_outcome(kw, seed) in (None, kw.guilty), (kw, seed)
+    persons = ("P1", "P2", "P3")
+    kw = KnowledgeWorld(persons, dict.fromkeys(persons, SpeakerType.ABSOLUTE_LIAR),
+                        frozenset({"P1"}), {("P3", "P2"): Knowledge.KNOWS_INNOCENT})
+    assert literal_outcome(kw, 0) == frozenset({"P1", "P3"})
+    assert run_solve_liars(kw, random.Random(0)).accused == kw.guilty

@@ -412,9 +412,25 @@ class TestKnowledgeWorldEquality:
     def test_one_differing_row_byte_is_unequal(self):
         blank = make_kw(self.TYPES, {"B"})
         informed = make_kw(self.TYPES, {"B"}, knowledge={("C", "A"): Knowledge.KNOWS_INNOCENT})
-        assert sum(x != y for r, s in zip(blank.rows, informed.rows)
+        assert sum(x != y for r, s in zip(blank.knowledge.rows, informed.knowledge.rows)
                    for x, y in zip(r, s)) == 1
         assert blank != informed and informed != blank
+
+    def test_dict_built_and_generated_worlds_hold_knowledge_rows(self):
+        entries = {("A", "B"): Knowledge.KNOWS_GUILTY, ("C", "A"): Knowledge.UNKNOWN,
+                   ("C", "B"): Knowledge.KNOWS_GUILTY}
+        built = make_kw(self.TYPES, {"B"}, knowledge=entries)
+        generated = generate_knowledge_world(n=30, island="mixed", criminals=(1, 3),
+                                             density=0.3, seed=4)
+        for kw in (built, make_kw(self.TYPES, {"B"}), generated):
+            assert type(kw.knowledge) is KnowledgeRows
+            assert (kw.knowledge.persons, kw.knowledge.guilty) == (kw.persons, kw.guilty)
+            assert not hasattr(kw, "rows")
+        assert built.knowledge.rows == (b"\x00\x01\x00", b"\x00\x00\x00", b"\x00\x01\x00")
+        assert dict(built.knowledge) == {("A", "B"): Knowledge.KNOWS_GUILTY,
+                                         ("C", "B"): Knowledge.KNOWS_GUILTY}
+        assert built.knowledge == KnowledgeRows.from_entries(built.persons, built.guilty, entries)
+        assert built.knowledge != make_kw(self.TYPES, {"B"}).knowledge
 
 
 class TestPaperRuleAcrossLayers:
@@ -864,7 +880,7 @@ class TestBulkDraw:
             kw = generate_knowledge_world(*args, count_public=True, secret=True, seed=seed)
             ref = plain_world(*args, count_public=True, secret=True, seed=seed)
             assert kw == ref and ref == kw
-            assert kw.rows == ref.rows
+            assert kw.knowledge.rows == ref.knowledge.rows
             assert kw.secret == ref.secret
             assert len(kw.knowledge) == len(ref.knowledge)
             assert list(kw.knowledge.items()) == list(ref.knowledge.items())
@@ -881,7 +897,7 @@ class TestBulkDraw:
         finally:
             tracemalloc.stop()
         # The rows take MAX_CROWD**2 bytes, 4 MiB.
-        assert len(kw.rows) == MAX_CROWD
+        assert len(kw.knowledge.rows) == MAX_CROWD
         assert peak < 8 * 2 ** 20
 
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from islander.model import (
     ALL_TYPES,
     And,
+    AtMostDistinct,
     Const,
     CountCmp,
+    ExactTruthTellers,
     FALSE,
     Free,
     FromIsland,
@@ -24,6 +26,7 @@ from islander.model import (
     KnowsWhodunit,
     LiesWhenAskedGuilt,
     Not,
+    OneOfEach,
     Or,
     Puzzle,
     PuzzleError,
@@ -308,22 +311,38 @@ class TestPuzzleValidation:
     def test_valid_puzzle_passes(self):
         self.base_puzzle().validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(suspects=(), type_domain={}), "a puzzle needs at least one suspect"),
+        (dict(type_domain={"A": frozenset(ALL_TYPES)}),
+         "type domain must cover exactly the suspects"),
+        (dict(count=CountCmp("<", 1)), "bad count comparison op '<'"),
+        (dict(count=CountCmp(">=", -1)), "criminal count bound must be non-negative"),
+        (dict(type_cardinality=OneOfEach()),
+         "one-of-each cardinality needs exactly four suspects"),
+        (dict(type_cardinality=ExactTruthTellers(3)), "truth-teller count out of range"),
+        (dict(type_cardinality=AtMostDistinct(0)), "distinct-type bound must be at least 1"),
+    ])
+    def test_invalid_puzzle_is_refused_at_construction(self, overrides, message):
+        with pytest.raises(PuzzleError) as info:
+            self.base_puzzle(**overrides)
+        assert str(info.value) == message
+
     def test_duplicate_suspects(self):
         with pytest.raises(PuzzleError, match="duplicate"):
             self.base_puzzle(
                 suspects=("A", "A"),
                 type_domain={"A": frozenset(ALL_TYPES)},
-            ).validate()
+            )
 
     def test_unknown_speaker(self):
         with pytest.raises(PuzzleError, match="speaker"):
-            self.base_puzzle(statements=(Statement("s1", "Z", TRUE),)).validate()
+            self.base_puzzle(statements=(Statement("s1", "Z", TRUE),))
 
     def test_duplicate_label(self):
         with pytest.raises(PuzzleError, match="label"):
             self.base_puzzle(
                 statements=(Statement("s1", "A", TRUE), Statement("s1", "B", TRUE)),
-            ).validate()
+            )
 
     def test_forward_truthful_reference(self):
         with pytest.raises(PuzzleError, match="earlier"):
@@ -332,13 +351,13 @@ class TestPuzzleValidation:
                     Statement("s1", "A", Truthful("s2")),
                     Statement("s2", "B", TRUE),
                 ),
-            ).validate()
+            )
 
     def test_self_truthful_reference(self):
         with pytest.raises(PuzzleError, match="earlier"):
             self.base_puzzle(
                 statements=(Statement("s1", "A", Truthful("s1")),),
-            ).validate()
+            )
 
     def test_truthful_reference_to_unmodeled(self):
         with pytest.raises(PuzzleError):
@@ -347,17 +366,17 @@ class TestPuzzleValidation:
                     Statement("s1", "A", None, text="whatever"),
                     Statement("s2", "B", Truthful("s1")),
                 ),
-            ).validate()
+            )
 
     def test_empty_type_domain(self):
         with pytest.raises(PuzzleError, match="empty"):
             self.base_puzzle(
                 type_domain={"A": frozenset(), "B": frozenset(ALL_TYPES)},
-            ).validate()
+            )
 
     def test_axiom_unknown_person(self):
         with pytest.raises(PuzzleError, match="Z"):
-            self.base_puzzle(axioms=(Guilty("Z"),)).validate()
+            self.base_puzzle(axioms=(Guilty("Z"),))
 
     @pytest.mark.parametrize("body, axiom, message", [
         (And(CountCmp("<", 1), And(Truthful("s0"), Guilty("Z"))), TRUE,
@@ -376,10 +395,10 @@ class TestPuzzleValidation:
     def test_formula_reference_errors_in_order_of_precedence(self, body, axiom, message):
         """Unknown persons before bad labels before bad count ops, wherever
         each sits in the formula."""
-        puzzle = self.base_puzzle(
-            statements=(Statement("s0", "A", None, text="noise"), Statement("s1", "A", body)),
-            axioms=(axiom,),
-        )
         with pytest.raises(PuzzleError) as info:
-            puzzle.validate()
+            self.base_puzzle(
+                statements=(Statement("s0", "A", None, text="noise"),
+                            Statement("s1", "A", body)),
+                axioms=(axiom,),
+            )
         assert str(info.value) == message
