@@ -5,6 +5,13 @@ either yields a validated Puzzle or raises ParseError with a 1-based source
 span covering the offending token. serialize() emits a canonical form with
 the round-trip law parse(serialize(p)) == p.
 
+Each piece of syntax is declared once, in a table that the parser, the
+serializer, KEYWORDS and the error hints all read. A row of `_ATOMS`, or of
+`_TYPECOUNTS` for the typecount forms, gives a keyword, its node class and
+the tokens after the keyword: punctuation marks, words and the node's
+fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
+directive's keyword to the function that reads the rest of it.
+
 The lexer makes one regular-expression match per token. Formulas are read
 by precedence climbing over an explicit operator stack, and validation,
 serialize(), ==, hash, repr and the `axiom forall` expansion walk them over
@@ -17,10 +24,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .model import (
     ALL_TYPES,
+    COUNT_OPS,
     And,
     AtMostDistinct,
     Const,
@@ -107,23 +116,6 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-KEYWORDS = frozenset({
-    "puzzle", "suspects", "island", "types", "criminals", "typecount",
-    "statement", "axiom", "unmodeled", "forall", "in",
-    "one_of_each", "exactly", "at_most_distinct",
-    "truthtellers", "liars", "mixed",
-    "guilty", "type", "count", "truthful", "lies_about_guilt",
-    "knows_whodunit", "free", "true", "false",
-    "not", "and", "or",
-    *(t.value for t in ALL_TYPES),
-})
-
-ATOM_EXPECTED = (
-    "guilty", "type", "island", "count", "truthful", "lies_about_guilt",
-    "knows_whodunit", "free", "true", "false", "not", "'('",
-)
-
-
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
@@ -176,7 +168,15 @@ def _bad_string(text: str, i: int, line: int, col: int) -> ParseError:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _unexpected(tok: Token, expected: tuple[str, ...]) -> ParseError:
+    return ParseError(tok.span, f"unexpected token '{tok.text}'", expected)
+
+
 class _Parser:
+    """A cursor over the tokens. Each expect method consumes one token of the
+    kind it names or raises ParseError at that token; none accepts the
+    end-of-input token, so the cursor never passes it."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -184,39 +184,37 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def eat_word(self, word: str) -> bool:
+        """Consume the reserved word `word` if it comes next."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok.kind == "ident" and tok.text == word:
             self.pos += 1
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def eat_keyword(self, word: str) -> bool:
-        if self.at_keyword(word):
-            self.advance()
             return True
         return False
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if not self.at_keyword(word):
-            raise ParseError(tok.span, f"unexpected token '{tok.text}'", (word,))
-        return self.advance()
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise _unexpected(tok, (what,))
+        self.pos += 1
+        return tok
 
-    def expect_punct(self, punct: str) -> Token:
-        tok = self.peek()
-        if tok.kind != punct:
-            raise ParseError(tok.span, f"unexpected token '{tok.text}'", (f"'{punct}'",))
-        return self.advance()
+    def expect_punct(self, *puncts: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind not in puncts:
+            raise _unexpected(tok, tuple(f"'{punct}'" for punct in puncts))
+        self.pos += 1
+        return tok
+
+    def expect_word(self, *words: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident" or tok.text not in words:
+            raise _unexpected(tok, words)
+        self.pos += 1
+        return tok
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise ParseError(tok.span, f"unexpected token '{tok.text}'", ("an integer",))
-        self.advance()
+        tok = self.expect("int", "an integer")
         try:
             return int(tok.text)
         except ValueError:  # longer than the interpreter's int-conversion limit
@@ -224,18 +222,16 @@ class _Parser:
 
     def expect_name(self, what: str) -> Token:
         """A fresh identifier, i.e. not one of the grammar's reserved words."""
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(tok.span, f"unexpected token '{tok.text}'", (what,))
+        tok = self.expect("ident", what)
         if tok.text in KEYWORDS:
             raise ParseError(tok.span, f"the keyword '{tok.text}' cannot be used as {what}")
-        return self.advance()
+        return tok
 
 
 class _PuzzleBuilder:
     def __init__(self) -> None:
         self.suspects: list[str] = []
-        self.island: str | None = None
+        self.default_types: frozenset[SpeakerType] = _ISLAND_DOMAINS["mixed"]
         self.explicit_types: dict[str, frozenset[SpeakerType]] = {}
         self.count: CountCmp | None = None
         self.count_axioms: list[Formula] = []
@@ -247,8 +243,12 @@ class _PuzzleBuilder:
         self.axioms: list[Formula] = []
 
 
+# The words of the `island` directive, each with the default type domain it
+# gives every suspect, and of a type and an island in `types` and the atoms.
+_ISLAND_DOMAINS = {"truthtellers": TRUTH_TELLER_TYPES, "liars": LIAR_TYPES,
+                   "mixed": frozenset(ALL_TYPES)}
 _TYPE_BY_NAME = {t.value: t for t in ALL_TYPES}
-_SPEAKER_TYPE_NAMES = tuple(t.value for t in ALL_TYPES)
+_ISLAND_BY_NAME = {i.value: i for i in Island}
 
 
 def parse(text: str) -> Puzzle:
@@ -256,10 +256,19 @@ def parse(text: str) -> Puzzle:
     p = _Parser(_lex(text))
     b = _PuzzleBuilder()
 
-    p.expect_keyword("puzzle")
+    p.expect_word("puzzle")
     p.expect_punct("{")
-    while p.peek().kind != "}":
-        _parse_item(p, b)
+    seen: set[str] = set()
+    while (head := p.peek()).kind != "}":
+        if head.kind != "ident":
+            raise _unexpected(head, tuple(_DIRECTIVES))
+        if head.text not in _DIRECTIVES:
+            raise ParseError(head.span, f"unknown directive '{head.text}'", tuple(_DIRECTIVES))
+        if head.text in _ONCE and head.text in seen:
+            raise ParseError(head.span, f"duplicate {head.text} directive")
+        seen.add(head.text)
+        p.pos += 1
+        _DIRECTIVES[head.text](p, b, head)
     closing = p.expect_punct("}")
     tail = p.peek()
     if tail.kind != "eof":
@@ -270,9 +279,7 @@ def parse(text: str) -> Puzzle:
     if b.count is None:
         raise ParseError(closing.span, "missing criminals directive")
 
-    default = {"truthtellers": TRUTH_TELLER_TYPES, "liars": LIAR_TYPES}.get(
-        b.island, frozenset(ALL_TYPES))
-    type_domain = {s: b.explicit_types.get(s, default) for s in b.suspects}
+    type_domain = {s: b.explicit_types.get(s, b.default_types) for s in b.suspects}
 
     if isinstance(b.cardinality, OneOfEach) and len(b.suspects) != len(ALL_TYPES):
         raise ParseError(b.cardinality_tok.span,
@@ -294,38 +301,7 @@ def parse(text: str) -> Puzzle:
         raise ParseError(closing.span, str(exc)) from exc
 
 
-def _parse_item(p: _Parser, b: _PuzzleBuilder) -> None:
-    tok = p.peek()
-    if tok.kind != "ident":
-        raise ParseError(
-            tok.span, f"unexpected token '{tok.text}'",
-            ("suspects", "island", "types", "criminals", "typecount", "statement", "axiom"),
-        )
-    if tok.text == "suspects":
-        _parse_suspects(p, b)
-    elif tok.text == "island":
-        _parse_island(p, b)
-    elif tok.text == "types":
-        _parse_types(p, b)
-    elif tok.text == "criminals":
-        _parse_criminals(p, b)
-    elif tok.text == "typecount":
-        _parse_typecount(p, b)
-    elif tok.text == "statement":
-        _parse_statement(p, b)
-    elif tok.text == "axiom":
-        _parse_axiom(p, b)
-    else:
-        raise ParseError(
-            tok.span, f"unknown directive '{tok.text}'",
-            ("suspects", "island", "types", "criminals", "typecount", "statement", "axiom"),
-        )
-
-
-def _parse_suspects(p: _Parser, b: _PuzzleBuilder) -> None:
-    head = p.expect_keyword("suspects")
-    if b.suspects:
-        raise ParseError(head.span, "duplicate suspects directive")
+def _parse_suspects(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     while True:
         tok = p.expect_name("a suspect name")
         if tok.text in b.suspects:
@@ -333,44 +309,16 @@ def _parse_suspects(p: _Parser, b: _PuzzleBuilder) -> None:
         b.suspects.append(tok.text)
         if p.peek().kind != ",":
             break
-        p.advance()
+        p.pos += 1
     p.expect_punct(";")
 
 
-def _parse_island(p: _Parser, b: _PuzzleBuilder) -> None:
-    head = p.expect_keyword("island")
-    if b.island is not None:
-        raise ParseError(head.span, "duplicate island directive")
-    tok = p.peek()
-    if tok.kind == "ident" and tok.text in ("truthtellers", "liars", "mixed"):
-        p.advance()
-        b.island = tok.text
-    else:
-        raise ParseError(tok.span, f"unexpected token '{tok.text}'",
-                         ("truthtellers", "liars", "mixed"))
+def _parse_island(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+    b.default_types = _ISLAND_DOMAINS[p.expect_word(*_ISLAND_DOMAINS).text]
     p.expect_punct(";")
 
 
-def _expect_suspect(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str] = frozenset()) -> str:
-    tok = p.peek()
-    if tok.kind != "ident":
-        raise ParseError(tok.span, f"unexpected token '{tok.text}'", ("a suspect name",))
-    if tok.text not in b.suspects and tok.text not in extra:
-        raise ParseError(tok.span, f"unknown suspect '{tok.text}'")
-    p.advance()
-    return tok.text
-
-
-def _expect_type_name(p: _Parser) -> SpeakerType:
-    tok = p.peek()
-    if tok.kind == "ident" and tok.text in _TYPE_BY_NAME:
-        p.advance()
-        return _TYPE_BY_NAME[tok.text]
-    raise ParseError(tok.span, f"unexpected token '{tok.text}'", _SPEAKER_TYPE_NAMES)
-
-
-def _parse_types(p: _Parser, b: _PuzzleBuilder) -> None:
-    p.expect_keyword("types")
+def _parse_types(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     suspect_tok = p.peek()
     suspect = _expect_suspect(p, b)
     if suspect in b.explicit_types:
@@ -378,12 +326,11 @@ def _parse_types(p: _Parser, b: _PuzzleBuilder) -> None:
     p.expect_punct(":")
     p.expect_punct("{")
     allowed: set[SpeakerType] = set()
-    while p.peek().kind != "}":
-        allowed.add(_expect_type_name(p))
-        if p.peek().kind == ",":
-            p.advance()
-        else:
-            break
+    if p.peek().kind != "}":
+        allowed.add(_expect_type(p))
+        while p.peek().kind == ",":
+            p.pos += 1
+            allowed.add(_expect_type(p))
     brace = p.expect_punct("}")
     if not allowed:
         raise ParseError(brace.span, f"empty type domain for suspect '{suspect}'")
@@ -391,74 +338,46 @@ def _parse_types(p: _Parser, b: _PuzzleBuilder) -> None:
     b.explicit_types[suspect] = frozenset(allowed)
 
 
-def _parse_criminals(p: _Parser, b: _PuzzleBuilder) -> None:
-    head = p.expect_keyword("criminals")
-    if b.count is not None:
-        raise ParseError(head.span, "duplicate criminals directive")
+def _parse_criminals(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     tok = p.peek()
-    if tok.kind in ("=", "<=", ">="):
-        p.advance()
+    if tok.kind in COUNT_OPS:
+        p.pos += 1
         b.count = CountCmp(tok.kind, p.expect_int())
-    elif p.at_keyword("in"):
-        p.advance()
+    elif p.eat_word("in"):
         p.expect_punct("{")
         values: list[int] = [p.expect_int()]
         while p.peek().kind == ",":
-            p.advance()
+            p.pos += 1
             values.append(p.expect_int())
         p.expect_punct("}")
         values = sorted(set(values))
         # Lowered form: a weak lower bound plus a disjunction of exact counts.
         b.count = CountCmp(">=", values[0])
         if len(values) > 1:
-            disjunction: Formula = CountCmp("=", values[0])
-            for v in values[1:]:
-                disjunction = Or(disjunction, CountCmp("=", v))
-            b.count_axioms.append(disjunction)
+            b.count_axioms.append(reduce(Or, [CountCmp("=", v) for v in values]))
     else:
-        raise ParseError(tok.span, f"unexpected token '{tok.text}'",
-                         ("'='", "'<='", "'>='", "in"))
+        raise _unexpected(tok, (*(f"'{op}'" for op in COUNT_OPS), "in"))
     p.expect_punct(";")
 
 
-def _parse_typecount(p: _Parser, b: _PuzzleBuilder) -> None:
-    head = p.expect_keyword("typecount")
-    if b.cardinality is not None:
-        raise ParseError(head.span, "duplicate typecount directive")
-    tok = p.peek()
-    if p.eat_keyword("one_of_each"):
-        b.cardinality = OneOfEach()
-    elif p.eat_keyword("exactly"):
-        n = p.expect_int()
-        p.expect_keyword("truthtellers")
-        b.cardinality = ExactTruthTellers(n)
-    elif p.eat_keyword("at_most_distinct"):
-        n = p.expect_int()
-        if n < 1:
-            raise ParseError(tok.span, "at_most_distinct bound must be at least 1")
-        b.cardinality = AtMostDistinct(n)
-    else:
-        raise ParseError(tok.span, f"unexpected token '{tok.text}'",
-                         ("one_of_each", "exactly", "at_most_distinct"))
+def _parse_typecount(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+    form = p.expect_word(*_TYPECOUNTS)
+    b.cardinality = _read_row(p, b, frozenset(), _TYPECOUNTS[form.text])
+    if isinstance(b.cardinality, AtMostDistinct) and b.cardinality.n < 1:
+        raise ParseError(form.span, "at_most_distinct bound must be at least 1")
     b.cardinality_tok = head
     p.expect_punct(";")
 
 
-def _parse_statement(p: _Parser, b: _PuzzleBuilder) -> None:
-    p.expect_keyword("statement")
+def _parse_statement(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     label_tok = p.expect_name("a statement label")
     if label_tok.text in b.labels:
         raise ParseError(label_tok.span, f"duplicate statement label '{label_tok.text}'")
     speaker = _expect_suspect(p, b)
     p.expect_punct(":")
-    if p.at_keyword("unmodeled"):
-        p.advance()
-        text_tok = p.peek()
-        if text_tok.kind != "string":
-            raise ParseError(text_tok.span, f"unexpected token '{text_tok.text}'",
-                             ("a quoted string",))
-        p.advance()
-        stmt = Statement(label_tok.text, speaker, body=None, text=text_tok.text)
+    if p.eat_word("unmodeled"):
+        text = p.expect("string", "a quoted string").text
+        stmt = Statement(label_tok.text, speaker, body=None, text=text)
     else:
         body = _parse_formula(p, b)
         stmt = Statement(label_tok.text, speaker, body=body)
@@ -468,10 +387,8 @@ def _parse_statement(p: _Parser, b: _PuzzleBuilder) -> None:
     b.statements.append(stmt)
 
 
-def _parse_axiom(p: _Parser, b: _PuzzleBuilder) -> None:
-    p.expect_keyword("axiom")
-    if p.at_keyword("forall"):
-        p.advance()
+def _parse_axiom(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+    if p.eat_word("forall"):
         var_tok = p.expect_name("a quantifier variable")
         if var_tok.text in b.suspects:
             raise ParseError(var_tok.span,
@@ -483,6 +400,16 @@ def _parse_axiom(p: _Parser, b: _PuzzleBuilder) -> None:
     else:
         b.axioms.append(_parse_formula(p, b))
     p.expect_punct(";")
+
+
+# keyword -> the function that reads the rest of the directive, called with
+# the keyword's token. The directives in _ONCE may appear at most once.
+_DIRECTIVES = {
+    "suspects": _parse_suspects, "island": _parse_island, "types": _parse_types,
+    "criminals": _parse_criminals, "typecount": _parse_typecount,
+    "statement": _parse_statement, "axiom": _parse_axiom,
+}
+_ONCE = frozenset({"suspects", "island", "criminals", "typecount"})
 
 
 # Connective precedence, shared with the serializer: `not` binds tightest,
@@ -535,89 +462,107 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder,
             stack.pop()
 
 
-# Atoms of the form `name(person)`.
-_PERSON_ATOMS = {"guilty": Guilty, "lies_about_guilt": LiesWhenAskedGuilt,
-                 "knows_whodunit": KnowsWhodunit}
+def _expect_suspect(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str] = frozenset()) -> str:
+    tok = p.expect("ident", "a suspect name")
+    if tok.text not in b.suspects and tok.text not in extra:
+        raise ParseError(tok.span, f"unknown suspect '{tok.text}'")
+    return tok.text
+
+
+def _expect_type(p: _Parser, b: object = None, extra: object = None) -> SpeakerType:
+    return _TYPE_BY_NAME[p.expect_word(*_TYPE_BY_NAME).text]
+
+
+def _expect_label(p: _Parser, b: _PuzzleBuilder, extra: object) -> str:
+    """The label of an earlier, modeled statement."""
+    tok = p.expect("ident", "a statement label")
+    if tok.text not in b.labels:
+        raise ParseError(
+            tok.span, f"truthful() reference to '{tok.text}', which is not an earlier statement")
+    if tok.text not in b.modeled_labels:
+        raise ParseError(tok.span, f"truthful() reference to unmodeled statement '{tok.text}'")
+    return tok.text
+
+
+def _expect_free_name(p: _Parser, b: object, extra: object) -> str:
+    tok = p.expect("string", "a quoted atom name")
+    if not _IDENT_RE.fullmatch(tok.text):
+        raise ParseError(tok.span, f"free atom name '{tok.text}' must be an identifier")
+    return tok.text
+
+
+# Each field of the nodes in `_ATOMS` and `_TYPECOUNTS`: how the parser reads
+# it, called as reader(parser, builder, extra persons), and how the
+# serializer writes it, as a str.format field of the node.
+_FIELDS = {
+    "person": (_expect_suspect, "{0.person}"),
+    "speaker_type": (_expect_type, "{0.speaker_type.value}"),
+    "island": (lambda p, b, extra: _ISLAND_BY_NAME[p.expect_word(*_ISLAND_BY_NAME).text],
+               "{0.island.value}"),
+    "op": (lambda p, b, extra: p.expect_punct(*COUNT_OPS).kind, "{0.op}"),
+    "k": (lambda p, b, extra: p.expect_int(), "{0.k}"),
+    "n": (lambda p, b, extra: p.expect_int(), "{0.n}"),
+    "label": (_expect_label, "{0.label}"),
+    "name": (_expect_free_name, '"{0.name}"'),
+}
+
+# Every atom but `true` and `false`, and every typecount form: keyword ->
+# (node class, the tokens after the keyword). Each token is a punctuation
+# mark, a word or one of the node's fields, and the fields come in the order
+# of the node's constructor arguments.
+_ATOMS = {
+    "guilty": (Guilty, "(", "person", ")"),
+    "type": (HasType, "(", "person", ")", "=", "speaker_type"),
+    "island": (FromIsland, "(", "person", ")", "=", "island"),
+    "count": (CountCmp, "op", "k"),
+    "truthful": (Truthful, "(", "label", ")"),
+    "lies_about_guilt": (LiesWhenAskedGuilt, "(", "person", ")"),
+    "knows_whodunit": (KnowsWhodunit, "(", "person", ")"),
+    "free": (Free, "(", "name", ")"),
+}
+_TYPECOUNTS = {
+    "one_of_each": (OneOfEach,),
+    "exactly": (ExactTruthTellers, "n", "truthtellers"),
+    "at_most_distinct": (AtMostDistinct, "n"),
+}
+
+ATOM_EXPECTED = (*_ATOMS, "true", "false", "not", "'('")
+
+KEYWORDS = frozenset({
+    "puzzle", *_DIRECTIVES, "unmodeled", "forall", "in", *_TYPECOUNTS,
+    *_ISLAND_DOMAINS, *_ATOMS, "true", "false", "not", "and", "or", *_TYPE_BY_NAME,
+})
 
 
 def _parse_primary(p, b, extra) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's."""
-    tok = p.peek()
+    tok = p.tokens[p.pos]
     if tok.kind != "ident":
-        raise ParseError(tok.span, f"unexpected token '{tok.text}'", ATOM_EXPECTED)
+        raise _unexpected(tok, ATOM_EXPECTED)
+    row = _ATOMS.get(tok.text)
+    if row is None:
+        if tok.text != "true" and tok.text != "false":
+            raise ParseError(tok.span, f"unknown atom '{tok.text}'", ATOM_EXPECTED)
+        p.pos += 1
+        return Const(tok.text == "true")
+    p.pos += 1
+    return _read_row(p, b, extra, row)
 
-    atom = _PERSON_ATOMS.get(tok.text)
-    if atom is not None:
-        p.advance()
-        p.expect_punct("(")
-        person = _expect_suspect(p, b, extra)
-        p.expect_punct(")")
-        return atom(person)
-    if tok.text == "type":
-        p.advance()
-        p.expect_punct("(")
-        person = _expect_suspect(p, b, extra)
-        p.expect_punct(")")
-        p.expect_punct("=")
-        return HasType(person, _expect_type_name(p))
-    if tok.text == "island":
-        p.advance()
-        p.expect_punct("(")
-        person = _expect_suspect(p, b, extra)
-        p.expect_punct(")")
-        p.expect_punct("=")
-        isl_tok = p.peek()
-        if isl_tok.kind == "ident" and isl_tok.text in ("truthtellers", "liars"):
-            p.advance()
-            return FromIsland(person, Island(isl_tok.text))
-        raise ParseError(isl_tok.span, f"unexpected token '{isl_tok.text}'",
-                         ("truthtellers", "liars"))
-    if tok.text == "count":
-        p.advance()
-        op_tok = p.peek()
-        if op_tok.kind not in ("=", "<=", ">="):
-            raise ParseError(op_tok.span, f"unexpected token '{op_tok.text}'",
-                             ("'='", "'<='", "'>='"))
-        p.advance()
-        return CountCmp(op_tok.kind, p.expect_int())
-    if tok.text == "truthful":
-        p.advance()
-        p.expect_punct("(")
-        label_tok = p.peek()
-        if label_tok.kind != "ident":
-            raise ParseError(label_tok.span, f"unexpected token '{label_tok.text}'",
-                             ("a statement label",))
-        if label_tok.text not in b.labels:
-            raise ParseError(
-                label_tok.span,
-                f"truthful() reference to '{label_tok.text}', which is not an earlier statement",
-            )
-        if label_tok.text not in b.modeled_labels:
-            raise ParseError(label_tok.span,
-                             f"truthful() reference to unmodeled statement '{label_tok.text}'")
-        p.advance()
-        p.expect_punct(")")
-        return Truthful(label_tok.text)
-    if tok.text == "free":
-        p.advance()
-        p.expect_punct("(")
-        name_tok = p.peek()
-        if name_tok.kind != "string":
-            raise ParseError(name_tok.span, f"unexpected token '{name_tok.text}'",
-                             ("a quoted atom name",))
-        if not _IDENT_RE.fullmatch(name_tok.text):
-            raise ParseError(name_tok.span,
-                             f"free atom name '{name_tok.text}' must be an identifier")
-        p.advance()
-        p.expect_punct(")")
-        return Free(name_tok.text)
-    if tok.text == "true":
-        p.advance()
-        return Const(True)
-    if tok.text == "false":
-        p.advance()
-        return Const(False)
-    raise ParseError(tok.span, f"unknown atom '{tok.text}'", ATOM_EXPECTED)
+
+def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) -> object:
+    """The node of an `_ATOMS` or `_TYPECOUNTS` row, read by one loop over
+    the tokens after its keyword."""
+    tokens = p.tokens
+    args = []
+    for slot in row[1:]:
+        field = _FIELDS.get(slot)
+        if field is not None:
+            args.append(field[0](p, b, extra))
+        elif tokens[p.pos].text == slot and tokens[p.pos].kind != "string":
+            p.pos += 1  # the punctuation mark or word `slot`
+        else:
+            raise _unexpected(tokens[p.pos], (slot if slot.isidentifier() else f"'{slot}'",))
+    return row[0](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +570,27 @@ def _parse_primary(p, b, extra) -> Formula:
 # ---------------------------------------------------------------------------
 
 _SYMBOL = {cls: symbol for symbol, cls in _BINARY.items()}
-# The concrete syntax of every atom but Const, as str.format templates.
-_ATOM_SYNTAX = {
-    Guilty: "guilty({0.person})", HasType: "type({0.person})={0.speaker_type.value}",
-    FromIsland: "island({0.person})={0.island.value}", CountCmp: "count {0.op} {0.k}",
-    Truthful: "truthful({0.label})", LiesWhenAskedGuilt: "lies_about_guilt({0.person})",
-    KnowsWhodunit: "knows_whodunit({0.person})", Free: 'free("{0.name}")',
-}
+
+
+def _syntax(table: dict[str, tuple]) -> dict[type, str]:
+    """Each row's str.format template: its keyword and tokens, with a space
+    only between two words (keywords, words and fields)."""
+    templates = {}
+    for keyword, row in table.items():
+        pieces, after_word = [keyword], True
+        for slot in row[1:]:
+            word = slot.isidentifier()  # a word or a field
+            if word and after_word:
+                pieces.append(" ")
+            pieces.append(_FIELDS[slot][1] if slot in _FIELDS else slot)
+            after_word = word
+        templates[row[0]] = "".join(pieces)
+    return templates
+
+
+# The concrete syntax of every atom but Const, and of every typecount form.
+_ATOM_SYNTAX = _syntax(_ATOMS)
+_TYPECOUNT_SYNTAX = _syntax(_TYPECOUNTS)
 
 
 def format_formula(formula: Formula) -> str:
@@ -681,28 +640,18 @@ def serialize(puzzle: Puzzle) -> str:
     Type domains are always written explicitly (no island shorthand), so two
     structurally equal puzzles serialize to identical bytes.
     """
-    lines = ["puzzle {"]
-    lines.append("  suspects " + ", ".join(puzzle.suspects) + ";")
+    lines = ["puzzle {", "  suspects " + ", ".join(puzzle.suspects) + ";"]
     for suspect in puzzle.suspects:
         names = [t.value for t in ALL_TYPES if t in puzzle.type_domain[suspect]]
         lines.append(f"  types {suspect}: {{" + ", ".join(names) + "};")
     lines.append(f"  criminals {puzzle.count.op} {puzzle.count.k};")
     card = puzzle.type_cardinality
-    if isinstance(card, OneOfEach):
-        lines.append("  typecount one_of_each;")
-    elif isinstance(card, ExactTruthTellers):
-        lines.append(f"  typecount exactly {card.n} truthtellers;")
-    elif isinstance(card, AtMostDistinct):
-        lines.append(f"  typecount at_most_distinct {card.n};")
+    if card is not None:
+        lines.append(f"  typecount {_TYPECOUNT_SYNTAX[type(card)].format(card)};")
     for stmt in puzzle.statements:
-        if stmt.body is None:
-            lines.append(
-                f'  statement {stmt.label} {stmt.speaker}: unmodeled "{_escape(stmt.text or "")}";'
-            )
-        else:
-            lines.append(
-                f"  statement {stmt.label} {stmt.speaker}: {format_formula(stmt.body)};"
-            )
+        body = (f'unmodeled "{_escape(stmt.text or "")}"' if stmt.body is None
+                else format_formula(stmt.body))
+        lines.append(f"  statement {stmt.label} {stmt.speaker}: {body};")
     for axiom in puzzle.axioms:
         lines.append(f"  axiom {format_formula(axiom)};")
     lines.append("}")

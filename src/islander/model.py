@@ -19,6 +19,7 @@ sets are all derived from those two fields.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -333,6 +334,20 @@ def knows_whodunit_key(person: str) -> str:
     return f"@knows_whodunit:{person}"
 
 
+def _writable(k: int) -> bool:
+    """Whether str(k) works: k is no longer than the interpreter's int-to-str
+    limit. A puzzle holds only integers that its text can."""
+    try:
+        str(k)
+    except ValueError:
+        return False
+    return True
+
+
+def _too_long(what: str) -> PuzzleError:
+    return PuzzleError(f"{what} has more than {sys.get_int_max_str_digits()} digits")
+
+
 @dataclass(frozen=True)
 class Puzzle:
     suspects: tuple[str, ...]
@@ -368,6 +383,8 @@ class Puzzle:
             raise PuzzleError(f"bad count comparison op '{self.count.op}'")
         if self.count.k < 0:
             raise PuzzleError("criminal count bound must be non-negative")
+        if not _writable(self.count.k):
+            raise _too_long("criminal count bound")
 
         labels_seen: set[str] = set()
         modeled = {s.label for s in self.statements if not s.is_unmodeled}
@@ -391,16 +408,20 @@ class Puzzle:
             raise PuzzleError("one-of-each cardinality needs exactly four suspects")
         if isinstance(card, ExactTruthTellers) and not 0 <= card.n <= len(self.suspects):
             raise PuzzleError("truth-teller count out of range")
-        if isinstance(card, AtMostDistinct) and card.n < 1:
-            raise PuzzleError("distinct-type bound must be at least 1")
+        if isinstance(card, AtMostDistinct):
+            if card.n < 1:
+                raise PuzzleError("distinct-type bound must be at least 1")
+            if not _writable(card.n):
+                raise _too_long("distinct-type bound")
 
     def _check_formula_refs(self, formula: Formula, earlier_labels: set[str],
                             modeled: set[str], where: str) -> None:
         """One walk over `formula`. An unknown person is reported first, then
-        a bad truthful() label, then a bad count op, each the first met in
-        pre-order."""
+        a bad truthful() label, then a bad count op, then a count bound too
+        long to write, each the first met in pre-order."""
         bad_label: Optional[str] = None
         bad_op: Optional[str] = None
+        long_count = False
         for node in iter_subformulas(formula):
             if isinstance(node, _PERSON_ATOMS):
                 if node.person not in self.type_domain:
@@ -412,6 +433,7 @@ class Puzzle:
             elif isinstance(node, CountCmp):
                 if bad_op is None and node.op not in COUNT_OPS:
                     bad_op = node.op
+                long_count = long_count or not _writable(node.k)
         if bad_label is not None:
             if bad_label not in earlier_labels:
                 raise PuzzleError(
@@ -421,6 +443,8 @@ class Puzzle:
             raise PuzzleError(f"{where} references unmodeled statement '{bad_label}'")
         if bad_op is not None:
             raise PuzzleError(f"{where} uses bad count comparison op '{bad_op}'")
+        if long_count:
+            raise _too_long(f"{where} has a count bound that")
 
 
 @dataclass(frozen=True)

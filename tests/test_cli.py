@@ -147,6 +147,7 @@ class TestClosedPipe:
         head = child.stdout.read(100)
         child.stdout.close()
         err = child.stderr.read()
+        child.stderr.close()
         assert child.wait(timeout=120) == 1
         assert head.startswith(b'{\n  "strategy": "solve_liars"')
         assert err == b""

@@ -1,9 +1,12 @@
 """Parser and serializer: grammar coverage, error spans, round-trips."""
 
+import dataclasses
 import json
 import operator
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,10 @@ from hypothesis import strategies as st
 
 from islander.dsl import (
     ATOM_EXPECTED,
+    KEYWORDS,
     ParseError,
     SourceSpan,
+    _ATOMS,
     _lex,
     format_formula,
     parse,
@@ -38,6 +43,8 @@ from islander.solver import solve
 
 from conftest import CORPUS_NAMES, corpus_text, no_recursion, random_puzzle
 from test_model import formula_strategy
+
+GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "grammar.md"
 
 MINIMAL = 'puzzle { suspects A; criminals = 1; island truthtellers; statement s1 A: guilty(A); }'
 
@@ -371,6 +378,17 @@ class TestParseErrors:
             match="empty type domain",
         )
 
+    @pytest.mark.parametrize("text, at, expected", [
+        ("puzzle { suspects A,; criminals = 1; }", ";", ("a suspect name",)),
+        ("puzzle { suspects A; types A: {AT,}; criminals = 1; }", "}", ("AT", "PT", "AL", "RL")),
+        ("puzzle { suspects A; criminals in {1,}; }", "}", ("an integer",)),
+    ], ids=["suspects", "types", "criminals_in"])
+    def test_no_list_takes_a_trailing_comma(self, text, at, expected):
+        err = self.expect_error(text)
+        column = text.index(at, text.index(",")) + 1
+        assert (err.span, err.message, err.expected) == \
+            (SourceSpan(1, column, 1), f"unexpected token '{at}'", expected)
+
     def test_missing_suspects(self):
         self.expect_error("puzzle { criminals = 1; }", match="missing suspects")
 
@@ -449,6 +467,37 @@ class TestParseErrors:
             formula = puzzle.statements[0].body
             assert sum(isinstance(node, Guilty) for node in iter_subformulas(formula)) == atoms
             assert no_recursion(operator.eq, parse(no_recursion(serialize, puzzle)), puzzle)
+
+
+class TestGrammarDoc:
+    """docs/grammar.md states the reserved words and the atoms the parser's
+    tables hold."""
+
+    TEXT = GRAMMAR.read_text(encoding="utf-8")
+    # How the grammar names each field of an `_ATOMS` row.
+    FIELD_SYMBOLS = {"person": "ident", "speaker_type": "type_name",
+                     "island": '("truthtellers" | "liars")', "op": "cmp_op",
+                     "k": "integer", "label": "ident", "name": "string"}
+
+    def test_reserved_words_are_the_keywords(self):
+        words = re.search(r"Reserved words \(not usable as names\): `([^`]*)`",
+                          self.TEXT).group(1).split()
+        assert len(words) == len(set(words))
+        assert set(words) == KEYWORDS
+
+    def test_atom_alternatives_are_the_atom_table(self):
+        rule = re.search(r"^atom +::= (.*?)\n```", self.TEXT, re.M | re.S).group(1)
+        alternatives = re.split(r"\n +\| ", rule)
+        assert alternatives == [
+            " ".join([f'"{keyword}"'] + [self.FIELD_SYMBOLS.get(slot, f'"{slot}"')
+                                         for slot in row[1:]])
+            for keyword, row in _ATOMS.items()
+        ] + ['"true" | "false"']
+
+    def test_atom_fields_are_in_constructor_order(self):
+        for row in _ATOMS.values():
+            assert [slot for slot in row[1:] if slot in self.FIELD_SYMBOLS] == \
+                [f.name for f in dataclasses.fields(row[0])]
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Formula evaluation, equality, rewriting (map_atoms, self-guilt substitution,
 person renaming), and puzzle validation."""
 
+import sys
 from dataclasses import replace
 from functools import reduce
 
@@ -326,6 +327,22 @@ class TestPuzzleValidation:
         with pytest.raises(PuzzleError) as info:
             self.base_puzzle(**overrides)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        (lambda k: dict(count=CountCmp(">=", k)), "criminal count bound"),
+        (lambda k: dict(axioms=(Or(Guilty("A"), CountCmp("=", k)),)),
+         "axiom 1 has a count bound that"),
+        (lambda k: dict(type_cardinality=AtMostDistinct(k)), "distinct-type bound"),
+    ], ids=["criminals", "count_atom", "at_most_distinct"])
+    def test_integer_past_the_conversion_limit_is_refused(self, fields, message):
+        """An integer that str() cannot write would make serialize raise, so
+        a puzzle refuses it, as the parser refuses its literal; one digit
+        shorter, it is kept."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(PuzzleError) as info:
+            self.base_puzzle(**fields(10 ** limit))
+        assert str(info.value) == f"{message} has more than {limit} digits"
+        self.base_puzzle(**fields(10 ** limit - 1))
 
     def test_duplicate_suspects(self):
         with pytest.raises(PuzzleError, match="duplicate"):
