@@ -19,12 +19,12 @@ below are checked to be independent of those coin flips.
 declared: for each name, its `run_<name>` runner, the island modes and
 count premise it accepts, whether it needs a secret or takes a mode, and
 what counts as success. `run_strategy` runs any entry by name, and the
-CLI's `--strategy` choices are the table's keys. The runners share one
-ask-and-read loop, `_ask_each`: ask each person a question and accuse them
-on the answer a criminal gives from their island, the flip of a
-truth-teller's mark for a liar. Only `run_ask_all_about_others`, which
-accuses the person asked about rather than the one answering, keeps a loop
-of its own.
+CLI's `--strategy` choices are the table's keys. Every runner that accuses
+asks through one loop, `_ask_each`: put each (asker, question, suspect) to
+the asker and accuse the suspect on the answer a criminal gives from the
+asker's island, the flip of a truth-teller's mark for a liar. A question's
+transcript text follows one rule, `describe_question`: the class name in
+snake case, then its field, if it has one, in parentheses.
 
 A world's knowledge is always a `KnowledgeRows`: one `bytes` row per asker,
 `KnowledgeWorld.knowledge.rows`, where byte j of person i's row is 1 when i
@@ -61,10 +61,12 @@ refused before any draw.
 from __future__ import annotations
 
 import collections.abc
+import dataclasses
 import enum
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -331,27 +333,16 @@ Question = Union[
 
 
 def describe_question(question: Question) -> str:
-    match question:
-        case KnownFact(truth):
-            return f"known_fact({str(truth).lower()})"
-        case DirectGuilt():
-            return "direct_guilt"
-        case PossibleSubset(group):
-            return "possible_subset(" + ", ".join(sorted(group)) + ")"
-        case PossibleExact(group):
-            return "possible_exact(" + ", ".join(sorted(group)) + ")"
-        case PossibleSizeExcludingSelf(m):
-            return f"possible_size_excluding_self({m})"
-        case PossibleInnocent(target):
-            return f"possible_innocent({target})"
-        case DidDetectiveDoIt():
-            return "did_detective_do_it"
-        case DetectivePossiblyGuilty():
-            return "detective_possibly_guilty"
-        case SecretAttribute():
-            return "secret_attribute"
-        case _:
-            raise ValueError(f"unknown question {question!r}")
+    """The class name in snake case, then the field, if the question has one,
+    in parentheses: a group as its sorted names, a bool in lower case."""
+    name = re.sub(r"(?<!^)(?=[A-Z])", "_", type(question).__name__).lower()
+    fields = dataclasses.fields(question)
+    if not fields:
+        return name
+    value = getattr(question, fields[0].name)
+    if isinstance(value, frozenset):
+        return f"{name}({', '.join(sorted(value))})"
+    return f"{name}({str(value).lower() if isinstance(value, bool) else value})"
 
 
 class AnswerValue(enum.Enum):
@@ -523,25 +514,30 @@ def _result(accused: Iterable[str], transcript: Sequence[Answer]) -> StrategyRes
 def _ask_each(
     kw: KnowledgeWorld,
     rng: random.Random,
-    question: Callable[[str], Question],
+    asks: Iterable[tuple[str, Question, str]],
     guilty_says: AnswerValue,
     island_of: Callable[[str], Island],
-    persons: Optional[Iterable[str]] = None,
 ) -> StrategyResult:
-    """Ask each of `persons` (everyone, in roster order, by default)
-    `question(p)`, and accuse p when p's spoken answer is `guilty_says` from
-    a truth-teller or the flipped answer from a liar, p's island being
-    `island_of(p)`. The one ask-and-read loop of the strategies."""
-    flipped = AnswerValue.NO if guilty_says is AnswerValue.YES else AnswerValue.YES
+    """Put each (asker, question, suspect) of `asks` and accuse the suspect
+    when the answer is `guilty_says` from a truth-teller, or its flip from a
+    liar, by `island_of(asker)`. The one ask-and-read loop of the strategies."""
+    flipped = {AnswerValue.YES: AnswerValue.NO, AnswerValue.NO: AnswerValue.YES}.get(guilty_says)
     says = {Island.TRUTH_TELLERS: guilty_says, Island.LIARS: flipped}
     transcript: list[Answer] = []
     accused: list[str] = []
-    for p in kw.persons if persons is None else persons:
-        answer = spoken_answer(kw, p, question(p), rng)
+    for asker, question, suspect in asks:
+        answer = spoken_answer(kw, asker, question, rng)
         transcript.append(answer)
-        if answer.value is says[island_of(p)]:
-            accused.append(p)
+        if answer.value is says[island_of(asker)]:
+            accused.append(suspect)
     return _result(accused, transcript)
+
+
+def _each(
+    persons: Iterable[str], question: Callable[[str], Question]
+) -> Iterator[tuple[str, Question, str]]:
+    """Ask each of `persons`, in order, `question(p)` about themselves."""
+    return ((p, question(p), p) for p in persons)
 
 
 def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
@@ -587,20 +583,8 @@ def run_ask_all_about_others(
     some other person knows about; never an innocent. Islands are assumed
     already known (run classification first on mixed crowds)."""
     rng = rng or random.Random(0)
-    transcript: list[Answer] = []
-    accused: set[str] = set()
-    for p in kw.persons:
-        for q in kw.persons:
-            if p == q:
-                continue
-            answer = spoken_answer(kw, p, PossibleInnocent(q), rng)
-            transcript.append(answer)
-            if kw.island_of(p) is Island.TRUTH_TELLERS:
-                if answer.value is AnswerValue.NO:
-                    accused.add(q)
-            elif answer.value is AnswerValue.YES:
-                accused.add(q)
-    return _result(accused, transcript)
+    asks = ((p, PossibleInnocent(q), q) for p in kw.persons for q in kw.persons if q != p)
+    return _ask_each(kw, rng, asks, AnswerValue.NO, kw.island_of)
 
 
 def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -612,7 +596,7 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
         raise PreconditionError("count premise violated: the criminal count must be public")
     _require_all_unknown(kw, "the public-count strategy")
     question = PossibleSizeExcludingSelf(kw.count_public)
-    return _ask_each(kw, rng, lambda p: question, AnswerValue.NO, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, lambda p: question), AnswerValue.NO, kw.island_of)
 
 
 def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -626,7 +610,7 @@ def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -
         )
     _require_all_unknown(kw, "the unknown-count strategy")
     question = PossibleExact(kw._person_set)
-    return _ask_each(kw, rng, lambda p: question, AnswerValue.YES, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, lambda p: question), AnswerValue.YES, kw.island_of)
 
 
 def run_solve_truthtellers(
@@ -642,8 +626,8 @@ def run_solve_truthtellers(
     known = run_ask_all_about_others(kw, rng)
     # The accused are all among everyone but p, so this asks about the
     # identified criminals and the rest of the crowd.
-    rest = _ask_each(kw, rng, _among_the_others(kw), AnswerValue.NO, kw.island_of,
-                     [p for p in kw.persons if p not in known.accused])
+    unknown = (p for p in kw.persons if p not in known.accused)
+    rest = _ask_each(kw, rng, _each(unknown, _among_the_others(kw)), AnswerValue.NO, kw.island_of)
     return _result(known.accused | rest.accused, known.transcript + rest.transcript)
 
 
@@ -679,7 +663,7 @@ def run_solve_liars(
         return PossibleExact(frozenset(rng.sample(others, size)))
 
     question = _among_the_others(kw) if mode == "robust" else literal
-    return _ask_each(kw, rng, question, AnswerValue.NO, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, question), AnswerValue.NO, kw.island_of)
 
 
 def run_solve_mixed(
@@ -691,7 +675,7 @@ def run_solve_mixed(
     rng = rng or random.Random(0)
     classified = run_classify_islands(kw, rng)
     tt = classified.accused
-    found = _ask_each(kw, rng, _among_the_others(kw), AnswerValue.NO,
+    found = _ask_each(kw, rng, _each(kw.persons, _among_the_others(kw)), AnswerValue.NO,
                       lambda p: Island.TRUTH_TELLERS if p in tt else Island.LIARS)
     return _result(found.accused, classified.transcript + found.transcript)
 
@@ -715,7 +699,7 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     question: Question = (
         DidDetectiveDoIt() if islands.pop() is Island.TRUTH_TELLERS else DetectivePossiblyGuilty()
     )
-    return _ask_each(kw, rng, lambda p: question, AnswerValue.NO, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, lambda p: question), AnswerValue.NO, kw.island_of)
 
 
 def run_secret_attribute(
@@ -728,14 +712,9 @@ def run_secret_attribute(
     if kw.secret is None:
         raise PreconditionError("no secret attribute is configured for this world")
     _require_single_island(kw, Island.TRUTH_TELLERS, "the secret-attribute strategy")
-    transcript: list[Answer] = []
-    accused: set[str] = set()
-    for p in kw.persons:
-        answer = spoken_answer(kw, p, SecretAttribute(), rng)
-        transcript.append(answer)
-        if answer.value is AnswerValue.TOKEN and answer.token == kw.secret:
-            accused.add(p)
-    return _result(accused, transcript)
+    # Only a truthful criminal answers with a token, and it is the secret.
+    return _ask_each(kw, rng, _each(kw.persons, lambda p: SecretAttribute()),
+                     AnswerValue.TOKEN, kw.island_of)
 
 
 # ---------------------------------------------------------------------------

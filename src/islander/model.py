@@ -19,6 +19,7 @@ sets are all derived from those two fields.
 from __future__ import annotations
 
 import enum
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -138,26 +139,19 @@ class _Connective:
     walk the tree in pre-order over an explicit stack, so depth never reaches
     the Python stack. `repr` prints the dataclass text."""
 
+    def _key(self) -> tuple:
+        """The pre-order walk with each connective replaced by its class.
+        Every class has a fixed arity, so the sequence determines the tree."""
+        return tuple(type(node) if isinstance(node, _Connective) else node
+                     for node in iter_subformulas(self))
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        stack = [self, other]  # pairs of nodes at the same position, flattened
-        while stack:
-            b, a = stack.pop(), stack.pop()
-            kind = type(a)
-            if kind is not type(b):
-                return False
-            if kind in _BINARY_CONNECTIVES:
-                stack += (a.right, b.right, a.left, b.left)
-            elif kind is Not:
-                stack += (a.operand, b.operand)
-            elif not a == b:  # two atoms: their own dataclass ==
-                return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(tuple(type(node) if isinstance(node, _Connective) else node
-                          for node in iter_subformulas(self)))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -328,10 +322,19 @@ TypeCardinality = Union[OneOfEach, ExactTruthTellers, AtMostDistinct]
 def knows_whodunit_key(person: str) -> str:
     """Reserved free-value key for an innocent person's whodunit knowledge.
 
-    The '@' prefix keeps it disjoint from user free-atom names, which the DSL
-    restricts to identifiers.
+    The '@' prefix keeps it disjoint from user free-atom names, which a
+    puzzle restricts to identifiers.
     """
     return f"@knows_whodunit:{person}"
+
+
+# The DSL's identifier: what a suspect, a statement label or a free atom's
+# name must be for the puzzle to be written as text and read back.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _is_name(name: object) -> bool:
+    return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
 
 
 def _writable(k: int) -> bool:
@@ -374,6 +377,9 @@ class Puzzle:
             raise PuzzleError("a puzzle needs at least one suspect")
         if len(set(self.suspects)) != len(self.suspects):
             raise PuzzleError("duplicate suspect names")
+        for person in self.suspects:
+            if not _is_name(person):
+                raise PuzzleError(f"suspect name '{person}' is not an identifier")
         if set(self.type_domain) != set(self.suspects):
             raise PuzzleError("type domain must cover exactly the suspects")
         for person, domain in self.type_domain.items():
@@ -389,6 +395,8 @@ class Puzzle:
         labels_seen: set[str] = set()
         modeled = {s.label for s in self.statements if not s.is_unmodeled}
         for stmt in self.statements:
+            if not _is_name(stmt.label):
+                raise PuzzleError(f"statement label '{stmt.label}' is not an identifier")
             if stmt.label in labels_seen:
                 raise PuzzleError(f"duplicate statement label '{stmt.label}'")
             if stmt.speaker not in self.type_domain:
@@ -418,10 +426,12 @@ class Puzzle:
                             modeled: set[str], where: str) -> None:
         """One walk over `formula`. An unknown person is reported first, then
         a bad truthful() label, then a bad count op, then a count bound too
-        long to write, each the first met in pre-order."""
+        long to write or negative, then a free atom name that is not an
+        identifier, each the first met in pre-order."""
         bad_label: Optional[str] = None
         bad_op: Optional[str] = None
-        long_count = False
+        bad_bound: Optional[int] = None
+        bad_free: Optional[str] = None
         for node in iter_subformulas(formula):
             if isinstance(node, _PERSON_ATOMS):
                 if node.person not in self.type_domain:
@@ -433,7 +443,11 @@ class Puzzle:
             elif isinstance(node, CountCmp):
                 if bad_op is None and node.op not in COUNT_OPS:
                     bad_op = node.op
-                long_count = long_count or not _writable(node.k)
+                if bad_bound is None and (node.k < 0 or not _writable(node.k)):
+                    bad_bound = node.k
+            elif isinstance(node, Free):
+                if bad_free is None and not _is_name(node.name):
+                    bad_free = node.name
         if bad_label is not None:
             if bad_label not in earlier_labels:
                 raise PuzzleError(
@@ -443,8 +457,13 @@ class Puzzle:
             raise PuzzleError(f"{where} references unmodeled statement '{bad_label}'")
         if bad_op is not None:
             raise PuzzleError(f"{where} uses bad count comparison op '{bad_op}'")
-        if long_count:
+        if bad_bound is not None:
+            if bad_bound < 0:
+                raise PuzzleError(f"{where} has a negative count bound")
             raise _too_long(f"{where} has a count bound that")
+        if bad_free is not None:
+            raise PuzzleError(f"{where} has free atom name '{bad_free}', which is not an "
+                              "identifier")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ or be refused with `PreconditionError`.
 - n = 3: every world on the islands each `solve_*` entry declares.
 
 A liar's answer to an honest "I don't know" comes from one seeded source;
-branching over both answers is not covered here. Only the default mode of
+every run that is not refused is checked never to draw from it, so no
+branching over both answers is needed. Only the default mode of
 a strategy that takes a mode is run by those two tests. The paper-literal
 mode of `solve_liars` is checked on its own premise, blank knowledge, with
 three adversary seeds; the smallest world where it fails is pinned.
@@ -59,16 +60,35 @@ def all_worlds(n, types):
                                              count_public, secret="secret")
 
 
+class CountingRandom(random.Random):
+    """A `Random` that counts its draws: every draw it serves, `choice` and
+    the liar's wrong token included, goes through `random` or `getrandbits`."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
 def check_every_world(name, worlds):
-    """Run `name` on each world; return how many runs were not refused."""
+    """Run `name` on each world; return how many runs were not refused. A run
+    that is not refused never draws from the adversary's source: no liar is
+    asked a yes-or-no question whose honest answer is "I don't know"."""
     succeeds = STRATEGIES[name].succeeds
     ran = 0
     for kw in worlds:
+        rng = CountingRandom(0)
         try:
-            result = run_strategy(kw, name, random.Random(0))
+            result = run_strategy(kw, name, rng)
         except PreconditionError:
             continue
         assert succeeds(kw, result), (name, kw, result.accused)
+        assert rng.draws == 0, (name, kw, rng.draws)
         ran += 1
     return ran
 

@@ -26,6 +26,7 @@ from islander.interrogation import (
     PossibleSubset,
     PreconditionError,
     SecretAttribute,
+    describe_question,
     generate_knowledge_world,
     run_ask_all_about_others,
     run_classify_islands,
@@ -397,6 +398,28 @@ class TestSpokenAnswers:
         answer = spoken_answer(kw, "P1", question)
         assert answer.person == "P1"
         assert answer.question == question
+
+
+class TestQuestionText:
+    """The transcript text of every question class, pinned: `DirectGuilt`
+    and `KnownFact(False)` are asked by no registered strategy, so the
+    golden transcripts never show them."""
+
+    @pytest.mark.parametrize("question, text", [
+        (KnownFact(True), "known_fact(true)"),
+        (KnownFact(False), "known_fact(false)"),
+        (DirectGuilt(), "direct_guilt"),
+        (PossibleSubset(frozenset({"P3", "P1", "P10"})), "possible_subset(P1, P10, P3)"),
+        (PossibleExact(frozenset({"B", "A"})), "possible_exact(A, B)"),
+        (PossibleExact(frozenset()), "possible_exact()"),
+        (PossibleSizeExcludingSelf(2), "possible_size_excluding_self(2)"),
+        (PossibleInnocent("P7"), "possible_innocent(P7)"),
+        (DidDetectiveDoIt(), "did_detective_do_it"),
+        (DetectivePossiblyGuilty(), "detective_possibly_guilty"),
+        (SecretAttribute(), "secret_attribute"),
+    ])
+    def test_describe_question(self, question, text):
+        assert describe_question(question) == text
 
 
 class TestKnowledgeWorldEquality:

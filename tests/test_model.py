@@ -322,6 +322,22 @@ class TestPuzzleValidation:
          "one-of-each cardinality needs exactly four suspects"),
         (dict(type_cardinality=ExactTruthTellers(3)), "truth-teller count out of range"),
         (dict(type_cardinality=AtMostDistinct(0)), "distinct-type bound must be at least 1"),
+        # What serialize could not write as text that parses back.
+        (dict(axioms=(Or(Guilty("A"), CountCmp(">=", -1)),)),
+         "axiom 1 has a negative count bound"),
+        (dict(suspects=("A", "a b"), type_domain={"A": frozenset(ALL_TYPES),
+                                                  "a b": frozenset(ALL_TYPES)},
+              statements=()),
+         "suspect name 'a b' is not an identifier"),
+        (dict(statements=(Statement("s 1", "A", TRUE),)),
+         "statement label 's 1' is not an identifier"),
+        (dict(axioms=(Free("a b"),)),
+         "axiom 1 has free atom name 'a b', which is not an identifier"),
+        # A's reserved whodunit key: the solver would mistake it for A's knowledge.
+        (dict(type_domain={"A": frozenset({AT}), "B": frozenset({AT})},
+              count=CountCmp("=", 1), statements=(),
+              axioms=(KnowsWhodunit("A"), Not(Free(knows_whodunit_key("A"))))),
+         "axiom 2 has free atom name '@knows_whodunit:A', which is not an identifier"),
     ])
     def test_invalid_puzzle_is_refused_at_construction(self, overrides, message):
         with pytest.raises(PuzzleError) as info:
@@ -408,10 +424,15 @@ class TestPuzzleValidation:
         (Guilty("A"), Truthful("s0"),
          "axiom 1 has a truthful() reference to 's0', which is not an earlier "
          "modeled statement"),
+        (Or(Free("a b"), Or(CountCmp(">=", -1), CountCmp("<", 1))), TRUE,
+         "statement 's1' uses bad count comparison op '<'"),
+        (Or(Free("a b"), CountCmp(">=", -1)), TRUE,
+         "statement 's1' has a negative count bound"),
     ])
     def test_formula_reference_errors_in_order_of_precedence(self, body, axiom, message):
-        """Unknown persons before bad labels before bad count ops, wherever
-        each sits in the formula."""
+        """Unknown persons before bad labels before bad count ops before bad
+        count bounds before bad free atom names, wherever each sits in the
+        formula."""
         with pytest.raises(PuzzleError) as info:
             self.base_puzzle(
                 statements=(Statement("s0", "A", None, text="noise"),
