@@ -43,15 +43,25 @@ on integers, from the top byte of each draw and, in about 1 case in 256,
 from the full 53 bits. The same draws leave the generator in the same state,
 so the secret drawn after them, and every seeded output, stay the same.
 
-Possibility answers come from a per-asker index, `KnowledgeWorld.
-epistemic_index`: for each person, frozensets of whom they know to be guilty
-and whom they know to be innocent, themselves included. It is built from the
-rows on the first question that needs it, so a world asked only control,
-direct-guilt or secret questions never holds it. With the index, the
-possible-innocent, size-excluding-self and detective questions cost O(1) in
-the crowd size, and the subset and exact-group questions cost C-level set
-operations over the group. `knows` remains the plain per-pair lookup the
-tests' oracles use.
+Every honest answer comes from one `match`, `_honest`. The questions the
+registered strategies ask read per-asker counts, `KnowledgeWorld._counts`:
+how many each person knows to be guilty and how many innocent, themselves
+included. These are the possible-innocent, size-excluding-self and detective
+questions, "could the criminals all be among everyone but q?" and "could
+everyone have done it?". Each reads the asker's counts and at most one byte
+of the asker's row, so it costs O(1) in the crowd size. The robust
+strategies ask "everyone but q" with an O(1) set view of the roster without
+q, `_AllBut`, instead of an (n-1)-person frozenset; the view equals and
+hashes like the frozenset and has the same transcript text. Any other subset
+or exact-group question reads `KnowledgeWorld.epistemic_index`, which holds
+for each person frozensets of whom they know to be guilty and whom innocent.
+It is built on first use, and such a question costs C-level set operations
+over its group. `knows` remains the plain per-pair lookup the tests' oracles
+use.
+
+A world with knowledge density 0 and no secret draws no knowledge rows:
+every draw would come out 0, and nothing reads the generator afterwards.
+With a secret, the draws are made, so the secret stays the same.
 
 Generated worlds are limited to MAX_CROWD persons, because generation draws
 once per ordered pair of persons and keeps a byte per pair; a larger crowd is
@@ -60,6 +70,7 @@ refused before any draw.
 
 from __future__ import annotations
 
+import bisect
 import collections.abc
 import dataclasses
 import enum
@@ -242,6 +253,21 @@ class KnowledgeWorld:
             index[p] = (frozenset(must), frozenset(compress(persons, innocent_known)))
         return index
 
+    @functools.cached_property
+    def _counts(self) -> dict[str, tuple[int, int]]:
+        """For each person p, (how many p knows to be guilty, how many p
+        knows to be innocent), p included: the sizes of `epistemic_index[p]`,
+        counted from each row's set bits without building a set."""
+        persons, guilty = self.persons, self.guilty
+        guilty_mask = int.from_bytes(bytes(q in guilty for q in persons), "little")
+        counts = {}
+        for p, row in zip(persons, self.knowledge.rows):
+            bits = int.from_bytes(row, "little")
+            known, known_guilty = bits.bit_count(), (bits & guilty_mask).bit_count()
+            counts[p] = (known_guilty + 1, known - known_guilty) if p in guilty \
+                else (known_guilty, known - known_guilty + 1)
+        return counts
+
     def knows(self, p: str, q: str) -> Knowledge:
         return self.knowledge.get((p, q), Knowledge.UNKNOWN)
 
@@ -260,8 +286,8 @@ class KnowledgeWorld:
 
     def knows_full_roster(self, p: str) -> bool:
         """Does p know the guilt status of every other person?"""
-        must, banned = self.epistemic_index[p]
-        return len(must) + len(banned) == len(self.persons)
+        must, banned = self._counts[p]
+        return must + banned == len(self.persons)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +306,43 @@ class DirectGuilt:
     """Are you guilty?"""
 
 
+class _AllBut(collections.abc.Set):
+    """Everyone on `roster` but `absent`, as a read-only set view: O(1) `len`
+    and `in`, and equal to, and hashed like, the frozenset it stands for.
+    Set operations on it return frozensets."""
+
+    __slots__ = ("roster", "absent")
+    __match_args__ = ("roster", "absent")
+
+    def __init__(self, roster: frozenset[str], absent: str) -> None:
+        self.roster = roster
+        self.absent = absent
+
+    def __contains__(self, person: object) -> bool:
+        return person != self.absent and person in self.roster
+
+    def __iter__(self) -> Iterator[str]:
+        absent = self.absent
+        return (person for person in self.roster if person != absent)
+
+    def __len__(self) -> int:
+        return len(self.roster) - (self.absent in self.roster)
+
+    __hash__ = collections.abc.Set._hash
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[str]) -> frozenset[str]:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:
+        return f"_AllBut(<{len(self.roster)} persons>, absent={self.absent!r})"
+
+
 @dataclass(frozen=True)
 class PossibleSubset:
     """Is it possible that all the criminals are within this group?"""
 
-    group: frozenset[str]
+    group: collections.abc.Set[str]
 
 
 @dataclass(frozen=True)
@@ -340,7 +398,7 @@ def describe_question(question: Question) -> str:
     if not fields:
         return name
     value = getattr(question, fields[0].name)
-    if isinstance(value, frozenset):
+    if isinstance(value, collections.abc.Set):
         return f"{name}({', '.join(sorted(value))})"
     return f"{name}({str(value).lower() if isinstance(value, bool) else value})"
 
@@ -360,43 +418,57 @@ class Answer:
     token: Optional[str] = None
 
 
-def _yes_no(person: str, question: Question, value: bool) -> Answer:
-    return Answer(person, question, AnswerValue.YES if value else AnswerValue.NO)
+def _yes_no(value: bool) -> AnswerValue:
+    return AnswerValue.YES if value else AnswerValue.NO
 
 
 # ---------------------------------------------------------------------------
 # Truthful answers (epistemic core)
 # ---------------------------------------------------------------------------
+#
+# A criminal set is compatible with p's knowledge when it contains everything
+# p knows guilty and p (iff guilty), avoids everyone p knows innocent, is
+# non-empty, and has the public size when one is known. Factivity keeps the
+# known-guilty and known-innocent persons disjoint, so the persons a
+# compatible set may hold are counted, not listed.
 
-def _compatible_exists(
-    kw: KnowledgeWorld,
-    p: str,
-    *,
-    within: Optional[frozenset[str]] = None,
-    exclude: frozenset[str] = frozenset(),
-    size: Optional[int] = None,
-) -> bool:
-    """Is some criminal set compatible with p's knowledge under the extra
-    constraints? Compatible means: contains everything p knows guilty and p
-    (iff guilty), avoids everyone p knows innocent, is non-empty, and has
-    the public size when one is known. Factivity keeps `must` and `banned`
-    disjoint, so the persons a compatible set may hold are counted, not listed."""
-    must, banned = kw.epistemic_index[p]
-    if not must.isdisjoint(exclude):
-        return False
-    if within is None:
-        allowed = len(kw.persons) - len(banned) - len(exclude - banned)
-    elif not must <= within:
-        return False
-    else:
-        allowed = len(within) - len(within & banned) - len(within & (exclude - banned))
-    extras = allowed - len(must)
+def _fits(kw: KnowledgeWorld, must: int, extras: int, size: Optional[int]) -> bool:
+    """Is there a criminal set of the `must` forced persons plus some of
+    `extras` optional ones that is non-empty and has the asked `size` and
+    the public size, where either is given?"""
     if size is not None and kw.count_public is not None and size != kw.count_public:
         return False
     target = size if size is not None else kw.count_public
     if target is None:
-        return len(must) > 0 or extras > 0
-    return target >= 1 and len(must) <= target <= len(must) + extras
+        return must > 0 or extras > 0
+    return target >= 1 and must <= target <= must + extras
+
+
+def _compatible_without(
+    kw: KnowledgeWorld, p: str, q: str, size: Optional[int] = None
+) -> bool:
+    """Is some criminal set compatible with p's knowledge free of q, a person
+    of the roster? Read from p's counts and whether p knows q's status."""
+    must, banned = kw._counts[p]
+    knowledge = kw.knowledge
+    position = knowledge._position
+    if q == p or knowledge.rows[position[p]][position[q]]:
+        if q in kw.guilty:
+            return False
+        allowed = len(kw.persons) - banned  # q is counted among the banned
+    else:
+        allowed = len(kw.persons) - banned - 1
+    return _fits(kw, must, allowed - must, size)
+
+
+def _compatible_within(
+    kw: KnowledgeWorld, p: str, group: collections.abc.Set[str], size: Optional[int] = None
+) -> bool:
+    """Is some criminal set compatible with p's knowledge within `group`?"""
+    must, banned = kw.epistemic_index[p]
+    if not must <= group:
+        return False
+    return _fits(kw, len(must), len(group) - len(group & banned) - len(must), size)
 
 
 def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:
@@ -407,10 +479,8 @@ def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:
         return False
     if kw.count_public is None:
         return True
-    must, banned = kw.epistemic_index[p]
-    target = kw.count_public - 1
-    extras = len(kw.persons) - len(banned) - len(must)
-    return len(must) <= target <= len(must) + extras
+    must, banned = kw._counts[p]
+    return must <= kw.count_public - 1 <= len(kw.persons) - banned
 
 
 def _require_person(kw: KnowledgeWorld, p: str) -> None:
@@ -424,43 +494,53 @@ def _require_group(kw: KnowledgeWorld, group: Iterable[str]) -> None:
         raise PreconditionError(f"question group references unknown persons {sorted(bad)}")
 
 
+def _honest(kw: KnowledgeWorld, p: str, question: Question) -> AnswerValue:
+    """p's honest answer to `question`, to the extent of p's knowledge; a
+    token answer stands for `kw.secret`. The strategies' most frequent
+    questions come first."""
+    _require_person(kw, p)
+    match question:
+        case PossibleSubset(_AllBut(roster, q)) if roster is kw._person_set and q in roster:
+            # Everyone but q: the set form of "could q be innocent?".
+            return _yes_no(_compatible_without(kw, p, q))
+        case PossibleInnocent(target):
+            _require_person(kw, target)
+            return _yes_no(_compatible_without(kw, p, target))
+        case KnownFact(truth):
+            return _yes_no(truth)
+        case PossibleSizeExcludingSelf(m):
+            return _yes_no(_compatible_without(kw, p, p, m))
+        case DidDetectiveDoIt():
+            return AnswerValue.UNKNOWN if _detective_possible(kw, p) else AnswerValue.NO
+        case DetectivePossiblyGuilty():
+            return _yes_no(_detective_possible(kw, p))
+        case DirectGuilt():
+            return _yes_no(p in kw.guilty)
+        case PossibleExact(group) if group is kw._person_set:
+            # Could everyone have done it? Every compatible set is within the roster.
+            must, banned = kw._counts[p]
+            return _yes_no(_fits(kw, must, len(group) - banned - must, len(group)))
+        case PossibleSubset(group):
+            _require_group(kw, group)
+            return _yes_no(_compatible_within(kw, p, group))
+        case PossibleExact(group):
+            _require_group(kw, group)
+            # The one subset of the group as large as the group is the group.
+            return _yes_no(_compatible_within(kw, p, group, len(group)))
+        case SecretAttribute():
+            if kw.secret is None:
+                raise PreconditionError("no secret attribute is configured for this world")
+            return AnswerValue.TOKEN if p in kw.guilty else AnswerValue.UNKNOWN
+        case _:
+            raise PreconditionError(f"unknown question {question!r}")
+
+
 def truthful_answer(kw: KnowledgeWorld, p: str, question: Question) -> Answer:
     """What p would answer if answering honestly to the extent of their
     knowledge. Possibility questions never come back unknown: they ask about
     the askee's own knowledge."""
-    _require_person(kw, p)
-    guilty = p in kw.guilty
-    match question:
-        case KnownFact(truth):
-            return _yes_no(p, question, truth)
-        case DirectGuilt():
-            return _yes_no(p, question, guilty)
-        case PossibleSubset(group):
-            _require_group(kw, group)
-            return _yes_no(p, question, _compatible_exists(kw, p, within=group))
-        case PossibleExact(group):
-            _require_group(kw, group)
-            # The one subset of the group as large as the group is the group.
-            return _yes_no(p, question, _compatible_exists(kw, p, within=group, size=len(group)))
-        case PossibleSizeExcludingSelf(m):
-            return _yes_no(p, question, _compatible_exists(kw, p, exclude=frozenset({p}), size=m))
-        case PossibleInnocent(target):
-            _require_person(kw, target)
-            return _yes_no(p, question, _compatible_exists(kw, p, exclude=frozenset({target})))
-        case DidDetectiveDoIt():
-            if _detective_possible(kw, p):
-                return Answer(p, question, AnswerValue.UNKNOWN)
-            return Answer(p, question, AnswerValue.NO)
-        case DetectivePossiblyGuilty():
-            return _yes_no(p, question, _detective_possible(kw, p))
-        case SecretAttribute():
-            if kw.secret is None:
-                raise PreconditionError("no secret attribute is configured for this world")
-            if guilty:
-                return Answer(p, question, AnswerValue.TOKEN, token=kw.secret)
-            return Answer(p, question, AnswerValue.UNKNOWN)
-        case _:
-            raise PreconditionError(f"unknown question {question!r}")
+    value = _honest(kw, p, question)
+    return Answer(p, question, value, kw.secret if value is AnswerValue.TOKEN else None)
 
 
 def spoken_answer(
@@ -470,23 +550,21 @@ def spoken_answer(
     partial type's honest answer to the guilt question is no, and a liar
     then flips yes and no."""
     rng = rng or random.Random(0)
-    honest = truthful_answer(kw, p, question)
+    honest = _honest(kw, p, question)
     speaker_type = kw.type_of[p]
     if speaker_type.partial and isinstance(question, DirectGuilt):
-        honest = Answer(p, question, AnswerValue.NO)
+        honest = AnswerValue.NO
     if speaker_type.island is Island.TRUTH_TELLERS:
-        return honest
+        return Answer(p, question, honest, kw.secret if honest is AnswerValue.TOKEN else None)
 
     # Liar types from here on.
     if isinstance(question, SecretAttribute):
-        return Answer(p, question, AnswerValue.TOKEN, token=_wrong_token(kw, rng))
-    if honest.value is AnswerValue.YES:
-        return Answer(p, question, AnswerValue.NO)
-    if honest.value is AnswerValue.NO:
-        return Answer(p, question, AnswerValue.YES)
-    # Honest "I don't know" on a yes-or-no question: the liar answers
-    # adversarially. Robust strategies must not depend on this choice.
-    return Answer(p, question, rng.choice((AnswerValue.YES, AnswerValue.NO)))
+        return Answer(p, question, AnswerValue.TOKEN, _wrong_token(kw, rng))
+    if honest is AnswerValue.UNKNOWN:
+        # Honest "I don't know" on a yes-or-no question: the liar answers
+        # adversarially. Robust strategies must not depend on this choice.
+        return Answer(p, question, rng.choice((AnswerValue.YES, AnswerValue.NO)))
+    return Answer(p, question, AnswerValue.NO if honest is AnswerValue.YES else AnswerValue.YES)
 
 
 def _wrong_token(kw: KnowledgeWorld, rng: random.Random) -> str:
@@ -521,14 +599,15 @@ def _ask_each(
     """Put each (asker, question, suspect) of `asks` and accuse the suspect
     when the answer is `guilty_says` from a truth-teller, or its flip from a
     liar, by `island_of(asker)`. The one ask-and-read loop of the strategies."""
-    flipped = {AnswerValue.YES: AnswerValue.NO, AnswerValue.NO: AnswerValue.YES}.get(guilty_says)
-    says = {Island.TRUTH_TELLERS: guilty_says, Island.LIARS: flipped}
+    liar_says = {AnswerValue.YES: AnswerValue.NO, AnswerValue.NO: AnswerValue.YES}.get(guilty_says)
     transcript: list[Answer] = []
     accused: list[str] = []
+    # Identity tests, not enum-keyed lookups: an enum's hash runs Python code.
     for asker, question, suspect in asks:
         answer = spoken_answer(kw, asker, question, rng)
         transcript.append(answer)
-        if answer.value is says[island_of(asker)]:
+        truthful = island_of(asker) is Island.TRUTH_TELLERS
+        if answer.value is (guilty_says if truthful else liar_says):
             accused.append(suspect)
     return _result(accused, transcript)
 
@@ -541,9 +620,10 @@ def _each(
 
 
 def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
-    """For each p: could the criminals all be among everyone but p?"""
+    """For each p: could the criminals all be among everyone but p? The
+    group is a view of the roster without p, not a copy of it."""
     everyone = kw._person_set
-    return lambda p: PossibleSubset(everyone - {p})
+    return lambda p: PossibleSubset(_AllBut(everyone, p))
 
 
 def _require_single_island(kw: KnowledgeWorld, island: Island, what: str) -> None:
@@ -651,8 +731,11 @@ def run_solve_liars(
     if mode not in ("robust", "paper-literal"):
         raise PreconditionError(f"unknown liars-strategy mode '{mode}'")
 
+    roster = sorted(kw.persons)
+
     def literal(p: str) -> Question:
-        others = sorted(kw._person_set - {p})
+        at = bisect.bisect_left(roster, p)
+        others = roster[:at] + roster[at + 1:]
         if not others:
             raise PreconditionError("the literal liars strategy needs at least two persons")
         size = kw.count_public if kw.count_public is not None else rng.randint(1, len(others))
@@ -869,11 +952,16 @@ def generate_knowledge_world(
     type_of = {p: rng.choice(pool) for p in persons}
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
+    if density == 0 and not secret:
+        # Every draw would come out 0, and no later draw reads the generator.
+        rows = (bytes(n),) * n
+    else:
+        rows = _draw_rows(rng, n, density)
     return KnowledgeWorld(
         persons=persons,
         type_of=type_of,
         guilty=guilty,
-        knowledge=KnowledgeRows(persons, guilty, _draw_rows(rng, n, density)),
+        knowledge=KnowledgeRows(persons, guilty, rows),
         count_public=k if count_public else None,
         secret=f"secret-{rng.getrandbits(32):08x}" if secret else None,
     )

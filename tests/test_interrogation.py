@@ -1,5 +1,6 @@
 """Knowledge worlds, answer semantics, and the questioning strategies."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -41,6 +42,7 @@ from islander.interrogation import (
     spoken_answer,
     truthful_answer,
 )
+from islander.interrogation import _AllBut
 from islander.model import Guilty, Island, Not, SpeakerType, World
 from islander.semantics import admissible_for_type
 
@@ -74,6 +76,27 @@ def all_truth_tellers(n, guilty, **kw):
 def all_liars(n, guilty, **kw):
     names = tuple(f"P{i}" for i in range(1, n + 1))
     return make_kw({p: AL for p in names}, guilty, **kw)
+
+
+_EXPLICIT_UNKNOWN_KNOWLEDGE = {
+    ("A", "B"): Knowledge.UNKNOWN,
+    ("A", "C"): Knowledge.KNOWS_GUILTY,
+    ("B", "A"): Knowledge.KNOWS_INNOCENT,
+    ("B", "C"): Knowledge.UNKNOWN,
+    ("C", "A"): Knowledge.KNOWS_INNOCENT,
+    ("C", "B"): Knowledge.KNOWS_INNOCENT,
+    ("C", "D"): Knowledge.KNOWS_INNOCENT,
+    ("D", "A"): Knowledge.UNKNOWN,
+    ("D", "B"): Knowledge.UNKNOWN,
+    ("D", "C"): Knowledge.UNKNOWN,
+}
+
+
+def explicit_unknown_world(count_public=None):
+    """A hand-built world whose dict spells out UNKNOWN entries: C, the one
+    criminal, knows everyone innocent; A knows C guilty; D knows nothing."""
+    return make_kw({"A": AT, "B": PT, "C": AL, "D": RL}, {"C"},
+                   knowledge=_EXPLICIT_UNKNOWN_KNOWLEDGE, count_public=count_public)
 
 
 class TestTruthfulAnswers:
@@ -269,19 +292,7 @@ class TestKnowledgeIndex:
             assert set(kw.epistemic_index) == set(kw.persons)
 
     def test_hand_built_worlds_with_explicit_unknown_entries(self):
-        knowledge = {
-            ("A", "B"): Knowledge.UNKNOWN,
-            ("A", "C"): Knowledge.KNOWS_GUILTY,
-            ("B", "A"): Knowledge.KNOWS_INNOCENT,
-            ("B", "C"): Knowledge.UNKNOWN,
-            ("C", "A"): Knowledge.KNOWS_INNOCENT,
-            ("C", "B"): Knowledge.KNOWS_INNOCENT,
-            ("C", "D"): Knowledge.KNOWS_INNOCENT,
-            ("D", "A"): Knowledge.UNKNOWN,
-            ("D", "B"): Knowledge.UNKNOWN,
-            ("D", "C"): Knowledge.UNKNOWN,
-        }
-        kw = make_kw({"A": AT, "B": PT, "C": AL, "D": RL}, {"C"}, knowledge=knowledge)
+        kw = explicit_unknown_world()
         self.assert_matches_rescan(kw)
         assert kw.epistemic_index["A"] == (frozenset({"C"}), frozenset({"A"}))
         assert kw.epistemic_index["D"] == (frozenset(), frozenset({"D"}))
@@ -350,6 +361,142 @@ class TestKnowledgeIndex:
         tt, transcript = result.accused, result.transcript
         liars = frozenset(kw.persons) - tt
         assert len(transcript) == 1000 and len(tt) + len(liars) == 1000
+        assert peak < 2 * 2 ** 20
+        assert "epistemic_index" not in vars(kw)
+
+
+def fast_path_worlds():
+    """Generated worlds at densities 0, 0.3 and 1, with the count public and
+    hidden, on every island mode, and hand-built worlds whose dicts spell out
+    UNKNOWN entries."""
+    worlds = []
+    for island, density, public, seed in itertools.product(
+        ISLAND_MODES, (0.0, 0.3, 1.0), (False, True), range(3)
+    ):
+        n = (1, 6, 11)[seed]
+        worlds.append(generate_knowledge_world(
+            n, island, (1, n), density, count_public=public, seed=seed,
+        ))
+    worlds.append(explicit_unknown_world())
+    worlds.append(explicit_unknown_world(count_public=1))
+    worlds.append(make_kw({"A": AT, "B": AL}, {"B"}, count_public=1,
+                          knowledge={("A", "B"): Knowledge.UNKNOWN,
+                                     ("B", "A"): Knowledge.UNKNOWN}))
+    return worlds
+
+
+class TestEveryoneButFastPath:
+    """The count-read answers against the set-read answers they replace."""
+
+    def test_counts_are_the_index_sizes(self):
+        for kw in fast_path_worlds():
+            for p in kw.persons:
+                must, banned = kw.epistemic_index[p]
+                assert kw._counts[p] == (len(must), len(banned)), p
+
+    def test_view_answers_equal_the_listed_group_answers(self):
+        for kw in fast_path_worlds():
+            roster = kw._person_set
+            fast = [PossibleSubset(_AllBut(roster, q)) for q in kw.persons]
+            fast_answers = [spoken_answer(kw, p, question, random.Random(0))
+                            for question in fast for p in kw.persons]
+            # The view over the world's own roster is read from counts alone.
+            assert "epistemic_index" not in vars(kw)
+            listed = [PossibleSubset(roster - {q}) for q in kw.persons]
+            listed_answers = [spoken_answer(kw, p, question, random.Random(0))
+                              for question in listed for p in kw.persons]
+            # Answers carry their question, so this also holds the view equal
+            # to the frozenset it stands for.
+            assert fast_answers == listed_answers
+            for q, question in zip(kw.persons, listed):
+                for p in kw.persons:
+                    assert truthful_answer(kw, p, PossibleSubset(_AllBut(roster, q))) \
+                        == truthful_answer(kw, p, question), (p, q)
+
+    def test_a_view_over_another_roster_takes_the_set_path(self):
+        for kw in fast_path_worlds():
+            twin = frozenset(kw.persons)
+            assert twin == kw._person_set and twin is not kw._person_set
+            # An equal roster, then the first half of the crowd.
+            for roster in (twin, frozenset(kw.persons[:(len(kw.persons) + 1) // 2])):
+                views = [(p, PossibleSubset(_AllBut(roster, q)), PossibleSubset(roster - {q}))
+                         for q in roster for p in kw.persons]
+                fresh = dataclasses.replace(kw)
+                answers = [truthful_answer(fresh, p, view).value for p, view, _ in views]
+                assert ("epistemic_index" in vars(fresh)) is bool(views)
+                assert answers == [truthful_answer(fresh, p, listed).value
+                                   for p, _, listed in views]
+            # A view that leaves out no one on the roster is the roster.
+            whole = PossibleSubset(_AllBut(kw._person_set, "nobody"))
+            for p in kw.persons:
+                assert truthful_answer(kw, p, whole) \
+                    == truthful_answer(kw, p, PossibleSubset(kw._person_set))
+
+    def test_the_everyone_question_equals_a_listed_roster(self):
+        for kw in fast_path_worlds():
+            everyone = [truthful_answer(kw, p, PossibleExact(kw._person_set)).value
+                        for p in kw.persons]
+            assert "epistemic_index" not in vars(kw)
+            listed = PossibleExact(frozenset(kw.persons))
+            assert everyone == [truthful_answer(kw, p, listed).value for p in kw.persons]
+
+    def test_the_view_is_the_frozenset_it_stands_for(self):
+        roster = frozenset(f"P{i}" for i in range(1, 13))
+        for q in sorted(roster) + ["nobody"]:
+            view, listed = _AllBut(roster, q), roster - {q}
+            assert view == listed and listed == view and not view != listed
+            assert hash(view) == hash(listed)
+            assert len(view) == len(listed)
+            assert sorted(view) == sorted(listed) and len(list(view)) == len(listed)
+            for person in sorted(roster) + ["nobody", 7]:
+                assert (person in view) is (person in listed)
+            assert describe_question(PossibleSubset(view)) \
+                == describe_question(PossibleSubset(listed))
+            assert PossibleSubset(view) == PossibleSubset(listed)
+            assert hash(PossibleSubset(view)) == hash(PossibleSubset(listed))
+            for combined in (view & roster, roster & view, view | {"X"}, view - {"P1"}):
+                assert type(combined) is frozenset
+            assert view & roster == listed and view | {"X"} == listed | {"X"}
+
+    @pytest.mark.parametrize("name, island, density, public, criminals", [
+        ("solve_liars", "liars", 0.3, False, (1, 3)),
+        ("solve_mixed", "mixed", 0.3, False, (1, 3)),
+        ("count_known", "mixed", 0.0, True, (1, 3)),
+        ("neil", "tt", 0.0, True, 1),
+        ("neil", "liars", 0.0, True, 1),
+        ("count_unknown", "mixed", 0.0, False, (1, 3)),
+        ("ask_all_about_others", "mixed", 0.3, False, (1, 3)),
+        ("solve_truthtellers", "tt", 0.3, False, (1, 3)),
+    ])
+    def test_strategy_questions_leave_the_index_unbuilt(
+        self, name, island, density, public, criminals
+    ):
+        kw = generate_knowledge_world(300, island, criminals, density,
+                                      count_public=public, seed=3)
+        result = run_strategy(kw, name)
+        assert STRATEGIES[name].succeeds(kw, result)
+        assert "epistemic_index" not in vars(kw)
+        # "Could everyone have done it?" holds the world's own roster; no
+        # question holds a set built for it.
+        own_roster = kw._person_set if name == "count_unknown" else None
+        for answer in result.transcript:
+            for f in dataclasses.fields(answer.question):
+                value = getattr(answer.question, f.name)
+                assert not isinstance(value, frozenset) or value is own_roster, answer.question
+
+    def test_robust_questions_stay_small_at_a_thousand(self):
+        kw = generate_knowledge_world(
+            n=1000, island="mixed", criminals=(1, 3), density=0.3, seed=5,
+        )
+        tracemalloc.start()
+        try:
+            result = run_solve_mixed(kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.accused == kw.guilty and len(result.transcript) == 2000
+        # About 0.7 MiB with the view; a listed 999-person group per question
+        # took about 48 MiB.
         assert peak < 2 * 2 ** 20
         assert "epistemic_index" not in vars(kw)
 
@@ -852,9 +999,10 @@ def plain_rows(rng, n, density):
     )
 
 
-def plain_world(n, island, criminals, density, count_public=False, secret=False, seed=0):
-    """`generate_knowledge_world` with the knowledge drawn by the plain loop
-    into a (p, q)-keyed dict."""
+def plain_world(n, island, criminals, density, count_public=False, secret=False, seed=0,
+                bulk=False):
+    """`generate_knowledge_world` with the knowledge always drawn: by the
+    plain loop into a (p, q)-keyed dict, or with `bulk` through `_draw_rows`."""
     rng = random.Random(seed)
     persons = tuple(f"P{i}" for i in range(1, n + 1))
     pool = {"tt": interrogation.TT_POOL, "liars": interrogation.LIAR_POOL,
@@ -863,13 +1011,16 @@ def plain_world(n, island, criminals, density, count_public=False, secret=False,
     low, high = (criminals, criminals) if isinstance(criminals, int) else criminals
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
-    knowledge = {}
-    for p in persons:
-        for q in persons:
-            if p != q and rng.random() < density:
-                knowledge[(p, q)] = (
-                    Knowledge.KNOWS_GUILTY if q in guilty else Knowledge.KNOWS_INNOCENT
-                )
+    if bulk:
+        knowledge = KnowledgeRows(persons, guilty, interrogation._draw_rows(rng, n, density))
+    else:
+        knowledge = {}
+        for p in persons:
+            for q in persons:
+                if p != q and rng.random() < density:
+                    knowledge[(p, q)] = (
+                        Knowledge.KNOWS_GUILTY if q in guilty else Knowledge.KNOWS_INNOCENT
+                    )
     return KnowledgeWorld(
         persons=persons, type_of=type_of, guilty=guilty, knowledge=knowledge,
         count_public=k if count_public else None,
@@ -922,6 +1073,38 @@ class TestBulkDraw:
         # The rows take MAX_CROWD**2 bytes, 4 MiB.
         assert len(kw.knowledge.rows) == MAX_CROWD
         assert peak < 8 * 2 ** 20
+
+
+class TestBlankWorlds:
+    """A world of density 0 without a secret skips the row draws; every
+    seeded output stays that of the world drawn in full."""
+
+    def test_blank_worlds_equal_drawn_worlds(self):
+        for island, n, seed, public in itertools.product(
+            ISLAND_MODES, (1, 2, 5, 40), range(4), (False, True)
+        ):
+            args = (n, island, (1, n), 0.0)
+            kw = generate_knowledge_world(*args, count_public=public, seed=seed)
+            ref = plain_world(*args, count_public=public, seed=seed, bulk=True)
+            assert kw == ref and kw.knowledge.rows == ref.knowledge.rows, (island, n, seed)
+
+    def test_a_secret_is_drawn_after_the_blank_rows(self):
+        for island, n, seed in itertools.product(ISLAND_MODES, (2, 5, 40), range(4)):
+            args = (n, island, (1, n), 0.0)
+            kw = generate_knowledge_world(*args, secret=True, seed=seed)
+            ref = plain_world(*args, secret=True, seed=seed, bulk=True)
+            assert kw == ref and kw.secret == ref.secret, (island, n, seed)
+
+    def test_only_blank_worlds_without_a_secret_skip_the_draws(self, monkeypatch):
+        def no_draws(rng, n, density):
+            raise AssertionError("the knowledge rows were drawn")
+
+        monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
+        kw = generate_knowledge_world(50, "mixed", (1, 3), 0.0, seed=1)
+        assert kw.all_knowledge_unknown()
+        for density, secret in ((0.0, True), (0.3, False), (2 ** -53, False)):
+            with pytest.raises(AssertionError, match="drawn"):
+                generate_knowledge_world(50, "mixed", (1, 3), density, secret=secret, seed=1)
 
 
 class TestStrategyRegistry:
