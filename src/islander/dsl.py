@@ -12,12 +12,19 @@ the tokens after the keyword: punctuation marks, words and the node's
 fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
 directive's keyword to the function that reads the rest of it.
 
-The lexer makes one regular-expression match per token. Formulas are read
-by precedence climbing over an explicit operator stack, and validation,
-serialize(), ==, hash, repr and the `axiom forall` expansion walk them over
-explicit stacks too, so any nesting depth or chain length works. Only
-eval_formula and check_world, the deliberately plain reference, recurse:
-they raise RecursionError about 1000 levels deep (see docs/grammar.md).
+Two readers share one token regular expression. `parse` first reads a text
+with `_read`: one findall gives every token's text, each distinct text
+becomes one shared Token, and no Python code runs per token. Positions are
+worked out only to report an error: at a bad character, or when the parse
+fails, `parse` reads the text again with `_lex`, whose tokens carry their
+line and column, and parses it again to raise the same error at its span.
+
+Formulas are read by precedence climbing over an explicit operator stack,
+and validation, serialize(), ==, hash, repr and the `axiom forall`
+expansion walk them over explicit stacks too, so any nesting depth or chain
+length works. Only eval_formula and check_world, the deliberately plain
+reference, recurse: they raise RecursionError about 1000 levels deep (see
+docs/grammar.md).
 """
 
 from __future__ import annotations
@@ -93,59 +100,89 @@ class Token(NamedTuple):
         return SourceSpan(self.line, self.column, max(1, len(self.text)))
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-# One match per token: the blanks before it, then one alternative per token
-# class, tried in this order. A comment runs to the end of its line. `string`
+# The token classes: kind -> the regular expression of its texts. `string`
 # matches only well-formed literals (an unrolled loop, so a missing quote
-# cannot make it backtrack). Punctuation is listed longest first. The bare
-# `\Z` takes the blanks at the end of the text, and `bad` any other
-# character, so every position of a text starts a match.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r]*
-    (?:
-        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct><->|->|<=|>=|[{}(),;:=])
-      | (?P<newline>\n)
-      | (?P<int>[0-9]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<string>"[^"\\\n]*(?:\\["\\][^"\\\n]*)*")
-      | \Z
-      | (?P<bad>.)
-    )
-""", re.VERBOSE)
+# cannot make it backtrack); punctuation is listed longest first.
+_TOKEN_CLASSES = {
+    "ident": r"[A-Za-z_][A-Za-z0-9_]*",
+    "punct": r"<->|->|<=|>=|[{}(),;:=]",
+    "int": r"[0-9]+",
+    "string": r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"',
+}
+# Which class a token text belongs to, by the named group that matches it in
+# full. Compiled on first use, by `re`'s own cache.
+_CLASS_PATTERN = "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_CLASSES.items())
+
+# One match per token: the blanks, newlines and comments before it, then its
+# text, the one group: a token of some class, the empty text at the end of
+# the input (`\Z`), or any other single character, a bad one. So every
+# position of a text starts a match, and no match ever backtracks into the
+# blanks. At the end of a text, findall can give two empty texts: one for
+# the blanks there, one right after them.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]|\#[^\n]*)*(" + "|".join(_TOKEN_CLASSES.values()) + r"|\Z|.)")
 _ESCAPE_RE = re.compile(r"\\(.)")
+_EOF = Token("eof", "end of input", 0, 0)
+
+
+def _classify(raws: list[str]) -> dict[str, Token | None]:
+    """Each distinct token text that `_TOKEN_RE` captured, mapped to its
+    token without a position: the end-of-input token for the empty text,
+    None for a bad character."""
+    match = re.compile(_CLASS_PATTERN).fullmatch
+    table: dict[str, Token | None] = {}
+    for raw in set(raws):
+        m = match(raw)
+        if m is None:
+            table[raw] = None if raw else _EOF
+        elif m.lastgroup == "punct":
+            table[raw] = Token(raw, raw, 0, 0)
+        elif m.lastgroup == "string":
+            table[raw] = Token("string", _ESCAPE_RE.sub(r"\1", raw[1:-1]), 0, 0)
+        else:
+            table[raw] = Token(m.lastgroup, raw, 0, 0)
+    return table
+
+
+def _read(text: str) -> list[Token] | None:
+    """The tokens of `text`, shared and without positions, or None if it
+    holds a bad character: one findall, then one lookup per token."""
+    raws = _TOKEN_RE.findall(text)
+    table = _classify(raws)
+    if None in table.values():
+        return None
+    if len(raws) > 1 and not raws[-2]:
+        raws.pop()  # the second empty text at the end
+    return list(map(table.__getitem__, raws))
+
 
 def _lex(text: str) -> list[Token]:
+    """The tokens of `text` with their line and column, or the ParseError at
+    its first bad character. The end-of-input token sits at the end of the
+    text, or at the '#' of a comment that ends it."""
+    table = _classify(_TOKEN_RE.findall(text))
     tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
-    line, line_start, pos, end = 1, 0, 0, len(text)
-    eof_column = None
+    line, line_start, pos = 1, 0, 0
     for m in _TOKEN_RE.finditer(text):
+        raw, start = m[1], m.start(1)
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        tok = table[raw]
+        if tok is None:
+            if raw == '"':
+                raise _bad_string(text, start, line, column)
+            raise ParseError(SourceSpan(line, column, 1), f"unexpected character {raw!r}")
+        if not raw:
+            break
+        tokens.append(Token(tok.kind, tok.text, line, column))
         pos = m.end()
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        value = m[kind]
-        column = pos - len(value) - line_start + 1
-        if kind == "ident" or kind == "int":
-            append(new(Token, (kind, value, line, column)))
-        elif kind == "punct":
-            append(new(Token, (value, value, line, column)))
-        elif kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind == "string":
-            append(new(Token, ("string", _ESCAPE_RE.sub(r"\1", value[1:-1]), line, column)))
-        elif kind == "bad":
-            if value == '"':
-                raise _bad_string(text, pos - 1, line, column)
-            raise ParseError(SourceSpan(line, column, 1), f"unexpected character {value!r}")
-        elif pos == end:
-            # A comment that ends the text: the end-of-input token sits at its '#'.
-            eof_column = column
-    append(Token("eof", "end of input", line, eof_column or pos - line_start + 1))
+    comment = text.find("#", max(pos, line_start))
+    if comment != -1:
+        column = comment - line_start + 1
+    tokens.append(_EOF._replace(line=line, column=column))
     return tokens
 
 
@@ -253,7 +290,19 @@ _ISLAND_BY_NAME = {i.value: i for i in Island}
 
 def parse(text: str) -> Puzzle:
     """Parse DSL source into a validated Puzzle, or raise ParseError."""
-    p = _Parser(_lex(text))
+    tokens = _read(text)
+    if tokens is not None:
+        try:
+            return _parse(tokens)
+        except ParseError:
+            pass  # raised again below, at a token that knows its position
+    return _parse(_lex(text))
+
+
+def _parse(tokens: list[Token]) -> Puzzle:
+    """The puzzle the tokens spell, or the ParseError at the first wrong one.
+    Deterministic: the tokens of `_read` and of `_lex` meet the same error."""
+    p = _Parser(tokens)
     b = _PuzzleBuilder()
 
     p.expect_word("puzzle")
@@ -486,7 +535,7 @@ def _expect_label(p: _Parser, b: _PuzzleBuilder, extra: object) -> str:
 
 def _expect_free_name(p: _Parser, b: object, extra: object) -> str:
     tok = p.expect("string", "a quoted atom name")
-    if not _IDENT_RE.fullmatch(tok.text):
+    if not re.fullmatch(_TOKEN_CLASSES["ident"], tok.text):
         raise ParseError(tok.span, f"free atom name '{tok.text}' must be an identifier")
     return tok.text
 

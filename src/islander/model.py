@@ -373,6 +373,8 @@ class Puzzle:
 
     def validate(self) -> None:
         """Raise PuzzleError on any structural violation."""
+        from .dsl import KEYWORDS  # dsl imports this module
+
         if not self.suspects:
             raise PuzzleError("a puzzle needs at least one suspect")
         if len(set(self.suspects)) != len(self.suspects):
@@ -380,6 +382,8 @@ class Puzzle:
         for person in self.suspects:
             if not _is_name(person):
                 raise PuzzleError(f"suspect name '{person}' is not an identifier")
+            if person in KEYWORDS:
+                raise PuzzleError(f"suspect name '{person}' is a reserved word")
         if set(self.type_domain) != set(self.suspects):
             raise PuzzleError("type domain must cover exactly the suspects")
         for person, domain in self.type_domain.items():
@@ -397,6 +401,8 @@ class Puzzle:
         for stmt in self.statements:
             if not _is_name(stmt.label):
                 raise PuzzleError(f"statement label '{stmt.label}' is not an identifier")
+            if stmt.label in KEYWORDS:
+                raise PuzzleError(f"statement label '{stmt.label}' is a reserved word")
             if stmt.label in labels_seen:
                 raise PuzzleError(f"duplicate statement label '{stmt.label}'")
             if stmt.speaker not in self.type_domain:
@@ -406,6 +412,8 @@ class Puzzle:
             if stmt.body is not None:
                 self._check_formula_refs(stmt.body, labels_seen, modeled,
                                          where=f"statement '{stmt.label}'")
+            elif stmt.text is not None and "\n" in stmt.text:  # no string literal holds one
+                raise PuzzleError(f"statement '{stmt.label}' has a newline in its text")
             labels_seen.add(stmt.label)
 
         for i, axiom in enumerate(self.axioms):

@@ -1,6 +1,7 @@
 """Parser and serializer: grammar coverage, error spans, round-trips."""
 
 import dataclasses
+import importlib.util
 import json
 import operator
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from islander import dsl
 from islander.dsl import (
     ATOM_EXPECTED,
     KEYWORDS,
@@ -19,6 +21,7 @@ from islander.dsl import (
     SourceSpan,
     _ATOMS,
     _lex,
+    _read,
     format_formula,
     parse,
     serialize,
@@ -37,11 +40,13 @@ from islander.model import (
     Or,
     Puzzle,
     SpeakerType,
+    Statement,
     iter_subformulas,
 )
 from islander.solver import solve
 
 from conftest import CORPUS_NAMES, corpus_text, no_recursion, random_puzzle
+from test_golden_parses import all_texts as golden_texts
 from test_model import formula_strategy
 
 GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "grammar.md"
@@ -191,6 +196,112 @@ class TestLexer:
         err = info.value
         assert (err.span.line, err.span.column, err.span.length) == span
         assert (err.message, err.expected) == (message, expected)
+
+
+def benchmark_texts(seed: int) -> list[str]:
+    """The `dsl_roundtrip` benchmark's texts for `seed`, from perfbench/inputs.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    return [item.text for item in inputs.dsl_pool(seed)]
+
+
+# Lexical edge cases and what `parse` makes of them: None for a text that
+# parses, else the error's (line, column, length), message and expected list.
+def _at_end(line: int, column: int, expected=("puzzle",)) -> tuple:
+    return (line, column, 12), "unexpected token 'end of input'", expected
+
+
+_DIRECTIVE_NAMES = ("suspects", "island", "types", "criminals", "typecount", "statement", "axiom")
+_SMALL = "puzzle { suspects A; criminals = 1; }"
+LEXICAL_EDGE_CASES = {
+    "trailing comment, final newline": (_SMALL + " # end\n", None),
+    "trailing comment, no final newline": (_SMALL + " # end", None),
+    "open block, trailing comment": (
+        "puzzle { suspects A; criminals = 1; # end", _at_end(1, 37, _DIRECTIVE_NAMES)),
+    "open block, trailing comment and newline": (
+        "puzzle { suspects A; criminals = 1; # end\n", _at_end(2, 1, _DIRECTIVE_NAMES)),
+    "CRLF and tabs": ("puzzle {\r\n\tsuspects A, B;\r\n\tcriminals = 1;\r\n"
+                      "\tstatement s A: guilty(B);\r\n}\r\n", None),
+    "CRLF and tabs, unknown suspect": (
+        "puzzle {\r\n\tsuspects A, B;\r\n\tcriminals = 1;\r\n"
+        "\tstatement s A: guilty(C);\r\n}\r\n",
+        ((4, 24, 1), "unknown suspect 'C'", ())),
+    "unterminated quote at the end": (
+        'puzzle { suspects A; criminals = 1; statement s A: unmodeled "',
+        ((1, 62, 1), "unterminated string literal", ())),
+    "lone <": ("puzzle { suspects A; criminals < 1; }",
+               ((1, 32, 1), "unexpected character '<'", ())),
+    "lone -": ("puzzle { suspects A; criminals = 1; axiom guilty(A) - guilty(A); }",
+               ((1, 53, 1), "unexpected character '-'", ())),
+    "lone >": ("puzzle { suspects A; criminals > 1; }",
+               ((1, 32, 1), "unexpected character '>'", ())),
+    "non-ASCII letter": ("puzzle { suspects Aé; criminals = 1; }",
+                         ((1, 20, 1), "unexpected character 'é'", ())),
+    "non-ASCII digit": ("puzzle { suspects A; criminals = 1²; }",
+                        ((1, 35, 1), "unexpected character '²'", ())),
+    "empty text": ("", _at_end(1, 1)),
+    "blanks only": ("  \n\t\r\n ", _at_end(3, 2)),
+    "comment only": ("# nothing here", _at_end(1, 1)),
+    "comment only, final newline": ("# nothing here\n", _at_end(2, 1)),
+}
+
+
+def _kinds_and_texts(tokens) -> list[tuple[str, str]]:
+    return [(tok.kind, tok.text) for tok in tokens]
+
+
+def assert_readers_agree(text: str) -> None:
+    """`_read` gives the tokens of `_lex` without their positions, and gives
+    up exactly where `_lex` meets a bad character."""
+    tokens = _read(text)
+    try:
+        positioned = _lex(text)
+    except ParseError:
+        assert tokens is None
+        return
+    assert tokens is not None
+    assert _kinds_and_texts(tokens) == _kinds_and_texts(positioned)
+
+
+class TestTwoReaders:
+    """`parse` reads a text with `_read`, one findall and a lookup per token,
+    and only for an error does it read it again with `_lex`, which knows
+    where each token is."""
+
+    def test_readers_agree_on_the_golden_texts(self):
+        for text in golden_texts().values():
+            assert_readers_agree(text)
+
+    def test_readers_agree_on_the_benchmark_texts_and_their_serializations(self):
+        for text in benchmark_texts(1):
+            assert_readers_agree(text)
+            assert_readers_agree(serialize(parse(text)))
+
+    @pytest.mark.parametrize("name", LEXICAL_EDGE_CASES)
+    def test_readers_agree_on_edge_cases(self, name):
+        text, error = LEXICAL_EDGE_CASES[name]
+        assert_readers_agree(text)
+        if error is None:
+            parse(text)
+            return
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        err = info.value
+        assert ((err.span.line, err.span.column, err.span.length), err.message,
+                err.expected) == error
+
+    def test_a_valid_parse_never_builds_positioned_tokens(self, monkeypatch):
+        texts = [corpus_text(name) for name in CORPUS_NAMES]
+        texts.append(serialize(parse(benchmark_texts(1)[0])))
+
+        def refuse(text):
+            raise AssertionError("a valid text was read with positions")
+        monkeypatch.setattr(dsl, "_lex", refuse)
+        for text in texts:
+            parse(text)
 
 
 class TestDepth:
@@ -518,6 +629,20 @@ class TestRoundTrip:
         b = parse(serialize(parse(corpus_text("mike"))))
         assert a == b
         assert serialize(a) == serialize(b)
+
+    def test_near_misses_of_what_a_puzzle_refuses_round_trip(self):
+        """A Puzzle refuses a reserved word as a name and a newline in an
+        unmodeled text, as the parser does; names that only contain or
+        resemble a keyword, and texts with every other awkward character,
+        round-trip."""
+        puzzle = Puzzle(
+            suspects=("guilty_", "Not"),
+            type_domain={"guilty_": frozenset(ALL_TYPES), "Not": frozenset(ALL_TYPES)},
+            count=CountCmp(">=", 1),
+            statements=(Statement("nots", "Not", None, text='tab\tcr\r "q" \\ # x'),
+                        Statement("s_and", "guilty_", Guilty("Not"))),
+        )
+        assert parse(serialize(puzzle)) == puzzle
 
     def test_random_puzzles_round_trip(self):
         rng = random.Random(31337)

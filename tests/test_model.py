@@ -333,6 +333,14 @@ class TestPuzzleValidation:
          "statement label 's 1' is not an identifier"),
         (dict(axioms=(Free("a b"),)),
          "axiom 1 has free atom name 'a b', which is not an identifier"),
+        (dict(suspects=("A", "guilty"), type_domain={"A": frozenset(ALL_TYPES),
+                                                     "guilty": frozenset(ALL_TYPES)},
+              statements=()),
+         "suspect name 'guilty' is a reserved word"),
+        (dict(statements=(Statement("not", "A", TRUE),)),
+         "statement label 'not' is a reserved word"),
+        (dict(statements=(Statement("s1", "A", None, text="two\nlines"),)),
+         "statement 's1' has a newline in its text"),
         # A's reserved whodunit key: the solver would mistake it for A's knowledge.
         (dict(type_domain={"A": frozenset({AT}), "B": frozenset({AT})},
               count=CountCmp("=", 1), statements=(),
