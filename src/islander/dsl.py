@@ -30,7 +30,6 @@ docs/grammar.md).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -63,11 +62,12 @@ from .model import (
     TRUTH_TELLER_TYPES,
     Truthful,
     TypeCardinality,
+    record,
     replace_person,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     line: int
     column: int

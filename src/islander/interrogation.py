@@ -72,17 +72,17 @@ from __future__ import annotations
 
 import bisect
 import collections.abc
-import dataclasses
 import enum
 import functools
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .model import ALL_TYPES, LIAR_TYPES, TRUTH_TELLER_TYPES, Island, SpeakerType
+from .model import (
+    ALL_TYPES, LIAR_TYPES, TRUTH_TELLER_TYPES, Factory, Island, SpeakerType, record,
+)
 
 # In ALL_TYPES order: generation draws `rng.choice` from these tuples.
 TT_POOL = tuple(t for t in ALL_TYPES if t in TRUTH_TELLER_TYPES)
@@ -192,14 +192,14 @@ class KnowledgeRows(collections.abc.Mapping):
         return f"KnowledgeRows(<{len(self)} known pairs among {len(self.persons)} persons>)"
 
 
-@dataclass(frozen=True)
+@record
 class KnowledgeWorld:
     persons: tuple[str, ...]
     type_of: Mapping[str, SpeakerType]
     guilty: frozenset[str]
     # A `KnowledgeRows` once built: a (p, q) -> Knowledge mapping is checked
     # and converted, so worlds that know the same pairs compare equal.
-    knowledge: Mapping[tuple[str, str], Knowledge] = field(default_factory=dict)
+    knowledge: Mapping[tuple[str, str], Knowledge] = Factory(dict)
     count_public: Optional[int] = None
     secret: Optional[str] = None
 
@@ -294,14 +294,14 @@ class KnowledgeWorld:
 # Questions and answers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class KnownFact:
     """A control question whose answer the detective already knows."""
 
     truth: bool
 
 
-@dataclass(frozen=True)
+@record
 class DirectGuilt:
     """Are you guilty?"""
 
@@ -338,47 +338,47 @@ class _AllBut(collections.abc.Set):
         return f"_AllBut(<{len(self.roster)} persons>, absent={self.absent!r})"
 
 
-@dataclass(frozen=True)
+@record
 class PossibleSubset:
     """Is it possible that all the criminals are within this group?"""
 
     group: collections.abc.Set[str]
 
 
-@dataclass(frozen=True)
+@record
 class PossibleExact:
     """Is it possible that exactly this group committed the crime?"""
 
     group: frozenset[str]
 
 
-@dataclass(frozen=True)
+@record
 class PossibleSizeExcludingSelf:
     """Could there be m criminals, none of them you?"""
 
     m: int
 
 
-@dataclass(frozen=True)
+@record
 class PossibleInnocent:
     """Is it possible that this person is innocent?"""
 
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class DidDetectiveDoIt:
     """Did I (the detective, an outsider) do it? Factual, so the honest
     answer may be "I don't know"."""
 
 
-@dataclass(frozen=True)
+@record
 class DetectivePossiblyGuilty:
     """Is it possible that I (the detective) committed the crime? The
     yes-or-no possibility form of the question above, usable with liars."""
 
 
-@dataclass(frozen=True)
+@record
 class SecretAttribute:
     """Open-ended question about a crime detail only the criminals know."""
 
@@ -394,10 +394,10 @@ def describe_question(question: Question) -> str:
     """The class name in snake case, then the field, if the question has one,
     in parentheses: a group as its sorted names, a bool in lower case."""
     name = re.sub(r"(?<!^)(?=[A-Z])", "_", type(question).__name__).lower()
-    fields = dataclasses.fields(question)
+    fields = question.__match_args__
     if not fields:
         return name
-    value = getattr(question, fields[0].name)
+    value = getattr(question, fields[0])
     if isinstance(value, collections.abc.Set):
         return f"{name}({', '.join(sorted(value))})"
     return f"{name}({str(value).lower() if isinstance(value, bool) else value})"
@@ -410,7 +410,7 @@ class AnswerValue(enum.Enum):
     TOKEN = "token"
 
 
-@dataclass(frozen=True)
+@record
 class Answer:
     person: str
     question: Question
@@ -578,7 +578,7 @@ def _wrong_token(kw: KnowledgeWorld, rng: random.Random) -> str:
 # Strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StrategyResult:
     accused: frozenset[str]
     transcript: tuple[Answer, ...]
@@ -818,7 +818,7 @@ def _accuses_the_known_criminals(kw: KnowledgeWorld, result: StrategyResult) -> 
     return kw.known_criminals() <= result.accused <= kw.guilty
 
 
-@dataclass(frozen=True)
+@record
 class Strategy:
     """A strategy's runner and the premises it is declared for.
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import attrgetter
+from types import CellType, FunctionType
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 
@@ -73,27 +75,205 @@ class PuzzleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class Factory:
+    """A field default made anew for each record by calling `make()`."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], object]) -> None:
+        self.make = make
+
+
+def _init_templates() -> tuple[Callable[..., None], ...]:
+    """One `__init__` per number of fields, setting the fields in order
+    through the closure cells s0, s1, ...; `_record_init` gives each record
+    class a copy with its own parameter names and cells."""
+    s0 = s1 = s2 = s3 = s4 = s5 = s6 = None
+
+    def init0(self):
+        pass
+
+    def init1(self, a0):
+        s0(self, a0)
+
+    def init2(self, a0, a1):
+        s0(self, a0)
+        s1(self, a1)
+
+    def init3(self, a0, a1, a2):
+        s0(self, a0)
+        s1(self, a1)
+        s2(self, a2)
+
+    def init4(self, a0, a1, a2, a3):
+        s0(self, a0)
+        s1(self, a1)
+        s2(self, a2)
+        s3(self, a3)
+
+    def init5(self, a0, a1, a2, a3, a4):
+        s0(self, a0)
+        s1(self, a1)
+        s2(self, a2)
+        s3(self, a3)
+        s4(self, a4)
+
+    def init6(self, a0, a1, a2, a3, a4, a5):
+        s0(self, a0)
+        s1(self, a1)
+        s2(self, a2)
+        s3(self, a3)
+        s4(self, a4)
+        s5(self, a5)
+
+    def init7(self, a0, a1, a2, a3, a4, a5, a6):
+        s0(self, a0)
+        s1(self, a1)
+        s2(self, a2)
+        s3(self, a3)
+        s4(self, a4)
+        s5(self, a5)
+        s6(self, a6)
+
+    return init0, init1, init2, init3, init4, init5, init6, init7
+
+
+_INIT_TEMPLATES = _init_templates()
+
+
+def _record_init(cls: type, fields: tuple[str, ...],
+                 defaults: dict[str, object]) -> Callable[..., None]:
+    """`cls.__init__`: the template for len(fields), renamed so that its
+    parameters are the field names and its cells hold the setters of the
+    fields' slots. Python itself then binds positional and keyword
+    arguments, fills in defaults and names a missing field; no source is
+    generated."""
+    if len(fields) >= len(_INIT_TEMPLATES):
+        raise TypeError(f"{cls.__name__}: a record has at most "
+                        f"{len(_INIT_TEMPLATES) - 1} fields")
+    setters = {}
+    for i, name in enumerate(fields):
+        set_slot = cls.__dict__[name].__set__
+        default = defaults.get(name)
+        if isinstance(default, Factory):  # the Factory itself stands for "not given"
+            set_slot = _fresh_setter(set_slot, default)
+        setters[f"s{i}"] = set_slot
+    template = _INIT_TEMPLATES[len(fields)]
+    code = template.__code__.replace(co_name="__init__", co_varnames=("self", *fields))
+    init = FunctionType(code, template.__globals__, "__init__",
+                        tuple(defaults.values()) or None,
+                        tuple(CellType(setters[cell]) for cell in code.co_freevars))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    if not hasattr(cls, "__post_init__"):
+        return init
+
+    def init_then_post_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.__post_init__()
+    return init_then_post_init
+
+
+def _fresh_setter(set_slot: Callable[[object, object], None],
+                  factory: Factory) -> Callable[[object, object], None]:
+    def set_fresh(record: object, value: object) -> None:
+        set_slot(record, factory.make() if value is factory else value)
+    return set_fresh
+
+
+def _no_values(record: object) -> tuple:
+    return ()
+
+
+class Record:
+    """Base of the package's immutable records, which `record` builds: `==`
+    and `hash` over the class and the fields, a `Name(field=value, ...)`
+    repr, fields that cannot be assigned or deleted (`__post_init__` may
+    set one with `object.__setattr__`), and `copy` and `pickle` support."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        cls = type(self)
+        if type(other) is not cls:
+            return NotImplemented
+        return cls._values(self) == cls._values(other)
+
+    def __hash__(self) -> int:
+        return hash(type(self)._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        """Copy and pickle through `__init__`: the default way sets each
+        slot with `setattr`, which a record refuses."""
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def record(cls: type) -> type:
+    """Make `cls` a frozen `Record`, as a class decorator. Its fields are its
+    annotations, in constructor order, each optionally with a default (a
+    `Factory` for a fresh one per instance). The class is built again with
+    `Record` after its bases and one slot per field, and gets
+    `__match_args__` (the field tuple, for positional `match`), `_values`
+    (the getter of the field values that `==` and `hash` read) and an
+    `__init__` that takes the fields positionally or by keyword, then calls
+    `__post_init__` if the class has one. A class with a `cached_property`
+    also gets a `__dict__` to hold its caches. Built this way, a record
+    class is a plain `type`: with a metaclass, every `isinstance` test
+    against it that fails would take the slow `__instancecheck__` path."""
+    name, bases = cls.__name__, cls.__bases__
+    if any(getattr(base, "__match_args__", ()) for base in bases):
+        raise TypeError(f"{name}: a record's base may not have fields")
+    namespace = {key: value for key, value in cls.__dict__.items()
+                 if key not in ("__dict__", "__weakref__")}
+    fields = tuple(namespace.get("__annotations__", ()))
+    has_default = [f in namespace for f in fields]
+    if has_default != sorted(has_default):
+        raise TypeError(f"{name}: a field without a default follows one with a default")
+    defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+    namespace["__slots__"] = fields + ("__dict__",) * any(
+        isinstance(value, cached_property) for value in namespace.values())
+    namespace["__match_args__"] = fields
+    # One field gives its value, more a tuple of them: equal either way.
+    namespace["_values"] = attrgetter(*fields) if fields else _no_values
+    cls = type(name, tuple(base for base in bases if base is not object) + (Record,), namespace)
+    cls.__init__ = _record_init(cls, fields, defaults)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Formula AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Guilty:
     person: str
 
 
-@dataclass(frozen=True)
+@record
 class HasType:
     person: str
     speaker_type: SpeakerType
 
 
-@dataclass(frozen=True)
+@record
 class FromIsland:
     person: str
     island: Island
 
 
-@dataclass(frozen=True)
+@record
 class CountCmp:
     """Compare the number of guilty suspects with a constant. op is =, <= or >=."""
 
@@ -101,7 +281,7 @@ class CountCmp:
     k: int
 
 
-@dataclass(frozen=True)
+@record
 class Truthful:
     """True iff the referenced statement's body holds in the same world.
 
@@ -112,32 +292,35 @@ class Truthful:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class LiesWhenAskedGuilt:
     person: str
 
 
-@dataclass(frozen=True)
+@record
 class KnowsWhodunit:
     person: str
 
 
-@dataclass(frozen=True)
+@record
 class Free:
     """An uninterpreted boolean ("I like potatoes"): no fixed truth value."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: bool
 
 
 class _Connective:
-    """Shared base of Not, And, Or, Implies and Iff: `==`, `hash` and `repr`
-    walk the tree in pre-order over an explicit stack, so depth never reaches
-    the Python stack. `repr` prints the dataclass text."""
+    """Shared base of Not, And, Or, Implies and Iff, before `Record` in
+    their bases: `==`, `hash` and `repr` walk the tree in pre-order over an
+    explicit stack, so depth never reaches the Python stack. `repr` prints
+    the record text, as `Record.__repr__` would with unbounded recursion."""
+
+    __slots__ = ()
 
     def _key(self) -> tuple:
         """The pre-order walk with each connective replaced by its class.
@@ -172,30 +355,30 @@ class _Connective:
         return "".join(parts)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Not(_Connective):
     operand: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Implies(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Iff(_Connective):
     left: "Formula"
     right: "Formula"
@@ -261,8 +444,9 @@ def map_atoms(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
 
 def replace_person(formula: Formula, old: str, new: str) -> Formula:
     """Rename every person reference `old` to `new` (used by the DSL forall sugar)."""
-    return map_atoms(formula, lambda atom: replace(atom, person=new)
-                     if isinstance(atom, _PERSON_ATOMS) and atom.person == old else atom)
+    return map_atoms(formula, lambda atom: type(atom)(*(
+        new if name == "person" else getattr(atom, name) for name in atom.__match_args__))
+        if isinstance(atom, _PERSON_ATOMS) and atom.person == old else atom)
 
 
 def substitute_self_guilt(formula: Formula, speaker: str, value: bool) -> Formula:
@@ -279,7 +463,7 @@ def substitute_self_guilt(formula: Formula, speaker: str, value: bool) -> Formul
 # Statements, puzzles, worlds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Statement:
     """One labelled sentence by one speaker.
 
@@ -297,19 +481,19 @@ class Statement:
         return self.body is None
 
 
-@dataclass(frozen=True)
+@record
 class OneOfEach:
     """Each of the four speaker types occurs exactly once."""
 
 
-@dataclass(frozen=True)
+@record
 class ExactTruthTellers:
     """Exactly n suspects are from the truth-tellers' island."""
 
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class AtMostDistinct:
     """At most n distinct speaker types occur among the suspects."""
 
@@ -351,7 +535,7 @@ def _too_long(what: str) -> PuzzleError:
     return PuzzleError(f"{what} has more than {sys.get_int_max_str_digits()} digits")
 
 
-@dataclass(frozen=True)
+@record
 class Puzzle:
     suspects: tuple[str, ...]
     type_domain: Mapping[str, frozenset[SpeakerType]]
@@ -474,13 +658,13 @@ class Puzzle:
                               "identifier")
 
 
-@dataclass(frozen=True)
+@record
 class World:
     """One candidate resolution of a puzzle. Treat as immutable once built."""
 
     type_of: Mapping[str, SpeakerType]
     guilty: frozenset[str]
-    free_values: Mapping[str, bool] = field(default_factory=dict)
+    free_values: Mapping[str, bool] = Factory(dict)
 
     def key(self) -> tuple:
         """Canonical hashable identity, for set comparisons in tests."""

@@ -49,7 +49,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .model import (
@@ -81,6 +80,7 @@ from .model import (
     eval_formula,
     iter_subformulas,
     knows_whodunit_key,
+    record,
 )
 from .semantics import admissible_for_type
 
@@ -109,7 +109,7 @@ class Verdict(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
+@record
 class SolveReport:
     verdict: Verdict
     world_count: int
@@ -131,7 +131,7 @@ class SolveReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class WorldCheck:
     ok: bool
     violations: tuple[str, ...]

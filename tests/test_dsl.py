@@ -1,6 +1,5 @@
 """Parser and serializer: grammar coverage, error spans, round-trips."""
 
-import dataclasses
 import importlib.util
 import json
 import operator
@@ -608,7 +607,7 @@ class TestGrammarDoc:
     def test_atom_fields_are_in_constructor_order(self):
         for row in _ATOMS.values():
             assert [slot for slot in row[1:] if slot in self.FIELD_SYMBOLS] == \
-                [f.name for f in dataclasses.fields(row[0])]
+                list(row[0].__match_args__)
 
 
 class TestRoundTrip:

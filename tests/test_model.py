@@ -2,7 +2,6 @@
 person renaming), and puzzle validation."""
 
 import sys
-from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -267,7 +266,8 @@ class TestFormulaEquality:
 
     @given(formula_strategy(), formula_strategy())
     def test_equality_is_structural_and_hash_follows_it(self, f, g):
-        copy = map_atoms(f, replace)
+        copy = map_atoms(f, lambda atom: type(atom)(
+            *(getattr(atom, name) for name in atom.__match_args__)))
         assert copy == f and hash(copy) == hash(f)
         assert (f == g) == (repr(f) == repr(g))
         if f == g:
