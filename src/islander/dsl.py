@@ -1,9 +1,12 @@
 """Text format for puzzles: a small `.puz` DSL, its parser and serializer.
 
 The grammar is documented in docs/grammar.md. Parsing is total: any input
-either yields a validated Puzzle or raises ParseError with a 1-based source
-span covering the offending token. serialize() emits a canonical form with
-the round-trip law parse(serialize(p)) == p.
+either yields a valid Puzzle or raises ParseError with a 1-based source span
+covering the offending token. The parser is the one check on a parsed
+puzzle: it checks every name, reference and bound as it reads it, and builds
+the Puzzle without `Puzzle.validate`, which checks a hand-built one.
+serialize() emits a canonical form with the round-trip law
+parse(serialize(p)) == p.
 
 Each piece of syntax is declared once, in a table that the parser, the
 serializer, KEYWORDS and the error hints all read. A row of `_ATOMS`, or of
@@ -18,6 +21,12 @@ becomes one shared Token, and no Python code runs per token. Positions are
 worked out only to report an error: at a bad character, or when the parse
 fails, `parse` reads the text again with `_lex`, whose tokens carry their
 line and column, and parses it again to raise the same error at its span.
+
+Within one text, each distinct atom is read once: the parser keeps a table
+from an atom's tokens to the node they read to, and every later occurrence
+of the same tokens gets the same node. The table lives for one parse, and an
+atom under `axiom forall`, whose variable is a person only there, bypasses
+it.
 
 Formulas are read by precedence climbing over an explicit operator stack,
 and validation, serialize(), ==, hash, repr and the `axiom forall`
@@ -41,6 +50,7 @@ from .model import (
     Const,
     CountCmp,
     ExactTruthTellers,
+    FALSE,
     Formula,
     Free,
     FromIsland,
@@ -56,12 +66,14 @@ from .model import (
     OneOfEach,
     Or,
     Puzzle,
-    PuzzleError,
     SpeakerType,
     Statement,
+    TRUE,
     TRUTH_TELLER_TYPES,
     Truthful,
     TypeCardinality,
+    _NAME_RE,
+    _is_name,
     record,
     replace_person,
 )
@@ -104,7 +116,7 @@ class Token(NamedTuple):
 # matches only well-formed literals (an unrolled loop, so a missing quote
 # cannot make it backtrack); punctuation is listed longest first.
 _TOKEN_CLASSES = {
-    "ident": r"[A-Za-z_][A-Za-z0-9_]*",
+    "ident": _NAME_RE.pattern,
     "punct": r"<->|->|<=|>=|[{}(),;:=]",
     "int": r"[0-9]+",
     "string": r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"',
@@ -144,7 +156,7 @@ def _classify(raws: list[str]) -> dict[str, Token | None]:
     return table
 
 
-def _read(text: str) -> list[Token] | None:
+def _read(text: str) -> tuple[Token, ...] | None:
     """The tokens of `text`, shared and without positions, or None if it
     holds a bad character: one findall, then one lookup per token."""
     raws = _TOKEN_RE.findall(text)
@@ -153,10 +165,10 @@ def _read(text: str) -> list[Token] | None:
         return None
     if len(raws) > 1 and not raws[-2]:
         raws.pop()  # the second empty text at the end
-    return list(map(table.__getitem__, raws))
+    return tuple(map(table.__getitem__, raws))
 
 
-def _lex(text: str) -> list[Token]:
+def _lex(text: str) -> tuple[Token, ...]:
     """The tokens of `text` with their line and column, or the ParseError at
     its first bad character. The end-of-input token sits at the end of the
     text, or at the '#' of a comment that ends it."""
@@ -183,7 +195,7 @@ def _lex(text: str) -> list[Token]:
     if comment != -1:
         column = comment - line_start + 1
     tokens.append(_EOF._replace(line=line, column=column))
-    return tokens
+    return tuple(tokens)
 
 
 def _bad_string(text: str, i: int, line: int, col: int) -> ParseError:
@@ -214,7 +226,7 @@ class _Parser:
     kind it names or raises ParseError at that token; none accepts the
     end-of-input token, so the cursor never passes it."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: tuple[Token, ...]):
         self.tokens = tokens
         self.pos = 0
 
@@ -278,6 +290,10 @@ class _PuzzleBuilder:
         self.labels: set[str] = set()
         self.modeled_labels: set[str] = set()
         self.axioms: list[Formula] = []
+        # An atom's tokens -> the node they read to, outside `axiom forall`.
+        # An atom that read well reads the same for the rest of the text:
+        # the roster is fixed once read, and statement labels are only added.
+        self.atoms: dict[tuple[Token, ...], Formula] = {}
 
 
 # The words of the `island` directive, each with the default type domain it
@@ -289,7 +305,8 @@ _ISLAND_BY_NAME = {i.value: i for i in Island}
 
 
 def parse(text: str) -> Puzzle:
-    """Parse DSL source into a validated Puzzle, or raise ParseError."""
+    """Parse DSL source into a valid Puzzle, checked as it is read, or raise
+    ParseError."""
     tokens = _read(text)
     if tokens is not None:
         try:
@@ -299,7 +316,7 @@ def parse(text: str) -> Puzzle:
     return _parse(_lex(text))
 
 
-def _parse(tokens: list[Token]) -> Puzzle:
+def _parse(tokens: tuple[Token, ...]) -> Puzzle:
     """The puzzle the tokens spell, or the ParseError at the first wrong one.
     Deterministic: the tokens of `_read` and of `_lex` meet the same error."""
     p = _Parser(tokens)
@@ -337,17 +354,15 @@ def _parse(tokens: list[Token]) -> Puzzle:
         raise ParseError(b.cardinality_tok.span,
                          "typecount exceeds the number of suspects")
 
-    try:
-        return Puzzle(
-            suspects=tuple(b.suspects),
-            type_domain=type_domain,
-            count=b.count,
-            statements=tuple(b.statements),
-            axioms=tuple(b.count_axioms) + tuple(b.axioms),
-            type_cardinality=b.cardinality,
-        )
-    except PuzzleError as exc:  # backstop; parser checks should catch all of these
-        raise ParseError(closing.span, str(exc)) from exc
+    # Every check of Puzzle.validate was made above, at a token's span.
+    return Puzzle._unchecked(
+        suspects=tuple(b.suspects),
+        type_domain=type_domain,
+        count=b.count,
+        statements=tuple(b.statements),
+        axioms=tuple(b.count_axioms) + tuple(b.axioms),
+        type_cardinality=b.cardinality,
+    )
 
 
 def _parse_suspects(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
@@ -535,7 +550,7 @@ def _expect_label(p: _Parser, b: _PuzzleBuilder, extra: object) -> str:
 
 def _expect_free_name(p: _Parser, b: object, extra: object) -> str:
     tok = p.expect("string", "a quoted atom name")
-    if not re.fullmatch(_TOKEN_CLASSES["ident"], tok.text):
+    if not _is_name(tok.text):
         raise ParseError(tok.span, f"free atom name '{tok.text}' must be an identifier")
     return tok.text
 
@@ -584,7 +599,8 @@ KEYWORDS = frozenset({
 
 
 def _parse_primary(p, b, extra) -> Formula:
-    """One atom; parentheses and `not` are _parse_formula's."""
+    """One atom; parentheses and `not` are _parse_formula's. An atom whose
+    tokens were read before in this text is the node they read to then."""
     tok = p.tokens[p.pos]
     if tok.kind != "ident":
         raise _unexpected(tok, ATOM_EXPECTED)
@@ -593,9 +609,18 @@ def _parse_primary(p, b, extra) -> Formula:
         if tok.text != "true" and tok.text != "false":
             raise ParseError(tok.span, f"unknown atom '{tok.text}'", ATOM_EXPECTED)
         p.pos += 1
-        return Const(tok.text == "true")
-    p.pos += 1
-    return _read_row(p, b, extra, row)
+        return TRUE if tok.text == "true" else FALSE
+    if extra:  # a template: its variable is a person only here
+        p.pos += 1
+        return _read_row(p, b, extra, row)
+    key = p.tokens[p.pos:p.pos + len(row)]  # each slot reads one token
+    atom = b.atoms.get(key)
+    if atom is None:
+        p.pos += 1
+        atom = b.atoms[key] = _read_row(p, b, extra, row)
+    else:
+        p.pos += len(row)
+    return atom
 
 
 def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) -> object:

@@ -2,10 +2,11 @@
 
 A puzzle fixes a roster of suspects, a per-suspect set of allowed speaker
 types, a constraint on how many suspects are guilty, a list of labelled
-statements, and extra axioms. A puzzle validates itself when built, raising
-PuzzleError, so no later layer checks it again. A world is one complete
-candidate resolution: a type for every suspect, a guilty set, and values for
-any free atoms.
+statements, and extra axioms. A hand-built puzzle validates itself when
+built, raising PuzzleError; the DSL parser checks a parsed one as it reads
+it, with source spans. No later layer checks a puzzle again. A world is one
+complete candidate resolution: a type for every suspect, a guilty set, and
+values for any free atoms.
 Everything here is immutable and side-effect free; the solver enumerates
 worlds and the semantics module decides which statements a speaker of a
 given type could actually utter.
@@ -150,7 +151,9 @@ def _record_init(cls: type, fields: tuple[str, ...],
     parameters are the field names and its cells hold the setters of the
     fields' slots. Python itself then binds positional and keyword
     arguments, fills in defaults and names a missing field; no source is
-    generated."""
+    generated. For a class with `__post_init__`, `cls.__init__` calls it
+    after the fields are set, and `cls._unchecked` builds a record with the
+    plain field setting alone."""
     if len(fields) >= len(_INIT_TEMPLATES):
         raise TypeError(f"{cls.__name__}: a record has at most "
                         f"{len(_INIT_TEMPLATES) - 1} fields")
@@ -169,6 +172,12 @@ def _record_init(cls: type, fields: tuple[str, ...],
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     if not hasattr(cls, "__post_init__"):
         return init
+
+    def unchecked(cls: type, *args, **kwargs) -> object:
+        self = object.__new__(cls)
+        init(self, *args, **kwargs)
+        return self
+    cls._unchecked = classmethod(unchecked)
 
     def init_then_post_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -228,7 +237,9 @@ def record(cls: type) -> type:
     `__match_args__` (the field tuple, for positional `match`), `_values`
     (the getter of the field values that `==` and `hash` read) and an
     `__init__` that takes the fields positionally or by keyword, then calls
-    `__post_init__` if the class has one. A class with a `cached_property`
+    `__post_init__` if the class has one; such a class also gets
+    `_unchecked`, the constructor without it, for a caller that has made
+    its checks already (the DSL parser). A class with a `cached_property`
     also gets a `__dict__` to hold its caches. Built this way, a record
     class is a plain `type`: with a metaclass, every `isinstance` test
     against it that fails would take the slow `__instancecheck__` path."""

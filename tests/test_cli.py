@@ -13,7 +13,7 @@ from pathlib import Path
 from islander import cli
 from islander.cli import main
 from islander.interrogation import STRATEGIES
-from islander.model import Puzzle
+from islander.model import ALL_TYPES, CountCmp, Puzzle
 
 from conftest import chain_puzzle_text
 
@@ -105,6 +105,8 @@ class TestSolveCommand:
         assert err == f"{puz}:1:34: integer literal of 5000 digits is too long\n"
 
     def test_each_puzzle_is_validated_once(self, capsys, monkeypatch):
+        # A parsed puzzle is checked by the parser alone, as it reads it; a
+        # hand-built one runs `validate` once, when built.
         calls = []
         validate = Puzzle.validate
 
@@ -115,7 +117,10 @@ class TestSolveCommand:
         monkeypatch.setattr(Puzzle, "validate", counting)
         code, out, _ = run(capsys, "solve", "--json", str(corpus_dir() / "ashwin.puz"))
         assert code == 0 and json.loads(out)["verdict"] == "unique_guilt"
-        assert len(calls) == 1
+        assert calls == []
+        puzzle = Puzzle(suspects=("A",), type_domain={"A": frozenset(ALL_TYPES)},
+                        count=CountCmp("=", 1))
+        assert calls == [puzzle]
 
 
 class TestClosedPipe:

@@ -1,10 +1,12 @@
 """Parser and serializer: grammar coverage, error spans, round-trips."""
 
+import functools
 import importlib.util
 import json
 import operator
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from islander.model import (
     AtMostDistinct,
     CountCmp,
     ExactTruthTellers,
+    FALSE,
     Guilty,
     Iff,
     Implies,
@@ -40,6 +43,7 @@ from islander.model import (
     Puzzle,
     SpeakerType,
     Statement,
+    TRUE,
     iter_subformulas,
 )
 from islander.solver import solve
@@ -197,14 +201,20 @@ class TestLexer:
         assert (err.message, err.expected) == (message, expected)
 
 
-def benchmark_texts(seed: int) -> list[str]:
-    """The `dsl_roundtrip` benchmark's texts for `seed`, from perfbench/inputs.py."""
+@functools.cache
+def perfbench_inputs():
+    """The benchmark's input generator, perfbench/inputs.py."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # its dataclasses look their module up
     spec.loader.exec_module(inputs)
-    return [item.text for item in inputs.dsl_pool(seed)]
+    return inputs
+
+
+def benchmark_texts(seed: int) -> list[str]:
+    """The `dsl_roundtrip` benchmark's texts for `seed`."""
+    return [item.text for item in perfbench_inputs().dsl_pool(seed)]
 
 
 # Lexical edge cases and what `parse` makes of them: None for a text that
@@ -301,6 +311,90 @@ class TestTwoReaders:
         monkeypatch.setattr(dsl, "_lex", refuse)
         for text in texts:
             parse(text)
+
+
+def differential_texts() -> dict[str, str]:
+    """Every golden-parse text, every corpus puzzle, and the benchmark's
+    `dsl_roundtrip` and `solve_large` texts for seeds 1 and 424242."""
+    texts = {f"golden {name}": text for name, text in golden_texts().items()}
+    texts.update((f"corpus {name}", corpus_text(name)) for name in CORPUS_NAMES)
+    inputs = perfbench_inputs()
+    for seed in (1, 424242):
+        for pool in (inputs.dsl_pool, inputs.solve_pool):
+            texts.update((f"{pool.__name__}({seed}) {item.name}", item.text)
+                         for item in pool(seed))
+    return texts
+
+
+def _error(exc: ParseError) -> tuple:
+    return exc.span, exc.message, exc.expected
+
+
+class TestTheParserIsTheCheck:
+    """A parsed puzzle is checked by the parser alone, which reads each
+    distinct atom of a text once. `_parse(_lex(t))` reads every atom anew,
+    as its tokens carry positions, so it is the table-free oracle."""
+
+    def test_parse_agrees_with_the_positioned_reader_and_validate(self):
+        parsed = 0
+        for name, text in differential_texts().items():
+            try:
+                puzzle = parse(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    dsl._parse(_lex(text))
+                assert _error(info.value) == _error(exc), name
+                continue
+            parsed += 1
+            assert puzzle == dsl._parse(_lex(text)), name
+            puzzle.validate()
+            assert parse(serialize(puzzle)) == puzzle, name
+        assert parsed >= 2 * (12 + 20) + len(CORPUS_NAMES)
+
+    def test_equal_atoms_are_one_node(self):
+        puzzle = parse("puzzle { suspects A; criminals = 1; statement s1 A: guilty(A) and "
+                       "(true or guilty(A)); axiom guilty(A) -> false; }")
+        body, axiom = puzzle.statements[0].body, puzzle.axioms[0]
+        assert body.left is body.right.right is axiom.left
+        assert body.right.left is TRUE and axiom.right is FALSE
+
+    def test_a_forall_variable_does_not_leak_into_later_atoms(self):
+        text = ("puzzle { suspects A; criminals = 1; axiom forall X: guilty(X); "
+                "statement s A: guilty(X); }")
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert _error(info.value) == (SourceSpan(1, text.rindex("X") + 1, 1),
+                                      "unknown suspect 'X'", ())
+
+    def test_a_truthful_reference_before_its_statement_is_refused(self):
+        # The same truthful() atom reads well in one text and is refused
+        # where it comes before its statement, in this text or the next.
+        head = "puzzle { suspects A; criminals = 1; "
+        parse(head + "statement s1 A: true; statement s2 A: truthful(s1) and truthful(s1); }")
+        for label, text in (
+                ("s1", head + "statement s0 A: truthful(s1); statement s1 A: true; }"),
+                ("s2", head + "statement s1 A: true; statement s2 A: truthful(s1) or "
+                              "truthful(s2); }")):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert _error(info.value) == (
+                SourceSpan(1, text.rindex(f"truthful({label})") + 10, 2),
+                f"truthful() reference to '{label}', which is not an earlier statement", ())
+
+    def test_successive_parses_share_no_atoms(self):
+        parse("puzzle { suspects Bo, Cy; criminals = 1; statement s Bo: guilty(Bo); }")
+        text = "puzzle { suspects Cy; criminals = 1; statement s Cy: guilty(Bo); }"
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); from islander import dsl\n"
+             "try:\n    dsl.parse(sys.argv[2])\n"
+             "except dsl.ParseError as e:\n    print(repr((str(e), e.message)))",
+             str(Path(dsl.__file__).resolve().parent.parent), text],
+            capture_output=True, text=True, check=True).stdout
+        assert fresh == repr((str(info.value), info.value.message)) + "\n"
+        assert info.value.message == "unknown suspect 'Bo'"
 
 
 class TestDepth:

@@ -240,6 +240,20 @@ def test_a_factory_default_is_fresh_for_each_record(cls):
             assert not value and value is not getattr(second, name)
 
 
+def test_unchecked_builds_an_equal_record_without_post_init(cls, monkeypatch):
+    if not hasattr(cls, "__post_init__"):
+        assert not hasattr(cls, "_unchecked")
+        return
+    expected = cls(*SAMPLES[cls])
+
+    def refuse(record):
+        raise AssertionError("__post_init__ ran")
+    monkeypatch.setattr(cls, "__post_init__", refuse)
+    record = cls._unchecked(*SAMPLES[cls])
+    assert type(record) is cls and record == expected
+    assert cls._unchecked(**dict(zip(cls.__match_args__, SAMPLES[cls]))) == expected
+
+
 def test_importing_the_package_and_its_cli_loads_no_dataclasses():
     """The set-up a user waits for on every CLI run. The child runs without
     `site` (-S), so that only the package's own imports count."""
