@@ -43,21 +43,18 @@ on integers, from the top byte of each draw and, in about 1 case in 256,
 from the full 53 bits. The same draws leave the generator in the same state,
 so the secret drawn after them, and every seeded output, stay the same.
 
-Every honest answer comes from one `match`, `_honest`. The questions the
-registered strategies ask read per-asker counts, `KnowledgeWorld._counts`:
-how many each person knows to be guilty and how many innocent, themselves
-included. These are the possible-innocent, size-excluding-self and detective
-questions, "could the criminals all be among everyone but q?" and "could
-everyone have done it?". Each reads the asker's counts and at most one byte
-of the asker's row, so it costs O(1) in the crowd size. The robust
-strategies ask "everyone but q" with an O(1) set view of the roster without
-q, `_AllBut`, instead of an (n-1)-person frozenset; the view equals and
-hashes like the frozenset and has the same transcript text. Any other subset
-or exact-group question reads `KnowledgeWorld.epistemic_index`, which holds
-for each person frozensets of whom they know to be guilty and whom innocent.
-It is built on first use, and such a question costs C-level set operations
-over its group. `knows` remains the plain per-pair lookup the tests' oracles
-use.
+Every honest answer comes from one `match`, `_honest`, and reads the
+asker's knowledge one way: from the asker's row and per-asker counts,
+`KnowledgeWorld._counts`, of how many each person knows to be guilty and
+how many innocent, themselves included. The registered strategies ask the
+possible-innocent, size-excluding-self and detective questions, "could the
+criminals all be among everyone but q?" and "could everyone have done it?";
+each reads the counts and at most one byte of the row, so it costs O(1) in
+the crowd size. "Everyone but q" is an O(1) set view of the roster without
+q, `_AllBut`, that equals and hashes like the (n-1)-person frozenset and has
+its transcript text. Any other subset or exact-group question reads the
+row once over its group, at C level, and builds nothing per world. `knows`
+remains the plain per-pair lookup the tests' oracles use.
 
 A world with knowledge density 0 and no secret draws no knowledge rows:
 every draw would come out 0, and nothing reads the generator afterwards.
@@ -166,6 +163,9 @@ class KnowledgeRows(collections.abc.Mapping):
         return {p: i for i, p in enumerate(self.persons)}
 
     def __getitem__(self, pair: tuple[str, str]) -> Knowledge:
+        # Any other key is missing, as from a dict, not unpacked.
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise KeyError(pair)
         p, q = pair
         position = self._position
         if p not in position or q not in position or not self.rows[position[p]][position[q]]:
@@ -228,36 +228,10 @@ class KnowledgeWorld:
         return frozenset(self.persons)
 
     @functools.cached_property
-    def epistemic_index(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-        """For each person p, (whom p knows to be guilty, whom p knows to be
-        innocent), p included by their own guilt. Built from the rows on
-        first use, so worlds asked only control questions never hold it."""
-        persons, guilty = self.persons, self.guilty
-        guilty_at = [j for j, q in enumerate(persons) if q in guilty]
-        index = {}
-        for i, (p, row) in enumerate(zip(persons, self.knowledge.rows)):
-            if 1 not in row:
-                # Nothing known (every row of a blank-knowledge world): one
-                # C-level scan, not a copy and a walk over the crowd.
-                index[p] = (frozenset((p,)), frozenset()) if p in guilty \
-                    else (frozenset(), frozenset((p,)))
-                continue
-            must = [persons[j] for j in guilty_at if row[j]]
-            innocent_known = bytearray(row)
-            for j in guilty_at:
-                innocent_known[j] = 0
-            if p in guilty:
-                must.append(p)
-            else:
-                innocent_known[i] = 1
-            index[p] = (frozenset(must), frozenset(compress(persons, innocent_known)))
-        return index
-
-    @functools.cached_property
     def _counts(self) -> dict[str, tuple[int, int]]:
         """For each person p, (how many p knows to be guilty, how many p
-        knows to be innocent), p included: the sizes of `epistemic_index[p]`,
-        counted from each row's set bits without building a set."""
+        knows to be innocent), p included by their own guilt, counted from
+        each row's set bits without building a set."""
         persons, guilty = self.persons, self.guilty
         guilty_mask = int.from_bytes(bytes(q in guilty for q in persons), "little")
         counts = {}
@@ -464,11 +438,19 @@ def _compatible_without(
 def _compatible_within(
     kw: KnowledgeWorld, p: str, group: collections.abc.Set[str], size: Optional[int] = None
 ) -> bool:
-    """Is some criminal set compatible with p's knowledge within `group`?"""
-    must, banned = kw.epistemic_index[p]
-    if not must <= group:
+    """Is some criminal set compatible with p's knowledge within `group`? It
+    holds all p knows guilty; the group's persons p knows nothing of are optional."""
+    position = kw.knowledge._position
+    row = kw.knowledge.rows[position[p]]
+
+    def known(persons: collections.abc.Set[str]) -> int:
+        """How many of `persons` have a guilt status p knows, p included."""
+        return sum(map(row.__getitem__, map(position.__getitem__, persons))) + (p in persons)
+
+    must = kw._counts[p][0]
+    if known(group & kw.guilty) != must:
         return False
-    return _fits(kw, len(must), len(group) - len(group & banned) - len(must), size)
+    return _fits(kw, must, len(group) - known(group), size)
 
 
 def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:

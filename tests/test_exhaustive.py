@@ -16,6 +16,12 @@ branching over both answers is needed. Only the default mode of
 a strategy that takes a mode is run by those two tests. The paper-literal
 mode of `solve_liars` is checked on its own premise, blank knowledge, with
 three adversary seeds; the smallest world where it fails is pinned.
+
+The truthful answers to the listed-group questions, "could the criminals
+all be within g?" and "could exactly g have done it?", are checked for
+every group, every asker and every world against plain subset enumeration:
+every type at n <= 2, and one type at n = 3, since those answers do not
+read types.
 """
 
 import itertools
@@ -27,12 +33,16 @@ from islander.interrogation import (
     LIAR_POOL,
     STRATEGIES,
     TT_POOL,
+    AnswerValue,
     Knowledge,
     KnowledgeRows,
     KnowledgeWorld,
+    PossibleExact,
+    PossibleSubset,
     PreconditionError,
     run_solve_liars,
     run_strategy,
+    truthful_answer,
 )
 from islander.model import ALL_TYPES, SpeakerType
 
@@ -149,3 +159,41 @@ def test_paper_literal_liars_smallest_failing_world():
                         frozenset({"P1"}), {("P3", "P2"): Knowledge.KNOWS_INNOCENT})
     assert literal_outcome(kw, 0) == frozenset({"P1", "P3"})
     assert run_solve_liars(kw, random.Random(0)).accused == kw.guilty
+
+
+def subsets(persons):
+    """Every subset of `persons`, the empty one included."""
+    return [frozenset(combo) for r in range(len(persons) + 1)
+            for combo in itertools.combinations(persons, r)]
+
+
+def compatible_sets(kw, p):
+    """The criminal sets p's knowledge allows: non-empty, holding p exactly
+    when p is guilty, no one p knows innocent and everyone p knows guilty,
+    and of the public size when there is one."""
+    def allowed(s):
+        return all(kw.knows(p, q) is not (Knowledge.KNOWS_INNOCENT if q in s
+                                          else Knowledge.KNOWS_GUILTY)
+                   for q in kw.persons)
+
+    return [s for s in subsets(kw.persons)
+            if s and (p in s) is (p in kw.guilty) and allowed(s)
+            and kw.count_public in (None, len(s))]
+
+
+def test_group_questions_on_every_world_of_up_to_three_persons():
+    worlds = itertools.chain(all_worlds(1, ALL_TYPES), all_worlds(2, ALL_TYPES),
+                             all_worlds(3, ALL_TYPES[:1]))
+    answers = 0
+    for kw in worlds:
+        groups = subsets(kw.persons)
+        for p in kw.persons:
+            sets = compatible_sets(kw, p)
+            for group in groups:
+                within = truthful_answer(kw, p, PossibleSubset(group)).value
+                exact = truthful_answer(kw, p, PossibleExact(group)).value
+                assert (within is AnswerValue.YES) == any(s <= group for s in sets), \
+                    (kw, p, group)
+                assert (exact is AnswerValue.YES) == (group in sets), (kw, p, group)
+                answers += 2
+    assert answers == 49184

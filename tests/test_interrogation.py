@@ -255,7 +255,7 @@ class TestPossibilityOracle:
 
 
 class TestKnowledgeIndex:
-    """The per-asker index against a plain rescan of the crowd."""
+    """The per-asker counts against a plain rescan of the crowd."""
 
     @staticmethod
     def rescan(kw, p):
@@ -268,8 +268,8 @@ class TestKnowledgeIndex:
 
     def assert_matches_rescan(self, kw):
         for p in kw.persons:
-            base, full_roster = self.rescan(kw, p)
-            assert kw.epistemic_index[p] == base
+            (must, banned), full_roster = self.rescan(kw, p)
+            assert kw._counts[p] == (len(must), len(banned)), p
             assert kw.knows_full_roster(p) is full_roster
 
     def test_known_criminals_match_a_rescan(self):
@@ -288,13 +288,13 @@ class TestKnowledgeIndex:
                 density=rng.choice((0.0, 0.3, 0.8, 1.0)), seed=seed,
             )
             self.assert_matches_rescan(kw)
-            assert set(kw.epistemic_index) == set(kw.persons)
+            assert set(kw._counts) == set(kw.persons)
 
     def test_hand_built_worlds_with_explicit_unknown_entries(self):
         kw = explicit_unknown_world()
         self.assert_matches_rescan(kw)
-        assert kw.epistemic_index["A"] == (frozenset({"C"}), frozenset({"A"}))
-        assert kw.epistemic_index["D"] == (frozenset(), frozenset({"D"}))
+        assert kw._counts["A"] == (1, 1)
+        assert kw._counts["D"] == (0, 1)
         assert kw.knows_full_roster("C") and not kw.knows_full_roster("A")
         assert not kw.all_knowledge_unknown()
         blank = make_kw({"A": AT, "B": AL}, {"B"},
@@ -302,6 +302,10 @@ class TestKnowledgeIndex:
                                    ("B", "A"): Knowledge.UNKNOWN})
         self.assert_matches_rescan(blank)
         assert blank.all_knowledge_unknown()
+
+    def test_fast_path_worlds(self):
+        for kw in fast_path_worlds():
+            self.assert_matches_rescan(kw)
 
     def test_no_answer_rescans_the_crowd(self, monkeypatch):
         def no_rescan(self, p, q):
@@ -347,7 +351,7 @@ class TestKnowledgeIndex:
                 ):
                     truthful_answer(mixed, p, question)
 
-    def test_control_questions_leave_the_index_unbuilt(self):
+    def test_control_questions_stay_small_at_a_thousand(self):
         kw = generate_knowledge_world(
             n=1000, island="mixed", criminals=(1, 3), density=0.3, seed=5,
         )
@@ -361,7 +365,6 @@ class TestKnowledgeIndex:
         liars = frozenset(kw.persons) - tt
         assert len(transcript) == 1000 and len(tt) + len(liars) == 1000
         assert peak < 2 * 2 ** 20
-        assert "epistemic_index" not in vars(kw)
 
 
 def fast_path_worlds():
@@ -387,20 +390,12 @@ def fast_path_worlds():
 class TestEveryoneButFastPath:
     """The count-read answers against the set-read answers they replace."""
 
-    def test_counts_are_the_index_sizes(self):
-        for kw in fast_path_worlds():
-            for p in kw.persons:
-                must, banned = kw.epistemic_index[p]
-                assert kw._counts[p] == (len(must), len(banned)), p
-
     def test_view_answers_equal_the_listed_group_answers(self):
         for kw in fast_path_worlds():
             roster = kw._person_set
             fast = [PossibleSubset(_AllBut(roster, q)) for q in kw.persons]
             fast_answers = [spoken_answer(kw, p, question, random.Random(0))
                             for question in fast for p in kw.persons]
-            # The view over the world's own roster is read from counts alone.
-            assert "epistemic_index" not in vars(kw)
             listed = [PossibleSubset(roster - {q}) for q in kw.persons]
             listed_answers = [spoken_answer(kw, p, question, random.Random(0))
                               for question in listed for p in kw.persons]
@@ -420,10 +415,8 @@ class TestEveryoneButFastPath:
             for roster in (twin, frozenset(kw.persons[:(len(kw.persons) + 1) // 2])):
                 views = [(p, PossibleSubset(_AllBut(roster, q)), PossibleSubset(roster - {q}))
                          for q in roster for p in kw.persons]
-                fresh = KnowledgeWorld(*(getattr(kw, name) for name in kw.__match_args__))
-                answers = [truthful_answer(fresh, p, view).value for p, view, _ in views]
-                assert ("epistemic_index" in vars(fresh)) is bool(views)
-                assert answers == [truthful_answer(fresh, p, listed).value
+                answers = [truthful_answer(kw, p, view).value for p, view, _ in views]
+                assert answers == [truthful_answer(kw, p, listed).value
                                    for p, _, listed in views]
             # A view that leaves out no one on the roster is the roster.
             whole = PossibleSubset(_AllBut(kw._person_set, "nobody"))
@@ -435,7 +428,6 @@ class TestEveryoneButFastPath:
         for kw in fast_path_worlds():
             everyone = [truthful_answer(kw, p, PossibleExact(kw._person_set)).value
                         for p in kw.persons]
-            assert "epistemic_index" not in vars(kw)
             listed = PossibleExact(frozenset(kw.persons))
             assert everyone == [truthful_answer(kw, p, listed).value for p in kw.persons]
 
@@ -467,14 +459,17 @@ class TestEveryoneButFastPath:
         ("ask_all_about_others", "mixed", 0.3, False, (1, 3)),
         ("solve_truthtellers", "tt", 0.3, False, (1, 3)),
     ])
-    def test_strategy_questions_leave_the_index_unbuilt(
-        self, name, island, density, public, criminals
+    def test_strategy_questions_take_the_count_paths(
+        self, name, island, density, public, criminals, monkeypatch
     ):
+        def listed_group(*args):
+            raise AssertionError("a strategy question was read as a listed group")
+
+        monkeypatch.setattr(interrogation, "_compatible_within", listed_group)
         kw = generate_knowledge_world(300, island, criminals, density,
                                       count_public=public, seed=3)
         result = run_strategy(kw, name)
         assert STRATEGIES[name].succeeds(kw, result)
-        assert "epistemic_index" not in vars(kw)
         # "Could everyone have done it?" holds the world's own roster; no
         # question holds a set built for it.
         own_roster = kw._person_set if name == "count_unknown" else None
@@ -497,7 +492,6 @@ class TestEveryoneButFastPath:
         # About 0.7 MiB with the view; a listed 999-person group per question
         # took about 48 MiB.
         assert peak < 2 * 2 ** 20
-        assert "epistemic_index" not in vars(kw)
 
 
 class TestSpokenAnswers:
@@ -988,6 +982,20 @@ class TestKnowledgeWorldInvariants:
                                       ("B", "A"): Knowledge.KNOWS_GUILTY}
         assert len(table) == 2 and ("A", "A") not in table and ("A", "X") not in table
 
+    def test_a_key_that_is_not_a_pair_is_missing(self):
+        kw = all_truth_tellers(3, {"P1"}, knowledge={("P2", "P1"): Knowledge.KNOWS_GUILTY})
+        table = kw.knowledge
+        assert ("P2", "P1") in table
+        for key in (("P2",), ("P2", "P1", "P3"), "P2P1", "ab", ["P2", "P1"], None, 7):
+            assert key not in table
+            assert table.get(key) is None and table.get(key, Knowledge.UNKNOWN) \
+                is Knowledge.UNKNOWN
+            with pytest.raises(KeyError):
+                table[key]
+        # A two-letter string is not read as the pair of its letters.
+        letters = make_kw({"a": AT, "b": AT}, {"a"}, knowledge={("b", "a"): Knowledge.KNOWS_GUILTY})
+        assert ("b", "a") in letters.knowledge and "ba" not in letters.knowledge
+
 
 def plain_rows(rng, n, density):
     """The reference the bulk draw must equal: one `rng.random()` per
@@ -1057,7 +1065,7 @@ class TestBulkDraw:
             assert kw.secret == ref.secret
             assert len(kw.knowledge) == len(ref.knowledge)
             assert list(kw.knowledge.items()) == list(ref.knowledge.items())
-            assert kw.epistemic_index == ref.epistemic_index
+            assert kw._counts == ref._counts
             for p in kw.persons:
                 for q in kw.persons:
                     assert kw.knows(p, q) is ref.knows(p, q)
