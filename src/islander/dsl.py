@@ -15,12 +15,11 @@ the tokens after the keyword: punctuation marks, words and the node's
 fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
 directive's keyword to the function that reads the rest of it.
 
-Two readers share one token regular expression. `parse` first reads a text
-with `_read`: one findall gives every token's text, each distinct text
-becomes one shared Token, and no Python code runs per token. Positions are
-worked out only to report an error: at a bad character, or when the parse
-fails, `parse` reads the text again with `_lex`, whose tokens carry their
-line and column, and parses it again to raise the same error at its span.
+One reader lexes a text: `_read` runs one findall, each distinct token
+text becomes one shared Token, and no Python code runs per token. A token
+carries no position. A parse error names the index of its token, and
+`parse` works out that token's line and column only then, by one walk of
+the same regular expression.
 
 Within one text, each distinct atom is read once: the parser keeps a table
 from an atom's tokens to the node they read to, and every later occurrence
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from itertools import islice
 from typing import NamedTuple
 
 from .model import (
@@ -104,12 +104,14 @@ class ParseError(Exception):
 class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "eof", or the punctuation itself
     text: str
-    line: int
-    column: int
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
+
+class _Failure(Exception):
+    """A ParseError at the index-th token, before its line and column are
+    worked out: args are (index, message, expected)."""
+
+    def __init__(self, index: int, message: str, expected: tuple[str, ...] = ()):
+        super().__init__(index, message, expected)
 
 
 # The token classes: kind -> the regular expression of its texts. `string`
@@ -134,7 +136,7 @@ _CLASS_PATTERN = "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_C
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]|\#[^\n]*)*(" + "|".join(_TOKEN_CLASSES.values()) + r"|\Z|.)")
 _ESCAPE_RE = re.compile(r"\\(.)")
-_EOF = Token("eof", "end of input", 0, 0)
+_EOF = Token("eof", "end of input")
 
 
 def _classify(raws: list[str]) -> dict[str, Token | None]:
@@ -148,54 +150,38 @@ def _classify(raws: list[str]) -> dict[str, Token | None]:
         if m is None:
             table[raw] = None if raw else _EOF
         elif m.lastgroup == "punct":
-            table[raw] = Token(raw, raw, 0, 0)
+            table[raw] = Token(raw, raw)
         elif m.lastgroup == "string":
-            table[raw] = Token("string", _ESCAPE_RE.sub(r"\1", raw[1:-1]), 0, 0)
+            table[raw] = Token("string", _ESCAPE_RE.sub(r"\1", raw[1:-1]))
         else:
-            table[raw] = Token(m.lastgroup, raw, 0, 0)
+            table[raw] = Token(m.lastgroup, raw)
     return table
 
 
-def _read(text: str) -> tuple[Token, ...] | None:
-    """The tokens of `text`, shared and without positions, or None if it
-    holds a bad character: one findall, then one lookup per token."""
+def _read(text: str) -> tuple[Token, ...]:
+    """The tokens of `text`, shared and without positions: one findall, then
+    one lookup per token. A bad character fails at its index."""
     raws = _TOKEN_RE.findall(text)
     table = _classify(raws)
-    if None in table.values():
-        return None
     if len(raws) > 1 and not raws[-2]:
         raws.pop()  # the second empty text at the end
-    return tuple(map(table.__getitem__, raws))
+    tokens = tuple(map(table.__getitem__, raws))
+    if None in table.values():
+        index = tokens.index(None)
+        raise _Failure(index, f"unexpected character {raws[index]!r}")
+    return tokens
 
 
-def _lex(text: str) -> tuple[Token, ...]:
-    """The tokens of `text` with their line and column, or the ParseError at
-    its first bad character. The end-of-input token sits at the end of the
-    text, or at the '#' of a comment that ends it."""
-    table = _classify(_TOKEN_RE.findall(text))
-    tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        raw, start = m[1], m.start(1)
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, start) + 1
-        column = start - line_start + 1
-        tok = table[raw]
-        if tok is None:
-            if raw == '"':
-                raise _bad_string(text, start, line, column)
-            raise ParseError(SourceSpan(line, column, 1), f"unexpected character {raw!r}")
-        if not raw:
-            break
-        tokens.append(Token(tok.kind, tok.text, line, column))
-        pos = m.end()
-    comment = text.find("#", max(pos, line_start))
-    if comment != -1:
-        column = comment - line_start + 1
-    tokens.append(_EOF._replace(line=line, column=column))
-    return tuple(tokens)
+def _locate(text: str, index: int) -> tuple[str, int, int, int]:
+    """The index-th token text that `_read` finds in `text`, with its offset,
+    line and column: one walk of `_TOKEN_RE`. The end of input sits at the
+    end of the text, or at the '#' of a comment that ends it."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None))
+    raw, start = m[1], m.start(1)
+    line_start = text.rfind("\n", 0, start) + 1
+    if not raw and (comment := text.find("#", max(m.start(), line_start))) != -1:
+        start = comment
+    return raw, start, text.count("\n", 0, start) + 1, start - line_start + 1
 
 
 def _bad_string(text: str, i: int, line: int, col: int) -> ParseError:
@@ -217,14 +203,11 @@ def _bad_string(text: str, i: int, line: int, col: int) -> ParseError:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _unexpected(tok: Token, expected: tuple[str, ...]) -> ParseError:
-    return ParseError(tok.span, f"unexpected token '{tok.text}'", expected)
-
-
 class _Parser:
     """A cursor over the tokens. Each expect method consumes one token of the
-    kind it names or raises ParseError at that token; none accepts the
-    end-of-input token, so the cursor never passes it."""
+    kind it names or fails at that token; none accepts the end-of-input
+    token, so the cursor never passes it. A failure names the index of its
+    token: `pos` for the next one, `pos - 1` for the one just consumed."""
 
     def __init__(self, tokens: tuple[Token, ...]):
         self.tokens = tokens
@@ -232,6 +215,10 @@ class _Parser:
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
+
+    def unexpected(self, expected: tuple[str, ...]) -> _Failure:
+        """The failure at the next token, which is none of `expected`."""
+        return _Failure(self.pos, f"unexpected token '{self.tokens[self.pos].text}'", expected)
 
     def eat_word(self, word: str) -> bool:
         """Consume the reserved word `word` if it comes next."""
@@ -244,21 +231,21 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise _unexpected(tok, (what,))
+            raise self.unexpected((what,))
         self.pos += 1
         return tok
 
     def expect_punct(self, *puncts: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind not in puncts:
-            raise _unexpected(tok, tuple(f"'{punct}'" for punct in puncts))
+            raise self.unexpected(tuple(f"'{punct}'" for punct in puncts))
         self.pos += 1
         return tok
 
     def expect_word(self, *words: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "ident" or tok.text not in words:
-            raise _unexpected(tok, words)
+            raise self.unexpected(words)
         self.pos += 1
         return tok
 
@@ -267,13 +254,13 @@ class _Parser:
         try:
             return int(tok.text)
         except ValueError:  # longer than the interpreter's int-conversion limit
-            raise ParseError(tok.span, f"integer literal of {len(tok.text)} digits is too long")
+            raise _Failure(self.pos - 1, f"integer literal of {len(tok.text)} digits is too long")
 
     def expect_name(self, what: str) -> Token:
         """A fresh identifier, i.e. not one of the grammar's reserved words."""
         tok = self.expect("ident", what)
         if tok.text in KEYWORDS:
-            raise ParseError(tok.span, f"the keyword '{tok.text}' cannot be used as {what}")
+            raise _Failure(self.pos - 1, f"the keyword '{tok.text}' cannot be used as {what}")
         return tok
 
 
@@ -285,14 +272,15 @@ class _PuzzleBuilder:
         self.count: CountCmp | None = None
         self.count_axioms: list[Formula] = []
         self.cardinality: TypeCardinality | None = None
-        self.cardinality_tok: Token | None = None
+        self.cardinality_at = 0  # the index of the typecount keyword
         self.statements: list[Statement] = []
         self.labels: set[str] = set()
         self.modeled_labels: set[str] = set()
         self.axioms: list[Formula] = []
         # An atom's tokens -> the node they read to, outside `axiom forall`.
-        # An atom that read well reads the same for the rest of the text:
-        # the roster is fixed once read, and statement labels are only added.
+        # Tokens carry no position, so equal atoms anywhere in the text are
+        # one key. An atom that read well reads the same for the rest of the
+        # text: the roster is fixed once read, and labels are only added.
         self.atoms: dict[tuple[Token, ...], Formula] = {}
 
 
@@ -307,18 +295,20 @@ _ISLAND_BY_NAME = {i.value: i for i in Island}
 def parse(text: str) -> Puzzle:
     """Parse DSL source into a valid Puzzle, checked as it is read, or raise
     ParseError."""
-    tokens = _read(text)
-    if tokens is not None:
-        try:
-            return _parse(tokens)
-        except ParseError:
-            pass  # raised again below, at a token that knows its position
-    return _parse(_lex(text))
+    try:
+        return _parse(_read(text))
+    except _Failure as failure:
+        index, message, expected = failure.args
+    raw, start, line, column = _locate(text, index)
+    if raw == '"':
+        raise _bad_string(text, start, line, column) from None
+    tok = _classify([raw])[raw]  # None for a bad character
+    length = 1 if tok is None else max(1, len(tok.text))
+    raise ParseError(SourceSpan(line, column, length), message, expected) from None
 
 
 def _parse(tokens: tuple[Token, ...]) -> Puzzle:
-    """The puzzle the tokens spell, or the ParseError at the first wrong one.
-    Deterministic: the tokens of `_read` and of `_lex` meet the same error."""
+    """The puzzle the tokens spell, or the failure at the first wrong one."""
     p = _Parser(tokens)
     b = _PuzzleBuilder()
 
@@ -327,34 +317,33 @@ def _parse(tokens: tuple[Token, ...]) -> Puzzle:
     seen: set[str] = set()
     while (head := p.peek()).kind != "}":
         if head.kind != "ident":
-            raise _unexpected(head, tuple(_DIRECTIVES))
+            raise p.unexpected(tuple(_DIRECTIVES))
         if head.text not in _DIRECTIVES:
-            raise ParseError(head.span, f"unknown directive '{head.text}'", tuple(_DIRECTIVES))
+            raise _Failure(p.pos, f"unknown directive '{head.text}'", tuple(_DIRECTIVES))
         if head.text in _ONCE and head.text in seen:
-            raise ParseError(head.span, f"duplicate {head.text} directive")
+            raise _Failure(p.pos, f"duplicate {head.text} directive")
         seen.add(head.text)
         p.pos += 1
-        _DIRECTIVES[head.text](p, b, head)
-    closing = p.expect_punct("}")
+        _DIRECTIVES[head.text](p, b)
+    p.expect_punct("}")
+    closing = p.pos - 1
     tail = p.peek()
     if tail.kind != "eof":
-        raise ParseError(tail.span, f"unexpected token '{tail.text}' after the puzzle block")
+        raise _Failure(p.pos, f"unexpected token '{tail.text}' after the puzzle block")
 
     if not b.suspects:
-        raise ParseError(closing.span, "missing suspects directive")
+        raise _Failure(closing, "missing suspects directive")
     if b.count is None:
-        raise ParseError(closing.span, "missing criminals directive")
+        raise _Failure(closing, "missing criminals directive")
 
     type_domain = {s: b.explicit_types.get(s, b.default_types) for s in b.suspects}
 
     if isinstance(b.cardinality, OneOfEach) and len(b.suspects) != len(ALL_TYPES):
-        raise ParseError(b.cardinality_tok.span,
-                         "typecount one_of_each needs exactly four suspects")
+        raise _Failure(b.cardinality_at, "typecount one_of_each needs exactly four suspects")
     if isinstance(b.cardinality, ExactTruthTellers) and b.cardinality.n > len(b.suspects):
-        raise ParseError(b.cardinality_tok.span,
-                         "typecount exceeds the number of suspects")
+        raise _Failure(b.cardinality_at, "typecount exceeds the number of suspects")
 
-    # Every check of Puzzle.validate was made above, at a token's span.
+    # Every check of Puzzle.validate was made above, at a token.
     return Puzzle._unchecked(
         suspects=tuple(b.suspects),
         type_domain=type_domain,
@@ -365,11 +354,11 @@ def _parse(tokens: tuple[Token, ...]) -> Puzzle:
     )
 
 
-def _parse_suspects(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+def _parse_suspects(p: _Parser, b: _PuzzleBuilder) -> None:
     while True:
         tok = p.expect_name("a suspect name")
         if tok.text in b.suspects:
-            raise ParseError(tok.span, f"duplicate suspect '{tok.text}'")
+            raise _Failure(p.pos - 1, f"duplicate suspect '{tok.text}'")
         b.suspects.append(tok.text)
         if p.peek().kind != ",":
             break
@@ -377,16 +366,15 @@ def _parse_suspects(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     p.expect_punct(";")
 
 
-def _parse_island(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+def _parse_island(p: _Parser, b: _PuzzleBuilder) -> None:
     b.default_types = _ISLAND_DOMAINS[p.expect_word(*_ISLAND_DOMAINS).text]
     p.expect_punct(";")
 
 
-def _parse_types(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
-    suspect_tok = p.peek()
+def _parse_types(p: _Parser, b: _PuzzleBuilder) -> None:
     suspect = _expect_suspect(p, b)
     if suspect in b.explicit_types:
-        raise ParseError(suspect_tok.span, f"duplicate types directive for '{suspect}'")
+        raise _Failure(p.pos - 1, f"duplicate types directive for '{suspect}'")
     p.expect_punct(":")
     p.expect_punct("{")
     allowed: set[SpeakerType] = set()
@@ -395,14 +383,14 @@ def _parse_types(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
         while p.peek().kind == ",":
             p.pos += 1
             allowed.add(_expect_type(p))
-    brace = p.expect_punct("}")
+    p.expect_punct("}")
     if not allowed:
-        raise ParseError(brace.span, f"empty type domain for suspect '{suspect}'")
+        raise _Failure(p.pos - 1, f"empty type domain for suspect '{suspect}'")
     p.expect_punct(";")
     b.explicit_types[suspect] = frozenset(allowed)
 
 
-def _parse_criminals(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+def _parse_criminals(p: _Parser, b: _PuzzleBuilder) -> None:
     tok = p.peek()
     if tok.kind in COUNT_OPS:
         p.pos += 1
@@ -420,23 +408,23 @@ def _parse_criminals(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
         if len(values) > 1:
             b.count_axioms.append(reduce(Or, [CountCmp("=", v) for v in values]))
     else:
-        raise _unexpected(tok, (*(f"'{op}'" for op in COUNT_OPS), "in"))
+        raise p.unexpected((*(f"'{op}'" for op in COUNT_OPS), "in"))
     p.expect_punct(";")
 
 
-def _parse_typecount(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+def _parse_typecount(p: _Parser, b: _PuzzleBuilder) -> None:
+    b.cardinality_at = p.pos - 1
     form = p.expect_word(*_TYPECOUNTS)
     b.cardinality = _read_row(p, b, frozenset(), _TYPECOUNTS[form.text])
     if isinstance(b.cardinality, AtMostDistinct) and b.cardinality.n < 1:
-        raise ParseError(form.span, "at_most_distinct bound must be at least 1")
-    b.cardinality_tok = head
+        raise _Failure(b.cardinality_at + 1, "at_most_distinct bound must be at least 1")
     p.expect_punct(";")
 
 
-def _parse_statement(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+def _parse_statement(p: _Parser, b: _PuzzleBuilder) -> None:
     label_tok = p.expect_name("a statement label")
     if label_tok.text in b.labels:
-        raise ParseError(label_tok.span, f"duplicate statement label '{label_tok.text}'")
+        raise _Failure(p.pos - 1, f"duplicate statement label '{label_tok.text}'")
     speaker = _expect_suspect(p, b)
     p.expect_punct(":")
     if p.eat_word("unmodeled"):
@@ -451,12 +439,11 @@ def _parse_statement(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     b.statements.append(stmt)
 
 
-def _parse_axiom(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
+def _parse_axiom(p: _Parser, b: _PuzzleBuilder) -> None:
     if p.eat_word("forall"):
         var_tok = p.expect_name("a quantifier variable")
         if var_tok.text in b.suspects:
-            raise ParseError(var_tok.span,
-                             f"forall variable '{var_tok.text}' shadows a suspect")
+            raise _Failure(p.pos - 1, f"forall variable '{var_tok.text}' shadows a suspect")
         p.expect_punct(":")
         template = _parse_formula(p, b, extra_persons=frozenset({var_tok.text}))
         for suspect in b.suspects:
@@ -466,8 +453,8 @@ def _parse_axiom(p: _Parser, b: _PuzzleBuilder, head: Token) -> None:
     p.expect_punct(";")
 
 
-# keyword -> the function that reads the rest of the directive, called with
-# the keyword's token. The directives in _ONCE may appear at most once.
+# keyword -> the function that reads the rest of the directive, called
+# after its keyword. The directives in _ONCE may appear at most once.
 _DIRECTIVES = {
     "suspects": _parse_suspects, "island": _parse_island, "types": _parse_types,
     "criminals": _parse_criminals, "typecount": _parse_typecount,
@@ -529,7 +516,7 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder,
 def _expect_suspect(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str] = frozenset()) -> str:
     tok = p.expect("ident", "a suspect name")
     if tok.text not in b.suspects and tok.text not in extra:
-        raise ParseError(tok.span, f"unknown suspect '{tok.text}'")
+        raise _Failure(p.pos - 1, f"unknown suspect '{tok.text}'")
     return tok.text
 
 
@@ -541,17 +528,17 @@ def _expect_label(p: _Parser, b: _PuzzleBuilder, extra: object) -> str:
     """The label of an earlier, modeled statement."""
     tok = p.expect("ident", "a statement label")
     if tok.text not in b.labels:
-        raise ParseError(
-            tok.span, f"truthful() reference to '{tok.text}', which is not an earlier statement")
+        raise _Failure(
+            p.pos - 1, f"truthful() reference to '{tok.text}', which is not an earlier statement")
     if tok.text not in b.modeled_labels:
-        raise ParseError(tok.span, f"truthful() reference to unmodeled statement '{tok.text}'")
+        raise _Failure(p.pos - 1, f"truthful() reference to unmodeled statement '{tok.text}'")
     return tok.text
 
 
 def _expect_free_name(p: _Parser, b: object, extra: object) -> str:
     tok = p.expect("string", "a quoted atom name")
     if not _is_name(tok.text):
-        raise ParseError(tok.span, f"free atom name '{tok.text}' must be an identifier")
+        raise _Failure(p.pos - 1, f"free atom name '{tok.text}' must be an identifier")
     return tok.text
 
 
@@ -600,14 +587,15 @@ KEYWORDS = frozenset({
 
 def _parse_primary(p, b, extra) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's. An atom whose
-    tokens were read before in this text is the node they read to then."""
+    tokens were read before in this text is the node they read to then, and
+    the cursor skips its tokens, so a later failure names its own index."""
     tok = p.tokens[p.pos]
     if tok.kind != "ident":
-        raise _unexpected(tok, ATOM_EXPECTED)
+        raise p.unexpected(ATOM_EXPECTED)
     row = _ATOMS.get(tok.text)
     if row is None:
         if tok.text != "true" and tok.text != "false":
-            raise ParseError(tok.span, f"unknown atom '{tok.text}'", ATOM_EXPECTED)
+            raise _Failure(p.pos, f"unknown atom '{tok.text}'", ATOM_EXPECTED)
         p.pos += 1
         return TRUE if tok.text == "true" else FALSE
     if extra:  # a template: its variable is a person only here
@@ -635,7 +623,7 @@ def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) 
         elif tokens[p.pos].text == slot and tokens[p.pos].kind != "string":
             p.pos += 1  # the punctuation mark or word `slot`
         else:
-            raise _unexpected(tokens[p.pos], (slot if slot.isidentifier() else f"'{slot}'",))
+            raise p.unexpected((slot if slot.isidentifier() else f"'{slot}'",))
     return row[0](*args)
 
 

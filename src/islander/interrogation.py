@@ -470,7 +470,9 @@ def _require_person(kw: KnowledgeWorld, p: str) -> None:
         raise PreconditionError(f"unknown person '{p}'")
 
 
-def _require_group(kw: KnowledgeWorld, group: Iterable[str]) -> None:
+def _require_group(kw: KnowledgeWorld, group: collections.abc.Set[str]) -> None:
+    if not isinstance(group, collections.abc.Set):
+        raise PreconditionError(f"question group must be a set, not {type(group).__name__}")
     if not kw._person_set.issuperset(group):
         bad = set(group) - kw._person_set
         raise PreconditionError(f"question group references unknown persons {sorted(bad)}")

@@ -7,9 +7,11 @@ from __future__ import annotations
 import itertools
 import random
 from importlib import resources
+from typing import NamedTuple
 
 import pytest
 
+from islander.dsl import _locate, _read
 from islander.model import (
     ALL_TYPES,
     And,
@@ -45,6 +47,21 @@ CORPUS_NAMES = (
     "andrew", "ashwin", "ben", "ezra_liars", "ezra_open",
     "jacob", "jonathan", "mike", "nastia", "will",
 )
+
+
+class PlacedToken(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def placed_tokens(text: str) -> list[PlacedToken]:
+    """The tokens `dsl._read` finds in `text`, each with the line and
+    column that `dsl._locate`, the position walk of an error report, gives
+    its index."""
+    return [PlacedToken(tok.kind, tok.text, *_locate(text, index)[2:])
+            for index, tok in enumerate(_read(text))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from islander.cli import main as cli_main
-from islander.dsl import ParseError, _lex, parse, serialize
+from islander.dsl import ParseError, parse, serialize
 from islander.interrogation import (
     Knowledge,
     KnowledgeWorld,
@@ -39,6 +39,7 @@ from conftest import (
     corpus_text,
     enumerated_world_keys,
     oracle_world_keys,
+    placed_tokens,
     random_formula,
     random_puzzle,
     stolen_files_consistent_assignments,
@@ -286,7 +287,7 @@ def test_criterion_7_round_trip_and_mutation_spans():
         rng = random.Random(2029)
         for name in CORPUS_NAMES:
             text = corpus_text(name)
-            tokens = [t for t in _lex(text) if t.kind not in ("string", "eof")]
+            tokens = [t for t in placed_tokens(text) if t.kind not in ("string", "eof")]
             for token in rng.sample(tokens, min(8, len(tokens))):
                 lines = text.split("\n")
                 row = lines[token.line - 1]

@@ -21,8 +21,6 @@ from islander.dsl import (
     ParseError,
     SourceSpan,
     _ATOMS,
-    _lex,
-    _read,
     format_formula,
     parse,
     serialize,
@@ -48,7 +46,7 @@ from islander.model import (
 )
 from islander.solver import solve
 
-from conftest import CORPUS_NAMES, corpus_text, no_recursion, random_puzzle
+from conftest import CORPUS_NAMES, corpus_text, no_recursion, placed_tokens, random_puzzle
 from test_golden_parses import all_texts as golden_texts
 from test_model import formula_strategy
 
@@ -169,15 +167,15 @@ def _spine(formula, cls, attr: str):
 
 class TestLexer:
     def test_token_columns_across_tabs_strings_crlf_and_comments(self):
-        tokens = _lex('a\t"x\\"y" # c\r\n  <-> ->;# end')
-        assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+        tokens = placed_tokens('a\t"x\\"y" # c\r\n  <-> ->;# end')
+        assert tokens == [
             ("ident", "a", 1, 1), ("string", 'x"y', 1, 3), ("<->", "<->", 2, 3),
             ("->", "->", 2, 7), (";", ";", 2, 9), ("eof", "end of input", 2, 10),
         ]
 
     def test_end_of_input_after_a_trailing_comment_sits_at_the_hash(self):
         text = "puzzle { suspects A; criminals = 1;  # no closing brace"
-        assert _lex(text)[-1].column == text.index("#") + 1
+        assert placed_tokens(text)[-1].column == text.index("#") + 1
         with pytest.raises(ParseError) as info:
             parse(text)
         assert (info.value.span.line, info.value.span.column) == (1, text.index("#") + 1)
@@ -258,41 +256,14 @@ LEXICAL_EDGE_CASES = {
 }
 
 
-def _kinds_and_texts(tokens) -> list[tuple[str, str]]:
-    return [(tok.kind, tok.text) for tok in tokens]
-
-
-def assert_readers_agree(text: str) -> None:
-    """`_read` gives the tokens of `_lex` without their positions, and gives
-    up exactly where `_lex` meets a bad character."""
-    tokens = _read(text)
-    try:
-        positioned = _lex(text)
-    except ParseError:
-        assert tokens is None
-        return
-    assert tokens is not None
-    assert _kinds_and_texts(tokens) == _kinds_and_texts(positioned)
-
-
-class TestTwoReaders:
-    """`parse` reads a text with `_read`, one findall and a lookup per token,
-    and only for an error does it read it again with `_lex`, which knows
-    where each token is."""
-
-    def test_readers_agree_on_the_golden_texts(self):
-        for text in golden_texts().values():
-            assert_readers_agree(text)
-
-    def test_readers_agree_on_the_benchmark_texts_and_their_serializations(self):
-        for text in benchmark_texts(1):
-            assert_readers_agree(text)
-            assert_readers_agree(serialize(parse(text)))
+class TestOneReader:
+    """`parse` reads a text with `_read`, one findall and a lookup per token.
+    A failure names its token's index, and only then does `_locate` walk the
+    text for that token's line and column."""
 
     @pytest.mark.parametrize("name", LEXICAL_EDGE_CASES)
-    def test_readers_agree_on_edge_cases(self, name):
+    def test_edge_cases(self, name):
         text, error = LEXICAL_EDGE_CASES[name]
-        assert_readers_agree(text)
         if error is None:
             parse(text)
             return
@@ -302,15 +273,46 @@ class TestTwoReaders:
         assert ((err.span.line, err.span.column, err.span.length), err.message,
                 err.expected) == error
 
-    def test_a_valid_parse_never_builds_positioned_tokens(self, monkeypatch):
+    def test_a_valid_parse_never_walks_for_positions(self, monkeypatch):
         texts = [corpus_text(name) for name in CORPUS_NAMES]
         texts.append(serialize(parse(benchmark_texts(1)[0])))
 
-        def refuse(text):
-            raise AssertionError("a valid text was read with positions")
-        monkeypatch.setattr(dsl, "_lex", refuse)
+        def refuse(text, index):
+            raise AssertionError("a valid text was walked for positions")
+        monkeypatch.setattr(dsl, "_locate", refuse)
         for text in texts:
             parse(text)
+
+    def test_a_failing_parse_parses_once_and_raises_without_a_chain(self, monkeypatch):
+        calls = []
+
+        def counted(tokens):
+            calls.append(tokens)
+            return parse_tokens(tokens)
+        parse_tokens = dsl._parse
+        monkeypatch.setattr(dsl, "_parse", counted)
+        text = "puzzle { suspects A; criminals = 1; statement s A: guilty(B); }"
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert len(calls) == 1
+        assert info.value.__cause__ is None and info.value.__context__ is None
+        assert _error(info.value) == (SourceSpan(1, 59, 1), "unknown suspect 'B'", ())
+
+    @pytest.mark.parametrize("after, at, message", [
+        ("guilty(A) and guilty(A) and gilty(A)", "gilty", "unknown atom 'gilty'"),
+        ("guilty(A) and guilty(A) guilty(A)", "guilty(A)", "unexpected token 'guilty'"),
+        ("guilty(A) or\n  type(A)=AT or type(A)=AT and guilty(C)", "C", "unknown suspect 'C'"),
+    ])
+    def test_an_error_after_a_repeated_atom_is_at_its_own_token(self, after, at, message):
+        """The second `guilty(A)` or `type(A)=AT` is an atom-table hit, which
+        skips its tokens at once; the error after it is still at its column."""
+        text = f"puzzle {{ suspects A, B; criminals = 1; statement s A: {after}; }}"
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        line = text[:text.rindex(at)].count("\n") + 1
+        column = text.rindex(at) - text.rfind("\n", 0, text.rindex(at))
+        assert (info.value.span.line, info.value.span.column, info.value.message) == \
+            (line, column, message)
 
 
 def differential_texts() -> dict[str, str]:
@@ -330,23 +332,43 @@ def _error(exc: ParseError) -> tuple:
     return exc.span, exc.message, exc.expected
 
 
+class _NeverStores(dict):
+    """An atom table that keeps nothing, so every atom is read anew."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _TableFreeBuilder(dsl._PuzzleBuilder):
+    def __init__(self):
+        super().__init__()
+        self.atoms = _NeverStores()
+
+
+def parse_table_free(text: str):
+    """`parse` with a builder whose atom table never stores."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_PuzzleBuilder", _TableFreeBuilder)
+        return parse(text)
+
+
 class TestTheParserIsTheCheck:
     """A parsed puzzle is checked by the parser alone, which reads each
-    distinct atom of a text once. `_parse(_lex(t))` reads every atom anew,
-    as its tokens carry positions, so it is the table-free oracle."""
+    distinct atom of a text once. `parse_table_free` reads every atom anew,
+    so it is the table-free oracle."""
 
-    def test_parse_agrees_with_the_positioned_reader_and_validate(self):
+    def test_parse_agrees_with_the_table_free_parse_and_validate(self):
         parsed = 0
         for name, text in differential_texts().items():
             try:
                 puzzle = parse(text)
             except ParseError as exc:
                 with pytest.raises(ParseError) as info:
-                    dsl._parse(_lex(text))
+                    parse_table_free(text)
                 assert _error(info.value) == _error(exc), name
                 continue
             parsed += 1
-            assert puzzle == dsl._parse(_lex(text)), name
+            assert puzzle == parse_table_free(text), name
             puzzle.validate()
             assert parse(serialize(puzzle)) == puzzle, name
         assert parsed >= 2 * (12 + 20) + len(CORPUS_NAMES)
@@ -779,7 +801,7 @@ class TestMutationSpans:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_illegal_character_mutations(self, name):
         text = corpus_text(name)
-        tokens = [t for t in _lex(text) if t.kind not in ("string", "eof")]
+        tokens = [t for t in placed_tokens(text) if t.kind not in ("string", "eof")]
         rng = random.Random(hash(name) & 0xFFFF)
         for token in rng.sample(tokens, min(12, len(tokens))):
             mutated = self._spliced(text, token, "~" + token.text[1:])
@@ -790,7 +812,7 @@ class TestMutationSpans:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_keyword_misspelling_mutations(self, name):
         text = corpus_text(name)
-        targets = [t for t in _lex(text) if t.kind == "ident" and t.text == "guilty"]
+        targets = [t for t in placed_tokens(text) if t.kind == "ident" and t.text == "guilty"]
         assert targets, "every corpus file should mention guilt"
         for token in targets[:4]:
             mutated = self._spliced(text, token, "gilty")

@@ -157,6 +157,16 @@ class TestTruthfulAnswers:
         assert truthful_answer(kw, "P1", DidDetectiveDoIt()).value is NO
         assert truthful_answer(kw, "P3", DidDetectiveDoIt()).value is UNKNOWN
 
+    @pytest.mark.parametrize("group", [["P1", "P2"], ("P1", "P2"), "P1"],
+                             ids=["list", "tuple", "str"])
+    @pytest.mark.parametrize("form", [PossibleSubset, PossibleExact])
+    def test_a_group_that_is_not_a_set_is_refused(self, form, group):
+        kw = all_truth_tellers(3, {"P2"})
+        for answer in (truthful_answer, spoken_answer):
+            with pytest.raises(PreconditionError,
+                               match=f"question group must be a set, not {type(group).__name__}"):
+                answer(kw, "P1", form(group))
+
     def test_knowledge_restricts_compatible_sets(self):
         knowledge = {("P1", "P2"): Knowledge.KNOWS_GUILTY}
         kw = all_truth_tellers(3, {"P2", "P3"}, knowledge=knowledge)
