@@ -9,10 +9,11 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import pytest
 
 from islander import cli
 from islander.cli import main
-from islander.interrogation import STRATEGIES
+from islander.interrogation import ISLAND_MODES, STRATEGIES
 from islander.model import ALL_TYPES, CountCmp, Puzzle
 
 from conftest import chain_puzzle_text
@@ -252,6 +253,29 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "precondition" in err
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_island_outside_the_declared_islands_refused_before_any_draw(
+        self, capsys, monkeypatch, seed
+    ):
+        def no_draw(**kwargs):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr(cli, "generate_knowledge_world", no_draw)
+        code, out, err = run(
+            capsys, "simulate", "--strategy", "solve_truthtellers", "--island", "mixed",
+            "--n", "1", "--trials", "1", "--seed", str(seed),
+        )
+        assert (code, out) == (1, "")
+        assert err == ("islander: precondition refused: the solve_truthtellers strategy is "
+                       "declared for --island tt, not mixed\n")
+        for name, strategy in STRATEGIES.items():
+            for island in set(ISLAND_MODES) - set(strategy.islands):
+                code, out, err = run(capsys, "simulate", "--strategy", name,
+                                     "--island", island, "--seed", str(seed))
+                assert (code, out) == (1, "")
+                assert err.startswith("islander: precondition refused: ")
+                assert " or ".join(strategy.islands) in err
 
     def test_paper_literal_liars_mode(self, capsys):
         code, out, _ = run(

@@ -21,7 +21,9 @@ The truthful answers to the listed-group questions, "could the criminals
 all be within g?" and "could exactly g have done it?", are checked for
 every group, every asker and every world against plain subset enumeration:
 every type at n <= 2, and one type at n = 3, since those answers do not
-read types.
+read types. On the same worlds every other question class is checked the
+same way, honest answers against the oracle and spoken answers against the
+speaker-type rule, the adversary's draws included.
 """
 
 import itertools
@@ -34,17 +36,26 @@ from islander.interrogation import (
     STRATEGIES,
     TT_POOL,
     AnswerValue,
+    DetectivePossiblyGuilty,
+    DidDetectiveDoIt,
+    DirectGuilt,
     Knowledge,
     KnowledgeRows,
     KnowledgeWorld,
+    KnownFact,
     PossibleExact,
+    PossibleInnocent,
+    PossibleSizeExcludingSelf,
     PossibleSubset,
     PreconditionError,
+    SecretAttribute,
+    _AllBut,
     run_solve_liars,
     run_strategy,
+    spoken_answer,
     truthful_answer,
 )
-from islander.model import ALL_TYPES, SpeakerType
+from islander.model import ALL_TYPES, Island, SpeakerType
 
 POOLS = {"tt": TT_POOL, "liars": LIAR_POOL, "mixed": ALL_TYPES}
 
@@ -197,3 +208,81 @@ def test_group_questions_on_every_world_of_up_to_three_persons():
                 assert (exact is AnswerValue.YES) == (group in sets), (kw, p, group)
                 answers += 2
     assert answers == 49184
+
+
+def detective_possible(kw, p):
+    """Could the detective, an outsider, be among the criminals as far as p
+    can tell? Never for someone who knows everyone's guilt status; else when
+    some set of persons, with the detective added, fits p's knowledge: it
+    holds p exactly when p is guilty and no one p knows innocent, it holds
+    everyone p knows guilty, and with the detective it has the public size."""
+    if all(kw.knows(p, q) is not Knowledge.UNKNOWN for q in kw.persons if q != p):
+        return False
+
+    def allowed(s):
+        return all(kw.knows(p, q) is not (Knowledge.KNOWS_INNOCENT if q in s
+                                          else Knowledge.KNOWS_GUILTY)
+                   for q in kw.persons)
+
+    return any((p in s) is (p in kw.guilty) and allowed(s)
+               and kw.count_public in (None, len(s) + 1)
+               for s in subsets(kw.persons))
+
+
+def oracle_questions(kw, p):
+    """(question, honest answer) for every question class p can be asked,
+    the honest answer read from `compatible_sets` and `detective_possible`."""
+    sets = compatible_sets(kw, p)
+    n = len(kw.persons)
+    detective = detective_possible(kw, p)
+    asked = [(KnownFact(True), True), (KnownFact(False), False),
+             (DirectGuilt(), p in kw.guilty),
+             (PossibleExact(kw._person_set), kw._person_set in sets),
+             (DetectivePossiblyGuilty(), detective)]
+    asked += [(PossibleInnocent(q), any(q not in s for s in sets)) for q in kw.persons]
+    asked += [(PossibleSubset(_AllBut(kw._person_set, q)), any(q not in s for s in sets))
+              for q in kw.persons]
+    asked += [(PossibleSizeExcludingSelf(m), any(len(s) == m and p not in s for s in sets))
+              for m in range(n + 2)]
+    honest = [(question, AnswerValue.YES if yes else AnswerValue.NO) for question, yes in asked]
+    honest.append((DidDetectiveDoIt(), AnswerValue.UNKNOWN if detective else AnswerValue.NO))
+    honest.append((SecretAttribute(),
+                   AnswerValue.TOKEN if p in kw.guilty else AnswerValue.UNKNOWN))
+    return honest
+
+
+FLIP = {AnswerValue.YES: AnswerValue.NO, AnswerValue.NO: AnswerValue.YES}
+
+
+def test_every_question_class_on_every_world_of_up_to_three_persons():
+    """Honest answers against the oracle, and spoken answers against the type
+    rule: a partial type's honest answer to the guilt question is no, a liar
+    flips yes and no, names a wrong token for the secret, and turns an honest
+    "I don't know" into one adversary draw; a truth-teller draws nothing."""
+    worlds = itertools.chain(all_worlds(1, ALL_TYPES), all_worlds(2, ALL_TYPES),
+                             all_worlds(3, ALL_TYPES[:1]))
+    answers = 0
+    for kw in worlds:
+        for p in kw.persons:
+            speaker = kw.type_of[p]
+            for question, honest in oracle_questions(kw, p):
+                truthful = truthful_answer(kw, p, question)
+                assert truthful.value is honest, (kw, p, question)
+                assert truthful.token == (kw.secret if honest is AnswerValue.TOKEN else None)
+                if speaker.partial and isinstance(question, DirectGuilt):
+                    honest = AnswerValue.NO
+                rng, reference = random.Random(answers), random.Random(answers)
+                spoken = spoken_answer(kw, p, question, rng)
+                assert (spoken.person, spoken.question) == (p, question)
+                if speaker.island is Island.TRUTH_TELLERS:
+                    expected, token = honest, truthful.token
+                elif isinstance(question, SecretAttribute):
+                    expected, token = AnswerValue.TOKEN, f"bogus-{reference.getrandbits(32):08x}"
+                elif honest is AnswerValue.UNKNOWN:
+                    expected, token = reference.choice((AnswerValue.YES, AnswerValue.NO)), None
+                else:
+                    expected, token = FLIP[honest], None
+                assert (spoken.value, spoken.token) == (expected, token), (kw, p, question)
+                assert rng.getstate() == reference.getstate(), (kw, p, question)
+                answers += 1
+    assert answers == 60000

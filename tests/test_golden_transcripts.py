@@ -35,9 +35,11 @@ from islander.cli import main
 from islander.interrogation import (
     STRATEGIES,
     PreconditionError,
+    PossibleExact,
     describe_question,
     generate_knowledge_world,
     run_strategy,
+    spoken_answer,
 )
 
 FIXTURE = Path(__file__).with_name("golden_transcripts.json")
@@ -181,6 +183,30 @@ def test_run_strategy_matches_each_runner():
         extra = {} if mode == "robust" else {"mode": mode}
         direct = _outcome(lambda rng: runner(kw, rng, **extra), seed)
         assert _outcome(lambda rng: run_strategy(kw, name, rng, mode), seed) == direct, key
+
+
+def test_the_loop_agrees_with_one_question_at_a_time():
+    """Every pinned run gives the transcript, and leaves the adversary's
+    source in the state, of its questions put one at a time through
+    `spoken_answer` with a source seeded alike. The paper-literal mode draws
+    each list from that source before its ask, so the replay draws it too."""
+    for key, name, mode, kw, seed in golden_worlds():
+        rng = random.Random(seed ^ ADVERSARY_SALT)
+        try:
+            result = run_strategy(kw, name, rng, mode)
+        except PreconditionError:
+            continue
+        replay = random.Random(seed ^ ADVERSARY_SALT)
+        roster = sorted(kw.persons)
+        answers = []
+        for answer in result.transcript:
+            if mode == "paper-literal":
+                others = [p for p in roster if p != answer.person]
+                size = kw.count_public or replay.randint(1, len(others))
+                assert answer.question == PossibleExact(frozenset(replay.sample(others, size)))
+            answers.append(spoken_answer(kw, answer.person, answer.question, replay))
+        assert tuple(answers) == result.transcript, key
+        assert replay.getstate() == rng.getstate(), key
 
 
 def test_simulate_json_matches_golden():
