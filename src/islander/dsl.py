@@ -16,7 +16,8 @@ fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
 directive's keyword to the function that reads the rest of it.
 
 One reader lexes a text: `_read` runs one findall, each distinct token
-text becomes one shared Token, and no Python code runs per token. A token
+text becomes one shared Token, and no Python code runs per token. Texts
+classified once are kept for later parses, in a table with a fixed cap. A token
 carries no position. A parse error names the index of its token, and
 `parse` works out that token's line and column only then, by one walk of
 the same regular expression.
@@ -158,18 +159,35 @@ def _classify(raws: list[str]) -> dict[str, Token | None]:
     return table
 
 
+# Token texts classified by earlier parses, since keywords, punctuation and
+# most names recur from text to text. A bad character is never kept, and
+# the table holds at most _KNOWN_CAP texts: a parse that would pass the cap
+# starts a new one from its own texts (and keeps the old one if its own
+# texts alone pass it).
+_known: dict[str, Token] = {}
+_KNOWN_CAP = 4096
+
+
 def _read(text: str) -> tuple[Token, ...]:
     """The tokens of `text`, shared and without positions: one findall, then
     one lookup per token. A bad character fails at its index."""
+    global _known
     raws = _TOKEN_RE.findall(text)
-    table = _classify(raws)
     if len(raws) > 1 and not raws[-2]:
         raws.pop()  # the second empty text at the end
-    tokens = tuple(map(table.__getitem__, raws))
-    if None in table.values():
-        index = tokens.index(None)
+    known, distinct = _known, set(raws)
+    new = _classify(distinct.difference(known))
+    if None in new.values():
+        index = next(i for i, raw in enumerate(raws) if new.get(raw, _EOF) is None)
         raise _Failure(index, f"unexpected character {raws[index]!r}")
-    return tokens
+    if new:
+        if len(known) + len(new) > _KNOWN_CAP:
+            # A new table, of this text's tokens alone.
+            known = {raw: known[raw] for raw in distinct.difference(new)}
+        known.update(new)
+        if len(known) <= _KNOWN_CAP:
+            _known = known
+    return tuple(map(known.__getitem__, raws))
 
 
 def _locate(text: str, index: int) -> tuple[str, int, int, int]:

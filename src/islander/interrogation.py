@@ -19,12 +19,14 @@ below are checked to be independent of those coin flips.
 declared: for each name, its `run_<name>` runner, the island modes and
 count premise it accepts, whether it needs a secret or takes a mode, and
 what counts as success. `run_strategy` runs any entry by name, and the
-CLI's `--strategy` choices are the table's keys. Every runner that accuses
-asks through one loop, `_ask_each`: put each (asker, question, suspect) to
-the asker and accuse the suspect on the answer a criminal gives from the
-asker's island, the flip of a truth-teller's mark for a liar. A question's
-transcript text follows one rule, `describe_question`: the class name in
-snake case, then its field, if it has one, in parentheses.
+CLI's `--strategy` choices are the table's keys. Every runner asks through
+one loop, `_ask_each`: put each (asker, question, suspect) to the asker and
+accuse the suspect on the answer a criminal gives, a truth-teller's mark
+from an asker read as a truth-teller (by default, anyone from the
+truth-tellers' island) and its flip from anyone else; `classify_islands`
+reads every answer at face value. A question's transcript text follows one
+rule, `describe_question`: the class name in snake case, then its field, if
+it has one, in parentheses.
 
 A world's knowledge is always a `KnowledgeRows`: one `bytes` row per asker,
 `KnowledgeWorld.knowledge.rows`, where byte j of person i's row is 1 when i
@@ -43,18 +45,24 @@ on integers, from the top byte of each draw and, in about 1 case in 256,
 from the full 53 bits. The same draws leave the generator in the same state,
 so the secret drawn after them, and every seeded output, stay the same.
 
-Every honest answer comes from one `match`, `_honest`, and reads the
-asker's knowledge one way: from the asker's row and per-asker counts,
-`KnowledgeWorld._counts`, of how many each person knows to be guilty and
-how many innocent, themselves included. The registered strategies ask the
-possible-innocent, size-excluding-self and detective questions, "could the
-criminals all be among everyone but q?" and "could everyone have done it?";
-each reads the counts and at most one byte of the row, so it costs O(1) in
-the crowd size. "Everyone but q" is an O(1) set view of the roster without
-q, `_AllBut`, that equals and hashes like the (n-1)-person frozenset and has
-its transcript text. Any other subset or exact-group question reads the
-row once over its group, at C level, and builds nothing per world. `knows`
-remains the plain per-pair lookup the tests' oracles use.
+Every answer comes from one function, `_answer`, which holds every answer
+rule: it reads the asker's entry of one cached per-person table,
+`KnowledgeWorld._askers` (how many the asker knows to be guilty and how
+many innocent, themselves included; their row; whether their type is a
+liar's and whether it is partial), applies the honest rule of the
+question's class and then, given an adversarial source, the speaker-type
+filter. `truthful_answer` and `spoken_answer` are one call of it each, and
+`_ask_each` calls it once per ask and nothing else. The registered
+strategies ask the possible-innocent, size-excluding-self and detective
+questions, "could the criminals all be among everyone but q?" and "could
+everyone have done it?"; each reads the counts and at most one byte of the
+row, so it costs O(1) in the crowd size, and a question that is the same for
+every asker is built once per world. "Everyone but q" is an O(1) set view
+of the roster without q, `_AllBut`, that equals and hashes like the
+(n-1)-person frozenset and has its transcript text. Any other subset or
+exact-group question reads the row once over its group, at C level, and
+builds nothing per world. `knows` remains the plain per-pair lookup the
+tests' oracles use.
 
 A world with knowledge density 0 and no secret draws no knowledge rows:
 every draw would come out 0, and nothing reads the generator afterwards.
@@ -228,25 +236,33 @@ class KnowledgeWorld:
         return frozenset(self.persons)
 
     @functools.cached_property
-    def _counts(self) -> dict[str, tuple[int, int]]:
-        """For each person p, (how many p knows to be guilty, how many p
-        knows to be innocent), p included by their own guilt, counted from
-        each row's set bits without building a set."""
-        persons, guilty = self.persons, self.guilty
+    def _askers(self) -> dict[str, tuple[int, int, bytes, bool, bool]]:
+        """For each person p, what an answer of p reads: how many p knows to
+        be guilty and how many innocent, p included by their own guilt,
+        counted from the row's set bits without building a set; p's row; and
+        whether p's type is a liar's and whether it is partial."""
+        persons, guilty, type_of = self.persons, self.guilty, self.type_of
         guilty_mask = int.from_bytes(bytes(q in guilty for q in persons), "little")
-        counts = {}
+        liars = Island.LIARS
+        askers = {}
         for p, row in zip(persons, self.knowledge.rows):
             bits = int.from_bytes(row, "little")
             known, known_guilty = bits.bit_count(), (bits & guilty_mask).bit_count()
-            counts[p] = (known_guilty + 1, known - known_guilty) if p in guilty \
+            must, banned = (known_guilty + 1, known - known_guilty) if p in guilty \
                 else (known_guilty, known - known_guilty + 1)
-        return counts
+            speaker_type = type_of[p]
+            askers[p] = (must, banned, row, speaker_type.island is liars, speaker_type.partial)
+        return askers
 
     def knows(self, p: str, q: str) -> Knowledge:
         return self.knowledge.get((p, q), Knowledge.UNKNOWN)
 
     def island_of(self, p: str) -> Island:
         return self.type_of[p].island
+
+    def truth_tellers(self) -> frozenset[str]:
+        """The persons from the truth-tellers' island."""
+        return frozenset(p for p in self.persons if self.type_of[p].island is Island.TRUTH_TELLERS)
 
     def all_knowledge_unknown(self) -> bool:
         return not any(1 in row for row in self.knowledge.rows)
@@ -260,7 +276,7 @@ class KnowledgeWorld:
 
     def knows_full_roster(self, p: str) -> bool:
         """Does p know the guilt status of every other person?"""
-        must, banned = self._counts[p]
+        must, banned = self._askers[p][:2]
         return must + banned == len(self.persons)
 
 
@@ -392,82 +408,35 @@ class Answer:
     token: Optional[str] = None
 
 
-def _yes_no(value: bool) -> AnswerValue:
-    return AnswerValue.YES if value else AnswerValue.NO
+# Bound once: reading `AnswerValue.YES` is over ten times slower than a global.
+_YES, _NO, _UNKNOWN, _TOKEN = AnswerValue
 
 
 # ---------------------------------------------------------------------------
-# Truthful answers (epistemic core)
+# Answers (epistemic core)
 # ---------------------------------------------------------------------------
 #
 # A criminal set is compatible with p's knowledge when it contains everything
 # p knows guilty and p (iff guilty), avoids everyone p knows innocent, is
 # non-empty, and has the public size when one is known. Factivity keeps the
 # known-guilty and known-innocent persons disjoint, so the persons a
-# compatible set may hold are counted, not listed.
+# compatible set may hold are counted, not listed: such sets can hold any
+# number from p's known-guilty count up to a most.
 
-def _fits(kw: KnowledgeWorld, must: int, extras: int, size: Optional[int]) -> bool:
-    """Is there a criminal set of the `must` forced persons plus some of
-    `extras` optional ones that is non-empty and has the asked `size` and
-    the public size, where either is given?"""
-    if size is not None and kw.count_public is not None and size != kw.count_public:
-        return False
-    target = size if size is not None else kw.count_public
-    if target is None:
-        return must > 0 or extras > 0
-    return target >= 1 and must <= target <= must + extras
-
-
-def _compatible_without(
-    kw: KnowledgeWorld, p: str, q: str, size: Optional[int] = None
-) -> bool:
-    """Is some criminal set compatible with p's knowledge free of q, a person
-    of the roster? Read from p's counts and whether p knows q's status."""
-    must, banned = kw._counts[p]
-    knowledge = kw.knowledge
-    position = knowledge._position
-    if q == p or knowledge.rows[position[p]][position[q]]:
-        if q in kw.guilty:
-            return False
-        allowed = len(kw.persons) - banned  # q is counted among the banned
-    else:
-        allowed = len(kw.persons) - banned - 1
-    return _fits(kw, must, allowed - must, size)
-
-
-def _compatible_within(
-    kw: KnowledgeWorld, p: str, group: collections.abc.Set[str], size: Optional[int] = None
-) -> bool:
-    """Is some criminal set compatible with p's knowledge within `group`? It
-    holds all p knows guilty; the group's persons p knows nothing of are optional."""
+def _compatible_within(kw: KnowledgeWorld, p: str, group: collections.abc.Set[str]) -> int:
+    """The most persons a criminal set compatible with p's knowledge may hold
+    within `group`, or -1 when no such set is within it. It holds all p
+    knows guilty; the group's persons p knows nothing of are optional."""
+    must, _, row, _, _ = kw._askers[p]
     position = kw.knowledge._position
-    row = kw.knowledge.rows[position[p]]
 
     def known(persons: collections.abc.Set[str]) -> int:
         """How many of `persons` have a guilt status p knows, p included."""
         return sum(map(row.__getitem__, map(position.__getitem__, persons))) + (p in persons)
 
-    must = kw._counts[p][0]
     if known(group & kw.guilty) != must:
-        return False
-    return _fits(kw, must, len(group) - known(group), size)
-
-
-def _detective_possible(kw: KnowledgeWorld, p: str) -> bool:
-    """Could the detective (an outsider) be among the criminals, as far as p
-    can tell? Someone who knows the whole roster's guilt is treated as
-    knowing the answer outright."""
-    if kw.knows_full_roster(p):
-        return False
-    if kw.count_public is None:
-        return True
-    must, banned = kw._counts[p]
-    return must <= kw.count_public - 1 <= len(kw.persons) - banned
-
-
-def _require_person(kw: KnowledgeWorld, p: str) -> None:
-    if p not in kw.type_of:
-        raise PreconditionError(f"unknown person '{p}'")
+        return -1
+    return must + len(group) - known(group)
 
 
 def _require_group(kw: KnowledgeWorld, group: collections.abc.Set[str]) -> None:
@@ -478,53 +447,92 @@ def _require_group(kw: KnowledgeWorld, group: collections.abc.Set[str]) -> None:
         raise PreconditionError(f"question group references unknown persons {sorted(bad)}")
 
 
-def _honest(kw: KnowledgeWorld, p: str, question: Question) -> AnswerValue:
-    """p's honest answer to `question`, to the extent of p's knowledge; a
-    token answer stands for `kw.secret`. The strategies' most frequent
-    questions come first."""
-    _require_person(kw, p)
-    match question:
-        case PossibleSubset(_AllBut(roster, q)) if roster is kw._person_set and q in roster:
+def _answer(
+    kw: KnowledgeWorld, p: str, question: Question, rng: Optional[random.Random]
+) -> Answer:
+    """p's answer to `question`. With `rng` None it is the honest answer, to
+    the extent of p's knowledge, a token standing for `kw.secret`; else it
+    is the answer p's speaker type gives, `rng` being the liars' adversarial
+    source. Every answer rule is here, the strategies' most frequent
+    questions first; on their path no function of the package but the
+    `Answer` constructor is called."""
+    try:
+        must, banned, row, liar, partial = kw._askers[p]
+    except KeyError:
+        raise PreconditionError(f"unknown person '{p}'") from None
+    kind, n = type(question), len(kw.persons)
+    # A possibility question sets `most`, the most persons a compatible
+    # criminal set free of `absent` or within the group may hold (-1 when
+    # none may), and `size` when it asks for one.
+    absent = most = size = None
+    if kind is PossibleInnocent:
+        absent = question.target
+        if absent not in kw.type_of:
+            raise PreconditionError(f"unknown person '{absent}'")
+    elif kind is PossibleSubset or kind is PossibleExact:
+        group = question.group
+        if group is kw._person_set:
+            # Every compatible set is within the roster.
+            most = n - banned
+        elif kind is PossibleSubset and type(group) is _AllBut \
+                and group.roster is kw._person_set and group.absent in group.roster:
             # Everyone but q: the set form of "could q be innocent?".
-            return _yes_no(_compatible_without(kw, p, q))
-        case PossibleInnocent(target):
-            _require_person(kw, target)
-            return _yes_no(_compatible_without(kw, p, target))
-        case KnownFact(truth):
-            return _yes_no(truth)
-        case PossibleSizeExcludingSelf(m):
-            return _yes_no(_compatible_without(kw, p, p, m))
-        case DidDetectiveDoIt():
-            return AnswerValue.UNKNOWN if _detective_possible(kw, p) else AnswerValue.NO
-        case DetectivePossiblyGuilty():
-            return _yes_no(_detective_possible(kw, p))
-        case DirectGuilt():
-            return _yes_no(p in kw.guilty)
-        case PossibleExact(group) if group is kw._person_set:
-            # Could everyone have done it? Every compatible set is within the roster.
-            must, banned = kw._counts[p]
-            return _yes_no(_fits(kw, must, len(group) - banned - must, len(group)))
-        case PossibleSubset(group):
+            absent = group.absent
+        else:
             _require_group(kw, group)
-            return _yes_no(_compatible_within(kw, p, group))
-        case PossibleExact(group):
-            _require_group(kw, group)
+            most = _compatible_within(kw, p, group)
+        if kind is PossibleExact:
             # The one subset of the group as large as the group is the group.
-            return _yes_no(_compatible_within(kw, p, group, len(group)))
-        case SecretAttribute():
-            if kw.secret is None:
-                raise PreconditionError("no secret attribute is configured for this world")
-            return AnswerValue.TOKEN if p in kw.guilty else AnswerValue.UNKNOWN
-        case _:
-            raise PreconditionError(f"unknown question {question!r}")
+            size = len(group)
+    elif kind is PossibleSizeExcludingSelf:
+        absent, size = p, question.m
+    elif kind is KnownFact:
+        honest = _YES if question.truth else _NO
+    elif kind is DidDetectiveDoIt or kind is DetectivePossiblyGuilty:
+        # Could the detective, an outsider, be among the criminals? Someone
+        # who knows the whole roster's guilt knows the answer outright.
+        public = kw.count_public
+        possible = must + banned < n and (public is None or must <= public - 1 <= n - banned)
+        honest = _NO if not possible else _UNKNOWN if kind is DidDetectiveDoIt else _YES
+    elif kind is DirectGuilt:
+        # A partial type answers as if innocent.
+        honest = _YES if p in kw.guilty and (rng is None or not partial) else _NO
+    elif kind is SecretAttribute:
+        if kw.secret is None:
+            raise PreconditionError("no secret attribute is configured for this world")
+        honest = _TOKEN if p in kw.guilty else _UNKNOWN
+    else:
+        raise PreconditionError(f"unknown question {question!r}")
+    if absent is not None:
+        # A set free of a person p knows guilty is not compatible; one p
+        # knows innocent is among the banned already.
+        known = absent == p or row[kw.knowledge._position[absent]]
+        most = -1 if known and absent in kw.guilty else n - banned - (not known)
+    if most is not None:
+        public = kw.count_public
+        target = public if size is None else size
+        honest = _YES if (public is None or size is None or size == public) and (
+            most > 0 if target is None else 1 <= target and must <= target <= most) else _NO
+
+    if rng is None or not liar:
+        return Answer(p, question, honest, kw.secret if honest is _TOKEN else None)
+    if kind is SecretAttribute:
+        while True:
+            token = f"bogus-{rng.getrandbits(32):08x}"
+            if token != kw.secret:
+                return Answer(p, question, _TOKEN, token)
+    if honest is _UNKNOWN:
+        # Honest "I don't know" on a yes-or-no question: the liar answers
+        # adversarially. Robust strategies must not depend on this choice.
+        return Answer(p, question, rng.choice((_YES, _NO)))
+    return Answer(p, question, _NO if honest is _YES else _YES)
 
 
 def truthful_answer(kw: KnowledgeWorld, p: str, question: Question) -> Answer:
     """What p would answer if answering honestly to the extent of their
     knowledge. Possibility questions never come back unknown: they ask about
     the askee's own knowledge."""
-    value = _honest(kw, p, question)
-    return Answer(p, question, value, kw.secret if value is AnswerValue.TOKEN else None)
+    return _answer(kw, p, question, None)
 
 
 def spoken_answer(
@@ -533,29 +541,7 @@ def spoken_answer(
     """The answer p actually gives, filtered through their speaker type: a
     partial type's honest answer to the guilt question is no, and a liar
     then flips yes and no."""
-    rng = rng or random.Random(0)
-    honest = _honest(kw, p, question)
-    speaker_type = kw.type_of[p]
-    if speaker_type.partial and isinstance(question, DirectGuilt):
-        honest = AnswerValue.NO
-    if speaker_type.island is Island.TRUTH_TELLERS:
-        return Answer(p, question, honest, kw.secret if honest is AnswerValue.TOKEN else None)
-
-    # Liar types from here on.
-    if isinstance(question, SecretAttribute):
-        return Answer(p, question, AnswerValue.TOKEN, _wrong_token(kw, rng))
-    if honest is AnswerValue.UNKNOWN:
-        # Honest "I don't know" on a yes-or-no question: the liar answers
-        # adversarially. Robust strategies must not depend on this choice.
-        return Answer(p, question, rng.choice((AnswerValue.YES, AnswerValue.NO)))
-    return Answer(p, question, AnswerValue.NO if honest is AnswerValue.YES else AnswerValue.YES)
-
-
-def _wrong_token(kw: KnowledgeWorld, rng: random.Random) -> str:
-    while True:
-        token = f"bogus-{rng.getrandbits(32):08x}"
-        if token != kw.secret:
-            return token
+    return _answer(kw, p, question, rng or random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -578,29 +564,35 @@ def _ask_each(
     rng: random.Random,
     asks: Iterable[tuple[str, Question, str]],
     guilty_says: AnswerValue,
-    island_of: Callable[[str], Island],
+    truth_tellers: Optional[collections.abc.Container[str]] = None,
 ) -> StrategyResult:
     """Put each (asker, question, suspect) of `asks` and accuse the suspect
-    when the answer is `guilty_says` from a truth-teller, or its flip from a
-    liar, by `island_of(asker)`. The one ask-and-read loop of the strategies."""
-    liar_says = {AnswerValue.YES: AnswerValue.NO, AnswerValue.NO: AnswerValue.YES}.get(guilty_says)
+    when the answer is `guilty_says` from an asker read as a truth-teller,
+    one of `truth_tellers` (by default, those from the truth-tellers'
+    island), or its flip from any other. The one ask-and-read loop of the
+    strategies: it makes one call per ask, the answer's."""
+    if truth_tellers is None:
+        truth_tellers = kw.truth_tellers()
+    liar_says = {_YES: _NO, _NO: _YES}.get(guilty_says)
     transcript: list[Answer] = []
     accused: list[str] = []
     # Identity tests, not enum-keyed lookups: an enum's hash runs Python code.
     for asker, question, suspect in asks:
-        answer = spoken_answer(kw, asker, question, rng)
+        answer = _answer(kw, asker, question, rng)
         transcript.append(answer)
-        truthful = island_of(asker) is Island.TRUTH_TELLERS
-        if answer.value is (guilty_says if truthful else liar_says):
+        if answer.value is (guilty_says if asker in truth_tellers else liar_says):
             accused.append(suspect)
     return _result(accused, transcript)
 
 
 def _each(
-    persons: Iterable[str], question: Callable[[str], Question]
+    persons: Iterable[str], question: Union[Question, Callable[[str], Question]]
 ) -> Iterator[tuple[str, Question, str]]:
-    """Ask each of `persons`, in order, `question(p)` about themselves."""
-    return ((p, question(p), p) for p in persons)
+    """Ask each of `persons`, in order, about themselves: `question`, or
+    `question(p)` when it is a function of the person."""
+    if callable(question):
+        return ((p, question(p), p) for p in persons)
+    return ((p, question, p) for p in persons)
 
 
 def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
@@ -633,8 +625,8 @@ def run_classify_islands(
     affirm a known truth; liars deny it. The accused are the persons
     classified as truth-tellers."""
     rng = rng or random.Random(0)
-    transcript = [spoken_answer(kw, p, KnownFact(True), rng) for p in kw.persons]
-    return _result((a.person for a in transcript if a.value is AnswerValue.YES), transcript)
+    # Every answer is read at face value: a yes classifies its speaker.
+    return _ask_each(kw, rng, _each(kw.persons, KnownFact(True)), _YES, kw._person_set)
 
 
 def run_ask_all_about_others(
@@ -647,8 +639,10 @@ def run_ask_all_about_others(
     some other person knows about; never an innocent. Islands are assumed
     already known (run classification first on mixed crowds)."""
     rng = rng or random.Random(0)
-    asks = ((p, PossibleInnocent(q), q) for p in kw.persons for q in kw.persons if q != p)
-    return _ask_each(kw, rng, asks, AnswerValue.NO, kw.island_of)
+    persons = kw.persons
+    questions = [(q, PossibleInnocent(q)) for q in persons]
+    asks = ((p, question, q) for p in persons for q, question in questions if q != p)
+    return _ask_each(kw, rng, asks, _NO)
 
 
 def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -659,8 +653,7 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
     if kw.count_public is None:
         raise PreconditionError("count premise violated: the criminal count must be public")
     _require_all_unknown(kw, "the public-count strategy")
-    question = PossibleSizeExcludingSelf(kw.count_public)
-    return _ask_each(kw, rng, _each(kw.persons, lambda p: question), AnswerValue.NO, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, PossibleSizeExcludingSelf(kw.count_public)), _NO)
 
 
 def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -673,8 +666,7 @@ def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -
             "count premise violated: this strategy assumes the criminal count is not public"
         )
     _require_all_unknown(kw, "the unknown-count strategy")
-    question = PossibleExact(kw._person_set)
-    return _ask_each(kw, rng, _each(kw.persons, lambda p: question), AnswerValue.YES, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, PossibleExact(kw._person_set)), _YES)
 
 
 def run_solve_truthtellers(
@@ -691,7 +683,7 @@ def run_solve_truthtellers(
     # The accused are all among everyone but p, so this asks about the
     # identified criminals and the rest of the crowd.
     unknown = (p for p in kw.persons if p not in known.accused)
-    rest = _ask_each(kw, rng, _each(unknown, _among_the_others(kw)), AnswerValue.NO, kw.island_of)
+    rest = _ask_each(kw, rng, _each(unknown, _among_the_others(kw)), _NO)
     return _result(known.accused | rest.accused, known.transcript + rest.transcript)
 
 
@@ -730,7 +722,7 @@ def run_solve_liars(
         return PossibleExact(frozenset(rng.sample(others, size)))
 
     question = _among_the_others(kw) if mode == "robust" else literal
-    return _ask_each(kw, rng, _each(kw.persons, question), AnswerValue.NO, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, question), _NO)
 
 
 def run_solve_mixed(
@@ -742,8 +734,7 @@ def run_solve_mixed(
     rng = rng or random.Random(0)
     classified = run_classify_islands(kw, rng)
     tt = classified.accused
-    found = _ask_each(kw, rng, _each(kw.persons, _among_the_others(kw)), AnswerValue.NO,
-                      lambda p: Island.TRUTH_TELLERS if p in tt else Island.LIARS)
+    found = _ask_each(kw, rng, _each(kw.persons, _among_the_others(kw)), _NO, tt)
     return _result(found.accused, classified.transcript + found.transcript)
 
 
@@ -766,7 +757,7 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     question: Question = (
         DidDetectiveDoIt() if islands.pop() is Island.TRUTH_TELLERS else DetectivePossiblyGuilty()
     )
-    return _ask_each(kw, rng, _each(kw.persons, lambda p: question), AnswerValue.NO, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, question), _NO)
 
 
 def run_secret_attribute(
@@ -780,8 +771,7 @@ def run_secret_attribute(
         raise PreconditionError("no secret attribute is configured for this world")
     _require_single_island(kw, Island.TRUTH_TELLERS, "the secret-attribute strategy")
     # Only a truthful criminal answers with a token, and it is the secret.
-    return _ask_each(kw, rng, _each(kw.persons, lambda p: SecretAttribute()),
-                     AnswerValue.TOKEN, kw.island_of)
+    return _ask_each(kw, rng, _each(kw.persons, SecretAttribute()), _TOKEN)
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +783,7 @@ def _accuses_the_guilty(kw: KnowledgeWorld, result: StrategyResult) -> bool:
 
 
 def _finds_the_truth_tellers(kw: KnowledgeWorld, result: StrategyResult) -> bool:
-    return result.accused == frozenset(
-        p for p in kw.persons if kw.island_of(p) is Island.TRUTH_TELLERS
-    )
+    return result.accused == kw.truth_tellers()
 
 
 def _accuses_the_known_criminals(kw: KnowledgeWorld, result: StrategyResult) -> bool:

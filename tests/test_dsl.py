@@ -199,6 +199,57 @@ class TestLexer:
         assert (err.message, err.expected) == (message, expected)
 
 
+
+class TestKnownTokens:
+    """Token texts classified by one parse are kept for the next, in a table
+    with a fixed cap; a bad character is never kept."""
+
+    TEXT = "puzzle { suspects A, B; criminals = 1; statement s1 A: guilty(B); }"
+
+    def test_a_second_parse_classifies_no_text(self, monkeypatch):
+        parse(self.TEXT)
+        classified = []
+
+        def counting(raws):
+            classified.append(set(raws))
+            return classify(raws)
+
+        classify = dsl._classify
+        monkeypatch.setattr(dsl, "_classify", counting)
+        assert parse(self.TEXT) == parse(self.TEXT.replace("  ", " "))
+        assert classified == [set(), set()]
+        parse(self.TEXT.replace("B", "Zed"))
+        assert classified[-1] == {"Zed"}
+
+    def test_the_table_never_passes_its_cap(self, monkeypatch):
+        monkeypatch.setattr(dsl, "_known", {})
+        monkeypatch.setattr(dsl, "_KNOWN_CAP", 50)
+        sizes = []
+        for i in range(40):
+            names = [f"N{i}x{j}" for j in range(8)]
+            text = (f"puzzle {{ suspects {', '.join(names)}; criminals = 1; "
+                    f"statement s1 {names[0]}: guilty({names[1]}); }}")
+            assert parse(text).suspects == tuple(names)
+            sizes.append(len(dsl._known))
+        assert max(sizes) <= 50 and min(sizes[5:]) < max(sizes)
+        # A text with more distinct tokens than the cap parses from its own table.
+        names = [f"W{j}" for j in range(60)]
+        before = dsl._known
+        text = f"puzzle {{ suspects {', '.join(names)}; criminals = 1; }}"
+        assert parse(text).suspects == tuple(names)
+        assert dsl._known is before and len(before) <= 50
+
+    def test_a_bad_character_fails_the_same_and_is_never_kept(self):
+        bad = self.TEXT.replace("guilty(B)", "guilty(B) @")
+        spans = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse(bad)
+            spans.append((info.value.span, info.value.message))
+            assert None not in dsl._known.values() and "@" not in dsl._known
+        assert spans[0] == spans[1]
+        assert spans[0][1] == "unexpected character '@'"
+
 @functools.cache
 def perfbench_inputs():
     """The benchmark's input generator, perfbench/inputs.py."""

@@ -279,7 +279,10 @@ class TestKnowledgeIndex:
     def assert_matches_rescan(self, kw):
         for p in kw.persons:
             (must, banned), full_roster = self.rescan(kw, p)
-            assert kw._counts[p] == (len(must), len(banned)), p
+            assert kw._askers[p][:2] == (len(must), len(banned)), p
+            speaker = kw.type_of[p]
+            assert kw._askers[p][2:] == (kw.knowledge.rows[kw.persons.index(p)],
+                                         speaker.island is Island.LIARS, speaker.partial), p
             assert kw.knows_full_roster(p) is full_roster
 
     def test_known_criminals_match_a_rescan(self):
@@ -298,13 +301,13 @@ class TestKnowledgeIndex:
                 density=rng.choice((0.0, 0.3, 0.8, 1.0)), seed=seed,
             )
             self.assert_matches_rescan(kw)
-            assert set(kw._counts) == set(kw.persons)
+            assert set(kw._askers) == set(kw.persons)
 
     def test_hand_built_worlds_with_explicit_unknown_entries(self):
         kw = explicit_unknown_world()
         self.assert_matches_rescan(kw)
-        assert kw._counts["A"] == (1, 1)
-        assert kw._counts["D"] == (0, 1)
+        assert kw._askers["A"][:2] == (1, 1)
+        assert kw._askers["D"][:2] == (0, 1)
         assert kw.knows_full_roster("C") and not kw.knows_full_roster("A")
         assert not kw.all_knowledge_unknown()
         blank = make_kw({"A": AT, "B": AL}, {"B"},
@@ -1075,7 +1078,7 @@ class TestBulkDraw:
             assert kw.secret == ref.secret
             assert len(kw.knowledge) == len(ref.knowledge)
             assert list(kw.knowledge.items()) == list(ref.knowledge.items())
-            assert kw._counts == ref._counts
+            assert kw._askers == ref._askers
             for p in kw.persons:
                 for q in kw.persons:
                     assert kw.knows(p, q) is ref.knows(p, q)
