@@ -16,9 +16,9 @@ fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
 directive's keyword to the function that reads the rest of it.
 
 One reader lexes a text: `_read` runs one findall, each distinct token
-text becomes one shared Token, and no Python code runs per token. Texts
-classified once are kept for later parses, in a table with a fixed cap. A token
-carries no position. A parse error names the index of its token, and
+text becomes one shared Token, and no Python code runs per token. A text
+once classified is kept for later parses, in a table with a fixed cap. A
+token carries no position. A parse error names the index of its token, and
 `parse` works out that token's line and column only then, by one walk of
 the same regular expression.
 
@@ -178,7 +178,7 @@ def _read(text: str) -> tuple[Token, ...]:
     known, distinct = _known, set(raws)
     new = _classify(distinct.difference(known))
     if None in new.values():
-        index = next(i for i, raw in enumerate(raws) if new.get(raw, _EOF) is None)
+        index = next(i for i, raw in enumerate(raws) if raw in new and new[raw] is None)
         raise _Failure(index, f"unexpected character {raws[index]!r}")
     if new:
         if len(known) + len(new) > _KNOWN_CAP:

@@ -178,18 +178,19 @@ def subsets(persons):
             for combo in itertools.combinations(persons, r)]
 
 
-def compatible_sets(kw, p):
-    """The criminal sets p's knowledge allows: non-empty, holding p exactly
-    when p is guilty, no one p knows innocent and everyone p knows guilty,
-    and of the public size when there is one."""
-    def allowed(s):
-        return all(kw.knows(p, q) is not (Knowledge.KNOWS_INNOCENT if q in s
-                                          else Knowledge.KNOWS_GUILTY)
-                   for q in kw.persons)
+def knowledge_allows(kw, p, s):
+    """Does the set of persons s hold p exactly when p is guilty, no one p
+    knows innocent and everyone p knows guilty?"""
+    return (p in s) is (p in kw.guilty) and all(
+        kw.knows(p, q) is not (Knowledge.KNOWS_INNOCENT if q in s else Knowledge.KNOWS_GUILTY)
+        for q in kw.persons)
 
+
+def compatible_sets(kw, p):
+    """The criminal sets p's knowledge allows: non-empty, allowed by p's
+    knowledge, and of the public size when there is one."""
     return [s for s in subsets(kw.persons)
-            if s and (p in s) is (p in kw.guilty) and allowed(s)
-            and kw.count_public in (None, len(s))]
+            if s and knowledge_allows(kw, p, s) and kw.count_public in (None, len(s))]
 
 
 def test_group_questions_on_every_world_of_up_to_three_persons():
@@ -213,19 +214,11 @@ def test_group_questions_on_every_world_of_up_to_three_persons():
 def detective_possible(kw, p):
     """Could the detective, an outsider, be among the criminals as far as p
     can tell? Never for someone who knows everyone's guilt status; else when
-    some set of persons, with the detective added, fits p's knowledge: it
-    holds p exactly when p is guilty and no one p knows innocent, it holds
-    everyone p knows guilty, and with the detective it has the public size."""
+    some set of persons that p's knowledge allows, the empty one included,
+    has the public size with the detective added."""
     if all(kw.knows(p, q) is not Knowledge.UNKNOWN for q in kw.persons if q != p):
         return False
-
-    def allowed(s):
-        return all(kw.knows(p, q) is not (Knowledge.KNOWS_INNOCENT if q in s
-                                          else Knowledge.KNOWS_GUILTY)
-                   for q in kw.persons)
-
-    return any((p in s) is (p in kw.guilty) and allowed(s)
-               and kw.count_public in (None, len(s) + 1)
+    return any(knowledge_allows(kw, p, s) and kw.count_public in (None, len(s) + 1)
                for s in subsets(kw.persons))
 
 
