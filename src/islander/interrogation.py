@@ -34,7 +34,8 @@ knows the guilt status of person j. The entry itself is the truth, read
 from the guilty set, so factivity holds by construction. A (p, q) ->
 Knowledge dict is checked entry by entry and converted once
 (`KnowledgeRows.from_entries`); generated rows get only a shape check.
-Everything below the constructor reads the rows.
+Everything below the constructor reads the rows through
+`KnowledgeRows.rows`.
 
 Generation draws once per ordered pair, `rng.random() < density`, in
 p-major order, and fills each row from one `getrandbits` call instead
@@ -45,28 +46,41 @@ on integers, from the top byte of each draw and, in about 1 case in 256,
 from the full 53 bits. The same draws leave the generator in the same state,
 so the secret drawn after them, and every seeded output, stay the same.
 
-Every answer comes from one function, `_answer`, which holds every answer
-rule: it reads the asker's entry of one cached per-person table,
-`KnowledgeWorld._askers` (how many the asker knows to be guilty and how
-many innocent, themselves included; their row; whether their type is a
-liar's and whether it is partial), applies the honest rule of the
-question's class and then, given an adversarial source, the speaker-type
-filter. `truthful_answer` and `spoken_answer` are one call of it each, and
-`_ask_each` calls it once per ask and nothing else. The registered
-strategies ask the possible-innocent, size-excluding-self and detective
-questions, "could the criminals all be among everyone but q?" and "could
-everyone have done it?"; each reads the counts and at most one byte of the
-row, so it costs O(1) in the crowd size, and a question that is the same for
-every asker is built once per world. "Everyone but q" is an O(1) set view
-of the roster without q, `_AllBut`, that equals and hashes like the
-(n-1)-person frozenset and has its transcript text. Any other subset or
-exact-group question reads the row once over its group, at C level, and
-builds nothing per world. `knows` remains the plain per-pair lookup the
-tests' oracles use.
+A generated world without a secret draws its rows when they are first read,
+not when it is generated. Only the secret is drawn after the rows, so
+without one `generate_knowledge_world` hands `KnowledgeRows` a deferred
+draw, `_draw_rows` bound to the generator, which nothing else reads, and to
+n and density. The table calls it on the first read of `rows` and then
+drops it. A shallow copy of the table is the table, and a deep copy or a
+pickle copies the generator's state, so every copy reads the same bytes. A
+strategy that never reads a row, such as `classify_islands`, makes no draw
+at all. A world with a secret draws its rows at generation, because its
+secret comes after them. The draws, and so every seeded output, are the
+same either way. A world with knowledge density 0 and no secret draws
+nothing at all: every draw would come out 0, so its rows are zeros from the
+start.
 
-A world with knowledge density 0 and no secret draws no knowledge rows:
-every draw would come out 0, and nothing reads the generator afterwards.
-With a secret, the draws are made, so the secret stays the same.
+Every answer comes from one function, `_answer`, which holds every answer
+rule: it reads the asker's entry of one of two cached per-person tables,
+applies the honest rule of the question's class and then, given an
+adversarial source, the speaker-type filter. The control, guilt and secret
+questions depend on the asker's type alone: they read
+`KnowledgeWorld._speakers` (whether the type is a liar's and whether it is
+partial) and no knowledge row. The possibility and detective questions read
+`KnowledgeWorld._askers`, which adds to those two flags how many the asker
+knows to be guilty and how many innocent, themselves included, and their
+row; it counts every row's set bits when first read. `truthful_answer` and
+`spoken_answer` are one call of `_answer` each, and `_ask_each` calls it
+once per ask and nothing else. The registered strategies ask the
+possible-innocent, size-excluding-self and detective questions, "could the
+criminals all be among everyone but q?" and "could everyone have done it?";
+each reads the counts and at most one byte of the row, so it costs O(1) in
+the crowd size, and a question that is the same for every asker is built
+once per world. "Everyone but q" is an O(1) set view of the roster without
+q, `_AllBut`, that equals and hashes like the (n-1)-person frozenset and
+has its transcript text. Any other subset or exact-group question reads the
+row once over its group, at C level, and builds nothing per world. `knows`
+remains the plain per-pair lookup the tests' oracles use.
 
 Generated worlds are limited to MAX_CROWD persons, because generation draws
 once per ordered pair of persons and keeps a byte per pair; a larger crowd is
@@ -82,6 +96,7 @@ import functools
 import math
 import random
 import re
+import threading
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -114,6 +129,11 @@ class Knowledge(enum.Enum):
     UNKNOWN = "unknown"
 
 
+# Held while a deferred draw of knowledge rows runs, so that threads reading
+# a table first draw it once.
+_FIRST_READ = threading.Lock()
+
+
 class KnowledgeRows(collections.abc.Mapping):
     """A read-only (p, q) -> Knowledge mapping over one byte row per asker.
 
@@ -122,13 +142,42 @@ class KnowledgeRows(collections.abc.Mapping):
     `guilty`, so it is factive by construction. Keys are the known pairs
     only, p-major and q in roster order. Only the shape of the rows is
     checked, at C speed: n `bytes` rows of n bytes, each 0 or 1, with 0 at
-    the person's own position. Two tables are equal when their persons,
-    guilty sets and rows are."""
+    the person's own position. Rows given whole are checked here; a deferred
+    draw given instead, a function of no arguments returning the rows, is
+    called and its rows checked on the first read of `rows`, which every
+    reader goes through. Two tables are equal when their persons, guilty
+    sets and rows are."""
 
     def __init__(
-        self, persons: tuple[str, ...], guilty: frozenset[str], rows: tuple[bytes, ...]
+        self,
+        persons: tuple[str, ...],
+        guilty: frozenset[str],
+        rows: Union[tuple[bytes, ...], Callable[[], tuple[bytes, ...]]],
     ) -> None:
-        n = len(persons)
+        self.persons = persons
+        self.guilty = guilty
+        if callable(rows):
+            self._draw = rows
+        else:
+            self.rows = self._checked(rows)
+
+    @functools.cached_property
+    def rows(self) -> tuple[bytes, ...]:
+        """The rows, drawn and checked on the first read when a deferred draw
+        was given instead. The draw is made once, then dropped, whichever
+        thread reads first."""
+        with _FIRST_READ:
+            if "rows" not in self.__dict__:
+                self.__dict__["rows"] = self._checked(self._draw())
+                del self._draw
+        return self.__dict__["rows"]
+
+    def __copy__(self) -> "KnowledgeRows":
+        # Read-only: a copy is the table itself, so copies share one draw.
+        return self
+
+    def _checked(self, rows: tuple[bytes, ...]) -> tuple[bytes, ...]:
+        n = len(self.persons)
         if len(rows) != n or any(
             type(row) is not bytes or len(row) != n or row[i] or row.translate(None, b"\0\1")
             for i, row in enumerate(rows)
@@ -137,9 +186,7 @@ class KnowledgeRows(collections.abc.Mapping):
                 "knowledge rows must be one bytes row of n bytes, each 0 or 1, per "
                 "person, with 0 at the person's own position"
             )
-        self.persons = persons
-        self.guilty = guilty
-        self.rows = rows
+        return rows
 
     @classmethod
     def from_entries(cls, persons: tuple[str, ...], guilty: frozenset[str],
@@ -236,11 +283,19 @@ class KnowledgeWorld:
         return frozenset(self.persons)
 
     @functools.cached_property
+    def _speakers(self) -> dict[str, tuple[bool, bool]]:
+        """For each person p, whether p's type is a liar's and whether it is
+        partial."""
+        liars = Island.LIARS
+        return {p: (t.island is liars, t.partial) for p, t in self.type_of.items()}
+
+    @functools.cached_property
     def _askers(self) -> dict[str, tuple[int, int, bytes, bool, bool]]:
-        """For each person p, what an answer of p reads: how many p knows to
-        be guilty and how many innocent, p included by their own guilt,
-        counted from the row's set bits without building a set; p's row; and
-        whether p's type is a liar's and whether it is partial."""
+        """For each person p, what a possibility or detective answer of p
+        reads: how many p knows to be guilty and how many innocent, p
+        included by their own guilt, counted from the row's set bits without
+        building a set; p's row; then what `_speakers` holds for p, so that
+        such an answer reads one table."""
         persons, guilty, type_of = self.persons, self.guilty, self.type_of
         guilty_mask = int.from_bytes(bytes(q in guilty for q in persons), "little")
         liars = Island.LIARS
@@ -453,66 +508,75 @@ def _answer(
     """p's answer to `question`. With `rng` None it is the honest answer, to
     the extent of p's knowledge, a token standing for `kw.secret`; else it
     is the answer p's speaker type gives, `rng` being the liars' adversarial
-    source. Every answer rule is here, the strategies' most frequent
-    questions first; on their path no function of the package but the
-    `Answer` constructor is called."""
+    source. Every answer rule is here. It reads p's entry of one table: for
+    a question that depends on p's type alone, `_speakers`, so no knowledge
+    row is read; for any other, `_askers`. On the path of every question the
+    strategies ask, no function of the package but the `Answer` constructor
+    is called."""
+    kind = type(question)
+    type_alone = kind is KnownFact or kind is DirectGuilt or kind is SecretAttribute
     try:
-        must, banned, row, liar, partial = kw._askers[p]
+        if type_alone:
+            liar, partial = kw._speakers[p]
+        else:
+            must, banned, row, liar, partial = kw._askers[p]
     except KeyError:
         raise PreconditionError(f"unknown person '{p}'") from None
-    kind, n = type(question), len(kw.persons)
-    # A possibility question sets `most`, the most persons a compatible
-    # criminal set free of `absent` or within the group may hold (-1 when
-    # none may), and `size` when it asks for one.
-    absent = most = size = None
-    if kind is PossibleInnocent:
-        absent = question.target
-        if absent not in kw.type_of:
-            raise PreconditionError(f"unknown person '{absent}'")
-    elif kind is PossibleSubset or kind is PossibleExact:
-        group = question.group
-        if group is kw._person_set:
-            # Every compatible set is within the roster.
-            most = n - banned
-        elif kind is PossibleSubset and type(group) is _AllBut \
-                and group.roster is kw._person_set and group.absent in group.roster:
-            # Everyone but q: the set form of "could q be innocent?".
-            absent = group.absent
+    if type_alone:
+        if kind is KnownFact:
+            honest = _YES if question.truth else _NO
+        elif kind is DirectGuilt:
+            # A partial type answers as if innocent.
+            honest = _YES if p in kw.guilty and (rng is None or not partial) else _NO
         else:
-            _require_group(kw, group)
-            most = _compatible_within(kw, p, group)
-        if kind is PossibleExact:
-            # The one subset of the group as large as the group is the group.
-            size = len(group)
-    elif kind is PossibleSizeExcludingSelf:
-        absent, size = p, question.m
-    elif kind is KnownFact:
-        honest = _YES if question.truth else _NO
-    elif kind is DidDetectiveDoIt or kind is DetectivePossiblyGuilty:
-        # Could the detective, an outsider, be among the criminals? Someone
-        # who knows the whole roster's guilt knows the answer outright.
-        public = kw.count_public
-        possible = must + banned < n and (public is None or must <= public - 1 <= n - banned)
-        honest = _NO if not possible else _UNKNOWN if kind is DidDetectiveDoIt else _YES
-    elif kind is DirectGuilt:
-        # A partial type answers as if innocent.
-        honest = _YES if p in kw.guilty and (rng is None or not partial) else _NO
-    elif kind is SecretAttribute:
-        if kw.secret is None:
-            raise PreconditionError("no secret attribute is configured for this world")
-        honest = _TOKEN if p in kw.guilty else _UNKNOWN
+            if kw.secret is None:
+                raise PreconditionError("no secret attribute is configured for this world")
+            honest = _TOKEN if p in kw.guilty else _UNKNOWN
     else:
-        raise PreconditionError(f"unknown question {question!r}")
-    if absent is not None:
-        # A set free of a person p knows guilty is not compatible; one p
-        # knows innocent is among the banned already.
-        known = absent == p or row[kw.knowledge._position[absent]]
-        most = -1 if known and absent in kw.guilty else n - banned - (not known)
-    if most is not None:
-        public = kw.count_public
-        target = public if size is None else size
-        honest = _YES if (public is None or size is None or size == public) and (
-            most > 0 if target is None else 1 <= target and must <= target <= most) else _NO
+        n = len(kw.persons)
+        # A possibility question sets `most`, the most persons a compatible
+        # criminal set free of `absent` or within the group may hold (-1 when
+        # none may), and `size` when it asks for one.
+        absent = most = size = None
+        if kind is PossibleInnocent:
+            absent = question.target
+            if absent not in kw.type_of:
+                raise PreconditionError(f"unknown person '{absent}'")
+        elif kind is PossibleSubset or kind is PossibleExact:
+            group = question.group
+            if group is kw._person_set:
+                # Every compatible set is within the roster.
+                most = n - banned
+            elif kind is PossibleSubset and type(group) is _AllBut \
+                    and group.roster is kw._person_set and group.absent in group.roster:
+                # Everyone but q: the set form of "could q be innocent?".
+                absent = group.absent
+            else:
+                _require_group(kw, group)
+                most = _compatible_within(kw, p, group)
+            if kind is PossibleExact:
+                # The one subset of the group as large as the group is the group.
+                size = len(group)
+        elif kind is PossibleSizeExcludingSelf:
+            absent, size = p, question.m
+        elif kind is DidDetectiveDoIt or kind is DetectivePossiblyGuilty:
+            # Could the detective, an outsider, be among the criminals? Someone
+            # who knows the whole roster's guilt knows the answer outright.
+            public = kw.count_public
+            possible = must + banned < n and (public is None or must <= public - 1 <= n - banned)
+            honest = _NO if not possible else _UNKNOWN if kind is DidDetectiveDoIt else _YES
+        else:
+            raise PreconditionError(f"unknown question {question!r}")
+        if absent is not None:
+            # A set free of a person p knows guilty is not compatible; one p
+            # knows innocent is among the banned already.
+            known = absent == p or row[kw.knowledge._position[absent]]
+            most = -1 if known and absent in kw.guilty else n - banned - (not known)
+        if most is not None:
+            public = kw.count_public
+            target = public if size is None else size
+            honest = _YES if (public is None or size is None or size == public) and (
+                most > 0 if target is None else 1 <= target and must <= target <= most) else _NO
 
     if rng is None or not liar:
         return Answer(p, question, honest, kw.secret if honest is _TOKEN else None)
@@ -924,11 +988,17 @@ def generate_knowledge_world(
     type_of = {p: rng.choice(pool) for p in persons}
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
-    if density == 0 and not secret:
+    if secret:
+        # The secret is drawn after the rows.
+        rows = _draw_rows(rng, n, density)
+    elif density == 0:
         # Every draw would come out 0, and no later draw reads the generator.
         rows = (bytes(n),) * n
     else:
-        rows = _draw_rows(rng, n, density)
+        # Drawn when first read. The draw holds the generator itself, not a
+        # `getstate()` snapshot, which costs about as much to take and restore
+        # as the rows of ten persons cost to draw.
+        rows = functools.partial(_draw_rows, rng, n, density)
     return KnowledgeWorld(
         persons=persons,
         type_of=type_of,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from islander import cli
+from islander import cli, interrogation
 from islander.cli import main
 from islander.interrogation import ISLAND_MODES, STRATEGIES
 from islander.model import ALL_TYPES, CountCmp, Puzzle
@@ -336,6 +336,17 @@ class TestSimulateCommand:
         assert payload["successes"] == 20
         assert payload["failures"] == []
         assert payload["question_stats"]["max"] == 4
+
+    def test_classifying_islands_draws_no_knowledge_rows(self, capsys, monkeypatch):
+        def no_draws(rng, n, density):
+            raise AssertionError("the knowledge rows were drawn")
+
+        monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
+        code, out, _ = run(
+            capsys, "simulate", "--strategy", "classify_islands", "--n", "200",
+            "--knowledge-density", "0.3", "--trials", "3", "--seed", "5", "--json",
+        )
+        assert code == 0 and json.loads(out)["successes"] == 3
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ISLANDER_SEED", "99")

@@ -1,7 +1,11 @@
 """Knowledge worlds, answer semantics, and the questioning strategies."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -283,6 +287,7 @@ class TestKnowledgeIndex:
             speaker = kw.type_of[p]
             assert kw._askers[p][2:] == (kw.knowledge.rows[kw.persons.index(p)],
                                          speaker.island is Island.LIARS, speaker.partial), p
+            assert kw._speakers[p] == kw._askers[p][3:], p
             assert kw.knows_full_roster(p) is full_roster
 
     def test_known_criminals_match_a_rescan(self):
@@ -1087,11 +1092,12 @@ class TestBulkDraw:
         tracemalloc.start()
         try:
             kw = generate_knowledge_world(MAX_CROWD, "mixed", (1, 3), 0.5)
+            # Read inside the traced span: the rows are drawn on first read.
+            assert len(kw.knowledge.rows) == MAX_CROWD
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # The rows take MAX_CROWD**2 bytes, 4 MiB.
-        assert len(kw.knowledge.rows) == MAX_CROWD
         assert peak < 8 * 2 ** 20
 
 
@@ -1115,16 +1121,142 @@ class TestBlankWorlds:
             ref = plain_world(*args, secret=True, seed=seed, bulk=True)
             assert kw == ref and kw.secret == ref.secret, (island, n, seed)
 
-    def test_only_blank_worlds_without_a_secret_skip_the_draws(self, monkeypatch):
-        def no_draws(rng, n, density):
-            raise AssertionError("the knowledge rows were drawn")
-
+    def test_only_worlds_with_a_secret_draw_at_generation(self, monkeypatch):
         monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
         kw = generate_knowledge_world(50, "mixed", (1, 3), 0.0, seed=1)
         assert kw.all_knowledge_unknown()
-        for density, secret in ((0.0, True), (0.3, False), (2 ** -53, False)):
+        for density in (0.0, 2 ** -53, 0.3, 1.0):
+            generate_knowledge_world(50, "mixed", (1, 3), density, seed=1)
             with pytest.raises(AssertionError, match="drawn"):
-                generate_knowledge_world(50, "mixed", (1, 3), density, secret=secret, seed=1)
+                generate_knowledge_world(50, "mixed", (1, 3), density, secret=True, seed=1)
+
+
+def no_draws(rng, n, density):
+    raise AssertionError("the knowledge rows were drawn")
+
+
+def undrawn(kw):
+    """Has nothing read the world's rows, or counted them per asker, yet?"""
+    return "rows" not in vars(kw.knowledge) and "_askers" not in vars(kw)
+
+
+class TestDeferredDraw:
+    """A world without a secret draws its rows on first read, and they are
+    the rows generation would have drawn at once."""
+
+    def test_the_first_read_draws_once_and_as_generation_would(self, monkeypatch):
+        calls = []
+
+        def counted(rng, n, density):
+            calls.append(n)
+            return eager(rng, n, density)
+
+        eager = interrogation._draw_rows
+        monkeypatch.setattr(interrogation, "_draw_rows", counted)
+        for island, n, density in itertools.product(ISLAND_MODES, (1, 2, 5, 40),
+                                                    (2 ** -53, 0.3, 1.0)):
+            for seed in range(3):
+                args = (n, island, (1, n), density)
+                ref = plain_world(*args, seed=seed, bulk=True)
+                calls.clear()
+                kw = generate_knowledge_world(*args, seed=seed)
+                assert not calls and undrawn(kw), (island, n, density, seed)
+                assert kw.knowledge.rows == ref.knowledge.rows, (island, n, density, seed)
+                assert calls == [n], (island, n, density, seed)
+                assert kw == ref and len(kw.knowledge) == len(ref.knowledge)
+                assert kw._askers == ref._askers and kw.known_criminals() == ref.known_criminals()
+                assert calls == [n], (island, n, density, seed)
+
+    def test_copies_and_pickles_of_an_undrawn_world_draw_the_same_rows(self):
+        for density, seed in itertools.product((2 ** -53, 0.3, 1.0), range(3)):
+            args = (40, "mixed", (1, 3), density)
+            ref = plain_world(*args, seed=seed, bulk=True)
+            kw = generate_knowledge_world(*args, seed=seed)
+            copies = [copy.copy(kw), copy.deepcopy(kw), pickle.loads(pickle.dumps(kw)),
+                      copy.copy(kw.knowledge), copy.deepcopy(kw.knowledge)]
+            assert undrawn(kw) and all(undrawn(c) for c in copies[1:3])
+            # Copies first, the original last: a shallow copy shares the
+            # table, and a deep one draws from a copy of the generator.
+            for table in [c if isinstance(c, KnowledgeRows) else c.knowledge for c in copies]:
+                assert table.rows == ref.knowledge.rows, (density, seed)
+            assert kw.knowledge.rows == ref.knowledge.rows
+            assert all(c == (ref.knowledge if isinstance(c, KnowledgeRows) else ref)
+                       for c in copies)
+
+    def test_threads_reading_first_share_one_draw(self):
+        ref = plain_world(300, "mixed", (1, 3), 0.3, seed=7, bulk=True).knowledge.rows
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                kw = generate_knowledge_world(300, "mixed", (1, 3), 0.3, seed=7)
+                seen = []
+                threads = [threading.Thread(target=lambda: seen.append(kw.knowledge.rows))
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8 and all(rows == ref for rows in seen)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_rows_of_a_deferred_draw_get_the_shape_check_on_first_read(self):
+        persons, guilty = ("A", "B"), frozenset({"B"})
+        table = KnowledgeRows(persons, guilty, lambda: (b"\0\1", b"\1\1"))
+        with pytest.raises(KnowledgeWorldError, match="bytes row"):
+            table.rows
+        kw = make_kw({"A": AT, "B": AL}, guilty,
+                     knowledge=KnowledgeRows(persons, guilty, lambda: (b"\0\1", b"\0\0")))
+        assert kw.knows("A", "B") is Knowledge.KNOWS_GUILTY
+
+    def test_questions_of_the_type_alone_leave_the_world_undrawn(self, monkeypatch):
+        monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
+        kw = generate_knowledge_world(60, "mixed", (1, 3), 0.3, seed=4)
+        result = run_classify_islands(kw, random.Random(1))
+        assert result.accused == kw.truth_tellers() and undrawn(kw)
+        # A secret world draws at generation, so this one is built by hand
+        # with a draw that fails.
+        secret = KnowledgeWorld(kw.persons, kw.type_of, kw.guilty,
+                                KnowledgeRows(kw.persons, kw.guilty, lambda: no_draws(None, 0, 0)),
+                                secret="secret-1")
+        rng = random.Random(2)
+        for world in (kw, secret):
+            for p in world.persons:
+                for question in (KnownFact(True), KnownFact(False), DirectGuilt()):
+                    truthful_answer(world, p, question)
+                    spoken_answer(world, p, question, rng)
+            assert undrawn(world)
+        for p in secret.persons:
+            truthful_answer(secret, p, SecretAttribute())
+            spoken_answer(secret, p, SecretAttribute(), rng)
+        assert undrawn(secret)
+        assert secret.secret == "secret-1"
+        with pytest.raises(AssertionError, match="drawn"):
+            truthful_answer(kw, "P1", PossibleInnocent("P2"))
+
+    def test_strategies_run_alike_on_drawn_and_undrawn_worlds(self):
+        for name, strategy in STRATEGIES.items():
+            modes = ("robust", "paper-literal") if strategy.takes_mode else ("robust",)
+            publics = (False, True) if strategy.count_public is None else (strategy.count_public,)
+            criminals = (lambda n: 1) if name == "neil" else (lambda n: (1, n))
+            for island, n, public, mode, seed in itertools.product(
+                strategy.islands, (1, 2, 5, 12), publics, modes, range(4)
+            ):
+                outcomes = []
+                for read_first in (False, True):
+                    kw = generate_knowledge_world(n, island, criminals(n), 0.3, count_public=public,
+                                                  secret=strategy.needs_secret, seed=seed)
+                    if read_first:
+                        kw.knowledge.rows
+                    try:
+                        result = run_strategy(kw, name, random.Random(seed), mode)
+                        outcomes.append((result.accused, result.transcript,
+                                         strategy.succeeds(kw, result)))
+                    except PreconditionError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (name, island, n, public, mode, seed)
 
 
 class TestStrategyRegistry:
