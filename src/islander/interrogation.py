@@ -37,36 +37,33 @@ Knowledge dict is checked entry by entry and converted once
 Everything below the constructor reads the rows through
 `KnowledgeRows.rows`.
 
-Generation draws once per ordered pair, `rng.random() < density`, in
-p-major order, and fills each row from one `getrandbits` call instead
-(`_draw_rows`). This is exact, not an approximation: `random()` is made
-from two consecutive 32-bit generator outputs, `getrandbits` returns the
-same outputs in a known layout, and the comparison with `density` is decided
-on integers, from the top byte of each draw and, in about 1 case in 256,
-from the full 53 bits. The same draws leave the generator in the same state,
-so the secret drawn after them, and every seeded output, stay the same.
+Generation draws in one order: each person's type, the criminal count when
+it is a range, the guilty set, the secret when the world has one, and then
+the knowledge rows, when they are first read. The rows draw once per ordered
+pair, `rng.random() < density`, in p-major order, and fill each row from one
+`getrandbits` call instead (`_draw_rows`). This is exact, not an
+approximation: `random()` is made from two consecutive 32-bit generator
+outputs, `getrandbits` returns the same outputs in a known layout, and the
+comparison with `density` is decided on integers, from the top byte of each
+draw and, in about 1 case in 256, from the full 53 bits.
 
-A generated world without a secret draws its rows when they are first read,
-not when it is generated. Only the secret is drawn after the rows, so
-without one `generate_knowledge_world` hands `KnowledgeRows` a deferred
-draw, `_draw_rows` bound to the generator, which nothing else reads, and to
-n and density. The table calls it on the first read of `rows` and then
-drops it. A shallow copy of the table is the table, and a deep copy or a
-pickle copies the generator's state, so every copy reads the same bytes. A
-strategy that never reads a row, such as `classify_islands`, makes no draw
-at all. A world with a secret draws its rows at generation, because its
-secret comes after them. The draws, and so every seeded output, are the
-same either way. A world with knowledge density 0 and no secret draws
-nothing at all: every draw would come out 0, so its rows are zeros from the
-start.
+Nothing is drawn after the rows, so `generate_knowledge_world` hands
+`KnowledgeRows` a deferred draw, `_draw_rows` bound to the generator, which
+nothing else reads, and to n and density. The table calls it on the first
+read of `rows` and then drops it. A shallow copy of the table is the table,
+and a deep copy or a pickle copies the generator's state, so every copy
+reads the same bytes. A strategy that never reads a row, such as
+`classify_islands` or `secret_attribute`, makes no draw at all. A world with
+knowledge density 0 draws no row: every draw would come out 0, so its rows
+are zeros from the start.
 
 Every answer comes from one function, `_answer`, which holds every answer
-rule: it reads the asker's entry of one of two cached per-person tables,
-applies the honest rule of the question's class and then, given an
-adversarial source, the speaker-type filter. The control, guilt and secret
-questions depend on the asker's type alone: they read
-`KnowledgeWorld._speakers` (whether the type is a liar's and whether it is
-partial) and no knowledge row. The possibility and detective questions read
+rule: it reads the asker's entry of one per-person table, applies the
+honest rule of the question's class and then, given an adversarial source,
+the speaker-type filter. The control, guilt and secret questions depend on
+the asker's type alone: they read `KnowledgeWorld.type_of` (whether the
+type is a liar's and whether it is partial) and no knowledge row. The
+possibility and detective questions read the cached
 `KnowledgeWorld._askers`, which adds to those two flags how many the asker
 knows to be guilty and how many innocent, themselves included, and their
 row; it counts every row's set bits when first read. `truthful_answer` and
@@ -283,19 +280,12 @@ class KnowledgeWorld:
         return frozenset(self.persons)
 
     @functools.cached_property
-    def _speakers(self) -> dict[str, tuple[bool, bool]]:
-        """For each person p, whether p's type is a liar's and whether it is
-        partial."""
-        liars = Island.LIARS
-        return {p: (t.island is liars, t.partial) for p, t in self.type_of.items()}
-
-    @functools.cached_property
     def _askers(self) -> dict[str, tuple[int, int, bytes, bool, bool]]:
         """For each person p, what a possibility or detective answer of p
         reads: how many p knows to be guilty and how many innocent, p
         included by their own guilt, counted from the row's set bits without
-        building a set; p's row; then what `_speakers` holds for p, so that
-        such an answer reads one table."""
+        building a set; p's row; then whether p's type is a liar's and whether
+        it is partial, so that such an answer reads one table."""
         persons, guilty, type_of = self.persons, self.guilty, self.type_of
         guilty_mask = int.from_bytes(bytes(q in guilty for q in persons), "little")
         liars = Island.LIARS
@@ -328,11 +318,6 @@ class KnowledgeWorld:
             q for j, q in enumerate(self.persons)
             if q in self.guilty and any(row[j] for row in self.knowledge.rows)
         )
-
-    def knows_full_roster(self, p: str) -> bool:
-        """Does p know the guilt status of every other person?"""
-        must, banned = self._askers[p][:2]
-        return must + banned == len(self.persons)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +450,7 @@ class Answer:
 
 # Bound once: reading `AnswerValue.YES` is over ten times slower than a global.
 _YES, _NO, _UNKNOWN, _TOKEN = AnswerValue
+_LIARS = Island.LIARS
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +495,7 @@ def _answer(
     the extent of p's knowledge, a token standing for `kw.secret`; else it
     is the answer p's speaker type gives, `rng` being the liars' adversarial
     source. Every answer rule is here. It reads p's entry of one table: for
-    a question that depends on p's type alone, `_speakers`, so no knowledge
+    a question that depends on p's type alone, `type_of`, so no knowledge
     row is read; for any other, `_askers`. On the path of every question the
     strategies ask, no function of the package but the `Answer` constructor
     is called."""
@@ -517,7 +503,8 @@ def _answer(
     type_alone = kind is KnownFact or kind is DirectGuilt or kind is SecretAttribute
     try:
         if type_alone:
-            liar, partial = kw._speakers[p]
+            speaker = kw.type_of[p]
+            liar, partial = speaker.island is _LIARS, speaker.partial
         else:
             must, banned, row, liar, partial = kw._askers[p]
     except KeyError:
@@ -924,8 +911,6 @@ def _draw_rows(rng: random.Random, n: int, density: float) -> tuple[bytes, ...]:
     t > c >> 45 as no, and the rare draws with t == c >> 45 are compared
     in full.
     """
-    if n == 1:
-        return (b"\x00",)
     c = math.ceil(math.ldexp(density, 53))
     split = c >> 45
     # By top byte: 1 below, 2 for a tie to settle from the full draw, 0 above.
@@ -988,10 +973,8 @@ def generate_knowledge_world(
     type_of = {p: rng.choice(pool) for p in persons}
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
-    if secret:
-        # The secret is drawn after the rows.
-        rows = _draw_rows(rng, n, density)
-    elif density == 0:
+    secret_text = f"secret-{rng.getrandbits(32):08x}" if secret else None
+    if density == 0:
         # Every draw would come out 0, and no later draw reads the generator.
         rows = (bytes(n),) * n
     else:
@@ -1005,5 +988,5 @@ def generate_knowledge_world(
         guilty=guilty,
         knowledge=KnowledgeRows(persons, guilty, rows),
         count_public=k if count_public else None,
-        secret=f"secret-{rng.getrandbits(32):08x}" if secret else None,
+        secret=secret_text,
     )

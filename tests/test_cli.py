@@ -337,14 +337,19 @@ class TestSimulateCommand:
         assert payload["failures"] == []
         assert payload["question_stats"]["max"] == 4
 
-    def test_classifying_islands_draws_no_knowledge_rows(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("strategy, island",
+                             [("classify_islands", "mixed"), ("secret_attribute", "tt")])
+    def test_strategies_that_read_no_row_draw_no_knowledge_rows(
+        self, capsys, monkeypatch, strategy, island
+    ):
         def no_draws(rng, n, density):
             raise AssertionError("the knowledge rows were drawn")
 
         monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
         code, out, _ = run(
-            capsys, "simulate", "--strategy", "classify_islands", "--n", "200",
-            "--knowledge-density", "0.3", "--trials", "3", "--seed", "5", "--json",
+            capsys, "simulate", "--strategy", strategy, "--island", island,
+            "--n", "200", "--criminals", "1-3", "--knowledge-density", "0.3", "--trials", "3",
+            "--seed", "5", "--json",
         )
         assert code == 0 and json.loads(out)["successes"] == 3
 

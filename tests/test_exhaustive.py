@@ -15,7 +15,9 @@ every run that is not refused is checked never to draw from it, so no
 branching over both answers is needed. Only the default mode of
 a strategy that takes a mode is run by those two tests. The paper-literal
 mode of `solve_liars` is checked on its own premise, blank knowledge, with
-three adversary seeds; the smallest world where it fails is pinned.
+three adversary seeds; the smallest world where it fails is pinned. Its
+list draws come from the same source, so there every answer is checked to
+leave the source as it found it: the source serves the lists alone.
 
 The truthful answers to the listed-group questions, "could the criminals
 all be within g?" and "could exactly g have done it?", are checked for
@@ -31,6 +33,7 @@ import random
 
 import pytest
 
+from islander import interrogation
 from islander.interrogation import (
     LIAR_POOL,
     STRATEGIES,
@@ -130,6 +133,24 @@ def test_every_world_of_three_persons_on_the_declared_islands(name):
 LITERAL_SEEDS = (0, 1, 2)
 
 
+@pytest.fixture
+def answers_never_draw(monkeypatch):
+    """Wrap every answer the strategies get: none may move the source it is
+    given. Returns the list of the answers checked."""
+    answer = interrogation._answer
+    checked = []
+
+    def undrawing(kw, p, question, rng):
+        before = rng.getstate()
+        result = answer(kw, p, question, rng)
+        assert rng.getstate() == before, (kw, p, question)
+        checked.append(result)
+        return result
+
+    monkeypatch.setattr(interrogation, "_answer", undrawing)
+    return checked
+
+
 def literal_outcome(kw, seed):
     """The accused of the paper-literal liars mode, or None when refused."""
     try:
@@ -138,10 +159,11 @@ def literal_outcome(kw, seed):
         return None
 
 
-def test_paper_literal_liars_on_every_blank_world_of_up_to_three_persons():
+def test_paper_literal_liars_on_every_blank_world_of_up_to_three_persons(answers_never_draw):
     """Exact on every blank-knowledge liars' island world, count hidden and
     public; refused only where no list can be drawn: a lone person, or
-    everyone guilty with the count public."""
+    everyone guilty with the count public. No answer draws from the source
+    the lists are drawn from."""
     ran = 0
     for n in (1, 2, 3):
         for kw in all_worlds(n, LIAR_POOL):
@@ -152,15 +174,15 @@ def test_paper_literal_liars_on_every_blank_world_of_up_to_three_persons():
                 accused = literal_outcome(kw, seed)
                 assert accused == (None if refusable else kw.guilty), (kw, seed)
                 ran += accused is not None
-    assert ran > 0
+    assert ran > 0 and len(answers_never_draw) >= ran
 
 
-def test_paper_literal_liars_smallest_failing_world():
+def test_paper_literal_liars_smallest_failing_world(answers_never_draw):
     """Below three persons the literal mode is exact whatever is known. At
     three, one known pair is enough to break it: P3 knows that P2 is
     innocent, so when P3's drawn list holds P2 ({P1, P2} at seed 0) the
     innocent P3 honestly answers no, says yes, and is accused. The robust
-    mode stays exact."""
+    mode stays exact. No answer draws from the lists' source."""
     for n in (1, 2):
         for kw in all_worlds(n, LIAR_POOL):
             for seed in LITERAL_SEEDS:
@@ -170,6 +192,7 @@ def test_paper_literal_liars_smallest_failing_world():
                         frozenset({"P1"}), {("P3", "P2"): Knowledge.KNOWS_INNOCENT})
     assert literal_outcome(kw, 0) == frozenset({"P1", "P3"})
     assert run_solve_liars(kw, random.Random(0)).accused == kw.guilty
+    assert answers_never_draw
 
 
 def subsets(persons):

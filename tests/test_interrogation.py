@@ -242,7 +242,7 @@ class TestPossibilityOracle:
                 seed=seed,
             )
             for p in kw.persons:
-                if kw.knows_full_roster(p):
+                if all(kw.knows(p, q) is not Knowledge.UNKNOWN for q in kw.persons if q != p):
                     expected = False
                 else:
                     expected = False
@@ -276,19 +276,15 @@ class TestKnowledgeIndex:
         must = {q for q in kw.persons if q != p and kw.knows(p, q) is Knowledge.KNOWS_GUILTY}
         banned = {q for q in kw.persons if q != p and kw.knows(p, q) is Knowledge.KNOWS_INNOCENT}
         (must if p in kw.guilty else banned).add(p)
-        full_roster = all(kw.knows(p, q) is not Knowledge.UNKNOWN
-                          for q in kw.persons if q != p)
-        return (frozenset(must), frozenset(banned)), full_roster
+        return frozenset(must), frozenset(banned)
 
     def assert_matches_rescan(self, kw):
         for p in kw.persons:
-            (must, banned), full_roster = self.rescan(kw, p)
+            must, banned = self.rescan(kw, p)
             assert kw._askers[p][:2] == (len(must), len(banned)), p
             speaker = kw.type_of[p]
             assert kw._askers[p][2:] == (kw.knowledge.rows[kw.persons.index(p)],
                                          speaker.island is Island.LIARS, speaker.partial), p
-            assert kw._speakers[p] == kw._askers[p][3:], p
-            assert kw.knows_full_roster(p) is full_roster
 
     def test_known_criminals_match_a_rescan(self):
         for seed in range(30):
@@ -313,7 +309,6 @@ class TestKnowledgeIndex:
         self.assert_matches_rescan(kw)
         assert kw._askers["A"][:2] == (1, 1)
         assert kw._askers["D"][:2] == (0, 1)
-        assert kw.knows_full_roster("C") and not kw.knows_full_roster("A")
         assert not kw.all_knowledge_unknown()
         blank = make_kw({"A": AT, "B": AL}, {"B"},
                         knowledge={("A", "B"): Knowledge.UNKNOWN,
@@ -1026,8 +1021,9 @@ def plain_rows(rng, n, density):
 
 def plain_world(n, island, criminals, density, count_public=False, secret=False, seed=0,
                 bulk=False):
-    """`generate_knowledge_world` with the knowledge always drawn: by the
-    plain loop into a (p, q)-keyed dict, or with `bulk` through `_draw_rows`."""
+    """`generate_knowledge_world` with the knowledge always drawn, after the
+    secret: by the plain loop into a (p, q)-keyed dict, or with `bulk`
+    through `_draw_rows`."""
     rng = random.Random(seed)
     persons = tuple(f"P{i}" for i in range(1, n + 1))
     pool = {"tt": interrogation.TT_POOL, "liars": interrogation.LIAR_POOL,
@@ -1036,6 +1032,7 @@ def plain_world(n, island, criminals, density, count_public=False, secret=False,
     low, high = (criminals, criminals) if isinstance(criminals, int) else criminals
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
+    secret = f"secret-{rng.getrandbits(32):08x}" if secret else None
     if bulk:
         knowledge = KnowledgeRows(persons, guilty, interrogation._draw_rows(rng, n, density))
     else:
@@ -1048,8 +1045,7 @@ def plain_world(n, island, criminals, density, count_public=False, secret=False,
                     )
     return KnowledgeWorld(
         persons=persons, type_of=type_of, guilty=guilty, knowledge=knowledge,
-        count_public=k if count_public else None,
-        secret=f"secret-{rng.getrandbits(32):08x}" if secret else None,
+        count_public=k if count_public else None, secret=secret,
     )
 
 
@@ -1102,8 +1098,8 @@ class TestBulkDraw:
 
 
 class TestBlankWorlds:
-    """A world of density 0 without a secret skips the row draws; every
-    seeded output stays that of the world drawn in full."""
+    """A world of density 0 skips the row draws; every seeded output stays
+    that of the world drawn in full."""
 
     def test_blank_worlds_equal_drawn_worlds(self):
         for island, n, seed, public in itertools.product(
@@ -1114,21 +1110,25 @@ class TestBlankWorlds:
             ref = plain_world(*args, count_public=public, seed=seed, bulk=True)
             assert kw == ref and kw.knowledge.rows == ref.knowledge.rows, (island, n, seed)
 
-    def test_a_secret_is_drawn_after_the_blank_rows(self):
+    def test_a_secret_is_drawn_before_the_blank_rows(self):
         for island, n, seed in itertools.product(ISLAND_MODES, (2, 5, 40), range(4)):
             args = (n, island, (1, n), 0.0)
             kw = generate_knowledge_world(*args, secret=True, seed=seed)
             ref = plain_world(*args, secret=True, seed=seed, bulk=True)
             assert kw == ref and kw.secret == ref.secret, (island, n, seed)
 
-    def test_only_worlds_with_a_secret_draw_at_generation(self, monkeypatch):
+    def test_no_generated_world_draws_at_generation(self, monkeypatch):
         monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
-        kw = generate_knowledge_world(50, "mixed", (1, 3), 0.0, seed=1)
-        assert kw.all_knowledge_unknown()
-        for density in (0.0, 2 ** -53, 0.3, 1.0):
-            generate_knowledge_world(50, "mixed", (1, 3), density, seed=1)
-            with pytest.raises(AssertionError, match="drawn"):
-                generate_knowledge_world(50, "mixed", (1, 3), density, secret=True, seed=1)
+        for density, secret in itertools.product((0.0, 2 ** -53, 0.3, 1.0), (False, True)):
+            kw = generate_knowledge_world(50, "mixed", (1, 3), density, secret=secret, seed=1)
+            assert (kw.secret is not None) is secret, (density, secret)
+            if density == 0:
+                # Zeros from the start: there is nothing left to draw.
+                assert kw.all_knowledge_unknown()
+            else:
+                assert undrawn(kw), (density, secret)
+                with pytest.raises(AssertionError, match="drawn"):
+                    kw.knowledge.rows
 
 
 def no_draws(rng, n, density):
@@ -1141,8 +1141,8 @@ def undrawn(kw):
 
 
 class TestDeferredDraw:
-    """A world without a secret draws its rows on first read, and they are
-    the rows generation would have drawn at once."""
+    """A generated world draws its rows on first read, after its secret when
+    it has one, and they are the rows of the plain draw in that order."""
 
     def test_the_first_read_draws_once_and_as_generation_would(self, monkeypatch):
         calls = []
@@ -1153,19 +1153,22 @@ class TestDeferredDraw:
 
         eager = interrogation._draw_rows
         monkeypatch.setattr(interrogation, "_draw_rows", counted)
-        for island, n, density in itertools.product(ISLAND_MODES, (1, 2, 5, 40),
-                                                    (2 ** -53, 0.3, 1.0)):
+        for island, n, density, secret in itertools.product(
+            ISLAND_MODES, (1, 2, 5, 40), (2 ** -53, 0.3, 1.0), (False, True)
+        ):
             for seed in range(3):
+                where = (island, n, density, secret, seed)
                 args = (n, island, (1, n), density)
-                ref = plain_world(*args, seed=seed, bulk=True)
+                ref = plain_world(*args, secret=secret, seed=seed, bulk=True)
                 calls.clear()
-                kw = generate_knowledge_world(*args, seed=seed)
-                assert not calls and undrawn(kw), (island, n, density, seed)
-                assert kw.knowledge.rows == ref.knowledge.rows, (island, n, density, seed)
-                assert calls == [n], (island, n, density, seed)
+                kw = generate_knowledge_world(*args, secret=secret, seed=seed)
+                assert not calls and undrawn(kw), where
+                assert kw.secret == ref.secret, where
+                assert kw.knowledge.rows == ref.knowledge.rows, where
+                assert calls == [n], where
                 assert kw == ref and len(kw.knowledge) == len(ref.knowledge)
                 assert kw._askers == ref._askers and kw.known_criminals() == ref.known_criminals()
-                assert calls == [n], (island, n, density, seed)
+                assert calls == [n], where
 
     def test_copies_and_pickles_of_an_undrawn_world_draw_the_same_rows(self):
         for density, seed in itertools.product((2 ** -53, 0.3, 1.0), range(3)):
@@ -1216,11 +1219,7 @@ class TestDeferredDraw:
         kw = generate_knowledge_world(60, "mixed", (1, 3), 0.3, seed=4)
         result = run_classify_islands(kw, random.Random(1))
         assert result.accused == kw.truth_tellers() and undrawn(kw)
-        # A secret world draws at generation, so this one is built by hand
-        # with a draw that fails.
-        secret = KnowledgeWorld(kw.persons, kw.type_of, kw.guilty,
-                                KnowledgeRows(kw.persons, kw.guilty, lambda: no_draws(None, 0, 0)),
-                                secret="secret-1")
+        secret = generate_knowledge_world(60, "mixed", (1, 3), 0.3, secret=True, seed=4)
         rng = random.Random(2)
         for world in (kw, secret):
             for p in world.persons:
@@ -1232,7 +1231,6 @@ class TestDeferredDraw:
             truthful_answer(secret, p, SecretAttribute())
             spoken_answer(secret, p, SecretAttribute(), rng)
         assert undrawn(secret)
-        assert secret.secret == "secret-1"
         with pytest.raises(AssertionError, match="drawn"):
             truthful_answer(kw, "P1", PossibleInnocent("P2"))
 
