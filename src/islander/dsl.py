@@ -16,17 +16,27 @@ fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
 directive's keyword to the function that reads the rest of it.
 
 One reader lexes a text: `_read` runs one findall, each distinct token
-text becomes one shared Token, and no Python code runs per token. A text
-once classified is kept for later parses, in a table with a fixed cap. A
-token carries no position. A parse error names the index of its token, and
-`parse` works out that token's line and column only then, by one walk of
-the same regular expression.
+text becomes one shared Token, and no Python code runs per token. An atom
+written exactly as serialize() writes it, such as `guilty(Ada3)`,
+`type(Bo7)=AL` or `count >= 2`, is one token of kind "atom", which holds
+its fine tokens (keyword, marks, fields) as its parts. Its regular
+expression is built from the atom table, and any other spacing, or a
+comment inside an atom, gives the fine tokens. Texts once classified, a
+compact atom's parts among them, are kept for later parses, in one table
+with a fixed cap. A token carries no position. A parse error names the
+index of its token, or of a part within a compact atom, and `parse` works
+out that token's line and column only then, by one walk of the same
+regular expression. One error parses a text twice: a compact atom where
+no atom may stand (a directive head, an operator position, a label) fails
+as a whole, and the tokens are parsed again with each compact atom's parts
+in its place, so the error names the fine token within it that the grammar
+stops at.
 
 Within one text, each distinct atom is read once: the parser keeps a table
-from an atom's tokens to the node they read to, and every later occurrence
-of the same tokens gets the same node. The table lives for one parse, and an
-atom under `axiom forall`, whose variable is a person only there, bypasses
-it.
+from an atom's tokens, or a compact atom's text, to the node they read to,
+and every later occurrence gets the same node. The table lives for one
+parse, and an atom under `axiom forall`, whose variable is a person only
+there, bypasses it. serialize() formats each distinct atom node once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
 and validation, serialize(), ==, hash, repr and the `axiom forall`
@@ -103,15 +113,19 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 class Token(NamedTuple):
-    kind: str  # "ident", "int", "string", "eof", or the punctuation itself
+    kind: str  # "ident", "int", "string", "atom", "eof", or the punctuation itself
     text: str
+    parts: tuple[Token, ...] = ()  # a compact atom's fine tokens, its keyword first
 
 
 class _Failure(Exception):
     """A ParseError at the index-th token, before its line and column are
-    worked out: args are (index, message, expected)."""
+    worked out: args are (index, message, expected). The index of a fine
+    token inside a compact atom is the pair (the atom's index, the fine
+    token's index among its parts)."""
 
-    def __init__(self, index: int, message: str, expected: tuple[str, ...] = ()):
+    def __init__(self, index: int | tuple[int, int], message: str,
+                 expected: tuple[str, ...] = ()):
         super().__init__(index, message, expected)
 
 
@@ -127,22 +141,33 @@ _TOKEN_CLASSES = {
 # Which class a token text belongs to, by the named group that matches it in
 # full. Compiled on first use, by `re`'s own cache.
 _CLASS_PATTERN = "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_CLASSES.items())
+# The fine token texts within a token text: two or more only in a compact
+# atom, which holds no blanks but the single spaces between its words.
+_PART_RE = re.compile("|".join(_TOKEN_CLASSES.values()))
 
-# One match per token: the blanks, newlines and comments before it, then its
-# text, the one group: a token of some class, the empty text at the end of
-# the input (`\Z`), or any other single character, a bad one. So every
-# position of a text starts a match, and no match ever backtracks into the
-# blanks. At the end of a text, findall can give two empty texts: one for
-# the blanks there, one right after them.
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]|\#[^\n]*)*(" + "|".join(_TOKEN_CLASSES.values()) + r"|\Z|.)")
+
+def _lexer(*first: str) -> re.Pattern[str]:
+    """One match per token: the blanks, newlines and comments before it, then
+    its text, the one group: a token of the `first` patterns or of some
+    class, the empty text at the end of the input (`\\Z`), or any other
+    single character, a bad one. So every position of a text starts a match,
+    and no match ever backtracks into the blanks. At the end of a text,
+    findall can give two empty texts: one for the blanks there, one right
+    after them."""
+    return re.compile(r"(?:[ \t\r\n]|\#[^\n]*)*("
+                      + "|".join((*first, *_TOKEN_CLASSES.values(), r"\Z", ".")) + ")")
+
+
+# The lexer, `_TOKEN_RE`, is built after the atom table below: it puts one
+# alternative for each atom ahead of the token classes, so an atom written
+# as serialize() writes it is one token.
 _ESCAPE_RE = re.compile(r"\\(.)")
 _EOF = Token("eof", "end of input")
 
 
 def _classify(raws: list[str]) -> dict[str, Token | None]:
-    """Each distinct token text that `_TOKEN_RE` captured, mapped to its
-    token without a position: the end-of-input token for the empty text,
+    """Each distinct fine token text, one that `_TOKEN_RE` captured or a part
+    of a compact atom, mapped to its token without a position: the end-of-input token for the empty text,
     None for a bad character."""
     match = re.compile(_CLASS_PATTERN).fullmatch
     table: dict[str, Token | None] = {}
@@ -160,7 +185,8 @@ def _classify(raws: list[str]) -> dict[str, Token | None]:
 
 
 # Token texts classified by earlier parses, since keywords, punctuation and
-# most names recur from text to text. A bad character is never kept, and
+# most names recur from text to text: compact atoms, and the fine texts of
+# their parts and of every other token. A bad character is never kept, and
 # the table holds at most _KNOWN_CAP texts: a parse that would pass the cap
 # starts a new one from its own texts (and keeps the old one if its own
 # texts alone pass it).
@@ -170,16 +196,22 @@ _KNOWN_CAP = 4096
 
 def _read(text: str) -> tuple[Token, ...]:
     """The tokens of `text`, shared and without positions: one findall, then
-    one lookup per token. A bad character fails at its index."""
+    one lookup per token. The fine texts new to the table, the parts of new
+    compact atoms among them, are classified by one `_classify` call. A bad
+    character fails at its index."""
     global _known
     raws = _TOKEN_RE.findall(text)
     if len(raws) > 1 and not raws[-2]:
         raws.pop()  # the second empty text at the end
     known, distinct = _known, set(raws)
-    new = _classify(distinct.difference(known))
+    fresh = distinct.difference(known)
+    compact = {raw: parts for raw in fresh if len(parts := _PART_RE.findall(raw)) > 1}
+    new = _classify(fresh.difference(compact).union(*compact.values()).difference(known))
     if None in new.values():
         index = next(i for i, raw in enumerate(raws) if raw in new and new[raw] is None)
         raise _Failure(index, f"unexpected character {raws[index]!r}")
+    for raw, parts in compact.items():
+        new[raw] = Token("atom", raw, tuple(new.get(part) or known[part] for part in parts))
     if new:
         if len(known) + len(new) > _KNOWN_CAP:
             # A new table, of this text's tokens alone.
@@ -190,12 +222,17 @@ def _read(text: str) -> tuple[Token, ...]:
     return tuple(map(known.__getitem__, raws))
 
 
-def _locate(text: str, index: int) -> tuple[str, int, int, int]:
-    """The index-th token text that `_read` finds in `text`, with its offset,
-    line and column: one walk of `_TOKEN_RE`. The end of input sits at the
-    end of the text, or at the '#' of a comment that ends it."""
-    m = next(islice(_TOKEN_RE.finditer(text), index, None))
+def _locate(text: str, index: int | tuple[int, int]) -> tuple[str, int, int, int]:
+    """The token text at `index` that `_read` finds in `text`, with its
+    offset, line and column: one walk of the same lexer, and for a part of a
+    compact atom one more within the atom. The end of input sits at the end
+    of the text, or at the '#' of a comment that ends it."""
+    whole, part = index if isinstance(index, tuple) else (index, None)
+    m = next(islice(_TOKEN_RE.finditer(text), whole, None))
     raw, start = m[1], m.start(1)
+    if part is not None:
+        m = next(islice(_PART_RE.finditer(text, start, m.end(1)), part, None))
+        raw, start = m[0], m.start()
     line_start = text.rfind("\n", 0, start) + 1
     if not raw and (comment := text.find("#", max(m.start(), line_start))) != -1:
         start = comment
@@ -227,9 +264,9 @@ class _Parser:
     token, so the cursor never passes it. A failure names the index of its
     token: `pos` for the next one, `pos - 1` for the one just consumed."""
 
-    def __init__(self, tokens: tuple[Token, ...]):
+    def __init__(self, tokens: tuple[Token, ...], pos: int = 0):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = pos
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -295,11 +332,12 @@ class _PuzzleBuilder:
         self.labels: set[str] = set()
         self.modeled_labels: set[str] = set()
         self.axioms: list[Formula] = []
-        # An atom's tokens -> the node they read to, outside `axiom forall`.
-        # Tokens carry no position, so equal atoms anywhere in the text are
-        # one key. An atom that read well reads the same for the rest of the
-        # text: the roster is fixed once read, and labels are only added.
-        self.atoms: dict[tuple[Token, ...], Formula] = {}
+        # An atom's tokens, or a compact atom's text, -> the node they read
+        # to, outside `axiom forall`. Tokens carry no position, so equal atoms
+        # anywhere in the text are one key. An atom that read well reads the
+        # same for the rest of the text: the roster is fixed once read, and
+        # labels are only added.
+        self.atoms: dict[tuple[Token, ...] | str, Formula] = {}
 
 
 # The words of the `island` directive, each with the default type domain it
@@ -312,11 +350,24 @@ _ISLAND_BY_NAME = {i.value: i for i in Island}
 
 def parse(text: str) -> Puzzle:
     """Parse DSL source into a valid Puzzle, checked as it is read, or raise
-    ParseError."""
+    ParseError.
+
+    A failure at a compact atom as a whole puts an atom where none may
+    stand, and the error is the one its fine tokens give: only then are the
+    tokens parsed again, with each compact atom's parts in its place."""
+    tokens: tuple[Token, ...] = ()  # none if a bad character fails the read
     try:
-        return _parse(_read(text))
+        tokens = _read(text)
+        return _parse(tokens)
     except _Failure as failure:
         index, message, expected = failure.args
+    if isinstance(index, int) and index < len(tokens) and tokens[index].parts:
+        try:
+            return _parse(tuple(part for tok in tokens for part in tok.parts or (tok,)))
+        except _Failure as failure:
+            index, message, expected = failure.args
+        index = [(i, j) if tok.parts else i
+                 for i, tok in enumerate(tokens) for j in range(len(tok.parts) or 1)][index]
     raw, start, line, column = _locate(text, index)
     if raw == '"':
         raise _bad_string(text, start, line, column) from None
@@ -560,19 +611,27 @@ def _expect_free_name(p: _Parser, b: object, extra: object) -> str:
     return tok.text
 
 
+def _words(words) -> str:
+    """A regular expression for any of `words`, which no name character may
+    follow: `ATx` is one name, not the word `AT`."""
+    return "(?:" + "|".join(words) + ")(?![A-Za-z0-9_])"
+
+
 # Each field of the nodes in `_ATOMS` and `_TYPECOUNTS`: how the parser reads
-# it, called as reader(parser, builder, extra persons), and how the
-# serializer writes it, as a str.format field of the node.
+# it, called as reader(parser, builder, extra persons), how the serializer
+# writes it, as a str.format field of the node, and the regular expression
+# of the one token that the reader takes.
 _FIELDS = {
-    "person": (_expect_suspect, "{0.person}"),
-    "speaker_type": (_expect_type, "{0.speaker_type.value}"),
+    "person": (_expect_suspect, "{0.person}", _TOKEN_CLASSES["ident"]),
+    "speaker_type": (_expect_type, "{0.speaker_type.value}", _words(_TYPE_BY_NAME)),
     "island": (lambda p, b, extra: _ISLAND_BY_NAME[p.expect_word(*_ISLAND_BY_NAME).text],
-               "{0.island.value}"),
-    "op": (lambda p, b, extra: p.expect_punct(*COUNT_OPS).kind, "{0.op}"),
-    "k": (lambda p, b, extra: p.expect_int(), "{0.k}"),
-    "n": (lambda p, b, extra: p.expect_int(), "{0.n}"),
-    "label": (_expect_label, "{0.label}"),
-    "name": (_expect_free_name, '"{0.name}"'),
+               "{0.island.value}", _words(_ISLAND_BY_NAME)),
+    "op": (lambda p, b, extra: p.expect_punct(*COUNT_OPS).kind, "{0.op}",
+           "(?:" + "|".join(map(re.escape, COUNT_OPS)) + ")"),
+    "k": (lambda p, b, extra: p.expect_int(), "{0.k}", _TOKEN_CLASSES["int"]),
+    "n": (lambda p, b, extra: p.expect_int(), "{0.n}", _TOKEN_CLASSES["int"]),
+    "label": (_expect_label, "{0.label}", _TOKEN_CLASSES["ident"]),
+    "name": (_expect_free_name, '"{0.name}"', _TOKEN_CLASSES["string"]),
 }
 
 # Every atom but `true` and `false`, and every typecount form: keyword ->
@@ -595,6 +654,34 @@ _TYPECOUNTS = {
     "at_most_distinct": (AtMostDistinct, "n"),
 }
 
+
+def _syntax(table: dict[str, tuple], column: int = 1, literal=str) -> dict[type, str]:
+    """Each row's text: its keyword and tokens, with a space only between two
+    words (keywords, words and fields). A field is column `column` of its
+    `_FIELDS` entry and any other token is `literal` of it: by default a
+    str.format template, with (2, re.escape) a regular expression."""
+    templates = {}
+    for keyword, row in table.items():
+        pieces, after_word = [literal(keyword)], True
+        for slot in row[1:]:
+            word = slot.isidentifier()  # a word or a field
+            if word and after_word:
+                pieces.append(" ")
+            pieces.append(_FIELDS[slot][column] if slot in _FIELDS else literal(slot))
+            after_word = word
+        templates[row[0]] = "".join(pieces)
+    return templates
+
+
+# The concrete syntax of every atom but Const, and of every typecount form.
+_ATOM_SYNTAX = _syntax(_ATOMS)
+_TYPECOUNT_SYNTAX = _syntax(_TYPECOUNTS)
+
+# A compact atom: one written exactly as `serialize` writes it. The lexer
+# reads it as one token of kind "atom", whose parts are its fine tokens;
+# other spacing, or a comment inside an atom, gives the fine tokens.
+_TOKEN_RE = _lexer(*_syntax(_ATOMS, 2, re.escape).values())
+
 ATOM_EXPECTED = (*_ATOMS, "true", "false", "not", "'('")
 
 KEYWORDS = frozenset({
@@ -605,9 +692,18 @@ KEYWORDS = frozenset({
 
 def _parse_primary(p, b, extra) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's. An atom whose
-    tokens were read before in this text is the node they read to then, and
-    the cursor skips its tokens, so a later failure names its own index."""
+    tokens, or compact text, were read before in this text is the node they
+    read to then, and the cursor skips its tokens, so a later failure names
+    its own index."""
     tok = p.tokens[p.pos]
+    if tok.kind == "atom":
+        atom = None if extra else b.atoms.get(tok.text)
+        if atom is None:
+            atom = _read_parts(p, b, extra, tok)
+            if not extra:
+                b.atoms[tok.text] = atom
+        p.pos += 1
+        return atom
     if tok.kind != "ident":
         raise p.unexpected(ATOM_EXPECTED)
     row = _ATOMS.get(tok.text)
@@ -627,6 +723,16 @@ def _parse_primary(p, b, extra) -> Formula:
     else:
         p.pos += len(row)
     return atom
+
+
+def _read_parts(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], tok: Token) -> Formula:
+    """The node of the compact atom `tok`, the next token, read from its
+    parts as its fine tokens are read; a failure names its part."""
+    try:
+        return _read_row(_Parser(tok.parts, 1), b, extra, _ATOMS[tok.parts[0].text])
+    except _Failure as failure:
+        part, message, expected = failure.args
+    raise _Failure((p.pos, part), message, expected)
 
 
 def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) -> object:
@@ -652,31 +758,16 @@ def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) 
 _SYMBOL = {cls: symbol for symbol, cls in _BINARY.items()}
 
 
-def _syntax(table: dict[str, tuple]) -> dict[type, str]:
-    """Each row's str.format template: its keyword and tokens, with a space
-    only between two words (keywords, words and fields)."""
-    templates = {}
-    for keyword, row in table.items():
-        pieces, after_word = [keyword], True
-        for slot in row[1:]:
-            word = slot.isidentifier()  # a word or a field
-            if word and after_word:
-                pieces.append(" ")
-            pieces.append(_FIELDS[slot][1] if slot in _FIELDS else slot)
-            after_word = word
-        templates[row[0]] = "".join(pieces)
-    return templates
-
-
-# The concrete syntax of every atom but Const, and of every typecount form.
-_ATOM_SYNTAX = _syntax(_ATOMS)
-_TYPECOUNT_SYNTAX = _syntax(_TYPECOUNTS)
-
-
 def format_formula(formula: Formula) -> str:
     """Deterministic concrete syntax, parenthesized just enough to reparse
     into a structurally identical tree: one in-order walk over an explicit
     stack of formulas and text pieces, so depth never touches the Python stack."""
+    return _format(formula, {})
+
+
+def _format(formula: Formula, atoms: dict[int, str]) -> str:
+    """format_formula, with `atoms` the text of each atom node formatted
+    before, by identity: a parsed puzzle shares its equal atoms' nodes."""
     parts: list[str] = []
     text, stack = parts.append, [formula]
 
@@ -692,7 +783,10 @@ def format_formula(formula: Formula) -> str:
         if kind is str:
             text(node)
         elif kind in _ATOM_SYNTAX:
-            text(_ATOM_SYNTAX[kind].format(node))
+            atom = atoms.get(id(node))
+            if atom is None:
+                atom = atoms[id(node)] = _ATOM_SYNTAX[kind].format(node)
+            text(atom)
         elif kind is Const:
             text("true" if node.value else "false")
         elif kind is Not:
@@ -718,8 +812,10 @@ def serialize(puzzle: Puzzle) -> str:
     """Canonical DSL text for a well-formed puzzle.
 
     Type domains are always written explicitly (no island shorthand), so two
-    structurally equal puzzles serialize to identical bytes.
+    structurally equal puzzles serialize to identical bytes. Each atom node
+    is formatted once.
     """
+    atoms: dict[int, str] = {}
     lines = ["puzzle {", "  suspects " + ", ".join(puzzle.suspects) + ";"]
     for suspect in puzzle.suspects:
         names = [t.value for t in ALL_TYPES if t in puzzle.type_domain[suspect]]
@@ -730,9 +826,9 @@ def serialize(puzzle: Puzzle) -> str:
         lines.append(f"  typecount {_TYPECOUNT_SYNTAX[type(card)].format(card)};")
     for stmt in puzzle.statements:
         body = (f'unmodeled "{_escape(stmt.text or "")}"' if stmt.body is None
-                else format_formula(stmt.body))
+                else _format(stmt.body, atoms))
         lines.append(f"  statement {stmt.label} {stmt.speaker}: {body};")
     for axiom in puzzle.axioms:
-        lines.append(f"  axiom {format_formula(axiom)};")
+        lines.append(f"  axiom {_format(axiom, atoms)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -57,11 +57,12 @@ class PlacedToken(NamedTuple):
 
 
 def placed_tokens(text: str) -> list[PlacedToken]:
-    """The tokens `dsl._read` finds in `text`, each with the line and
-    column that `dsl._locate`, the position walk of an error report, gives
-    its index."""
-    return [PlacedToken(tok.kind, tok.text, *_locate(text, index)[2:])
-            for index, tok in enumerate(_read(text))]
+    """The fine tokens `dsl._read` finds in `text`, each compact atom's
+    parts in its place, each with the line and column that `dsl._locate`,
+    the position walk of an error report, gives its index."""
+    return [PlacedToken(part.kind, part.text, *_locate(text, (i, j) if tok.parts else i)[2:])
+            for i, tok in enumerate(_read(text))
+            for j, part in enumerate(tok.parts or (tok,))]
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,210 @@ class TestOneReader:
             (line, column, message)
 
 
+# The lexer without the compact atoms: one token per name, mark, integer
+# and string, as before an atom could be one token.
+FINE_LEXER = dsl._lexer()
+
+
+def with_fine_lexer(call, text: str):
+    """`call(text)` with `FINE_LEXER` as the lexer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_TOKEN_RE", FINE_LEXER)
+        return call(text)
+
+
+def parse_fine(text: str):
+    """`parse` with `FINE_LEXER`: every atom is read as its fine tokens."""
+    return with_fine_lexer(parse, text)
+
+
+def parse_both(text: str):
+    """(`parse`, `parse_fine`) of `text`: each its Puzzle, or its error's
+    span, message and expected list."""
+    results = []
+    for reader in (parse, parse_fine):
+        try:
+            results.append(reader(text))
+        except ParseError as exc:
+            results.append(_error(exc))
+    return tuple(results)
+
+
+_HEAD = "puzzle { suspects A, B; criminals = 1; "
+
+
+class TestCompactAtoms:
+    """An atom written as `serialize` writes it is one token, read from its
+    fine parts on a miss of the atom table; errors stay where the fine
+    tokens put them."""
+
+    def test_every_formatted_atom_is_one_token(self):
+        args = {"person": "Bo7", "speaker_type": SpeakerType.ABSOLUTE_LIAR,
+                "island": dsl._ISLAND_BY_NAME["liars"], "op": ">=", "k": 2,
+                "label": "st0", "name": "a0"}
+        for keyword, row in _ATOMS.items():
+            node = row[0](*(args[slot] for slot in row[1:] if slot in dsl._FIELDS))
+            text = format_formula(node)
+            tokens = dsl._read(text)
+            assert [tok.kind for tok in tokens] == ["atom", "eof"], keyword
+            assert tokens[0].parts == with_fine_lexer(dsl._read, text)[:-1]
+
+    @pytest.mark.parametrize("text", [
+        "type(A)=ATx", "island(A)=liarsx", "type( A)=AT", "count>=2", "guilty(A )",
+        "guilty(# c\nA)", "island(A)=mixed", "count -> 2",
+    ])
+    def test_other_spellings_lex_as_fine_tokens(self, text):
+        assert "atom" not in {tok.kind for tok in dsl._read(text)}
+        assert dsl._read(text) == with_fine_lexer(dsl._read, text)
+
+    @pytest.mark.parametrize("text, error", [
+        (_HEAD + "island(A)=liars; }",
+         (SourceSpan(1, 46, 1), "unexpected token '('", ("truthtellers", "liars", "mixed"))),
+        (_HEAD + "statement s A: guilty(A) guilty(A); }",
+         (SourceSpan(1, 65, 6), "unexpected token 'guilty'", ("';'",))),
+        (_HEAD + "statement guilty(A) A: true; }",
+         (SourceSpan(1, 50, 6), "the keyword 'guilty' cannot be used as a statement label", ())),
+        (_HEAD + "statement s A: true; } guilty(A)",
+         (SourceSpan(1, 63, 6), "unexpected token 'guilty' after the puzzle block", ())),
+        (_HEAD + "statement s A: truthful(guilty(A)); }",
+         (SourceSpan(1, 64, 6),
+          "truthful() reference to 'guilty', which is not an earlier statement", ())),
+    ], ids=["directive", "operator", "label", "after_block", "truthful_label"])
+    def test_an_atom_where_none_may_stand_is_read_again_fine(self, monkeypatch, text, error):
+        """The one case that reads a text twice: the error names the fine
+        `guilty` token, not the compact atom."""
+        calls = []
+
+        def counted(tokens):
+            calls.append(tokens)
+            return parse_tokens(tokens)
+        parse_tokens = dsl._parse
+        monkeypatch.setattr(dsl, "_parse", counted)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert _error(info.value) == error
+        assert [tok.kind for tok in calls[0]].count("atom") >= 1
+        assert len(calls) == 2 and "atom" not in {tok.kind for tok in calls[1]}
+        assert info.value.__cause__ is None and info.value.__context__ is None
+
+    @pytest.mark.parametrize("text, error", [
+        (_HEAD + 'statement s A: free("a b"); }',
+         (SourceSpan(1, 60, 3), "free atom name 'a b' must be an identifier", ())),
+        (_HEAD + "axiom forall X: guilty(X) and guilty(Y); }",
+         (SourceSpan(1, 77, 1), "unknown suspect 'Y'", ())),
+        (_HEAD + "statement s A: truthful(s); }",
+         (SourceSpan(1, 64, 1), "truthful() reference to 's', which is not an earlier statement",
+          ())),
+    ])
+    def test_an_error_inside_an_atom_is_at_its_fine_token(self, text, error):
+        assert parse_both(text) == (error, error)
+
+    def test_a_template_atom_is_never_an_atom_table_entry(self):
+        """`guilty(X)` reads under `axiom forall X` and is refused after it."""
+        text = _HEAD + "axiom forall X: guilty(X); statement s A: guilty(X); }"
+        assert parse_both(text) == ((SourceSpan(1, 89, 1), "unknown suspect 'X'", ()),) * 2
+
+
+# The text of each slot kind of an `_ATOMS` row, right and wrong: persons
+# known, unknown, reserved and the forall variable; malformed words, marks,
+# integers and strings.
+_SLOT_TEXTS = {
+    "person": ("A", "B", "Zed", "X", "not", "guilty", "A1"),
+    "speaker_type": ("AT", "PT", "AL", "RL", "ATx", "XX", "at"),
+    "island": ("truthtellers", "liars", "mixed", "liarsx", "Liars"),
+    "op": ("=", "<=", ">=", "->", "<->", "<"),
+    "k": ("0", "2", "10", "2x", "x"),
+    "label": ("s1", "s2", "s9", "guilty"),
+    "name": ('"a0"', '"a b"', '"guilty"', '"a\\"b"', "a0", '"'),
+}
+# Where two atoms `a` and `b` are put: every place a formula may stand, and
+# places where no atom may.
+_CONTEXTS = (
+    _HEAD + "statement s1 A: true; statement s2 B: <a>; }",
+    _HEAD + "statement s1 A: true; statement s2 B: not <a> and (<b> or <a>); }",
+    _HEAD + "statement s1 A: true; axiom forall X: <a> -> <b>; axiom <a>; }",
+    _HEAD + "statement s1 A: true; axiom <a> <-> guilty(A) <b>; }",
+    _HEAD + "<a>; }",
+    _HEAD + "statement <a> A: true; }",
+    _HEAD + "types <a>: {AT}; }",
+    "puzzle { suspects A, <a>; criminals = 1; }",
+    _HEAD + "statement s1 A: truthful(<a>); }",
+    _HEAD + "statement s1 A: true; } <a>",
+)
+_SPACES = ("", " ", "  ", "\n", "\t", " # c\n")
+
+
+@st.composite
+def atom_texts(draw, keyword=None):
+    """The text of the `_ATOMS` row of `keyword`, or of a drawn one: the
+    keyword and a drawn text for each slot, with the serializer's spacing or
+    with drawn blanks and comments."""
+    keyword = keyword or draw(st.sampled_from(sorted(_ATOMS)))
+    compact = draw(st.booleans())
+    pieces, after_word = [keyword], True
+    for slot in _ATOMS[keyword][1:]:
+        word = slot.isidentifier()
+        if compact:
+            pieces.append(" " if word and after_word else "")
+        else:
+            pieces.append(draw(st.sampled_from(_SPACES)))
+        pieces.append(draw(st.sampled_from(_SLOT_TEXTS[slot])) if slot in _SLOT_TEXTS else slot)
+        after_word = word
+    return "".join(pieces)
+
+
+@functools.cache
+def compact_atom_spans(name: str) -> list[tuple[int, int]]:
+    """Where the compact atoms of a corpus text start and end."""
+    text, kinds = corpus_text(name), [tok.kind for tok in dsl._read(corpus_text(name))]
+    return [m.span(1) for m, kind in zip(dsl._TOKEN_RE.finditer(text), kinds) if kind == "atom"]
+
+
+@st.composite
+def corpus_mutations(draw):
+    """A corpus text with one character inserted, deleted or replaced in or
+    next to one of its compact atoms."""
+    name = draw(st.sampled_from(CORPUS_NAMES))
+    text = corpus_text(name)
+    start, end = draw(st.sampled_from(compact_atom_spans(name)))
+    at = draw(st.integers(max(0, start - 1), min(len(text) - 1, end)))
+    char = draw(st.sampled_from(" \n#()=<>-\"\\;,:{}Aa_1é"))
+    how = draw(st.sampled_from(("insert", "delete", "replace")))
+    return text[:at] + ("" if how == "delete" else char) + text[at + (how != "insert"):]
+
+
+class TestCompactAgainstFine:
+    """Compact and fine lexing give the same Puzzle, or the same error."""
+
+    @pytest.mark.parametrize("keyword", sorted(_ATOMS))
+    @given(context=st.sampled_from(_CONTEXTS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_atom_row_in_every_place(self, keyword, context, data):
+        a, b = data.draw(atom_texts(keyword)), data.draw(atom_texts())
+        text = context.replace("<a>", a).replace("<b>", b)
+        compact, fine = parse_both(text)
+        assert compact == fine, text
+
+    @given(corpus_mutations())
+    @settings(max_examples=400, deadline=None)
+    def test_corpus_mutations_around_atoms(self, text):
+        compact, fine = parse_both(text)
+        assert compact == fine, text
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_a_corpus_text_has_compact_atoms_whose_parts_are_its_fine_tokens(self, name):
+        text = corpus_text(name)
+        tokens = dsl._read(text)
+        assert "atom" in {tok.kind for tok in tokens}
+        fine = with_fine_lexer(dsl._read, text)
+        assert tuple(part for tok in tokens for part in (tok.parts or (tok,))) == fine
+
+    def test_every_golden_corpus_and_benchmark_text(self):
+        for name, text in differential_texts().items():
+            compact, fine = parse_both(text)
+            assert compact == fine, name
+
+
 def differential_texts() -> dict[str, str]:
     """Every golden-parse text, every corpus puzzle, and the benchmark's
     `dsl_roundtrip` and `solve_large` texts for seeds 1 and 424242."""
