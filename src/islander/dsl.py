@@ -39,11 +39,9 @@ parse, and an atom under `axiom forall`, whose variable is a person only
 there, bypasses it. serialize() formats each distinct atom node once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
-and validation, serialize(), ==, hash, repr and the `axiom forall`
-expansion walk them over explicit stacks too, so any nesting depth or chain
-length works. Only eval_formula and check_world, the deliberately plain
-reference, recurse: they raise RecursionError about 1000 levels deep (see
-docs/grammar.md).
+and validation, serialize(), ==, hash, repr, the `axiom forall` expansion
+and eval_formula, with check_world through it, walk them over explicit
+stacks too, so any nesting depth or chain length works.
 """
 
 from __future__ import annotations

@@ -58,26 +58,33 @@ knowledge density 0 draws no row: every draw would come out 0, so its rows
 are zeros from the start.
 
 Every answer comes from one function, `_answer`, which holds every answer
-rule: it reads the asker's entry of one per-person table, applies the
-honest rule of the question's class and then, given an adversarial source,
-the speaker-type filter. The control, guilt and secret questions depend on
-the asker's type alone: they read `KnowledgeWorld.type_of` (whether the
-type is a liar's and whether it is partial) and no knowledge row. The
-possibility and detective questions read the cached
-`KnowledgeWorld._askers`, which adds to those two flags how many the asker
-knows to be guilty and how many innocent, themselves included, and their
-row; it counts every row's set bits when first read. `truthful_answer` and
-`spoken_answer` are one call of `_answer` each, and `_ask_each` calls it
-once per ask and nothing else. The registered strategies ask the
-possible-innocent, size-excluding-self and detective questions, "could the
-criminals all be among everyone but q?" and "could everyone have done it?";
-each reads the counts and at most one byte of the row, so it costs O(1) in
-the crowd size, and a question that is the same for every asker is built
-once per world. "Everyone but q" is an O(1) set view of the roster without
-q, `_AllBut`, that equals and hashes like the (n-1)-person frozenset and
-has its transcript text. Any other subset or exact-group question reads the
-row once over its group, at C level, and builds nothing per world. `knows`
-remains the plain per-pair lookup the tests' oracles use.
+rule: it applies the honest rule of the question's class and then, given an
+adversarial source, the speaker-type filter, reading the speaker's liar and
+partial flags from `KnowledgeWorld.type_of`. The control, guilt and secret
+questions depend on the asker's type alone and read no knowledge row. A
+possibility question is first settled, where it can be, from two facts
+that need no row. Knowledge is factive, so the guilty set itself is
+compatible with what anyone knows (the truth axiom): the answer is yes when
+it fits the question, as for "could q be innocent?" with q innocent or
+"could the criminals all be among everyone but q?" with q innocent. And
+everyone knows their own guilt: the answer is no when every set that fits
+disagrees with it, as for a guilty asker asked about sets without them.
+What is left, a guilty target other than the asker, another size or group,
+and the detective questions, reads the cached `KnowledgeWorld._askers`: how
+many the asker knows to be guilty and how many innocent, themselves
+included, and their row; it counts every row's set bits when first read.
+So the robust `solve_liars` and `solve_mixed`, which ask each person about
+themselves, draw no row at all, while `ask_all_about_others` and
+`solve_truthtellers` do. `truthful_answer` and `spoken_answer` are one call
+of `_answer` each, and `_ask_each` calls it once per ask and nothing else.
+Every question a registered strategy asks costs O(1) in the crowd size: it
+reads at most the counts and one byte of the row, and a question that is
+the same for every asker is built once per world. "Everyone but q" is an
+O(1) set view of the roster without q, `_AllBut`, that equals and hashes
+like the (n-1)-person frozenset and has its transcript text. Any other
+subset or exact-group question reads the row once over its group, at C
+level, and builds nothing per world. `knows` remains the plain per-pair
+lookup the tests' oracles use.
 
 Generated worlds are limited to MAX_CROWD persons, because generation draws
 once per ordered pair of persons and keeps a byte per pair; a larger crowd is
@@ -280,23 +287,20 @@ class KnowledgeWorld:
         return frozenset(self.persons)
 
     @functools.cached_property
-    def _askers(self) -> dict[str, tuple[int, int, bytes, bool, bool]]:
-        """For each person p, what a possibility or detective answer of p
-        reads: how many p knows to be guilty and how many innocent, p
-        included by their own guilt, counted from the row's set bits without
-        building a set; p's row; then whether p's type is a liar's and whether
-        it is partial, so that such an answer reads one table."""
-        persons, guilty, type_of = self.persons, self.guilty, self.type_of
+    def _askers(self) -> dict[str, tuple[int, int, bytes]]:
+        """For each person p, what an answer that needs p's knowledge reads:
+        how many p knows to be guilty and how many innocent, p included by
+        their own guilt, counted from the row's set bits without building a
+        set; then p's row."""
+        persons, guilty = self.persons, self.guilty
         guilty_mask = int.from_bytes(bytes(q in guilty for q in persons), "little")
-        liars = Island.LIARS
         askers = {}
         for p, row in zip(persons, self.knowledge.rows):
             bits = int.from_bytes(row, "little")
             known, known_guilty = bits.bit_count(), (bits & guilty_mask).bit_count()
             must, banned = (known_guilty + 1, known - known_guilty) if p in guilty \
                 else (known_guilty, known - known_guilty + 1)
-            speaker_type = type_of[p]
-            askers[p] = (must, banned, row, speaker_type.island is liars, speaker_type.partial)
+            askers[p] = (must, banned, row)
         return askers
 
     def knows(self, p: str, q: str) -> Knowledge:
@@ -468,7 +472,7 @@ def _compatible_within(kw: KnowledgeWorld, p: str, group: collections.abc.Set[st
     """The most persons a criminal set compatible with p's knowledge may hold
     within `group`, or -1 when no such set is within it. It holds all p
     knows guilty; the group's persons p knows nothing of are optional."""
-    must, _, row, _, _ = kw._askers[p]
+    must, _, row = kw._askers[p]
     position = kw.knowledge._position
 
     def known(persons: collections.abc.Set[str]) -> int:
@@ -494,78 +498,106 @@ def _answer(
     """p's answer to `question`. With `rng` None it is the honest answer, to
     the extent of p's knowledge, a token standing for `kw.secret`; else it
     is the answer p's speaker type gives, `rng` being the liars' adversarial
-    source. Every answer rule is here. It reads p's entry of one table: for
-    a question that depends on p's type alone, `type_of`, so no knowledge
-    row is read; for any other, `_askers`. On the path of every question the
-    strategies ask, no function of the package but the `Answer` constructor
-    is called."""
+    source. Every answer rule is here.
+
+    The asker and the person a question names are checked first, then a
+    listed group, by `_require_group`. p's liar and partial flags come from
+    `type_of`. A possibility question is then settled, where it can be,
+    with no knowledge row: yes when the guilty set itself fits it, since
+    knowledge is factive and so the truth is compatible with what anyone
+    knows; no when every set that fits disagrees with p's own guilt, which
+    p knows. Only what is left reads p's counts and row from `_askers`: a
+    guilty target other than p, another size or group, and the detective
+    questions. A listed group left unsettled is read by
+    `_compatible_within`. The questions the registered strategies ask call
+    no other function of the package than the `Answer` constructor, but for
+    the paper-literal lists of `solve_liars`, which are listed groups."""
     kind = type(question)
-    type_alone = kind is KnownFact or kind is DirectGuilt or kind is SecretAttribute
     try:
-        if type_alone:
-            speaker = kw.type_of[p]
-            liar, partial = speaker.island is _LIARS, speaker.partial
-        else:
-            must, banned, row, liar, partial = kw._askers[p]
+        speaker = kw.type_of[p]
     except KeyError:
         raise PreconditionError(f"unknown person '{p}'") from None
-    if type_alone:
-        if kind is KnownFact:
-            honest = _YES if question.truth else _NO
-        elif kind is DirectGuilt:
-            # A partial type answers as if innocent.
-            honest = _YES if p in kw.guilty and (rng is None or not partial) else _NO
-        else:
-            if kw.secret is None:
-                raise PreconditionError("no secret attribute is configured for this world")
-            honest = _TOKEN if p in kw.guilty else _UNKNOWN
+    guilty = kw.guilty
+    if kind is KnownFact:
+        honest = _YES if question.truth else _NO
+    elif kind is DirectGuilt:
+        # A partial type answers as if innocent.
+        honest = _YES if p in guilty and (rng is None or not speaker.partial) else _NO
+    elif kind is SecretAttribute:
+        if kw.secret is None:
+            raise PreconditionError("no secret attribute is configured for this world")
+        honest = _TOKEN if p in guilty else _UNKNOWN
     else:
-        n = len(kw.persons)
-        # A possibility question sets `most`, the most persons a compatible
-        # criminal set free of `absent` or within the group may hold (-1 when
-        # none may), and `size` when it asks for one.
-        absent = most = size = None
+        # A possibility question names `absent`, whom a fitting criminal set
+        # is free of, and `size` when it asks for one, or else a `group` the
+        # set is within or equal to; a detective question names neither.
+        absent = group = size = honest = None
         if kind is PossibleInnocent:
             absent = question.target
             if absent not in kw.type_of:
                 raise PreconditionError(f"unknown person '{absent}'")
         elif kind is PossibleSubset or kind is PossibleExact:
             group = question.group
-            if group is kw._person_set:
-                # Every compatible set is within the roster.
-                most = n - banned
-            elif kind is PossibleSubset and type(group) is _AllBut \
+            if kind is PossibleSubset and type(group) is _AllBut \
                     and group.roster is kw._person_set and group.absent in group.roster:
                 # Everyone but q: the set form of "could q be innocent?".
-                absent = group.absent
-            else:
+                absent, group = group.absent, None
+            elif group is not kw._person_set:
                 _require_group(kw, group)
-                most = _compatible_within(kw, p, group)
-            if kind is PossibleExact:
-                # The one subset of the group as large as the group is the group.
-                size = len(group)
         elif kind is PossibleSizeExcludingSelf:
             absent, size = p, question.m
-        elif kind is DidDetectiveDoIt or kind is DetectivePossiblyGuilty:
-            # Could the detective, an outsider, be among the criminals? Someone
-            # who knows the whole roster's guilt knows the answer outright.
-            public = kw.count_public
-            possible = must + banned < n and (public is None or must <= public - 1 <= n - banned)
-            honest = _NO if not possible else _UNKNOWN if kind is DidDetectiveDoIt else _YES
-        else:
+        elif kind is not DidDetectiveDoIt and kind is not DetectivePossiblyGuilty:
             raise PreconditionError(f"unknown question {question!r}")
+        # The guilty set is compatible with everyone's knowledge: yes when it
+        # fits. p knows their own guilt: no when every fitting set would
+        # disagree with it.
         if absent is not None:
-            # A set free of a person p knows guilty is not compatible; one p
-            # knows innocent is among the banned already.
-            known = absent == p or row[kw.knowledge._position[absent]]
-            most = -1 if known and absent in kw.guilty else n - banned - (not known)
-        if most is not None:
+            if absent not in guilty and (size is None or size == len(guilty)):
+                honest = _YES
+            elif absent == p and p in guilty:
+                honest = _NO
+        elif group is not None:
+            if kind is PossibleSubset:
+                if guilty <= group:
+                    honest = _YES
+                elif p in guilty and p not in group:
+                    honest = _NO
+            elif group == guilty:
+                honest = _YES
+            elif (p in group) is not (p in guilty):
+                honest = _NO
+        if honest is None:
+            must, banned, row = kw._askers[p]
+            n = len(kw.persons)
             public = kw.count_public
-            target = public if size is None else size
-            honest = _YES if (public is None or size is None or size == public) and (
-                most > 0 if target is None else 1 <= target and must <= target <= most) else _NO
+            if absent is None and group is None:
+                # Could the detective, an outsider, be among the criminals?
+                # Someone who knows the whole roster's guilt knows the answer.
+                possible = must + banned < n and (
+                    public is None or must <= public - 1 <= n - banned)
+                honest = _NO if not possible else _UNKNOWN if kind is DidDetectiveDoIt else _YES
+            else:
+                # `most`: the most persons a compatible criminal set free of
+                # `absent` or within the group may hold, -1 when none may.
+                if absent is not None:
+                    # A set free of a person p knows guilty is not compatible;
+                    # one p knows innocent is among the banned already.
+                    known = absent == p or row[kw.knowledge._position[absent]]
+                    most = -1 if known and absent in guilty else n - banned - (not known)
+                elif group is kw._person_set:
+                    # Every compatible set is within the roster.
+                    most = n - banned
+                else:
+                    most = _compatible_within(kw, p, group)
+                if kind is PossibleExact:
+                    # The one subset of the group as large as the group is the group.
+                    size = len(group)
+                target = public if size is None else size
+                honest = _YES if (public is None or size is None or size == public) and (
+                    most > 0 if target is None else 1 <= target and must <= target <= most) \
+                    else _NO
 
-    if rng is None or not liar:
+    if rng is None or speaker.island is not _LIARS:
         return Answer(p, question, honest, kw.secret if honest is _TOKEN else None)
     if kind is SecretAttribute:
         while True:

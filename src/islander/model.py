@@ -708,6 +708,10 @@ def lies_when_asked_guilt(world: World, person: str) -> bool:
     return (t.island is Island.LIARS) is not (t.partial and person in world.guilty)
 
 
+# Marks an evaluation frame that waits for its left operand.
+_WAITING = object()
+
+
 def eval_formula(
     world: World,
     formula: Formula,
@@ -716,9 +720,81 @@ def eval_formula(
     """Classical two-valued evaluation of a formula in a world.
 
     Truthful(label) evaluates the referenced statement's body in the same
-    world, at face value. KnowsWhodunit is true for the guilty by
-    construction and reads a free value for the innocent.
+    world, at face value; a body that reaches its own label again raises
+    UnknownReference. KnowsWhodunit is true for the guilty by construction
+    and reads a free value for the innocent.
+
+    The walk runs over an explicit stack, so any depth works. Operands are
+    evaluated left first and short-circuit as Python's `and` and `or` do:
+    `and` skips its right operand after a false left one, `or` and `->`
+    after a true one, `<->` never; so a bad reference in a skipped operand
+    raises nothing.
     """
+    # Each pending frame is a node waiting for the value of its left operand
+    # (`left` _WAITING), for that of its right one (`left` the left value,
+    # which only `<->` reads), or for that of its only operand or body.
+    pending: list[tuple[Formula, object]] = []
+    push, pop = pending.append, pending.pop
+    active: set[str] = set()  # labels whose bodies are being evaluated
+    node = formula
+    while True:
+        # Down the left operands to an atom.
+        while True:
+            kind = type(node)
+            if kind in _BINARY_CONNECTIVES:
+                push((node, _WAITING))
+                node = node.left
+            elif kind is Not:
+                push((node, None))
+                node = node.operand
+            elif kind is Truthful:
+                label = node.label
+                if statements is None or label not in statements:
+                    raise UnknownReference(f"unknown statement label '{label}'")
+                body = statements[label].body
+                if body is None:
+                    raise UnknownReference(f"statement '{label}' is unmodeled")
+                if label in active:
+                    raise UnknownReference(f"statement '{label}' refers to itself")
+                active.add(label)
+                push((node, None))
+                node = body
+            else:
+                value = _atom_value(world, node)
+                break
+        # Up to the first node whose right operand is still due.
+        while pending:
+            parent, left = pop()
+            kind = type(parent)
+            if left is _WAITING:
+                # `a and b` is a when a is false, `a or b` a when a is true,
+                # and `a -> b` true when a is false; else b decides.
+                if kind is And:
+                    if not value:
+                        continue
+                elif kind is Or:
+                    if value:
+                        continue
+                elif kind is Implies:
+                    if not value:
+                        value = True
+                        continue
+                else:  # `<->` keeps a's value until b's is known
+                    push((parent, value))
+                node = parent.right
+                break
+            if kind is Not:
+                value = not value
+            elif kind is Iff:
+                value = left == value
+            else:
+                active.discard(parent.label)
+        else:
+            return value
+
+
+def _atom_value(world: World, formula: Formula) -> bool:
+    """The value of a formula that is neither a connective nor `truthful()`."""
     match formula:
         case Const(value):
             return value
@@ -740,13 +816,6 @@ def eval_formula(
             if op == ">=":
                 return n >= k
             raise UnknownReference(f"bad count comparison op '{op}'")
-        case Truthful(label):
-            if statements is None or label not in statements:
-                raise UnknownReference(f"unknown statement label '{label}'")
-            body = statements[label].body
-            if body is None:
-                raise UnknownReference(f"statement '{label}' is unmodeled")
-            return eval_formula(world, body, statements)
         case LiesWhenAskedGuilt(person):
             return lies_when_asked_guilt(world, person)
         case KnowsWhodunit(person):
@@ -756,16 +825,6 @@ def eval_formula(
             if name not in world.free_values:
                 raise UnknownReference(f"unknown free atom '{name}'")
             return world.free_values[name]
-        case Not(operand):
-            return not eval_formula(world, operand, statements)
-        case And(left, right):
-            return eval_formula(world, left, statements) and eval_formula(world, right, statements)
-        case Or(left, right):
-            return eval_formula(world, left, statements) or eval_formula(world, right, statements)
-        case Implies(left, right):
-            return (not eval_formula(world, left, statements)) or eval_formula(world, right, statements)
-        case Iff(left, right):
-            return eval_formula(world, left, statements) == eval_formula(world, right, statements)
         case _:
             raise UnknownReference(f"unknown formula node {formula!r}")
 

@@ -25,13 +25,19 @@ every group, every asker and every world against plain subset enumeration:
 every type at n <= 2, and one type at n = 3, since those answers do not
 read types. On the same worlds every other question class is checked the
 same way, honest answers against the oracle and spoken answers against the
-speaker-type rule, the adversary's draws included.
+speaker-type rule, the adversary's draws included. Each honest answer is
+also asked of a copy of the world whose rows are drawn on first read: an
+answer that the truth or the asker's own guilt settles must leave it
+undrawn. Past three persons, a property test checks every question class
+against the same oracle on random worlds of 4 to 8 persons.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islander import interrogation
 from islander.interrogation import (
@@ -270,21 +276,63 @@ def oracle_questions(kw, p):
 FLIP = {AnswerValue.YES: AnswerValue.NO, AnswerValue.NO: AnswerValue.YES}
 
 
+def settled_without_rows(kw, p, question):
+    """Does the question's honest answer follow from the truth or from p's
+    own guilt? The guilty set is compatible with everyone's knowledge, so
+    the answer is yes when it fits the question; p knows their own guilt, so
+    it is no when every set that fits disagrees with it. The questions of
+    the type alone need no knowledge at all."""
+    guilty, mine = kw.guilty, p in kw.guilty
+    match question:
+        case KnownFact() | DirectGuilt() | SecretAttribute():
+            return True
+        case PossibleInnocent(q):
+            return q not in guilty or q == p
+        case PossibleSubset(group):
+            return guilty <= group or (mine and p not in group)
+        case PossibleExact(group):
+            return group == guilty or (p in group) is not mine
+        case PossibleSizeExcludingSelf(m):
+            return mine or m == len(guilty)
+    return False
+
+
+def deferred_copy(kw):
+    """`kw` with its rows given as a deferred draw, so a read shows."""
+    rows = kw.knowledge.rows
+    knowledge = KnowledgeRows(kw.persons, kw.guilty, lambda: rows)
+    return KnowledgeWorld(kw.persons, kw.type_of, kw.guilty, knowledge, kw.count_public, kw.secret)
+
+
+def undrawn(kw):
+    return "rows" not in vars(kw.knowledge) and "_askers" not in vars(kw)
+
+
 def test_every_question_class_on_every_world_of_up_to_three_persons():
     """Honest answers against the oracle, and spoken answers against the type
     rule: a partial type's honest answer to the guilt question is no, a liar
     flips yes and no, names a wrong token for the secret, and turns an honest
-    "I don't know" into one adversary draw; a truth-teller draws nothing."""
+    "I don't know" into one adversary draw; a truth-teller draws nothing.
+    Each honest answer is asked again of a copy of the world whose rows are
+    drawn on first read: it is the same, and one that the truth or the
+    asker's own guilt settles leaves the copy undrawn."""
     worlds = itertools.chain(all_worlds(1, ALL_TYPES), all_worlds(2, ALL_TYPES),
                              all_worlds(3, ALL_TYPES[:1]))
-    answers = 0
+    answers = settled = 0
     for kw in worlds:
+        deferred = deferred_copy(kw)
         for p in kw.persons:
             speaker = kw.type_of[p]
             for question, honest in oracle_questions(kw, p):
                 truthful = truthful_answer(kw, p, question)
                 assert truthful.value is honest, (kw, p, question)
                 assert truthful.token == (kw.secret if honest is AnswerValue.TOKEN else None)
+                assert truthful_answer(deferred, p, question) == truthful, (kw, p, question)
+                if settled_without_rows(kw, p, question):
+                    assert undrawn(deferred), (kw, p, question)
+                    settled += 1
+                elif not undrawn(deferred):
+                    deferred = deferred_copy(kw)
                 if speaker.partial and isinstance(question, DirectGuilt):
                     honest = AnswerValue.NO
                 rng, reference = random.Random(answers), random.Random(answers)
@@ -301,4 +349,39 @@ def test_every_question_class_on_every_world_of_up_to_three_persons():
                 assert (spoken.value, spoken.token) == (expected, token), (kw, p, question)
                 assert rng.getstate() == reference.getstate(), (kw, p, question)
                 answers += 1
-    assert answers == 60000
+    assert (answers, settled) == (60000, 39120)
+
+
+@st.composite
+def worlds_and_groups(draw):
+    """A world of 4 to 8 persons, with any types, guilty set and knowledge,
+    the count hidden or public, and a few groups to ask about."""
+    n = draw(st.integers(4, 8))
+    persons = tuple(f"P{i}" for i in range(1, n + 1))
+    type_of = dict(zip(persons, draw(st.lists(st.sampled_from(ALL_TYPES),
+                                              min_size=n, max_size=n))))
+    guilty = frozenset(draw(st.sets(st.sampled_from(persons), min_size=1)))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rows = tuple(bytes(bits[i * n + j] and i != j for j in range(n)) for i in range(n))
+    count_public = len(guilty) if draw(st.booleans()) else None
+    kw = KnowledgeWorld(persons, type_of, guilty, KnowledgeRows(persons, guilty, rows),
+                        count_public, secret="secret")
+    groups = draw(st.lists(st.frozensets(st.sampled_from(persons)), max_size=6))
+    return kw, groups + [kw.guilty, kw._person_set - kw.guilty]
+
+
+@settings(max_examples=150, deadline=None)
+@given(worlds_and_groups())
+def test_possibility_answers_past_three_persons_match_the_oracle(world_and_groups):
+    """Every question class, listed groups included, against plain subset
+    enumeration on worlds too large for the exhaustive tests."""
+    kw, groups = world_and_groups
+    for p in kw.persons:
+        sets = compatible_sets(kw, p)
+        asked = oracle_questions(kw, p)
+        for group in groups:
+            for question, yes in ((PossibleSubset(group), any(s <= group for s in sets)),
+                                  (PossibleExact(group), group in sets)):
+                asked.append((question, AnswerValue.YES if yes else AnswerValue.NO))
+        for question, honest in asked:
+            assert truthful_answer(kw, p, question).value is honest, (p, question)

@@ -281,10 +281,8 @@ class TestKnowledgeIndex:
     def assert_matches_rescan(self, kw):
         for p in kw.persons:
             must, banned = self.rescan(kw, p)
-            assert kw._askers[p][:2] == (len(must), len(banned)), p
-            speaker = kw.type_of[p]
-            assert kw._askers[p][2:] == (kw.knowledge.rows[kw.persons.index(p)],
-                                         speaker.island is Island.LIARS, speaker.partial), p
+            assert kw._askers[p] == (len(must), len(banned),
+                                     kw.knowledge.rows[kw.persons.index(p)]), p
 
     def test_known_criminals_match_a_rescan(self):
         for seed in range(30):
@@ -1231,8 +1229,30 @@ class TestDeferredDraw:
             truthful_answer(secret, p, SecretAttribute())
             spoken_answer(secret, p, SecretAttribute(), rng)
         assert undrawn(secret)
+        # Could a criminal other than the asker be innocent? Only the asker's
+        # row can tell.
+        target = min(kw.guilty)
+        asker = next(p for p in kw.persons if p != target)
         with pytest.raises(AssertionError, match="drawn"):
-            truthful_answer(kw, "P1", PossibleInnocent("P2"))
+            truthful_answer(kw, asker, PossibleInnocent(target))
+
+    @pytest.mark.parametrize("density", [2 ** -53, 0.3, 1.0])
+    def test_robust_strategies_about_the_askers_themselves_leave_the_world_undrawn(
+            self, monkeypatch, density):
+        """Robust `solve_liars` and `solve_mixed` ask each person about
+        themselves: the truth or the asker's own guilt settles every answer.
+        Asking about others still reads the rows."""
+        monkeypatch.setattr(interrogation, "_draw_rows", no_draws)
+        for name, island in (("solve_liars", "liars"), ("solve_mixed", "mixed")):
+            for public, seed in itertools.product((False, True), range(3)):
+                kw = generate_knowledge_world(40, island, (1, 40), density,
+                                              count_public=public, seed=seed)
+                result = run_strategy(kw, name, random.Random(seed))
+                assert result.accused == kw.guilty and undrawn(kw), (name, public, seed)
+        for name in ("ask_all_about_others", "solve_truthtellers"):
+            kw = generate_knowledge_world(40, "tt", (1, 3), density, seed=1)
+            with pytest.raises(AssertionError, match="drawn"):
+                run_strategy(kw, name, random.Random(1))
 
     def test_strategies_run_alike_on_drawn_and_undrawn_worlds(self):
         for name, strategy in STRATEGIES.items():

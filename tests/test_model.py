@@ -185,6 +185,43 @@ class TestEval:
     def test_eval_is_deterministic_and_total(self, world, formula):
         assert eval_formula(world, formula) == eval_formula(world, formula)
 
+    @given(world_strategy, formula_strategy(PERSONS + ("Zelda",)))
+    def test_eval_reads_operands_as_a_plain_recursion_would(self, world, formula):
+        """Left operand first, skipping the right one as Python's `and` and
+        `or` do: the same value as a recursive reading, or the same unknown
+        person raised."""
+        def plain(node):
+            match node:
+                case Not(operand):
+                    return not plain(operand)
+                case And(left, right):
+                    return plain(left) and plain(right)
+                case Or(left, right):
+                    return plain(left) or plain(right)
+                case Implies(left, right):
+                    return (not plain(left)) or plain(right)
+                case Iff(left, right):
+                    return plain(left) == plain(right)
+            return eval_formula(world, node)
+
+        def outcome(evaluate):
+            try:
+                return evaluate(formula)
+            except UnknownReference as exc:
+                return str(exc)
+
+        assert outcome(plain) == outcome(lambda node: eval_formula(world, node))
+
+    def test_a_body_that_reaches_its_own_label_raises(self):
+        w = make_world()
+        table = {"s": Statement("s", "A", Or(Guilty("B"), Truthful("s"))),
+                 "t": Statement("t", "B", Guilty("A")),
+                 "u": Statement("u", "C", Iff(Truthful("t"), Not(Truthful("t"))))}
+        with pytest.raises(UnknownReference, match="'s' refers to itself"):
+            eval_formula(w, Truthful("s"), table)
+        # A label read twice, neither time within its own body, is no cycle.
+        assert eval_formula(w, Truthful("u"), table) is False
+
 
 class TestLiesWhenAskedGuilt:
     def test_table(self):

@@ -390,6 +390,26 @@ class TestLongFormulas:
             [w.key() for w in enumerate_worlds(short)]
 
 
+    @pytest.mark.parametrize("shape", ["and", "or", "->", "<->", "not", "parenthesized"])
+    def test_check_world_accepts_every_world_of_a_long_formula(self, shape):
+        """`check_world` evaluates a 5000-term chain, 3000 nested `not`s and a
+        3000-level parenthesized nesting that no operand short-circuits
+        without recursion, and accepts every world enumeration yields."""
+        if shape == "not":
+            text = chain_puzzle_text(1, "and").replace("guilty(A)", "not " * 3000 + "guilty(A)")
+        elif shape == "parenthesized":
+            atoms = ("guilty(A)", "type(B)=PT", "knows_whodunit(C)")
+            body = "".join(f"{atoms[i % 3]} <-> not (" for i in range(1500))
+            text = chain_puzzle_text(1, "and").replace("guilty(A)", body + "guilty(B)" + ")" * 1500)
+        else:
+            text = chain_puzzle_text(5000, shape)
+        puzzle = no_recursion(parse, text)
+        worlds = no_recursion(list, enumerate_worlds(puzzle))
+        assert worlds
+        for world in worlds:
+            assert no_recursion(check_world, puzzle, world).ok, world.key()
+
+
 class TestNoPerWorldEvaluation:
     def test_solve_and_enumerate_never_evaluate_a_single_world(self, monkeypatch):
         def refuse(*args, **kwargs):
