@@ -32,11 +32,12 @@ as a whole, and the tokens are parsed again with each compact atom's parts
 in its place, so the error names the fine token within it that the grammar
 stops at.
 
-Within one text, each distinct atom is read once: the parser keeps a table
-from an atom's tokens, or a compact atom's text, to the node they read to,
-and every later occurrence gets the same node. The table lives for one
-parse, and an atom under `axiom forall`, whose variable is a person only
-there, bypasses it. serialize() formats each distinct atom node once.
+Within one text, each distinct compact atom is read once: the parser keeps
+a table from a compact atom's text to the node it reads to, and every later
+occurrence gets the same node. The table lives for one parse, and an atom
+under `axiom forall`, whose variable is a person only there, bypasses it.
+An atom spelled any other way is read where it stands, from its fine
+tokens, every time. serialize() formats each distinct atom node once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
 and validation, serialize(), ==, hash, repr, the `axiom forall` expansion
@@ -319,7 +320,7 @@ class _Parser:
 
 class _PuzzleBuilder:
     def __init__(self) -> None:
-        self.suspects: list[str] = []
+        self.suspects: dict[str, None] = {}  # the roster, in order
         self.default_types: frozenset[SpeakerType] = _ISLAND_DOMAINS["mixed"]
         self.explicit_types: dict[str, frozenset[SpeakerType]] = {}
         self.count: CountCmp | None = None
@@ -330,12 +331,12 @@ class _PuzzleBuilder:
         self.labels: set[str] = set()
         self.modeled_labels: set[str] = set()
         self.axioms: list[Formula] = []
-        # An atom's tokens, or a compact atom's text, -> the node they read
-        # to, outside `axiom forall`. Tokens carry no position, so equal atoms
-        # anywhere in the text are one key. An atom that read well reads the
-        # same for the rest of the text: the roster is fixed once read, and
-        # labels are only added.
-        self.atoms: dict[tuple[Token, ...] | str, Formula] = {}
+        # A compact atom's text -> the node it reads to, outside `axiom
+        # forall`, so equal compact atoms anywhere in the text are one node.
+        # An atom that read well reads the same for the rest of the text: the
+        # roster is fixed once read, and labels are only added. An atom
+        # spelled any other way is read where it stands and is not kept.
+        self.atoms: dict[str, Formula] = {}
 
 
 # The words of the `island` directive, each with the default type domain it
@@ -426,7 +427,7 @@ def _parse_suspects(p: _Parser, b: _PuzzleBuilder) -> None:
         tok = p.expect_name("a suspect name")
         if tok.text in b.suspects:
             raise _Failure(p.pos - 1, f"duplicate suspect '{tok.text}'")
-        b.suspects.append(tok.text)
+        b.suspects[tok.text] = None
         if p.peek().kind != ",":
             break
         p.pos += 1
@@ -689,10 +690,11 @@ KEYWORDS = frozenset({
 
 
 def _parse_primary(p, b, extra) -> Formula:
-    """One atom; parentheses and `not` are _parse_formula's. An atom whose
-    tokens, or compact text, were read before in this text is the node they
-    read to then, and the cursor skips its tokens, so a later failure names
-    its own index."""
+    """One atom; parentheses and `not` are _parse_formula's. A compact atom
+    whose text was read before in this text is the node it read to then, and
+    the cursor skips it, so a later failure names its own index. Under
+    `axiom forall` a compact atom is read anew from its parts, and an atom
+    spelled any other way is always read where it stands, by `_read_row`."""
     tok = p.tokens[p.pos]
     if tok.kind == "atom":
         atom = None if extra else b.atoms.get(tok.text)
@@ -710,17 +712,8 @@ def _parse_primary(p, b, extra) -> Formula:
             raise _Failure(p.pos, f"unknown atom '{tok.text}'", ATOM_EXPECTED)
         p.pos += 1
         return TRUE if tok.text == "true" else FALSE
-    if extra:  # a template: its variable is a person only here
-        p.pos += 1
-        return _read_row(p, b, extra, row)
-    key = p.tokens[p.pos:p.pos + len(row)]  # each slot reads one token
-    atom = b.atoms.get(key)
-    if atom is None:
-        p.pos += 1
-        atom = b.atoms[key] = _read_row(p, b, extra, row)
-    else:
-        p.pos += len(row)
-    return atom
+    p.pos += 1
+    return _read_row(p, b, extra, row)
 
 
 def _read_parts(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], tok: Token) -> Formula:
@@ -765,7 +758,8 @@ def format_formula(formula: Formula) -> str:
 
 def _format(formula: Formula, atoms: dict[int, str]) -> str:
     """format_formula, with `atoms` the text of each atom node formatted
-    before, by identity: a parsed puzzle shares its equal atoms' nodes."""
+    before, by identity: a parsed puzzle shares its equal compact atoms'
+    nodes."""
     parts: list[str] = []
     text, stack = parts.append, [formula]
 

@@ -90,15 +90,26 @@ DEFAULT_CANDIDATE_CEILING = 2 ** 28
 _CHUNK_CANDIDATES = 2 ** 20
 
 
+def _count_text(count: int) -> str:
+    """`count` in decimal below 2^255, else `more than 2^k` with 2^k < count:
+    a longer decimal says nothing, and past the interpreter's int-to-str
+    limit it cannot be written at all."""
+    if count.bit_length() < 256:
+        return str(count)
+    return f"more than 2^{(count - 1).bit_length() - 1}"
+
+
 class SearchSpaceError(ValueError):
-    """The puzzle's candidate space exceeds the configured ceiling."""
+    """The puzzle's candidate space exceeds the configured ceiling. The
+    message writes a long count or ceiling in bounded form; `candidates`
+    and `ceiling` are exact."""
 
     def __init__(self, candidates: int, ceiling: int):
         self.candidates = candidates
         self.ceiling = ceiling
         super().__init__(
-            f"search space of {candidates} candidate worlds exceeds the ceiling "
-            f"of {ceiling}; raise the ceiling explicitly to solve this puzzle"
+            f"search space of {_count_text(candidates)} candidate worlds exceeds the ceiling "
+            f"of {_count_text(ceiling)}; raise the ceiling explicitly to solve this puzzle"
         )
 
 

@@ -44,6 +44,11 @@ def run_process(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def huge_roster_text(n: int) -> str:
+    """A puzzle of `n` suspects of every type: 8^n candidate worlds."""
+    return "puzzle { suspects " + ", ".join(f"S{i}" for i in range(n)) + "; criminals = 1; }"
+
+
 class TestSolveCommand:
     def test_unique_guilt_exits_zero(self, capsys):
         code, out, _ = run(capsys, "solve", str(corpus_dir() / "jonathan.puz"))
@@ -104,6 +109,15 @@ class TestSolveCommand:
         code, out, err = run_process("solve", str(puz))
         assert (code, out) == (1, "")
         assert err == f"{puz}:1:34: integer literal of 5000 digits is too long\n"
+
+    def test_a_search_space_too_long_to_print_exits_one_without_traceback(self, tmp_path):
+        puz = tmp_path / "crowd.puz"
+        puz.write_text(huge_roster_text(4800))
+        code, out, err = run_process("solve", str(puz))
+        assert (code, out) == (1, "")
+        assert err == ("islander: search space of more than 2^14399 candidate worlds exceeds "
+                       "the ceiling of 268435456; raise the ceiling explicitly to solve this "
+                       "puzzle\n")
 
     def test_each_puzzle_is_validated_once(self, capsys, monkeypatch):
         # A parsed puzzle is checked by the parser alone, as it reads it; a
@@ -227,6 +241,17 @@ class TestCorpusCommand:
             code, out, err = run_process("corpus", "--dir", str(tmp_path))
             assert (code, err) == (1, "")
             assert out.startswith("will  FAIL  unreadable expectation file will.expected.json: ")
+
+    def test_a_search_space_too_long_to_print_is_a_fail_row(self, tmp_path):
+        shutil.copy(corpus_dir() / "will.puz", tmp_path / "will.puz")
+        shutil.copy(corpus_dir() / "will.expected.json", tmp_path / "will.expected.json")
+        (tmp_path / "crowd.puz").write_text(huge_roster_text(4800))
+        code, out, err = run_process("corpus", "--dir", str(tmp_path))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "crowd  FAIL  search space of more than 2^14399 candidate worlds exceeds the "
+            "ceiling of 268435456; raise the ceiling explicitly to solve this puzzle",
+            "will   PASS"]
 
     def test_missing_expectation_fails(self, capsys, tmp_path):
         shutil.copy(corpus_dir() / "will.puz", tmp_path / "will.puz")

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,25 @@ class TestParseBasics:
     def test_comments_and_whitespace(self):
         text = "# header\npuzzle {  # inline\n  suspects A;\n  criminals = 1; # eol\n}\n"
         assert parse(text).suspects == ("A",)
+
+    def test_the_roster_check_does_not_grow_with_the_roster(self):
+        # One statement per suspect, so every name is looked up in the
+        # roster: 8 times the suspects may take at most 30 times as long (a
+        # roster held as a list took about 55 times as long).
+        def best_of_3(n: int) -> float:
+            names = [f"S{i}" for i in range(n)]
+            text = ("puzzle { suspects " + ", ".join(names) + "; criminals = 1; "
+                    + " ".join(f"statement s{i} {name}: guilty({name});"
+                               for i, name in enumerate(names)) + " }")
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert parse(text).suspects == tuple(names)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(2000), best_of_3(16000)
+        assert large < 30 * small, (small, large)
 
 
 PREFIX = "puzzle { suspects A, B, C; criminals >= 1; statement s1 A: "
@@ -672,6 +692,43 @@ class TestTheParserIsTheCheck:
             capture_output=True, text=True, check=True).stdout
         assert fresh == repr((str(info.value), info.value.message)) + "\n"
         assert info.value.message == "unknown suspect 'Bo'"
+
+
+class TestOneAtomTable:
+    """The atom table is keyed by compact-atom text alone: an atom spelled
+    any other way is read where it stands, every time."""
+
+    HAND = ("puzzle { suspects A, B; criminals = 1; statement s1 A: guilty ( A ) and "
+            "type (B)= AT and count>=2; statement s2 B: truthful( s1 ) or guilty\n(A); "
+            "axiom not guilty ( A ) # a comment\n or lies_about_guilt(B ); }")
+    COMPACT = ("puzzle { suspects A, B; criminals = 1; statement s1 A: guilty(A) and "
+               "type(B)=AT and count >= 2; statement s2 B: truthful(s1) or guilty(A); "
+               "axiom not guilty(A) or lies_about_guilt(B); }")
+
+    def test_a_hand_spaced_text_parses_as_its_compact_spelling_and_keeps_no_atom(
+            self, monkeypatch):
+        builders = []
+
+        class Spy(dsl._PuzzleBuilder):
+            def __init__(self):
+                super().__init__()
+                builders.append(self)
+
+        monkeypatch.setattr(dsl, "_PuzzleBuilder", Spy)
+        assert "atom" not in {tok.kind for tok in dsl._read(self.HAND)}
+        hand = parse(self.HAND)
+        assert [b.atoms for b in builders] == [{}]
+        assert hand == parse(self.COMPACT)
+        assert set(builders[1].atoms) == {"guilty(A)", "type(B)=AT", "count >= 2",
+                                          "truthful(s1)", "lies_about_guilt(B)"}
+
+    def test_a_hand_spaced_atom_written_twice_fails_at_its_first_occurrence(self):
+        text = ("puzzle { suspects A; criminals = 1; "
+                "statement s A: guilty ( B ) or guilty ( B ); }")
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert _error(info.value) == (SourceSpan(1, text.index("B )") + 1, 1),
+                                      "unknown suspect 'B'", ())
 
 
 class TestDepth:

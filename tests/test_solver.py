@@ -160,6 +160,27 @@ class TestEnumerateWorlds:
         stream = enumerate_worlds(puzzle, ceiling=2 ** 40)
         assert next(stream) is not None
 
+    def test_a_search_space_too_long_to_print_is_refused_in_bounded_form(self):
+        refusal = ("search space of {} candidate worlds exceeds the ceiling of {}; "
+                   "raise the ceiling explicitly to solve this puzzle")
+        # 8^4800 = 2^14400 candidates: 4,336 decimal digits, past the
+        # interpreter's int-to-str limit.
+        suspects = tuple(f"S{i}" for i in range(4800))
+        puzzle = Puzzle(suspects=suspects,
+                        type_domain={s: frozenset(ALL_TYPES) for s in suspects},
+                        count=CountCmp("=", 1))
+        with pytest.raises(SearchSpaceError) as info:
+            solve(puzzle)
+        assert (info.value.candidates, info.value.ceiling) == (8 ** 4800, 2 ** 28)
+        assert str(info.value) == refusal.format("more than 2^14399", 2 ** 28)
+        # Counts below 2^255 are written in full, longer ones as a power of
+        # two they exceed.
+        assert str(SearchSpaceError(8 ** 12, 2 ** 20)) == refusal.format(8 ** 12, 2 ** 20)
+        assert str(SearchSpaceError(2 ** 256 - 1, 2 ** 255 + 1)) == refusal.format(
+            "more than 2^255", "more than 2^255")
+        assert str(SearchSpaceError(2 ** 255 - 1, 2 ** 254)) == refusal.format(
+            2 ** 255 - 1, 2 ** 254)
+
     def test_whodunit_bit_only_enumerated_for_the_innocent(self):
         puzzle = Puzzle(
             suspects=("A", "B"),
