@@ -263,9 +263,10 @@ def _cmd_simulate(args) -> int:
     if args.trials < 1:
         print("islander: --trials must be at least 1", file=sys.stderr)
         return EXIT_ERROR
-    if args.island not in strategy.islands:
-        print(f"islander: precondition refused: the {args.strategy} strategy is declared for "
-              f"--island {' or '.join(strategy.islands)}, not {args.island}", file=sys.stderr)
+    refusal = strategy.refusal(args.strategy, args.island, args.count_public,
+                               strategy.needs_secret)
+    if refusal:
+        print(f"islander: precondition refused: {refusal}", file=sys.stderr)
         return EXIT_ERROR
     seed = args.seed if args.seed is not None else _default_seed()
     criminals = _parse_criminals(args.criminals, args.n)

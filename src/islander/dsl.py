@@ -34,8 +34,8 @@ stops at.
 
 Within one text, each distinct compact atom is read once: the parser keeps
 a table from a compact atom's text to the node it reads to, and every later
-occurrence gets the same node. The table lives for one parse, and an atom
-under `axiom forall`, whose variable is a person only there, bypasses it.
+occurrence gets the same node. The table lives for one parse; an `axiom
+forall` template, where its variable is a suspect, is read with its own.
 An atom spelled any other way is read where it stands, from its fine
 tokens, every time. serialize() formats each distinct atom node once.
 
@@ -331,8 +331,8 @@ class _PuzzleBuilder:
         self.labels: set[str] = set()
         self.modeled_labels: set[str] = set()
         self.axioms: list[Formula] = []
-        # A compact atom's text -> the node it reads to, outside `axiom
-        # forall`, so equal compact atoms anywhere in the text are one node.
+        # A compact atom's text -> the node it reads to, so equal compact
+        # atoms anywhere in the text (or in one `axiom forall`) are one node.
         # An atom that read well reads the same for the rest of the text: the
         # roster is fixed once read, and labels are only added. An atom
         # spelled any other way is read where it stands and is not kept.
@@ -370,8 +370,8 @@ def parse(text: str) -> Puzzle:
     raw, start, line, column = _locate(text, index)
     if raw == '"':
         raise _bad_string(text, start, line, column) from None
-    tok = _classify([raw])[raw]  # None for a bad character
-    length = 1 if tok is None else max(1, len(tok.text))
+    # The token as written; the end of input spans its name, "end of input".
+    length = len(raw) or len(_EOF.text)
     raise ParseError(SourceSpan(line, column, length), message, expected) from None
 
 
@@ -483,7 +483,7 @@ def _parse_criminals(p: _Parser, b: _PuzzleBuilder) -> None:
 def _parse_typecount(p: _Parser, b: _PuzzleBuilder) -> None:
     b.cardinality_at = p.pos - 1
     form = p.expect_word(*_TYPECOUNTS)
-    b.cardinality = _read_row(p, b, frozenset(), _TYPECOUNTS[form.text])
+    b.cardinality = _read_row(p, b, _TYPECOUNTS[form.text])
     if isinstance(b.cardinality, AtMostDistinct) and b.cardinality.n < 1:
         raise _Failure(b.cardinality_at + 1, "at_most_distinct bound must be at least 1")
     p.expect_punct(";")
@@ -509,13 +509,17 @@ def _parse_statement(p: _Parser, b: _PuzzleBuilder) -> None:
 
 def _parse_axiom(p: _Parser, b: _PuzzleBuilder) -> None:
     if p.eat_word("forall"):
-        var_tok = p.expect_name("a quantifier variable")
-        if var_tok.text in b.suspects:
-            raise _Failure(p.pos - 1, f"forall variable '{var_tok.text}' shadows a suspect")
+        var = p.expect_name("a quantifier variable").text
+        if var in b.suspects:
+            raise _Failure(p.pos - 1, f"forall variable '{var}' shadows a suspect")
         p.expect_punct(":")
-        template = _parse_formula(p, b, extra_persons=frozenset({var_tok.text}))
+        # The variable is a suspect in the template alone, with its own atoms.
+        suspects, atoms = b.suspects, b.atoms
+        b.suspects, b.atoms = {**suspects, var: None}, {}
+        template = _parse_formula(p, b)
+        b.suspects, b.atoms = suspects, atoms
         for suspect in b.suspects:
-            b.axioms.append(replace_person(template, var_tok.text, suspect))
+            b.axioms.append(replace_person(template, var, suspect))
     else:
         b.axioms.append(_parse_formula(p, b))
     p.expect_punct(";")
@@ -542,8 +546,7 @@ _OPEN = (0, None, None)
 _NOT = (_PRECEDENCE[Not], Not, None)
 
 
-def _parse_formula(p: _Parser, b: _PuzzleBuilder,
-                   extra_persons: frozenset[str] = frozenset()) -> Formula:
+def _parse_formula(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """Precedence climbing over an explicit operator stack, so nesting depth
     and chain length never touch the Python stack. The grammar is the one in
     docs/grammar.md; errors are raised at the same tokens as by a recursive
@@ -560,7 +563,7 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder,
             stack.append(_NOT)
             p.pos += 1
             continue
-        value = _parse_primary(p, b, extra_persons)
+        value = _parse_primary(p, b)
         while True:  # operator position, with `value` the operand just read
             tok = tokens[p.pos]
             op = _BINARY.get(tok.text if tok.kind == "ident" else tok.kind)
@@ -581,18 +584,18 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder,
             stack.pop()
 
 
-def _expect_suspect(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str] = frozenset()) -> str:
+def _expect_suspect(p: _Parser, b: _PuzzleBuilder) -> str:
     tok = p.expect("ident", "a suspect name")
-    if tok.text not in b.suspects and tok.text not in extra:
+    if tok.text not in b.suspects:
         raise _Failure(p.pos - 1, f"unknown suspect '{tok.text}'")
     return tok.text
 
 
-def _expect_type(p: _Parser, b: object = None, extra: object = None) -> SpeakerType:
+def _expect_type(p: _Parser, b: object = None) -> SpeakerType:
     return _TYPE_BY_NAME[p.expect_word(*_TYPE_BY_NAME).text]
 
 
-def _expect_label(p: _Parser, b: _PuzzleBuilder, extra: object) -> str:
+def _expect_label(p: _Parser, b: _PuzzleBuilder) -> str:
     """The label of an earlier, modeled statement."""
     tok = p.expect("ident", "a statement label")
     if tok.text not in b.labels:
@@ -603,7 +606,7 @@ def _expect_label(p: _Parser, b: _PuzzleBuilder, extra: object) -> str:
     return tok.text
 
 
-def _expect_free_name(p: _Parser, b: object, extra: object) -> str:
+def _expect_free_name(p: _Parser, b: object) -> str:
     tok = p.expect("string", "a quoted atom name")
     if not _is_name(tok.text):
         raise _Failure(p.pos - 1, f"free atom name '{tok.text}' must be an identifier")
@@ -617,18 +620,18 @@ def _words(words) -> str:
 
 
 # Each field of the nodes in `_ATOMS` and `_TYPECOUNTS`: how the parser reads
-# it, called as reader(parser, builder, extra persons), how the serializer
+# it, called as reader(parser, builder), how the serializer
 # writes it, as a str.format field of the node, and the regular expression
 # of the one token that the reader takes.
 _FIELDS = {
     "person": (_expect_suspect, "{0.person}", _TOKEN_CLASSES["ident"]),
     "speaker_type": (_expect_type, "{0.speaker_type.value}", _words(_TYPE_BY_NAME)),
-    "island": (lambda p, b, extra: _ISLAND_BY_NAME[p.expect_word(*_ISLAND_BY_NAME).text],
+    "island": (lambda p, b: _ISLAND_BY_NAME[p.expect_word(*_ISLAND_BY_NAME).text],
                "{0.island.value}", _words(_ISLAND_BY_NAME)),
-    "op": (lambda p, b, extra: p.expect_punct(*COUNT_OPS).kind, "{0.op}",
+    "op": (lambda p, b: p.expect_punct(*COUNT_OPS).kind, "{0.op}",
            "(?:" + "|".join(map(re.escape, COUNT_OPS)) + ")"),
-    "k": (lambda p, b, extra: p.expect_int(), "{0.k}", _TOKEN_CLASSES["int"]),
-    "n": (lambda p, b, extra: p.expect_int(), "{0.n}", _TOKEN_CLASSES["int"]),
+    "k": (lambda p, b: p.expect_int(), "{0.k}", _TOKEN_CLASSES["int"]),
+    "n": (lambda p, b: p.expect_int(), "{0.n}", _TOKEN_CLASSES["int"]),
     "label": (_expect_label, "{0.label}", _TOKEN_CLASSES["ident"]),
     "name": (_expect_free_name, '"{0.name}"', _TOKEN_CLASSES["string"]),
 }
@@ -689,19 +692,16 @@ KEYWORDS = frozenset({
 })
 
 
-def _parse_primary(p, b, extra) -> Formula:
+def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's. A compact atom
     whose text was read before in this text is the node it read to then, and
-    the cursor skips it, so a later failure names its own index. Under
-    `axiom forall` a compact atom is read anew from its parts, and an atom
+    the cursor skips it, so a later failure names its own index. An atom
     spelled any other way is always read where it stands, by `_read_row`."""
     tok = p.tokens[p.pos]
     if tok.kind == "atom":
-        atom = None if extra else b.atoms.get(tok.text)
+        atom = b.atoms.get(tok.text)
         if atom is None:
-            atom = _read_parts(p, b, extra, tok)
-            if not extra:
-                b.atoms[tok.text] = atom
+            atom = b.atoms[tok.text] = _read_parts(p, b, tok)
         p.pos += 1
         return atom
     if tok.kind != "ident":
@@ -713,20 +713,20 @@ def _parse_primary(p, b, extra) -> Formula:
         p.pos += 1
         return TRUE if tok.text == "true" else FALSE
     p.pos += 1
-    return _read_row(p, b, extra, row)
+    return _read_row(p, b, row)
 
 
-def _read_parts(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], tok: Token) -> Formula:
+def _read_parts(p: _Parser, b: _PuzzleBuilder, tok: Token) -> Formula:
     """The node of the compact atom `tok`, the next token, read from its
     parts as its fine tokens are read; a failure names its part."""
     try:
-        return _read_row(_Parser(tok.parts, 1), b, extra, _ATOMS[tok.parts[0].text])
+        return _read_row(_Parser(tok.parts, 1), b, _ATOMS[tok.parts[0].text])
     except _Failure as failure:
         part, message, expected = failure.args
     raise _Failure((p.pos, part), message, expected)
 
 
-def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) -> object:
+def _read_row(p: _Parser, b: _PuzzleBuilder, row: tuple) -> object:
     """The node of an `_ATOMS` or `_TYPECOUNTS` row, read by one loop over
     the tokens after its keyword."""
     tokens = p.tokens
@@ -734,7 +734,7 @@ def _read_row(p: _Parser, b: _PuzzleBuilder, extra: frozenset[str], row: tuple) 
     for slot in row[1:]:
         field = _FIELDS.get(slot)
         if field is not None:
-            args.append(field[0](p, b, extra))
+            args.append(field[0](p, b))
         elif tokens[p.pos].text == slot and tokens[p.pos].kind != "string":
             p.pos += 1  # the punctuation mark or word `slot`
         else:

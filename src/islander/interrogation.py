@@ -18,15 +18,17 @@ below are checked to be independent of those coin flips.
 `STRATEGIES` is the one place where a strategy and its premises are
 declared: for each name, its `run_<name>` runner, the island modes and
 count premise it accepts, whether it needs a secret or takes a mode, and
-what counts as success. `run_strategy` runs any entry by name, and the
-CLI's `--strategy` choices are the table's keys. Every runner asks through
-one loop, `_ask_each`: put each (asker, question, suspect) to the asker and
-accuse the suspect on the answer a criminal gives, a truth-teller's mark
-from an asker read as a truth-teller (by default, anyone from the
-truth-tellers' island) and its flip from anyone else; `classify_islands`
-reads every answer at face value. A question's transcript text follows one
-rule, `describe_question`: the class name in snake case, then its field, if
-it has one, in parentheses.
+what counts as success. `Strategy.refusal` checks a world against them, for
+`run_strategy`, which runs any entry by name, and for the CLI's `simulate`,
+whose `--strategy` choices are the table's keys, before any draw. A runner
+assumes them and checks only what no entry declares. Every runner asks
+through one loop, `_ask_each`: put each (asker, question, suspect) to the
+asker and accuse the suspect on the answer a criminal gives, a
+truth-teller's mark from an asker read as a truth-teller (by default,
+anyone from the truth-tellers' island) and its flip from anyone else;
+`classify_islands` reads every answer at face value. A question's
+transcript text follows one rule, `describe_question`: the class name in
+snake case, then its field, if it has one, in parentheses.
 
 A world's knowledge is always a `KnowledgeRows`: one `bytes` row per asker,
 `KnowledgeWorld.knowledge.rows`, where byte j of person i's row is 1 when i
@@ -305,9 +307,6 @@ class KnowledgeWorld:
 
     def knows(self, p: str, q: str) -> Knowledge:
         return self.knowledge.get((p, q), Knowledge.UNKNOWN)
-
-    def island_of(self, p: str) -> Island:
-        return self.type_of[p].island
 
     def truth_tellers(self) -> frozenset[str]:
         """The persons from the truth-tellers' island."""
@@ -644,7 +643,7 @@ def _result(accused: Iterable[str], transcript: Sequence[Answer]) -> StrategyRes
 
 def _ask_each(
     kw: KnowledgeWorld,
-    rng: random.Random,
+    rng: Optional[random.Random],
     asks: Iterable[tuple[str, Question, str]],
     guilty_says: AnswerValue,
     truth_tellers: Optional[collections.abc.Container[str]] = None,
@@ -654,6 +653,7 @@ def _ask_each(
     one of `truth_tellers` (by default, those from the truth-tellers'
     island), or its flip from any other. The one ask-and-read loop of the
     strategies: it makes one call per ask, the answer's."""
+    rng = rng or random.Random(0)
     if truth_tellers is None:
         truth_tellers = kw.truth_tellers()
     liar_says = {_YES: _NO, _NO: _YES}.get(guilty_says)
@@ -685,15 +685,6 @@ def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
     return lambda p: PossibleSubset(_AllBut(everyone, p))
 
 
-def _require_single_island(kw: KnowledgeWorld, island: Island, what: str) -> None:
-    wrong = [p for p in kw.persons if kw.island_of(p) is not island]
-    if wrong:
-        raise PreconditionError(
-            f"{what} requires everyone to be from the {island.value} island; "
-            f"{wrong[0]} is not"
-        )
-
-
 def _require_all_unknown(kw: KnowledgeWorld, what: str) -> None:
     if not kw.all_knowledge_unknown():
         raise PreconditionError(
@@ -707,7 +698,6 @@ def run_classify_islands(
     """Sort everyone by island with one control question each. Truth-tellers
     affirm a known truth; liars deny it. The accused are the persons
     classified as truth-tellers."""
-    rng = rng or random.Random(0)
     # Every answer is read at face value: a yes classifies its speaker.
     return _ask_each(kw, rng, _each(kw.persons, KnownFact(True)), _YES, kw._person_set)
 
@@ -721,7 +711,6 @@ def run_ask_all_about_others(
     the target must be guilty, so the accused are the criminals whose deed
     some other person knows about; never an innocent. Islands are assumed
     already known (run classification first on mixed crowds)."""
-    rng = rng or random.Random(0)
     persons = kw.persons
     questions = [(q, PossibleInnocent(q)) for q in persons]
     asks = ((p, question, q) for p in persons for q, question in questions if q != p)
@@ -731,10 +720,8 @@ def run_ask_all_about_others(
 def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
     """With the criminal count public and nobody knowing about anybody else,
     ask each person whether that many criminals could exist without them.
-    The guilty know they are in the gang, so their honest answer is no."""
-    rng = rng or random.Random(0)
-    if kw.count_public is None:
-        raise PreconditionError("count premise violated: the criminal count must be public")
+    The guilty know they are in the gang, so their honest answer is no.
+    Assumes the public count its entry declares, as `run_strategy` checks."""
     _require_all_unknown(kw, "the public-count strategy")
     return _ask_each(kw, rng, _each(kw.persons, PossibleSizeExcludingSelf(kw.count_public)), _NO)
 
@@ -742,12 +729,8 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
 def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
     """With no count known and no knowledge of others, ask everyone whether
     it is possible that everyone committed the crime. Only the guilty can
-    honestly say yes; the innocent know of their own innocence."""
-    rng = rng or random.Random(0)
-    if kw.count_public is not None:
-        raise PreconditionError(
-            "count premise violated: this strategy assumes the criminal count is not public"
-        )
+    honestly say yes; the innocent know of their own innocence. Assumes the
+    hidden count its entry declares, as `run_strategy` checks."""
     _require_all_unknown(kw, "the unknown-count strategy")
     return _ask_each(kw, rng, _each(kw.persons, PossibleExact(kw._person_set)), _YES)
 
@@ -759,9 +742,8 @@ def run_solve_truthtellers(
     everyone else, catching each criminal someone else knows about. Then each
     still-unidentified person is asked whether the crime could have been
     committed entirely by the identified criminals and the rest of the crowd,
-    i.e. without them; only a criminal must answer no."""
-    rng = rng or random.Random(0)
-    _require_single_island(kw, Island.TRUTH_TELLERS, "the truth-tellers strategy")
+    i.e. without them; only a criminal must answer no. Assumes the
+    truth-tellers' crowd its entry declares, as `run_strategy` checks."""
     known = run_ask_all_about_others(kw, rng)
     # The accused are all among everyone but p, so this asks about the
     # identified criminals and the rest of the crowd.
@@ -784,9 +766,9 @@ def run_solve_liars(
     including the askee; it is guaranteed only when nobody knows anything
     about anybody else, since an innocent whose knowledge rules the list out
     (a criminal missing from it, or an innocent on it) would honestly answer
-    no and get misaccused."""
+    no and get misaccused. Assumes the liars' crowd its entry declares, as
+    `run_strategy` checks."""
     rng = rng or random.Random(0)
-    _require_single_island(kw, Island.LIARS, "the liars strategy")
     if mode not in ("robust", "paper-literal"):
         raise PreconditionError(f"unknown liars-strategy mode '{mode}'")
 
@@ -814,7 +796,6 @@ def run_solve_mixed(
     """Classify islands with one question each, then ask each person whether
     the criminals could all be among the others, reading the answer through
     the island. At most two questions per person, for any crowd."""
-    rng = rng or random.Random(0)
     classified = run_classify_islands(kw, rng)
     tt = classified.accused
     found = _ask_each(kw, rng, _each(kw.persons, _among_the_others(kw)), _NO, tt)
@@ -827,19 +808,13 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     Truth-tellers are asked whether the detective did it: the criminal knows
     better and says no, the innocent honestly cannot tell. Liars get the
     possibility form of the same question so nobody has to answer "I don't
-    know", and the criminal's flipped answer is yes."""
-    rng = rng or random.Random(0)
+    know", and the criminal's flipped answer is yes. Assumes the one-island
+    crowd and public count its entry declares, as `run_strategy` checks."""
     if len(kw.guilty) != 1:
         raise PreconditionError("this strategy needs exactly one criminal")
-    if kw.count_public != 1:
-        raise PreconditionError("this strategy needs the one-criminal count to be public")
     _require_all_unknown(kw, "the lone-criminal strategy")
-    islands = {kw.island_of(p) for p in kw.persons}
-    if len(islands) != 1:
-        raise PreconditionError("this strategy needs a single-island crowd")
-    question: Question = (
-        DidDetectiveDoIt() if islands.pop() is Island.TRUTH_TELLERS else DetectivePossiblyGuilty()
-    )
+    tt = kw.type_of[kw.persons[0]].island is Island.TRUTH_TELLERS  # the crowd's one island
+    question: Question = DidDetectiveDoIt() if tt else DetectivePossiblyGuilty()
     return _ask_each(kw, rng, _each(kw.persons, question), _NO)
 
 
@@ -847,12 +822,9 @@ def run_secret_attribute(
     kw: KnowledgeWorld, rng: Optional[random.Random] = None
 ) -> StrategyResult:
     """Ask everyone for the crime detail only the criminals know. Truthful
-    criminals produce it, truthful innocents cannot. Refuses liar crowds:
+    criminals produce it, truthful innocents cannot. Assumes the secret and
+    the truth-tellers' crowd its entry declares, as `run_strategy` checks:
     an open-ended answer from a liar is arbitrary, not informative."""
-    rng = rng or random.Random(0)
-    if kw.secret is None:
-        raise PreconditionError("no secret attribute is configured for this world")
-    _require_single_island(kw, Island.TRUTH_TELLERS, "the secret-attribute strategy")
     # Only a truthful criminal answers with a token, and it is the secret.
     return _ask_each(kw, rng, _each(kw.persons, SecretAttribute()), _TOKEN)
 
@@ -882,7 +854,8 @@ class Strategy:
     the criminal count public or hidden, None when either will do.
     `needs_secret` says the world must carry a secret attribute, and
     `takes_mode` that the runner has variants chosen by a `mode` argument.
-    `succeeds(kw, result)` says whether a run did what the strategy promises."""
+    `succeeds(kw, result)` says whether a run did what the strategy promises.
+    `run_strategy` and `simulate` refuse from `refusal`, which reads the first three."""
 
     run: Callable[..., StrategyResult]
     islands: tuple[str, ...] = ISLAND_MODES
@@ -890,6 +863,19 @@ class Strategy:
     needs_secret: bool = False
     succeeds: Callable[[KnowledgeWorld, StrategyResult], bool] = _accuses_the_guilty
     takes_mode: bool = False
+
+    def refusal(self, name: str, island: str, count_public: bool, secret: bool) -> Optional[str]:
+        """Why a world of the island mode `island`, the count public or not and
+        a secret or not, is outside this entry for the strategy `name`, or None."""
+        declared = f"the {name} strategy is declared for"
+        if island not in self.islands:
+            return f"{declared} --island {' or '.join(self.islands)}, not {island}"
+        if self.count_public not in (None, count_public):
+            wanted, given = ("public", "hidden") if self.count_public else ("hidden", "public")
+            return f"{declared} a {wanted} criminal count, not a {given} one"
+        if self.needs_secret and not secret:
+            return f"{declared} a world with a secret, not one without"
+        return None
 
 
 # In the order the CLI lists them.
@@ -914,13 +900,19 @@ def run_strategy(
     rng: Optional[random.Random] = None,
     mode: str = "robust",
 ) -> StrategyResult:
-    """Run the registered strategy `name` on `kw`. Only a strategy that
-    `takes_mode` accepts a mode other than "robust"."""
+    """Run the registered strategy `name` on `kw` unless its entry refuses
+    the world. Only a strategy that `takes_mode` accepts a mode but "robust"."""
     strategy = STRATEGIES[name]
+    if mode != "robust" and not strategy.takes_mode:
+        raise PreconditionError(f"the {name} strategy has no mode '{mode}'")
+    # Any crowd is a mixed one: only a narrower entry reads the crowd's islands.
+    islands = set() if "mixed" in strategy.islands else {t.island for t in kw.type_of.values()}
+    island = "mixed" if len(islands) != 1 else "tt" if Island.TRUTH_TELLERS in islands else "liars"
+    refusal = strategy.refusal(name, island, kw.count_public is not None, kw.secret is not None)
+    if refusal:
+        raise PreconditionError(refusal)
     if strategy.takes_mode:
         return strategy.run(kw, rng, mode)
-    if mode != "robust":
-        raise PreconditionError(f"the {name} strategy has no mode '{mode}'")
     return strategy.run(kw, rng)
 
 

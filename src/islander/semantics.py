@@ -39,7 +39,8 @@ def admissible_for_type(
     The hypothetical type selects the rule; the formula itself is still
     evaluated against the world as it stands.
     """
-    if speaker_type.partial:
+    # An innocent person's guilt atom is false already: rebuild no body for it.
+    if speaker_type.partial and (speaker in world.guilty or speaker not in world.type_of):
         body = substitute_self_guilt(body, speaker, False)
     value = eval_formula(world, body, statements)
     return value is (speaker_type.island is Island.TRUTH_TELLERS)

@@ -302,6 +302,23 @@ class TestSimulateCommand:
                 assert err.startswith("islander: precondition refused: ")
                 assert " or ".join(strategy.islands) in err
 
+    @pytest.mark.parametrize("strategy, flags, declared, given", [
+        ("count_known", (), "public", "hidden"),
+        ("count_unknown", ("--count-public",), "hidden", "public"),
+    ])
+    def test_count_outside_the_declared_count_refused_before_any_draw(
+        self, capsys, monkeypatch, strategy, flags, declared, given
+    ):
+        def no_draw(**kwargs):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr(cli, "generate_knowledge_world", no_draw)
+        code, out, err = run(capsys, "simulate", "--strategy", strategy, "--n", "3",
+                             "--trials", "2", "--seed", "1", *flags)
+        assert (code, out) == (1, "")
+        assert err == (f"islander: precondition refused: the {strategy} strategy is declared "
+                       f"for a {declared} criminal count, not a {given} one\n")
+
     def test_paper_literal_liars_mode(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--strategy", "solve_liars", "--island", "liars",

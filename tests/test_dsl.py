@@ -474,7 +474,7 @@ class TestCompactAtoms:
 
     @pytest.mark.parametrize("text, error", [
         (_HEAD + 'statement s A: free("a b"); }',
-         (SourceSpan(1, 60, 3), "free atom name 'a b' must be an identifier", ())),
+         (SourceSpan(1, 60, 5), "free atom name 'a b' must be an identifier", ())),
         (_HEAD + "axiom forall X: guilty(X) and guilty(Y); }",
          (SourceSpan(1, 77, 1), "unknown suspect 'Y'", ())),
         (_HEAD + "statement s A: truthful(s); }",

@@ -686,7 +686,7 @@ class TestCountStrategies:
     def test_public_count_requires_public_count(self):
         kw = all_truth_tellers(4, {"P1"})
         with pytest.raises(PreconditionError, match="public"):
-            run_count_known(kw)
+            run_strategy(kw, "count_known")
 
     def test_public_count_refuses_informed_crowds(self):
         knowledge = {("P1", "P2"): Knowledge.KNOWS_GUILTY}
@@ -709,7 +709,7 @@ class TestCountStrategies:
     def test_unknown_count_refuses_public_count(self):
         kw = all_truth_tellers(3, {"P1"}, count_public=1)
         with pytest.raises(PreconditionError, match="count"):
-            run_count_unknown(kw)
+            run_strategy(kw, "count_unknown")
 
 
 class TestSolveStrategies:
@@ -739,7 +739,7 @@ class TestSolveStrategies:
     def test_truth_tellers_refuses_liars(self):
         kw = all_liars(3, {"P1"})
         with pytest.raises(PreconditionError, match="island"):
-            run_solve_truthtellers(kw)
+            run_strategy(kw, "solve_truthtellers")
 
     def test_liars_robust_two_secret_criminals(self):
         kw = all_liars(4, {"P2", "P3"})
@@ -832,15 +832,16 @@ class TestNeil:
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="one criminal"):
-            run_neil(all_truth_tellers(3, {"P1", "P2"}, count_public=2))
+            run_strategy(all_truth_tellers(3, {"P1", "P2"}, count_public=2), "neil")
         with pytest.raises(PreconditionError, match="public"):
-            run_neil(all_truth_tellers(3, {"P1"}))
+            run_strategy(all_truth_tellers(3, {"P1"}), "neil")
         knowledge = {("P2", "P1"): Knowledge.KNOWS_GUILTY}
         with pytest.raises(PreconditionError, match="know"):
-            run_neil(all_truth_tellers(3, {"P1"}, knowledge=knowledge, count_public=1))
+            run_strategy(all_truth_tellers(3, {"P1"}, knowledge=knowledge, count_public=1),
+                         "neil")
         mixed = make_kw({"A": AT, "B": AL}, {"A"}, count_public=1)
         with pytest.raises(PreconditionError, match="island"):
-            run_neil(mixed)
+            run_strategy(mixed, "neil")
 
 
 class TestSecretAttribute:
@@ -855,7 +856,7 @@ class TestSecretAttribute:
     def test_refuses_liar_crowds(self):
         kw = all_liars(3, {"P1"}, secret="secret-blue")
         with pytest.raises(PreconditionError, match="island"):
-            run_secret_attribute(kw)
+            run_strategy(kw, "secret_attribute")
 
     def test_requires_a_secret(self):
         kw = all_truth_tellers(3, {"P1"})
