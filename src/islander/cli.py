@@ -139,7 +139,7 @@ def _report_lines(report: SolveReport) -> list[str]:
 def _cmd_solve(args) -> int:
     path = Path(args.file)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"islander: cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -172,7 +172,7 @@ def _corpus_entries(directory) -> list:
 def _corpus_detail(directory, entry, name: str) -> str:
     """Why one corpus puzzle fails its expectation, or "" when it passes."""
     try:
-        report = solve(parse(entry.read_text(encoding="utf-8")))
+        report = solve(parse(entry.read_text(encoding="utf-8-sig")))
     except (OSError, UnicodeDecodeError) as exc:
         return f"cannot read {entry.name}: {exc}"
     except ParseError as exc:

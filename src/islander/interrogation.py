@@ -271,6 +271,10 @@ class KnowledgeWorld:
             raise KnowledgeWorldError("duplicate person names")
         if set(self.type_of) != set(self.persons):
             raise KnowledgeWorldError("types must cover exactly the persons")
+        # Types compared, not members hashed: an enum's hash runs Python code.
+        if not set(map(type, self.type_of.values())) <= {SpeakerType}:
+            p, t = next((p, t) for p, t in self.type_of.items() if type(t) is not SpeakerType)
+            raise KnowledgeWorldError(f"the type of '{p}' is {t!r}, not a speaker type")
         if not self.guilty:
             raise KnowledgeWorldError("the guilty set is empty: no crime to solve")
         if not self.guilty <= set(self.persons):
@@ -902,7 +906,9 @@ def run_strategy(
 ) -> StrategyResult:
     """Run the registered strategy `name` on `kw` unless its entry refuses
     the world. Only a strategy that `takes_mode` accepts a mode but "robust"."""
-    strategy = STRATEGIES[name]
+    strategy = STRATEGIES.get(name)
+    if strategy is None:
+        raise PreconditionError(f"no strategy '{name}' (the strategies: {', '.join(STRATEGIES)})")
     if mode != "robust" and not strategy.takes_mode:
         raise PreconditionError(f"the {name} strategy has no mode '{mode}'")
     # Any crowd is a mixed one: only a narrower entry reads the crowd's islands.

@@ -24,7 +24,6 @@ import re
 import sys
 from functools import cached_property
 from operator import attrgetter
-from types import CellType, FunctionType
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 
@@ -88,108 +87,37 @@ class Factory:
         self.make = make
 
 
-def _init_templates() -> tuple[Callable[..., None], ...]:
-    """One `__init__` per number of fields, setting the fields in order
-    through the closure cells s0, s1, ...; `_record_init` gives each record
-    class a copy with its own parameter names and cells."""
-    s0 = s1 = s2 = s3 = s4 = s5 = s6 = None
-
-    def init0(self):
-        pass
-
-    def init1(self, a0):
-        s0(self, a0)
-
-    def init2(self, a0, a1):
-        s0(self, a0)
-        s1(self, a1)
-
-    def init3(self, a0, a1, a2):
-        s0(self, a0)
-        s1(self, a1)
-        s2(self, a2)
-
-    def init4(self, a0, a1, a2, a3):
-        s0(self, a0)
-        s1(self, a1)
-        s2(self, a2)
-        s3(self, a3)
-
-    def init5(self, a0, a1, a2, a3, a4):
-        s0(self, a0)
-        s1(self, a1)
-        s2(self, a2)
-        s3(self, a3)
-        s4(self, a4)
-
-    def init6(self, a0, a1, a2, a3, a4, a5):
-        s0(self, a0)
-        s1(self, a1)
-        s2(self, a2)
-        s3(self, a3)
-        s4(self, a4)
-        s5(self, a5)
-
-    def init7(self, a0, a1, a2, a3, a4, a5, a6):
-        s0(self, a0)
-        s1(self, a1)
-        s2(self, a2)
-        s3(self, a3)
-        s4(self, a4)
-        s5(self, a5)
-        s6(self, a6)
-
-    return init0, init1, init2, init3, init4, init5, init6, init7
-
-
-_INIT_TEMPLATES = _init_templates()
-
-
-def _record_init(cls: type, fields: tuple[str, ...],
-                 defaults: dict[str, object]) -> Callable[..., None]:
-    """`cls.__init__`: the template for len(fields), renamed so that its
-    parameters are the field names and its cells hold the setters of the
-    fields' slots. Python itself then binds positional and keyword
-    arguments, fills in defaults and names a missing field; no source is
-    generated. For a class with `__post_init__`, `cls.__init__` calls it
-    after the fields are set, and `cls._unchecked` builds a record with the
-    plain field setting alone."""
-    if len(fields) >= len(_INIT_TEMPLATES):
-        raise TypeError(f"{cls.__name__}: a record has at most "
-                        f"{len(_INIT_TEMPLATES) - 1} fields")
-    setters = {}
-    for i, name in enumerate(fields):
-        set_slot = cls.__dict__[name].__set__
-        default = defaults.get(name)
-        if isinstance(default, Factory):  # the Factory itself stands for "not given"
-            set_slot = _fresh_setter(set_slot, default)
-        setters[f"s{i}"] = set_slot
-    template = _INIT_TEMPLATES[len(fields)]
-    code = template.__code__.replace(co_name="__init__", co_varnames=("self", *fields))
-    init = FunctionType(code, template.__globals__, "__init__",
-                        tuple(defaults.values()) or None,
-                        tuple(CellType(setters[cell]) for cell in code.co_freevars))
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    if not hasattr(cls, "__post_init__"):
-        return init
-
-    def unchecked(cls: type, *args, **kwargs) -> object:
-        self = object.__new__(cls)
-        init(self, *args, **kwargs)
-        return self
-    cls._unchecked = classmethod(unchecked)
-
-    def init_then_post_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.__post_init__()
-    return init_then_post_init
-
-
-def _fresh_setter(set_slot: Callable[[object, object], None],
-                  factory: Factory) -> Callable[[object, object], None]:
-    def set_fresh(record: object, value: object) -> None:
-        set_slot(record, factory.make() if value is factory else value)
-    return set_fresh
+def _record_init(cls: type, fields: tuple[str, ...], defaults: dict[str, object]) -> None:
+    """Compile `cls.__init__` from generated source, as `collections.namedtuple`
+    builds its `__new__`: its parameters are the fields with their defaults,
+    and it sets each slot through the slot's `__set__`, making a `Factory`
+    default anew where the Factory itself, standing for "not given", was
+    passed. For a class with `__post_init__`, `__init__` calls it last, and
+    the same source defines `cls._unchecked`, which sets the fields alone.
+    The file name `<record Name>` names the record in a traceback."""
+    namespace = {"__name__": cls.__module__}
+    params, setting = [], []
+    for name in fields:
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        namespace[f"_default_{name}"] = defaults.get(name)
+        params.append(f"{name}=_default_{name}" if name in defaults else name)
+        if isinstance(defaults.get(name), Factory):
+            setting.append(f"if {name} is _default_{name}: {name} = _default_{name}.make()")
+        setting.append(f"_set_{name}(self, {name})")
+    signature = ", ".join(params)
+    body = "".join(f"\n    {line}" for line in setting) or "\n    pass"
+    source = f"def __init__(self, {signature}):{body}\n"
+    if hasattr(cls, "__post_init__"):
+        source += ("    self.__post_init__()\n"
+                   f"def _unchecked(cls, {signature}):\n"
+                   f"    self = object.__new__(cls){body}\n"
+                   "    return self\n")
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    if "_unchecked" in namespace:
+        namespace["_unchecked"].__qualname__ = f"{cls.__qualname__}._unchecked"
+        cls._unchecked = classmethod(namespace["_unchecked"])
 
 
 def _no_values(record: object) -> tuple:
@@ -197,10 +125,10 @@ def _no_values(record: object) -> tuple:
 
 
 class Record:
-    """Base of the package's immutable records, which `record` builds: `==`
-    and `hash` over the class and the fields, a `Name(field=value, ...)`
-    repr, fields that cannot be assigned or deleted (`__post_init__` may
-    set one with `object.__setattr__`), and `copy` and `pickle` support."""
+    """Base of the package's immutable records, which `record` builds with a
+    compiled `__init__`: `==` and `hash` over the class and the fields, a
+    `Name(field=value, ...)` repr, fields that cannot be assigned or deleted
+    (`__post_init__` may set one with `object.__setattr__`), `copy`, `pickle`."""
 
     __slots__ = ()
 
@@ -236,10 +164,11 @@ def record(cls: type) -> type:
     `Record` after its bases and one slot per field, and gets
     `__match_args__` (the field tuple, for positional `match`), `_values`
     (the getter of the field values that `==` and `hash` read) and an
-    `__init__` that takes the fields positionally or by keyword, then calls
-    `__post_init__` if the class has one; such a class also gets
-    `_unchecked`, the constructor without it, for a caller that has made
-    its checks already (the DSL parser). A class with a `cached_property`
+    `__init__` compiled from source by `_record_init`, which takes the
+    fields positionally or by keyword, then calls `__post_init__` if the
+    class has one; such a class also gets `_unchecked`, the constructor
+    without it, for a caller that has made its checks already (the DSL
+    parser). Any number of fields is allowed. A class with a `cached_property`
     also gets a `__dict__` to hold its caches. Built this way, a record
     class is a plain `type`: with a metaclass, every `isinstance` test
     against it that fails would take the slow `__instancecheck__` path."""
@@ -259,7 +188,7 @@ def record(cls: type) -> type:
     # One field gives its value, more a tuple of them: equal either way.
     namespace["_values"] = attrgetter(*fields) if fields else _no_values
     cls = type(name, tuple(base for base in bases if base is not object) + (Record,), namespace)
-    cls.__init__ = _record_init(cls, fields, defaults)
+    _record_init(cls, fields, defaults)
     return cls
 
 
@@ -584,6 +513,10 @@ class Puzzle:
         for person, domain in self.type_domain.items():
             if not domain:
                 raise PuzzleError(f"empty type domain for suspect '{person}'")
+            for value in domain:
+                if not isinstance(value, SpeakerType):
+                    raise PuzzleError(f"type domain of suspect '{person}' holds "
+                                      f"{value!r}, not a speaker type")
         if self.count.op not in COUNT_OPS:
             raise PuzzleError(f"bad count comparison op '{self.count.op}'")
         if self.count.k < 0:

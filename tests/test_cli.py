@@ -103,6 +103,13 @@ class TestSolveCommand:
         assert err.startswith(f"islander: cannot read {puz}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_a_file_with_a_byte_order_mark_is_read_as_without(self, capsys, tmp_path):
+        puz = tmp_path / "bom.puz"
+        puz.write_bytes(b"\xef\xbb\xbf" + (corpus_dir() / "ben.puz").read_bytes())
+        code, out, err = run(capsys, "solve", "--json", str(puz))
+        assert (code, err) == (0, "")
+        assert out == (corpus_dir() / "ben.expected.json").read_text(encoding="utf-8")
+
     def test_integer_past_the_conversion_limit_exits_one_without_traceback(self, tmp_path):
         puz = tmp_path / "huge.puz"
         puz.write_text("puzzle { suspects A; criminals = " + "1" * 5000 + "; }")
@@ -210,6 +217,13 @@ class TestCorpusCommand:
         lines = [l for l in out.splitlines() if l.startswith("jonathan ")]
         assert lines and "FAIL" in lines[0] and "forced_guilty" in lines[0]
         assert out.count("PASS") == 9
+
+    def test_a_puzzle_with_a_byte_order_mark_passes(self, capsys, tmp_path):
+        shutil.copy(corpus_dir() / "ben.expected.json", tmp_path / "ben.expected.json")
+        bom_text = b"\xef\xbb\xbf" + (corpus_dir() / "ben.puz").read_bytes()
+        (tmp_path / "ben.puz").write_bytes(bom_text)
+        code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path))
+        assert code == 0 and out.count("PASS") == 1 and "FAIL" not in out
 
     def test_missing_directory_exits_one_without_traceback(self, tmp_path):
         missing = tmp_path / "nowhere"

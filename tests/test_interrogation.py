@@ -961,6 +961,11 @@ class TestKnowledgeWorldInvariants:
         with pytest.raises(KnowledgeWorldError, match="count"):
             make_kw({"A": AT, "B": AT}, {"A"}, count_public=2)
 
+    def test_rejects_types_that_are_not_speaker_types(self):
+        # Accepted once, to fail later in `spoken_answer` with an AttributeError.
+        with pytest.raises(KnowledgeWorldError, match="type of 'B' is 'AT', not a speaker type"):
+            make_kw({"A": AT, "B": "AT"}, {"A"})
+
     def test_rejects_self_knowledge_entry(self):
         with pytest.raises(KnowledgeWorldError, match="pair"):
             make_kw({"A": AT, "B": AT}, {"A"},
@@ -1308,3 +1313,9 @@ class TestStrategyRegistry:
             else:
                 with pytest.raises(PreconditionError, match="mode"):
                     run_strategy(kw, name, mode="paper-literal")
+
+    def test_an_unknown_name_is_refused_with_the_registered_names(self):
+        kw = generate_knowledge_world(5, "mixed", 1, 0.0, seed=2)
+        with pytest.raises(PreconditionError) as refused:
+            run_strategy(kw, "nope")
+        assert str(refused.value) == f"no strategy 'nope' (the strategies: {', '.join(STRATEGIES)})"

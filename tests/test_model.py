@@ -452,6 +452,12 @@ class TestPuzzleValidation:
                 type_domain={"A": frozenset(), "B": frozenset(ALL_TYPES)},
             )
 
+    def test_type_domain_of_codes(self):
+        # Accepted once: `solve` then found it inconsistent, and `serialize`
+        # wrote `types A: {};`, which `parse` refuses.
+        with pytest.raises(PuzzleError, match="suspect 'A' holds 'AT', not a speaker type"):
+            Puzzle(("A",), {"A": frozenset({"AT"})}, CountCmp("=", 1))
+
     def test_axiom_unknown_person(self):
         with pytest.raises(PuzzleError, match="Z"):
             self.base_puzzle(axioms=(Guilty("Z"),))

@@ -39,6 +39,7 @@ from islander.model import (
     Const,
     CountCmp,
     ExactTruthTellers,
+    Factory,
     Free,
     FromIsland,
     Guilty,
@@ -252,6 +253,43 @@ def test_unchecked_builds_an_equal_record_without_post_init(cls, monkeypatch):
     record = cls._unchecked(*SAMPLES[cls])
     assert type(record) is cls and record == expected
     assert cls._unchecked(**dict(zip(cls.__match_args__, SAMPLES[cls]))) == expected
+
+
+@record
+class NineFields:
+    """More fields than any record of the package has; the last two default."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+    f: int
+    g: int
+    h: int = 8
+    i: list = Factory(list)
+
+
+def test_a_record_may_have_nine_fields():
+    values = (1, 2, 3, 4, 5, 6, 7, 8, [9])
+    built = NineFields(*values)
+    assert tuple(getattr(built, name) for name in NineFields.__match_args__) == values
+    assert NineFields(**dict(zip(NineFields.__match_args__, values))) == built
+    for given in range(7):
+        with pytest.raises(TypeError, match=f"'{NineFields.__match_args__[given]}'"):
+            NineFields(*values[:given])
+    with pytest.raises(TypeError):
+        NineFields(*values, None)
+    first, second = NineFields(*values[:7]), NineFields(*values[:7])
+    assert first.h == 8 and first.i == [] and first.i is not second.i
+    for rebuilt in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(rebuilt) is NineFields and rebuilt == built
+
+
+def test_init_is_named_for_its_record():
+    assert Answer.__init__.__qualname__ == "Answer.__init__"
+    assert Answer.__init__.__code__.co_filename == "<record Answer>"
+    assert KnowledgeWorld._unchecked.__qualname__ == "KnowledgeWorld._unchecked"
 
 
 def test_importing_the_package_and_its_cli_loads_no_dataclasses():
