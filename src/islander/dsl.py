@@ -23,7 +23,10 @@ its fine tokens (keyword, marks, fields) as its parts. Its regular
 expression is built from the atom table, and any other spacing, or a
 comment inside an atom, gives the fine tokens. Texts once classified, a
 compact atom's parts among them, are kept for later parses, in one table
-with a fixed cap. A token carries no position. A parse error names the
+with a fixed cap. A compact atom's token also carries its node, built once
+in the process, when its text is first lexed: what its parts read to
+wherever its person is a suspect and its label that of an earlier modeled
+statement. A token carries no position. A parse error names the
 index of its token, or of a part within a compact atom, and `parse` works
 out that token's line and column only then, by one walk of the same
 regular expression. One error parses a text twice: a compact atom where
@@ -32,12 +35,18 @@ as a whole, and the tokens are parsed again with each compact atom's parts
 in its place, so the error names the fine token within it that the grammar
 stops at.
 
-Within one text, each distinct compact atom is read once: the parser keeps
-a table from a compact atom's text to the node it reads to, and every later
-occurrence gets the same node. The table lives for one parse; an `axiom
-forall` template, where its variable is a suspect, is read with its own.
-An atom spelled any other way is read where it stands, from its fine
-tokens, every time. serialize() formats each distinct atom node once.
+Within one text, each distinct compact atom is checked once: the parser
+keeps a table from a compact atom's text to the node it reads to, and every
+later occurrence gets the same node. On a miss, the parser checks the
+token's node against the puzzle read so far (its person against the
+roster, its label against the modeled statements) and takes it. A failed
+check, or an atom whose parts read to no node (an integer past the
+interpreter's conversion limit, a free atom name that is not an
+identifier), is read from its parts, so the error is the one its fine
+tokens give. The table lives for one parse; an `axiom forall` template,
+where its variable is a suspect, is read with its own. An atom spelled any
+other way is read where it stands, from its fine tokens, every time.
+serialize() formats each distinct atom node once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
 and validation, serialize(), ==, hash, repr, the `axiom forall` expansion
@@ -115,6 +124,9 @@ class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "atom", "eof", or the punctuation itself
     text: str
     parts: tuple[Token, ...] = ()  # a compact atom's fine tokens, its keyword first
+    # A compact atom's node, as its parts read to where they fit the puzzle:
+    # built once, when its text is first lexed (see `_node`).
+    node: Formula | None = None
 
 
 class _Failure(Exception):
@@ -153,7 +165,7 @@ def _lexer(*first: str) -> re.Pattern[str]:
     and no match ever backtracks into the blanks. At the end of a text,
     findall can give two empty texts: one for the blanks there, one right
     after them."""
-    return re.compile(r"(?:[ \t\r\n]|\#[^\n]*)*("
+    return re.compile(r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*("
                       + "|".join((*first, *_TOKEN_CLASSES.values(), r"\Z", ".")) + ")")
 
 
@@ -196,8 +208,9 @@ _KNOWN_CAP = 4096
 def _read(text: str) -> tuple[Token, ...]:
     """The tokens of `text`, shared and without positions: one findall, then
     one lookup per token. The fine texts new to the table, the parts of new
-    compact atoms among them, are classified by one `_classify` call. A bad
-    character fails at its index."""
+    compact atoms among them, are classified by one `_classify` call, and
+    each new compact atom's node is built from its parts. A bad character
+    fails at its index."""
     global _known
     raws = _TOKEN_RE.findall(text)
     if len(raws) > 1 and not raws[-2]:
@@ -210,7 +223,8 @@ def _read(text: str) -> tuple[Token, ...]:
         index = next(i for i, raw in enumerate(raws) if raw in new and new[raw] is None)
         raise _Failure(index, f"unexpected character {raws[index]!r}")
     for raw, parts in compact.items():
-        new[raw] = Token("atom", raw, tuple(new.get(part) or known[part] for part in parts))
+        tokens = tuple(new.get(part) or known[part] for part in parts)
+        new[raw] = Token("atom", raw, tokens, _node(tokens))
     if new:
         if len(known) + len(new) > _KNOWN_CAP:
             # A new table, of this text's tokens alone.
@@ -540,6 +554,11 @@ _ONCE = frozenset({"suspects", "island", "criminals", "typecount"})
 _PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 _BINARY = {"<->": Iff, "->": Implies, "or": Or, "and": And}
 _RIGHT_ASSOC = (Iff, Implies)
+# An operator's token text -> (its precedence, its node class, the floor: an
+# operator on the stack above it is applied before it is pushed). A string
+# token is never an operator, whatever its text.
+_INFIX = {symbol: (_PRECEDENCE[cls], cls, _PRECEDENCE[cls] - (cls not in _RIGHT_ASSOC))
+          for symbol, cls in _BINARY.items()}
 # Operator-stack entries for "(" and "not"; a binary operator is pushed as
 # (precedence, node class, left operand).
 _OPEN = (0, None, None)
@@ -550,37 +569,44 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """Precedence climbing over an explicit operator stack, so nesting depth
     and chain length never touch the Python stack. The grammar is the one in
     docs/grammar.md; errors are raised at the same tokens as by a recursive
-    descent over it."""
-    tokens = p.tokens
+    descent over it. The cursor is the local `pos`, handed to `p` around
+    each call that reads or fails at a token."""
+    tokens, atoms = p.tokens, b.atoms
+    pos = p.pos
     stack: list[tuple] = []
     while True:
-        tok = tokens[p.pos]
-        if tok.kind == "(":
+        tok = tokens[pos]
+        kind = tok.kind
+        if kind == "atom" and (value := atoms.get(tok.text)) is not None:
+            pos += 1  # a compact atom read before in this text
+        elif kind == "(":
             stack.append(_OPEN)
-            p.pos += 1
+            pos += 1
             continue
-        if tok.kind == "ident" and tok.text == "not":
+        elif kind == "ident" and tok.text == "not":
             stack.append(_NOT)
-            p.pos += 1
+            pos += 1
             continue
-        value = _parse_primary(p, b)
+        else:
+            p.pos = pos
+            value = _parse_primary(p, b)
+            pos = p.pos
         while True:  # operator position, with `value` the operand just read
-            tok = tokens[p.pos]
-            op = _BINARY.get(tok.text if tok.kind == "ident" else tok.kind)
-            if op is None:
-                floor = 0  # the formula or a parenthesis ends here
-            else:
-                floor = _PRECEDENCE[op] - (op not in _RIGHT_ASSOC)
+            tok = tokens[pos]
+            op = _INFIX.get(tok.text) if tok.kind != "string" else None
+            floor = 0 if op is None else op[2]  # 0: the formula or a parenthesis ends here
             while stack and stack[-1][0] > floor:
                 _, node, left = stack.pop()
                 value = node(value) if left is None else node(left, value)
             if op is not None:
-                stack.append((_PRECEDENCE[op], op, value))
-                p.pos += 1
+                stack.append((op[0], op[1], value))
+                pos += 1
                 break
+            p.pos = pos
             if not stack:
                 return value
             p.expect_punct(")")
+            pos += 1
             stack.pop()
 
 
@@ -695,13 +721,19 @@ KEYWORDS = frozenset({
 def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's. A compact atom
     whose text was read before in this text is the node it read to then, and
-    the cursor skips it, so a later failure names its own index. An atom
-    spelled any other way is always read where it stands, by `_read_row`."""
+    the cursor skips it, so a later failure names its own index. Read first
+    in this text, it is its token's node where that fits the puzzle read so
+    far, and is read from its parts otherwise, so a failure names its part.
+    An atom spelled any other way is always read where it stands, by
+    `_read_row`."""
     tok = p.tokens[p.pos]
     if tok.kind == "atom":
         atom = b.atoms.get(tok.text)
         if atom is None:
-            atom = b.atoms[tok.text] = _read_parts(p, b, tok)
+            atom = tok.node
+            if atom is None or not _fits(atom, b):
+                atom = _read_parts(p, b, tok)
+            b.atoms[tok.text] = atom
         p.pos += 1
         return atom
     if tok.kind != "ident":
@@ -726,6 +758,40 @@ def _read_parts(p: _Parser, b: _PuzzleBuilder, tok: Token) -> Formula:
     raise _Failure((p.pos, part), message, expected)
 
 
+def _fits(node: Formula, b: _PuzzleBuilder) -> bool:
+    """Whether a compact atom's node, built before any puzzle, is what its
+    parts read to here. Only two fields are read against the puzzle: a
+    person must be a suspect, a label that of an earlier modeled statement."""
+    if type(node) is Truthful:
+        return node.label in b.modeled_labels
+    person = getattr(node, "person", None)
+    return person is None or person in b.suspects
+
+
+class _Every:
+    """The set of every name."""
+
+    def __contains__(self, name: object) -> bool:
+        return True
+
+
+# A puzzle read so far where every name is a suspect and every label that of
+# an earlier modeled statement: a compact atom's parts read to its node here.
+_ANY_PUZZLE = _PuzzleBuilder()
+_ANY_PUZZLE.suspects = _ANY_PUZZLE.labels = _ANY_PUZZLE.modeled_labels = _Every()
+
+
+def _node(parts: tuple[Token, ...]) -> Formula | None:
+    """The node a compact atom's parts read to wherever they fit the puzzle
+    (see `_fits`), or None where they read to none at all: an integer past
+    the interpreter's conversion limit, or a free atom name that is not an
+    identifier."""
+    try:
+        return _read_row(_Parser(parts, 1), _ANY_PUZZLE, _ATOMS[parts[0].text])
+    except _Failure:
+        return None
+
+
 def _read_row(p: _Parser, b: _PuzzleBuilder, row: tuple) -> object:
     """The node of an `_ATOMS` or `_TYPECOUNTS` row, read by one loop over
     the tokens after its keyword."""
@@ -746,14 +812,21 @@ def _read_row(p: _Parser, b: _PuzzleBuilder, row: tuple) -> object:
 # Serializer
 # ---------------------------------------------------------------------------
 
-_SYMBOL = {cls: symbol for symbol, cls in _BINARY.items()}
-
-
 def format_formula(formula: Formula) -> str:
     """Deterministic concrete syntax, parenthesized just enough to reparse
     into a structurally identical tree: one in-order walk over an explicit
     stack of formulas and text pieces, so depth never touches the Python stack."""
     return _format(formula, {})
+
+
+# Each connective's row for the serializer: the least precedence of an
+# operand left unparenthesized on its left and on its right, and its text. An
+# operand of equal precedence is parenthesized on the side the connective
+# does not group to; `not` has no left operand.
+_CONNECTIVES = {Not: (None, _PRECEDENCE[Not], "not ")}
+_CONNECTIVES.update((cls, (_PRECEDENCE[cls] + (cls in _RIGHT_ASSOC),
+                           _PRECEDENCE[cls] + (cls not in _RIGHT_ASSOC), f" {symbol} "))
+                    for symbol, cls in _BINARY.items())
 
 
 def _format(formula: Formula, atoms: dict[int, str]) -> str:
@@ -762,13 +835,7 @@ def _format(formula: Formula, atoms: dict[int, str]) -> str:
     nodes."""
     parts: list[str] = []
     text, stack = parts.append, [formula]
-
-    def push_operand(operand: Formula, bound: int) -> None:
-        if _PRECEDENCE.get(type(operand), 6) < bound:  # atoms bind tightest: 6
-            stack.extend((")", operand, "("))
-        else:
-            stack.append(operand)
-
+    push, precedence = stack.append, _PRECEDENCE.get
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -779,18 +846,23 @@ def _format(formula: Formula, atoms: dict[int, str]) -> str:
             if atom is None:
                 atom = atoms[id(node)] = _ATOM_SYNTAX[kind].format(node)
             text(atom)
+        elif (row := _CONNECTIVES.get(kind)) is not None:
+            # Pushed in reverse: the right operand, the text, the left operand.
+            left_bound, right_bound, symbol = row
+            right = node.operand if left_bound is None else node.right
+            if precedence(type(right), 6) < right_bound:  # atoms bind tightest: 6
+                stack += (")", right, "(")
+            else:
+                push(right)
+            push(symbol)
+            if left_bound is not None:
+                left = node.left
+                if precedence(type(left), 6) < left_bound:
+                    stack += (")", left, "(")
+                else:
+                    push(left)
         elif kind is Const:
             text("true" if node.value else "false")
-        elif kind is Not:
-            text("not ")
-            push_operand(node.operand, _PRECEDENCE[Not])
-        elif kind in _SYMBOL:
-            # An operand of equal precedence is parenthesized on the side the
-            # connective does not group to.
-            prec, right_assoc = _PRECEDENCE[kind], kind in _RIGHT_ASSOC
-            push_operand(node.right, prec + (not right_assoc))
-            stack.append(f" {_SYMBOL[kind]} ")
-            push_operand(node.left, prec + right_assoc)
         else:
             raise ValueError(f"cannot format {node!r}")
     return "".join(parts)

@@ -498,6 +498,9 @@ def check_world(puzzle: Puzzle, world: World) -> WorldCheck:
     """
     if set(world.type_of) != set(puzzle.suspects):
         raise UnknownReference("world types must cover exactly the puzzle's suspects")
+    for person, t in world.type_of.items():
+        if not isinstance(t, SpeakerType):
+            raise UnknownReference(f"the type of '{person}' is {t!r}, not a speaker type")
     unknown = world.guilty - set(puzzle.suspects)
     if unknown:
         raise UnknownReference(f"world guilty set references unknown persons {sorted(unknown)}")

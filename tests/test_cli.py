@@ -225,6 +225,22 @@ class TestCorpusCommand:
         code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path))
         assert code == 0 and out.count("PASS") == 1 and "FAIL" not in out
 
+    def test_a_compact_atom_lexed_for_an_earlier_puzzle_is_checked_again(self, tmp_path):
+        """One process: `guilty(Bo)` is first lexed in a.puz, where Bo is a
+        suspect; b.puz declares no Bo and must be refused at it."""
+        first = ("puzzle { suspects Bo, Cy; island truthtellers; criminals = 1; "
+                 "statement s Bo: guilty(Bo); }\n")
+        (tmp_path / "a.puz").write_text(first)
+        code, out, _ = run_process("solve", "--json", str(tmp_path / "a.puz"))
+        assert code == 0
+        (tmp_path / "a.expected.json").write_text(out)
+        second = "puzzle { suspects Cy; criminals = 1; statement s Cy: guilty(Bo); }\n"
+        (tmp_path / "b.puz").write_text(second)
+        code, out, err = run_process("corpus", "--dir", str(tmp_path))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "a  PASS", f"b  FAIL  parse error: 1:{second.index('Bo') + 1}: unknown suspect 'Bo'"]
+
     def test_missing_directory_exits_one_without_traceback(self, tmp_path):
         missing = tmp_path / "nowhere"
         code, out, err = run_process("corpus", "--dir", str(missing))

@@ -621,9 +621,17 @@ class _TableFreeBuilder(dsl._PuzzleBuilder):
 
 
 def parse_table_free(text: str):
-    """`parse` with a builder whose atom table never stores."""
+    """`parse` with a builder whose atom table never stores, of tokens that
+    carry no node built when lexed: every atom is read from its parts."""
+    read = dsl._read
+
+    def read_without_nodes(text):
+        return tuple(tok._replace(node=None) if tok.node is not None else tok
+                     for tok in read(text))
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dsl, "_PuzzleBuilder", _TableFreeBuilder)
+        patch.setattr(dsl, "_read", read_without_nodes)
         return parse(text)
 
 
@@ -729,6 +737,99 @@ class TestOneAtomTable:
             parse(text)
         assert _error(info.value) == (SourceSpan(1, text.index("B )") + 1, 1),
                                       "unknown suspect 'B'", ())
+
+
+def _outcome(text: str):
+    """`parse(text)`: its Puzzle, or its error's span, message and expected list."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return _error(exc)
+
+
+def _read_from_parts(tok):
+    """What `_read_row` reads a compact atom's parts to where every name in
+    them is a suspect and a modeled label, or None where it fails."""
+    b = dsl._PuzzleBuilder()
+    b.suspects = b.labels = b.modeled_labels = {part.text: None for part in tok.parts}
+    try:
+        return dsl._read_row(dsl._Parser(tok.parts, 1), b, _ATOMS[tok.parts[0].text])
+    except dsl._Failure:
+        return None
+
+
+# Past the interpreter's int-conversion limit, where it has one (3.10.7 and on).
+_LONG_K = "9" * 5000
+_INT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+class TestAtomNodesBuiltWhenLexed:
+    """A compact atom's node is built once, when its text is first lexed.
+    A parse takes it where its person is a suspect and its label that of an
+    earlier modeled statement, and reads the atom from its parts otherwise,
+    so every error is the one its hand-spaced spelling gives."""
+
+    def test_every_lexed_node_is_what_its_parts_read_to(self):
+        seen = {}
+        for name, text in differential_texts().items():
+            try:
+                tokens = dsl._read(text)
+            except dsl._Failure:
+                continue
+            for tok in tokens:
+                if tok.kind == "atom" and tok.text not in seen:
+                    seen[tok.text] = tok
+                    node = _read_from_parts(tok)
+                    assert type(tok.node) is type(node) and tok.node == node, (name, tok.text)
+        assert sum(tok.node is not None for tok in seen.values()) > 1000
+
+    @pytest.mark.parametrize("atom", [f"count >= {_LONG_K}", 'free("1x")'])
+    def test_an_atom_that_reads_to_no_node_keeps_none(self, atom):
+        (tok, _eof) = dsl._read(atom)
+        assert tok.kind == "atom"
+        if atom.startswith("count") and not _INT_LIMIT:
+            assert tok.node == CountCmp(">=", int(_LONG_K))
+        else:
+            assert tok.node is None and _read_from_parts(tok) is None
+
+    def test_a_node_that_fits_is_taken_without_reading_the_parts(self, monkeypatch):
+        text = TestOneAtomTable.COMPACT
+        expected = parse_table_free(text)
+
+        def never(p, b, tok):
+            raise AssertionError(f"{tok.text} read from its parts")
+        monkeypatch.setattr(dsl, "_read_parts", never)
+        assert parse(text) == expected
+
+    @pytest.mark.parametrize("before, compact, hand, error", [
+        (None, _HEAD + f"statement s A: count >= {_LONG_K}; }}",
+         _HEAD + f"statement s A: count  >={_LONG_K}; }}",
+         (SourceSpan(1, 64, 5000), "integer literal of 5000 digits is too long", ())),
+        (None, _HEAD + 'statement s A: free("1x"); }', _HEAD + 'statement s A: free("1x" ); }',
+         (SourceSpan(1, 60, 4), "free atom name '1x' must be an identifier", ())),
+        (_HEAD + "statement s A: true; statement t B: truthful(s); }",
+         _HEAD + 'statement s A: unmodeled "x"; statement t B: truthful(s); }',
+         _HEAD + 'statement s A: unmodeled "x"; statement t B: truthful(s ); }',
+         (SourceSpan(1, 94, 1), "truthful() reference to unmodeled statement 's'", ())),
+        (None, _HEAD + "axiom forall X: guilty(X); statement s A: guilty(X); }",
+         _HEAD + "axiom forall X: guilty(X); statement s A: guilty(X ); }",
+         (SourceSpan(1, 89, 1), "unknown suspect 'X'", ())),
+    ], ids=["long_integer", "free_name", "unmodeled_label", "forall_variable"])
+    def test_an_atom_that_does_not_fit_fails_as_its_hand_spaced_spelling(
+            self, monkeypatch, before, compact, hand, error):
+        if before is not None:
+            parse(before)  # the atom's node was built and read well
+        read = []
+        read_parts = dsl._read_parts
+        monkeypatch.setattr(dsl, "_read_parts", lambda p, b, tok: (
+            read.append(tok.text), read_parts(p, b, tok))[1])
+        outcome, reads = _outcome(compact), len(read)
+        assert outcome == _outcome(hand) == parse_both(compact)[1]
+        if "count" in compact and not _INT_LIMIT:
+            assert isinstance(outcome, Puzzle)
+        else:
+            assert outcome == error
+            assert reads == 1  # the compact atom, read from its parts
 
 
 class TestDepth:

@@ -279,6 +279,13 @@ class TestCheckWorld:
         with pytest.raises(UnknownReference):
             check_world(puzzle, World({"Mike": AL}, frozenset(), {}))
 
+    def test_a_type_that_is_not_a_speaker_type_raises(self):
+        puzzle = parse(corpus_text("jonathan"))
+        world = World({"Mike": AL, "Leon": "AT", "Ashwin": AL}, frozenset({"Mike"}), {})
+        with pytest.raises(UnknownReference,
+                           match="the type of 'Leon' is 'AT', not a speaker type"):
+            check_world(puzzle, world)
+
 
 class TestOracleEquivalence:
     def test_corpus_puzzles_match_brute_force(self):
