@@ -59,6 +59,10 @@ class SpeakerType(enum.Enum):
     def __repr__(self) -> str:  # keeps solver reports and test diffs short
         return self.value
 
+    # Members are singletons and `==` is identity, so the identity hash
+    # agrees with it; Enum's own hashes the name in Python code.
+    __hash__ = object.__hash__
+
 
 ALL_TYPES: tuple[SpeakerType, ...] = tuple(SpeakerType)
 

@@ -39,9 +39,20 @@ Whole-space bitsets would take 2^28 bits each at the default ceiling, so the
 index space is cut into chunks of at most `_CHUNK_CANDIDATES` candidates.
 A chunk fixes the leading index digits (type digits first, then the high
 guilt bits), which turns those positions' atoms into constants; enumeration
-stays lazy, one chunk at a time. Facts are forced or they are not; there are
-no preference heuristics. `check_world` stays a plain per-world checklist:
-it is the reference the engine is tested against.
+stays lazy, one chunk at a time.
+
+What a chunk reads of its varying (tail) digits does not depend on the
+statements or on the prefix, only on the tail's radices and on which tail
+digits are guilt bits: a `_Layout` of that shape holds it. It keeps one
+pattern per tail digit, the candidates where the digit takes its top value
+(value d is that pattern shifted down), all built in one pass without
+tiling; the exact guilt counts over one period of the guilt and free
+digits; and each count pattern repeated over the chunk. `_Space.chunks`
+builds one layout per solve and every chunk shares it, so a many-chunk
+solve builds each pattern once, not once per chunk; nothing outlives the
+solve. Facts are forced or they are not; there are no preference
+heuristics. `check_world` stays a plain per-world checklist: it is the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -242,8 +253,11 @@ class _Space:
         while split and size * self.radices[split - 1] <= _CHUNK_CANDIDATES:
             split -= 1
             size *= self.radices[split]
+        n = len(self.suspects)
+        tail = tuple(self.radices[split:])
+        layout = _Layout(tail, max(n - split, 0), max(2 * n - split, 0))
         for prefix in itertools.product(*map(range, self.radices[:split])):
-            yield _Chunk(self, prefix)
+            yield _Chunk(self, prefix, layout)
 
     def world(self, digits: list[int]) -> World:
         n = len(self.suspects)
@@ -256,52 +270,102 @@ class _Space:
         return World(type_of=type_of, guilty=guilty, free_values=free_values)
 
 
+class _Layout:
+    """The statement-free bitsets of a chunk shape: the tail's radices, and
+    the tail digits from `guilt_start` to `guilt_stop` that are guilt bits.
+
+    Every chunk of one solve shares its layout."""
+
+    def __init__(self, tail: tuple[int, ...], guilt_start: int, guilt_stop: int):
+        self.tail = tail
+        self.size = math.prod(tail)
+        self.ones = (1 << self.size) - 1
+        self.strides = []
+        # tops[k]: the candidates whose digit k takes its top value, built
+        # from the most significant digit down. `starts` has a bit where
+        # each run of the digits above k begins, every `period` bits; in each
+        # period, digit k's top value is the last `stride` bits.
+        self._tops, starts, period = [], 1, self.size
+        for radix in tail:
+            stride = period // radix
+            self.strides.append(stride)
+            self._tops.append((starts << period) - (starts << (radix - 1) * stride))
+            runs = starts
+            for d in range(1, radix):
+                runs |= starts << d * stride
+            starts, period = runs, stride
+        self.guilt = range(guilt_start, guilt_stop)
+        # Guilt and free digits are the low part of the index, so the exact
+        # guilt counts are built over one period of them and tiled on demand.
+        self.period = math.prod(tail[guilt_start:])
+        self._exact: Optional[list[int]] = None
+        self._repeats: dict[int, int] = {}
+
+    def digit(self, k: int, d: int) -> int:
+        """Candidates whose tail digit k is d: the digit's top pattern shifted
+        down. The top value itself is the kept int, not a copy (`x >> 0`
+        copies)."""
+        down = self.tail[k] - 1 - d
+        return self._tops[k] >> down * self.strides[k] if down else self._tops[k]
+
+    def exact_guilty(self) -> list[int]:
+        """exact[c]: the candidates of one period with exactly c of the tail's
+        guilt bits set."""
+        if self._exact is None:
+            low = (1 << self.period) - 1
+            self._exact = _exact_counts([self.digit(k, 1) & low for k in self.guilt], low)
+        return self._exact
+
+    def repeat(self, pattern: int) -> int:
+        """`pattern`, one period long, repeated over the chunk."""
+        if self.period == self.size:
+            return pattern
+        bits = self._repeats.get(pattern)
+        if bits is None:
+            bits = self._repeats[pattern] = _tile(pattern, self.period, self.size)
+        return bits
+
+
 class _Chunk:
     """Bitsets over the candidates that share one prefix of leading index
-    digits; bit r is the r-th such candidate in index order."""
+    digits; bit r is the r-th such candidate in index order. The tail
+    digits' patterns come from the shared layout, the prefix digits are
+    constants."""
 
-    def __init__(self, space: _Space, prefix: tuple[int, ...]):
+    def __init__(self, space: _Space, prefix: tuple[int, ...], layout: _Layout):
         self.space = space
         self.prefix = prefix
-        self.tail = space.radices[len(prefix):]
-        self.size = math.prod(self.tail)
-        self.ones = (1 << self.size) - 1
-        self.strides = [math.prod(self.tail[k + 1:]) for k in range(len(self.tail))]
+        self.layout = layout
+        self.tail = layout.tail
+        self.ones = layout.ones
         n = len(space.suspects)
         self.guilty = {p: self._digit(2 * n - 1 - i, 1) for i, p in enumerate(space.suspects)}
-        self.types = {}
-        for q, (p, domain) in enumerate(zip(space.suspects, space.domains)):
-            self.types[p] = {t: self._digit(q, domain.index(t)) if t in domain else 0
-                             for t in ALL_TYPES}
+        self.types = {p: {t: self._digit(q, d) for d, t in enumerate(domain)}
+                      for q, (p, domain) in enumerate(zip(space.suspects, space.domains))}
         self.liar = {p: _union(bits for t, bits in types.items() if t.island is Island.LIARS)
                      for p, types in self.types.items()}
         self.partial = {p: _union(bits for t, bits in types.items() if t.partial)
                         for p, types in self.types.items()}
         self.free = {key: self._digit(2 * n + j, 1) for j, key in enumerate(space.keys)}
-        # Guilt and free digits are the low part of the index, so the exact
-        # guilt counts are built over one period of them and tiled on demand.
-        low = max(len(prefix), n)
-        self._period = math.prod(space.radices[low:])
         self._fixed_guilty = sum(prefix[n:2 * n])
-        self._exact_guilty = _exact_counts(
-            [self._digit(q, 1, self._period) for q in range(low, 2 * n)], (1 << self._period) - 1
-        )
+        self._counts: dict[tuple[str, int], int] = {}
         self._face: dict[str, int] = {}
 
-    def _digit(self, q: int, d: int, width: Optional[int] = None) -> int:
-        """Candidates whose index digit q is d, over the chunk's low `width`
-        bits (the whole chunk by default)."""
+    def _digit(self, q: int, d: int) -> int:
+        """Candidates whose index digit q is d."""
         k = q - len(self.prefix)
         if k < 0:
             return self.ones if self.prefix[q] == d else 0
-        stride = self.strides[k]
-        return _tile((1 << stride) - 1, stride * self.tail[k], width or self.size) << (d * stride)
+        return self.layout.digit(k, d)
 
     def count(self, op: str, k: int) -> int:
         """Candidates whose number of guilty suspects satisfies `op k`."""
-        pattern = _union(bits for c, bits in enumerate(self._exact_guilty)
-                         if _compares(op, self._fixed_guilty + c, k))
-        return _tile(pattern, self._period, self.size)
+        bits = self._counts.get((op, k))
+        if bits is None:
+            pattern = _union(exact for c, exact in enumerate(self.layout.exact_guilty())
+                             if _compares(op, self._fixed_guilty + c, k))
+            bits = self._counts[op, k] = self.layout.repeat(pattern)
+        return bits
 
     def cardinality(self) -> int:
         card = self.space.puzzle.type_cardinality
@@ -310,7 +374,7 @@ class _Chunk:
         if isinstance(card, ExactTruthTellers):
             tt = [self.ones ^ liar for liar in self.liar.values()]
             return _exact_counts(tt, self.ones)[card.n]
-        present = [_union(types[t] for types in self.types.values()) for t in ALL_TYPES]
+        present = [_union(types.get(t, 0) for types in self.types.values()) for t in ALL_TYPES]
         distinct = _exact_counts(present, self.ones)
         if isinstance(card, OneOfEach):
             return distinct[len(ALL_TYPES)]
@@ -365,7 +429,7 @@ class _Chunk:
             case Guilty(person):
                 return 0 if person == innocent else self.guilty[person]
             case HasType(person, speaker_type):
-                return self.types[person][speaker_type]
+                return self.types[person].get(speaker_type, 0)
             case FromIsland(person, island):
                 liar = self.liar[person]
                 return liar if island is Island.LIARS else self.ones ^ liar
@@ -451,11 +515,13 @@ def solve(puzzle: Puzzle, *, ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SolveR
             continue
         count += cons.bit_count()
         for p in suspects:
-            if cons & chunk.guilty[p]:
+            guilty = cons & chunk.guilty[p]
+            if guilty:
                 maybe_guilty.add(p)
-            if cons & ~chunk.guilty[p]:
+            if guilty != cons:
                 maybe_innocent.add(p)
-            seen_types[p].update(t for t, bits in chunk.types[p].items() if cons & bits)
+            seen = seen_types[p]
+            seen.update(t for t, bits in chunk.types[p].items() if t not in seen and cons & bits)
 
     warnings = tuple(
         f"statement {s.label} ({s.speaker}) is unmodeled and adds no constraint: {s.text!r}"

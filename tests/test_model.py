@@ -1,6 +1,8 @@
 """Formula evaluation, equality, rewriting (map_atoms, self-guilt substitution,
 person renaming), and puzzle validation."""
 
+import copy
+import pickle
 import sys
 from functools import reduce
 
@@ -309,6 +311,35 @@ class TestFormulaEquality:
         assert (f == g) == (repr(f) == repr(g))
         if f == g:
             assert hash(f) == hash(g)
+
+
+class TestSpeakerTypeHash:
+    """Members hash by identity: they are singletons and `==` is identity."""
+
+    def test_each_member_and_its_hash_survive_containers_copies_and_pickles(self):
+        for t in ALL_TYPES:
+            assert hash(t) == object.__hash__(t)
+            for same in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                         SpeakerType(t.value), SpeakerType[t.name]):
+                assert same is t and hash(same) == hash(t)
+        types = frozenset(ALL_TYPES)
+        codes = {t: t.value for t in ALL_TYPES}
+        for clone in (set(ALL_TYPES), copy.copy(types), copy.deepcopy(types),
+                      pickle.loads(pickle.dumps(types))):
+            assert clone == types and all(t in clone for t in ALL_TYPES)
+        for clone in (dict(codes), copy.deepcopy(codes), pickle.loads(pickle.dumps(codes))):
+            assert clone == codes and all(clone[t] == t.value for t in ALL_TYPES)
+
+    def test_a_pickled_puzzle_keeps_its_type_domains(self):
+        puzzle = Puzzle(
+            suspects=("A", "B"),
+            type_domain={"A": frozenset({AT, RL}), "B": frozenset(ALL_TYPES)},
+            count=CountCmp("=", 1),
+            statements=(Statement("s1", "A", HasType("B", PT)),),
+        )
+        clone = pickle.loads(pickle.dumps(puzzle))
+        assert clone == puzzle and clone.type_domain == puzzle.type_domain
+        assert RL in clone.type_domain["A"] and PT not in clone.type_domain["A"]
 
 
 class TestReplacePerson:

@@ -366,20 +366,25 @@ class TestChunkedSpace:
         assert next(stream).guilty == frozenset({"S0"})
 
 
+def eight_suspect_chain() -> Puzzle:
+    """4^8 type assignments x 2^8 guilt sets = 2^24 candidates: 16 chunks,
+    each varying the last six type digits and every guilt bit."""
+    suspects = tuple(f"S{i}" for i in range(8))
+    statements = tuple(
+        Statement(f"s{i}", s, Implies(Guilty(suspects[(i + 1) % 8]), Not(Guilty(s))))
+        for i, s in enumerate(suspects)
+    )
+    return Puzzle(
+        suspects=suspects,
+        type_domain={s: frozenset(ALL_TYPES) for s in suspects},
+        count=CountCmp("=", 1),
+        statements=statements,
+    )
+
+
 class TestBoundedMemory:
     def test_eight_suspect_chain_solves_in_bounded_memory(self):
-        # 4^8 type assignments x 2^8 guilt sets = 2^24 candidates.
-        suspects = tuple(f"S{i}" for i in range(8))
-        statements = tuple(
-            Statement(f"s{i}", s, Implies(Guilty(suspects[(i + 1) % 8]), Not(Guilty(s))))
-            for i, s in enumerate(suspects)
-        )
-        puzzle = Puzzle(
-            suspects=suspects,
-            type_domain={s: frozenset(ALL_TYPES) for s in suspects},
-            count=CountCmp("=", 1),
-            statements=statements,
-        )
+        puzzle = eight_suspect_chain()
         tracemalloc.start()
         try:
             report = solve(puzzle)
@@ -389,6 +394,68 @@ class TestBoundedMemory:
         assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
         assert report.world_count == sum(1 for _ in enumerate_worlds(puzzle))
         assert report.world_count > 0
+
+
+class TestSharedLayouts:
+    """Every chunk of a solve reads the tail digits' patterns from the one
+    layout its solve built."""
+
+    TINY = 2 ** 4
+
+    def test_digit_patterns_mark_each_candidate_by_its_digit(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            tail = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(0, 6)))
+            layout = solver._Layout(tail, 0, len(tail))
+            digits = list(itertools.product(*map(range, tail)))  # index order
+            for k, radix in enumerate(tail):
+                for d in range(radix):
+                    want = sum(1 << r for r, index in enumerate(digits) if index[k] == d)
+                    assert layout.digit(k, d) == want, (tail, k, d)
+
+    def test_a_solve_builds_one_layout_for_all_its_chunks(self, monkeypatch):
+        built, tiles = [], []
+        layout, tile = solver._Layout, solver._tile
+
+        def counted_layout(*args):
+            built.append(args)
+            return layout(*args)
+
+        def counted_tile(pattern, period, width):
+            tiles.append((period, width))
+            return tile(pattern, period, width)
+
+        monkeypatch.setattr(solver, "_Layout", counted_layout)
+        monkeypatch.setattr(solver, "_tile", counted_tile)
+        puzzle = eight_suspect_chain()
+        report = solve(puzzle)
+        # 16 chunks, each varying six type digits and eight guilt bits: one
+        # layout, and the count constraint's pattern tiled once, chunk wide.
+        assert built == [((4,) * 6 + (2,) * 8, 6, 14)]
+        assert tiles == [(2 ** 8, 4 ** 6 * 2 ** 8)]
+        # Nothing is kept between solves: the next one builds its own.
+        assert solve(puzzle) == report
+        assert len(built) == len(tiles) == 2
+
+    def test_shared_layouts_change_no_answer(self, monkeypatch):
+        """Random puzzles solved interleaved under tiny and default chunks
+        give the oracle's reports and worlds, in one order for both."""
+        rng = random.Random(2828)
+        puzzles = [random_puzzle(rng, max_candidates=6000) for _ in range(60)]
+        order = [(i, chunk) for i in range(len(puzzles)) for chunk in (self.TINY, None)]
+        rng.shuffle(order)
+        streams = {}
+        for i, chunk in order:
+            with monkeypatch.context() as patch:
+                if chunk:
+                    patch.setattr(solver, "_CHUNK_CANDIDATES", chunk)
+                report = solve(puzzles[i]).to_json_dict()
+                streams[i, chunk] = [w.key() for w in enumerate_worlds(puzzles[i])]
+            del report["warnings"]
+            assert report == oracle_report(puzzles[i]), f"random puzzle {i}"
+            assert set(streams[i, chunk]) == oracle_world_keys(puzzles[i]), f"random puzzle {i}"
+        for i in range(len(puzzles)):
+            assert streams[i, self.TINY] == streams[i, None], f"random puzzle {i}"
 
 
 class TestLongFormulas:
