@@ -35,18 +35,14 @@ as a whole, and the tokens are parsed again with each compact atom's parts
 in its place, so the error names the fine token within it that the grammar
 stops at.
 
-Within one text, each distinct compact atom is checked once: the parser
-keeps a table from a compact atom's text to the node it reads to, and every
-later occurrence gets the same node. On a miss, the parser checks the
-token's node against the puzzle read so far (its person against the
-roster, its label against the modeled statements) and takes it. A failed
-check, or an atom whose parts read to no node (an integer past the
-interpreter's conversion limit, a free atom name that is not an
-identifier), is read from its parts, so the error is the one its fine
-tokens give. The table lives for one parse; an `axiom forall` template,
-where its variable is a suspect, is read with its own. An atom spelled any
-other way is read where it stands, from its fine tokens, every time.
-serialize() formats each distinct atom node once.
+A parse takes a compact atom's node wherever it fits the puzzle read so
+far (see `_fits`), so equal compact atoms within one text, which share one
+token, are one node. An atom whose node does not fit, or that has none (an
+integer past the interpreter's conversion limit, a free atom name that is
+not an identifier), is read from its parts, so the error is the one its
+fine tokens give. An atom spelled any other way is read where it stands,
+from its fine tokens, every time. serialize() formats each distinct atom
+node once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
 and validation, serialize(), ==, hash, repr, the `axiom forall` expansion
@@ -345,12 +341,6 @@ class _PuzzleBuilder:
         self.labels: set[str] = set()
         self.modeled_labels: set[str] = set()
         self.axioms: list[Formula] = []
-        # A compact atom's text -> the node it reads to, so equal compact
-        # atoms anywhere in the text (or in one `axiom forall`) are one node.
-        # An atom that read well reads the same for the rest of the text: the
-        # roster is fixed once read, and labels are only added. An atom
-        # spelled any other way is read where it stands and is not kept.
-        self.atoms: dict[str, Formula] = {}
 
 
 # The words of the `island` directive, each with the default type domain it
@@ -485,9 +475,12 @@ def _parse_criminals(p: _Parser, b: _PuzzleBuilder) -> None:
             values.append(p.expect_int())
         p.expect_punct("}")
         values = sorted(set(values))
-        # Lowered form: a weak lower bound plus a disjunction of exact counts.
-        b.count = CountCmp(">=", values[0])
-        if len(values) > 1:
+        # Lowered form: one value is an exact count, more a weak lower bound
+        # plus a disjunction of exact counts.
+        if len(values) == 1:
+            b.count = CountCmp("=", values[0])
+        else:
+            b.count = CountCmp(">=", values[0])
             b.count_axioms.append(reduce(Or, [CountCmp("=", v) for v in values]))
     else:
         raise p.unexpected((*(f"'{op}'" for op in COUNT_OPS), "in"))
@@ -527,11 +520,11 @@ def _parse_axiom(p: _Parser, b: _PuzzleBuilder) -> None:
         if var in b.suspects:
             raise _Failure(p.pos - 1, f"forall variable '{var}' shadows a suspect")
         p.expect_punct(":")
-        # The variable is a suspect in the template alone, with its own atoms.
-        suspects, atoms = b.suspects, b.atoms
-        b.suspects, b.atoms = {**suspects, var: None}, {}
+        # The variable is a suspect in the template alone.
+        suspects = b.suspects
+        b.suspects = {**suspects, var: None}
         template = _parse_formula(p, b)
-        b.suspects, b.atoms = suspects, atoms
+        b.suspects = suspects
         for suspect in b.suspects:
             b.axioms.append(replace_person(template, var, suspect))
     else:
@@ -571,26 +564,23 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder) -> Formula:
     docs/grammar.md; errors are raised at the same tokens as by a recursive
     descent over it. The cursor is the local `pos`, handed to `p` around
     each call that reads or fails at a token."""
-    tokens, atoms = p.tokens, b.atoms
+    tokens = p.tokens
     pos = p.pos
     stack: list[tuple] = []
     while True:
         tok = tokens[pos]
         kind = tok.kind
-        if kind == "atom" and (value := atoms.get(tok.text)) is not None:
-            pos += 1  # a compact atom read before in this text
-        elif kind == "(":
+        if kind == "(":
             stack.append(_OPEN)
             pos += 1
             continue
-        elif kind == "ident" and tok.text == "not":
+        if kind == "ident" and tok.text == "not":
             stack.append(_NOT)
             pos += 1
             continue
-        else:
-            p.pos = pos
-            value = _parse_primary(p, b)
-            pos = p.pos
+        p.pos = pos
+        value = _parse_primary(p, b)
+        pos = p.pos
         while True:  # operator position, with `value` the operand just read
             tok = tokens[pos]
             op = _INFIX.get(tok.text) if tok.kind != "string" else None
@@ -720,20 +710,14 @@ KEYWORDS = frozenset({
 
 def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's. A compact atom
-    whose text was read before in this text is the node it read to then, and
-    the cursor skips it, so a later failure names its own index. Read first
-    in this text, it is its token's node where that fits the puzzle read so
-    far, and is read from its parts otherwise, so a failure names its part.
-    An atom spelled any other way is always read where it stands, by
-    `_read_row`."""
+    is its token's node where that fits the puzzle read so far, and is read
+    from its parts otherwise, so a failure names its part. An atom spelled
+    any other way is read where it stands, by `_read_row`."""
     tok = p.tokens[p.pos]
     if tok.kind == "atom":
-        atom = b.atoms.get(tok.text)
-        if atom is None:
-            atom = tok.node
-            if atom is None or not _fits(atom, b):
-                atom = _read_parts(p, b, tok)
-            b.atoms[tok.text] = atom
+        atom = tok.node
+        if atom is None or not _fits(atom, b):
+            atom = _read_parts(p, b, tok)
         p.pos += 1
         return atom
     if tok.kind != "ident":

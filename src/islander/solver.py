@@ -25,12 +25,14 @@ question rules read two unions of each suspect's type bitsets, `liar[p]` and
 `partial[p]`, after `SpeakerType`'s two fields. A statement by speaker s
 with body B compiles once to
 
-    liar[s] ^ (B & ~partial[s] | B' & partial[s])
+    liar[s] ^ B[guilty(s) := guilty[s] & ~partial[s]]
 
-where B' is B compiled with guilty(s) read as false, only where partial[s]
-is set. A whodunit atom exists
-only for an innocent person, so its bit is forced to 0 when the person is
-guilty and the key is left out of the world built from such a candidate. The
+since a partial type speaks as if innocent. Where partial[s] is 0 in the
+whole chunk, that is B's face value, kept for `truthful()`; elsewhere the
+face value is compiled apart, only if some `truthful()` reads it. A
+whodunit atom exists only for an innocent person, so its bit is forced to 0
+when the person is guilty and the key is left out of the world built from
+such a candidate. The
 consistent worlds are the set bits of the AND of every constraint; the
 report reads popcounts and ANDs of it, and `enumerate_worlds` decodes its
 set bits in ascending order.
@@ -388,8 +390,9 @@ class _Chunk:
             self._face[label] = self.compile(self.space.table[label].body)
         return self._face[label]
 
-    def compile(self, formula: Formula, innocent: Optional[str] = None) -> int:
-        """Candidates where `formula` holds, with guilty(innocent) read as false.
+    def compile(self, formula: Formula, speaker: Optional[str] = None) -> int:
+        """Candidates where `formula` holds, with guilty(speaker) read as a
+        partial type speaks it: false where the speaker's type is partial.
 
         A post-order walk over an explicit stack, so a formula's depth never
         touches the Python stack: a connective is expanded into its class,
@@ -419,15 +422,17 @@ class _Chunk:
             elif isinstance(node, (And, Or, Implies, Iff)):
                 todo += (type(node), node.right, node.left)
             else:
-                done.append(self._atom(node, innocent))
+                done.append(self._atom(node, speaker))
         return done[0]
 
-    def _atom(self, formula: Formula, innocent: Optional[str]) -> int:
+    def _atom(self, formula: Formula, speaker: Optional[str]) -> int:
         match formula:
             case Const(value):
                 return self.ones if value else 0
             case Guilty(person):
-                return 0 if person == innocent else self.guilty[person]
+                if person == speaker:
+                    return self.guilty[person] & ~self.partial[person]
+                return self.guilty[person]
             case HasType(person, speaker_type):
                 return self.types[person].get(speaker_type, 0)
             case FromIsland(person, island):
@@ -448,12 +453,12 @@ class _Chunk:
 
     def admissible(self, stmt: Statement) -> int:
         """Candidates where the speaker's type admits the statement."""
-        said = self.truthful(stmt.label)
-        partial = self.partial[stmt.speaker]
-        if partial:
-            pretend = self.compile(stmt.body, innocent=stmt.speaker)
-            said ^= (said ^ pretend) & partial
-        return self.liar[stmt.speaker] ^ said
+        speaker = stmt.speaker
+        if self.partial[speaker]:
+            said = self.compile(stmt.body, speaker)
+        else:
+            said = self.truthful(stmt.label)
+        return self.liar[speaker] ^ said
 
     def consistent(self) -> int:
         """Candidates that pass every constraint of the puzzle."""

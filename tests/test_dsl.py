@@ -88,6 +88,16 @@ class TestParseBasics:
         assert puzzle.count == CountCmp(">=", 1)
         assert puzzle.axioms == (Or(CountCmp("=", 1), CountCmp("=", 3)),)
 
+    @pytest.mark.parametrize("island", ["truthtellers", "mixed"])
+    def test_criminals_in_one_value_is_an_exact_count(self, island):
+        head = f"puzzle {{ suspects A, B, C; island {island}; criminals "
+        for k in range(4):
+            exact = parse(head + f"= {k}; }}")
+            for values in (f"{{{k}}}", f"{{{k}, {k}}}"):
+                puzzle = parse(head + f"in {values}; }}")
+                assert puzzle == exact, values
+                assert solve(puzzle) == solve(exact), values
+
     def test_forall_expands_over_suspects(self):
         puzzle = parse(
             "puzzle { suspects A, B; criminals >= 1; axiom forall X: guilty(X) -> count >= 1; }"
@@ -375,8 +385,9 @@ class TestOneReader:
         ("guilty(A) or\n  type(A)=AT or type(A)=AT and guilty(C)", "C", "unknown suspect 'C'"),
     ])
     def test_an_error_after_a_repeated_atom_is_at_its_own_token(self, after, at, message):
-        """The second `guilty(A)` or `type(A)=AT` is an atom-table hit, which
-        skips its tokens at once; the error after it is still at its column."""
+        """The second `guilty(A)` or `type(A)=AT` is the node its token shares
+        with the first, taken in one step; the error after it is still at its
+        column."""
         text = f"puzzle {{ suspects A, B; criminals = 1; statement s A: {after}; }}"
         with pytest.raises(ParseError) as info:
             parse(text)
@@ -420,7 +431,7 @@ _HEAD = "puzzle { suspects A, B; criminals = 1; "
 
 class TestCompactAtoms:
     """An atom written as `serialize` writes it is one token, read from its
-    fine parts on a miss of the atom table; errors stay where the fine
+    fine parts where its node does not fit; errors stay where the fine
     tokens put them."""
 
     def test_every_formatted_atom_is_one_token(self):
@@ -484,7 +495,7 @@ class TestCompactAtoms:
     def test_an_error_inside_an_atom_is_at_its_fine_token(self, text, error):
         assert parse_both(text) == (error, error)
 
-    def test_a_template_atom_is_never_an_atom_table_entry(self):
+    def test_a_template_atom_is_refused_after_its_forall(self):
         """`guilty(X)` reads under `axiom forall X` and is refused after it."""
         text = _HEAD + "axiom forall X: guilty(X); statement s A: guilty(X); }"
         assert parse_both(text) == ((SourceSpan(1, 89, 1), "unknown suspect 'X'", ()),) * 2
@@ -607,22 +618,9 @@ def _error(exc: ParseError) -> tuple:
     return exc.span, exc.message, exc.expected
 
 
-class _NeverStores(dict):
-    """An atom table that keeps nothing, so every atom is read anew."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-class _TableFreeBuilder(dsl._PuzzleBuilder):
-    def __init__(self):
-        super().__init__()
-        self.atoms = _NeverStores()
-
-
 def parse_table_free(text: str):
-    """`parse` with a builder whose atom table never stores, of tokens that
-    carry no node built when lexed: every atom is read from its parts."""
+    """`parse` of tokens that carry no node built when lexed: every atom is
+    read from its parts."""
     read = dsl._read
 
     def read_without_nodes(text):
@@ -630,15 +628,14 @@ def parse_table_free(text: str):
                      for tok in read(text))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dsl, "_PuzzleBuilder", _TableFreeBuilder)
         patch.setattr(dsl, "_read", read_without_nodes)
         return parse(text)
 
 
 class TestTheParserIsTheCheck:
-    """A parsed puzzle is checked by the parser alone, which reads each
-    distinct atom of a text once. `parse_table_free` reads every atom anew,
-    so it is the table-free oracle."""
+    """A parsed puzzle is checked by the parser alone, which takes each
+    compact atom's node built when lexed where it fits. `parse_table_free`
+    reads every atom from its parts, so it is the oracle."""
 
     def test_parse_agrees_with_the_table_free_parse_and_validate(self):
         parsed = 0
@@ -703,8 +700,9 @@ class TestTheParserIsTheCheck:
 
 
 class TestOneAtomTable:
-    """The atom table is keyed by compact-atom text alone: an atom spelled
-    any other way is read where it stands, every time."""
+    """Only a compact atom is one token, with one node for every occurrence
+    in a text: an atom spelled any other way is read where it stands, every
+    time."""
 
     HAND = ("puzzle { suspects A, B; criminals = 1; statement s1 A: guilty ( A ) and "
             "type (B)= AT and count>=2; statement s2 B: truthful( s1 ) or guilty\n(A); "
@@ -713,22 +711,13 @@ class TestOneAtomTable:
                "type(B)=AT and count >= 2; statement s2 B: truthful(s1) or guilty(A); "
                "axiom not guilty(A) or lies_about_guilt(B); }")
 
-    def test_a_hand_spaced_text_parses_as_its_compact_spelling_and_keeps_no_atom(
-            self, monkeypatch):
-        builders = []
-
-        class Spy(dsl._PuzzleBuilder):
-            def __init__(self):
-                super().__init__()
-                builders.append(self)
-
-        monkeypatch.setattr(dsl, "_PuzzleBuilder", Spy)
+    def test_a_hand_spaced_text_parses_as_its_compact_spelling(self):
         assert "atom" not in {tok.kind for tok in dsl._read(self.HAND)}
-        hand = parse(self.HAND)
-        assert [b.atoms for b in builders] == [{}]
-        assert hand == parse(self.COMPACT)
-        assert set(builders[1].atoms) == {"guilty(A)", "type(B)=AT", "count >= 2",
-                                          "truthful(s1)", "lies_about_guilt(B)"}
+        compact = parse(self.COMPACT)
+        assert parse(self.HAND) == compact
+        s1, s2 = compact.statements
+        (axiom,) = compact.axioms
+        assert s1.body.left.left is s2.body.right is axiom.left.operand
 
     def test_a_hand_spaced_atom_written_twice_fails_at_its_first_occurrence(self):
         text = ("puzzle { suspects A; criminals = 1; "

@@ -458,6 +458,35 @@ class TestSharedLayouts:
             assert streams[i, self.TINY] == streams[i, None], f"random puzzle {i}"
 
 
+class TestOneCompilePerStatement:
+    # Every type for every suspect, two self-guilt statements, an unmodeled
+    # one and an axiom, no truthful() reference: every chunk stays consistent.
+    PUZZLE = ("puzzle { suspects A, B, C; criminals >= 0; "
+              "statement s1 A: guilty(A) or island(A) = truthtellers; "
+              "statement s2 B: not guilty(B) -> guilty(A) or island(B) = truthtellers; "
+              'statement s3 C: unmodeled "I saw nothing"; '
+              "axiom guilty(C) -> knows_whodunit(C); }")
+
+    @pytest.mark.parametrize("chunk", [None, 2 ** 6])
+    def test_each_statement_and_axiom_compiles_once_per_chunk(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(solver, "_CHUNK_CANDIDATES", chunk)
+        puzzle = parse(self.PUZZLE)
+        compiled = {}
+        compile_ = solver._Chunk.compile
+
+        def counted_compile(chunk, *args, **kwargs):
+            compiled[chunk.prefix] = compiled.get(chunk.prefix, 0) + 1
+            return compile_(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(solver._Chunk, "compile", counted_compile)
+        report = solve(puzzle)
+        # One chunk, or one per type of A and of B.
+        assert len(compiled) == (16 if chunk else 1)
+        assert set(compiled.values()) == {2 + 1}
+        assert report.world_count > 0
+
+
 class TestLongFormulas:
     @pytest.mark.parametrize("op", ["and", "or"])
     def test_long_chain_solves_like_its_three_atoms(self, op):
