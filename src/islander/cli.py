@@ -105,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout is flushed again at exit: send that to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("islander: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
     except SystemExit as exc:
         if exc.code not in (0, None) and isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -17,13 +17,12 @@ then free values by sorted key with false before true.
 
 Every atom and every constraint is a bitset over that index, a Python int
 whose bit i is its truth value in candidate i (truth tables as bit vectors,
-Knuth, TAOCP 4A, 7.1.1-7.1.3). An atom's bitset is a periodic pattern built
-by doubling; `count op k` comes from exact-popcount bitsets over the guilt
-masks; connectives are `& | ^` against the all-ones mask; `truthful(label)`
-reuses the face-value bitset of the label's body. The island and guilt-
-question rules read two unions of each suspect's type bitsets, `liar[p]` and
-`partial[p]`, after `SpeakerType`'s two fields. A statement by speaker s
-with body B compiles once to
+Knuth, TAOCP 4A, 7.1.1-7.1.3). `count op k` comes from exact-popcount
+bitsets over the guilt bits; connectives are `& | ^` against the all-ones
+mask; `truthful(label)` reuses the face-value bitset of the label's body.
+The island and guilt-question rules read two unions of each suspect's type
+bitsets, `liar[p]` and `partial[p]`, after `SpeakerType`'s two fields. A
+statement by speaker s with body B compiles once to
 
     liar[s] ^ B[guilty(s) := guilty[s] & ~partial[s]]
 
@@ -32,29 +31,24 @@ whole chunk, that is B's face value, kept for `truthful()`; elsewhere the
 face value is compiled apart, only if some `truthful()` reads it. A
 whodunit atom exists only for an innocent person, so its bit is forced to 0
 when the person is guilty and the key is left out of the world built from
-such a candidate. The
-consistent worlds are the set bits of the AND of every constraint; the
-report reads popcounts and ANDs of it, and `enumerate_worlds` decodes its
-set bits in ascending order.
+such a candidate. The consistent worlds are the set bits of the AND of
+every constraint; the report reads popcounts and ANDs of it, and
+`enumerate_worlds` decodes its set bits in ascending order.
 
-Whole-space bitsets would take 2^28 bits each at the default ceiling, so the
-index space is cut into chunks of at most `_CHUNK_CANDIDATES` candidates.
-A chunk fixes the leading index digits (type digits first, then the high
-guilt bits), which turns those positions' atoms into constants; enumeration
-stays lazy, one chunk at a time.
-
-What a chunk reads of its varying (tail) digits does not depend on the
-statements or on the prefix, only on the tail's radices and on which tail
-digits are guilt bits: a `_Layout` of that shape holds it. It keeps one
-pattern per tail digit, the candidates where the digit takes its top value
-(value d is that pattern shifted down), all built in one pass without
-tiling; the exact guilt counts over one period of the guilt and free
-digits; and each count pattern repeated over the chunk. `_Space.chunks`
-builds one layout per solve and every chunk shares it, so a many-chunk
-solve builds each pattern once, not once per chunk; nothing outlives the
-solve. Facts are forced or they are not; there are no preference
-heuristics. `check_world` stays a plain per-world checklist: it is the
-reference the engine is tested against.
+Whole-space bitsets would take 2^28 bits each at the default ceiling, so a
+solve builds one `_Space` that cuts the index into chunks of at most
+`_CHUNK_CANDIDATES` candidates. A chunk fixes the leading (prefix) index
+digits, type digits first, then the high guilt bits, and the trailing
+(tail) digits vary inside it. What a chunk reads of its tail digits depends
+on neither the statements nor the prefix, so the space builds it once:
+each tail digit's value bitsets, the `types`, `liar`, `partial`, `guilty`
+and `free` bitsets they make, the exact guilt counts over the tail and
+each count bitset. Every `_Chunk` holds those very objects and a
+constant, all ones or 0, for each prefix digit; the guilt bits fixed in the
+prefix shift `k`. Enumeration stays lazy, one chunk at a time, and nothing
+outlives the solve. Facts are forced or they are not; there are no
+preference heuristics. `check_world` stays a plain per-world checklist: it
+is the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -122,7 +116,7 @@ class SearchSpaceError(ValueError):
         self.ceiling = ceiling
         super().__init__(
             f"search space of {_count_text(candidates)} candidate worlds exceeds the ceiling "
-            f"of {_count_text(ceiling)}; raise the ceiling explicitly to solve this puzzle"
+            f"of {_count_text(ceiling)}"
         )
 
 
@@ -185,21 +179,6 @@ def _compares(op: str, value: int, k: int) -> bool:
     return value >= k
 
 
-def _tile(pattern: int, period: int, width: int) -> int:
-    """`pattern`, `period` bits long, repeated to fill `width` bits (a
-    multiple of `period`), by doubling."""
-    copies, result, filled = width // period, 0, 0
-    while True:
-        if copies & 1:
-            result |= pattern << filled
-            filled += period
-        copies >>= 1
-        if not copies:
-            return result
-        pattern |= pattern << period
-        period *= 2
-
-
 def _union(bitsets: Iterable[int]) -> int:
     result = 0
     for bits in bitsets:
@@ -217,11 +196,15 @@ def _exact_counts(bitsets: list[int], ones: int) -> list[int]:
 
 
 class _Space:
-    """The numbered candidate space of a valid puzzle within the ceiling.
+    """The numbered candidate space of a valid puzzle within the ceiling,
+    cut into chunks.
 
     Index digits, most significant first: one type digit per suspect (radix
     = domain size), guilt bits from the last suspect down to the first, then
-    one bit per free key.
+    one bit per free key. The longest run of trailing (tail) digits that
+    fits in `_CHUNK_CANDIDATES` varies inside a chunk; the leading (prefix)
+    digits are fixed per chunk. The space holds every bitset of the tail
+    digits, which all its chunks share.
     """
 
     def __init__(self, puzzle: Puzzle, ceiling: int):
@@ -247,19 +230,52 @@ class _Space:
         if self.candidates > ceiling:
             raise SearchSpaceError(self.candidates, ceiling)
 
-    def chunks(self) -> Iterator[_Chunk]:
-        """Chunks in ascending index order: the longest run of trailing
-        digits that fits in `_CHUNK_CANDIDATES` varies inside a chunk, the
-        leading digits are fixed per chunk."""
         split, size = len(self.radices), 1
         while split and size * self.radices[split - 1] <= _CHUNK_CANDIDATES:
             split -= 1
             size *= self.radices[split]
-        n = len(self.suspects)
-        tail = tuple(self.radices[split:])
-        layout = _Layout(tail, max(n - split, 0), max(2 * n - split, 0))
-        for prefix in itertools.product(*map(range, self.radices[:split])):
-            yield _Chunk(self, prefix, layout)
+        self.split, self.tail, self.ones = split, self.radices[split:], (1 << size) - 1
+        # values[q][d]: the candidates of a chunk whose tail digit q is d,
+        # built from the most significant digit down. `starts` has a bit
+        # where each run of the digits above q begins, every `period` bits;
+        # in each period, value d of digit q is the d-th run of `stride` bits.
+        values: dict[int, list[int]] = {}
+        starts, period = 1, size
+        for q in range(split, len(self.radices)):
+            radix = self.radices[q]
+            stride = period // radix
+            run = (starts << stride) - starts
+            values[q] = [run] + [run << d * stride for d in range(1, radix)]
+            runs = starts
+            for d in range(1, radix):
+                runs |= starts << d * stride
+            starts, period = runs, stride
+        self.types = {p: dict(zip(self.domains[q], values[q]))
+                      for q, p in enumerate(self.suspects) if q in values}
+        self.liar = {p: _union(bits for t, bits in types.items() if t.island is Island.LIARS)
+                     for p, types in self.types.items()}
+        self.partial = {p: _union(bits for t, bits in types.items() if t.partial)
+                        for p, types in self.types.items()}
+        self.guilty = {p: values[2 * n - 1 - i][1]
+                       for i, p in enumerate(self.suspects) if 2 * n - 1 - i in values}
+        self.free = {key: values[2 * n + j][1]
+                     for j, key in enumerate(self.keys) if 2 * n + j in values}
+        self._exact = _exact_counts(list(self.guilty.values()), self.ones)
+        self._counts: dict[tuple[str, int], int] = {}
+
+    def chunks(self) -> Iterator[_Chunk]:
+        """Chunks in ascending index order."""
+        for prefix in itertools.product(*map(range, self.radices[:self.split])):
+            yield _Chunk(self, prefix)
+
+    def count(self, op: str, k: int) -> int:
+        """Chunk candidates whose number of guilty tail suspects satisfies
+        `op k`."""
+        bits = self._counts.get((op, k))
+        if bits is None:
+            bits = self._counts[op, k] = _union(
+                exact for c, exact in enumerate(self._exact) if _compares(op, c, k))
+        return bits
 
     def world(self, digits: list[int]) -> World:
         n = len(self.suspects)
@@ -272,102 +288,30 @@ class _Space:
         return World(type_of=type_of, guilty=guilty, free_values=free_values)
 
 
-class _Layout:
-    """The statement-free bitsets of a chunk shape: the tail's radices, and
-    the tail digits from `guilt_start` to `guilt_stop` that are guilt bits.
-
-    Every chunk of one solve shares its layout."""
-
-    def __init__(self, tail: tuple[int, ...], guilt_start: int, guilt_stop: int):
-        self.tail = tail
-        self.size = math.prod(tail)
-        self.ones = (1 << self.size) - 1
-        self.strides = []
-        # tops[k]: the candidates whose digit k takes its top value, built
-        # from the most significant digit down. `starts` has a bit where
-        # each run of the digits above k begins, every `period` bits; in each
-        # period, digit k's top value is the last `stride` bits.
-        self._tops, starts, period = [], 1, self.size
-        for radix in tail:
-            stride = period // radix
-            self.strides.append(stride)
-            self._tops.append((starts << period) - (starts << (radix - 1) * stride))
-            runs = starts
-            for d in range(1, radix):
-                runs |= starts << d * stride
-            starts, period = runs, stride
-        self.guilt = range(guilt_start, guilt_stop)
-        # Guilt and free digits are the low part of the index, so the exact
-        # guilt counts are built over one period of them and tiled on demand.
-        self.period = math.prod(tail[guilt_start:])
-        self._exact: Optional[list[int]] = None
-        self._repeats: dict[int, int] = {}
-
-    def digit(self, k: int, d: int) -> int:
-        """Candidates whose tail digit k is d: the digit's top pattern shifted
-        down. The top value itself is the kept int, not a copy (`x >> 0`
-        copies)."""
-        down = self.tail[k] - 1 - d
-        return self._tops[k] >> down * self.strides[k] if down else self._tops[k]
-
-    def exact_guilty(self) -> list[int]:
-        """exact[c]: the candidates of one period with exactly c of the tail's
-        guilt bits set."""
-        if self._exact is None:
-            low = (1 << self.period) - 1
-            self._exact = _exact_counts([self.digit(k, 1) & low for k in self.guilt], low)
-        return self._exact
-
-    def repeat(self, pattern: int) -> int:
-        """`pattern`, one period long, repeated over the chunk."""
-        if self.period == self.size:
-            return pattern
-        bits = self._repeats.get(pattern)
-        if bits is None:
-            bits = self._repeats[pattern] = _tile(pattern, self.period, self.size)
-        return bits
-
-
 class _Chunk:
     """Bitsets over the candidates that share one prefix of leading index
     digits; bit r is the r-th such candidate in index order. The tail
-    digits' patterns come from the shared layout, the prefix digits are
-    constants."""
+    digits' bitsets are the space's own; the prefix digits are constants."""
 
-    def __init__(self, space: _Space, prefix: tuple[int, ...], layout: _Layout):
+    def __init__(self, space: _Space, prefix: tuple[int, ...]):
         self.space = space
         self.prefix = prefix
-        self.layout = layout
-        self.tail = layout.tail
-        self.ones = layout.ones
+        ones = self.ones = space.ones
         n = len(space.suspects)
-        self.guilty = {p: self._digit(2 * n - 1 - i, 1) for i, p in enumerate(space.suspects)}
-        self.types = {p: {t: self._digit(q, d) for d, t in enumerate(domain)}
-                      for q, (p, domain) in enumerate(zip(space.suspects, space.domains))}
-        self.liar = {p: _union(bits for t, bits in types.items() if t.island is Island.LIARS)
-                     for p, types in self.types.items()}
-        self.partial = {p: _union(bits for t, bits in types.items() if t.partial)
-                        for p, types in self.types.items()}
-        self.free = {key: self._digit(2 * n + j, 1) for j, key in enumerate(space.keys)}
+        const = (0, ones)  # a prefix bit's bitset: false or true in the whole chunk
+        fixed = {p: domain[d] for p, domain, d in zip(space.suspects, space.domains, prefix)}
+        self.types = {p: {t: ones} for p, t in fixed.items()} | space.types
+        self.liar = {p: const[t.island is Island.LIARS] for p, t in fixed.items()} | space.liar
+        self.partial = {p: const[t.partial] for p, t in fixed.items()} | space.partial
+        guilt = zip(reversed(space.suspects), prefix[n:])  # the last suspect's bit first
+        self.guilty = {p: const[d] for p, d in guilt} | space.guilty
+        self.free = {key: const[d] for key, d in zip(space.keys, prefix[2 * n:])} | space.free
         self._fixed_guilty = sum(prefix[n:2 * n])
-        self._counts: dict[tuple[str, int], int] = {}
         self._face: dict[str, int] = {}
-
-    def _digit(self, q: int, d: int) -> int:
-        """Candidates whose index digit q is d."""
-        k = q - len(self.prefix)
-        if k < 0:
-            return self.ones if self.prefix[q] == d else 0
-        return self.layout.digit(k, d)
 
     def count(self, op: str, k: int) -> int:
         """Candidates whose number of guilty suspects satisfies `op k`."""
-        bits = self._counts.get((op, k))
-        if bits is None:
-            pattern = _union(exact for c, exact in enumerate(self.layout.exact_guilty())
-                             if _compares(op, self._fixed_guilty + c, k))
-            bits = self._counts[op, k] = self.layout.repeat(pattern)
-        return bits
+        return self.space.count(op, k - self._fixed_guilty)
 
     def cardinality(self) -> int:
         card = self.space.puzzle.type_cardinality
@@ -477,14 +421,15 @@ class _Chunk:
 
     def worlds(self, cons: int) -> Iterator[World]:
         """The worlds of the set bits of `cons`, in ascending order."""
-        digits = list(self.prefix) + [0] * len(self.tail)
+        tail = self.space.tail
+        digits = list(self.prefix) + [0] * len(tail)
         start = len(self.prefix)
         bits = bin(cons)[:1:-1]  # bit r is bits[r]
         r = bits.find("1")
         while r >= 0:
             rest = r
-            for k in range(len(self.tail) - 1, -1, -1):
-                rest, digits[start + k] = divmod(rest, self.tail[k])
+            for k in range(len(tail) - 1, -1, -1):
+                rest, digits[start + k] = divmod(rest, tail[k])
             yield self.space.world(digits)
             r = bits.find("1", r + 1)
 
@@ -506,7 +451,11 @@ def enumerate_worlds(
 
 
 def solve(puzzle: Puzzle, *, ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SolveReport:
-    """Aggregate the consistent worlds into forced facts and a verdict."""
+    """Aggregate the consistent worlds into forced facts and a verdict.
+
+    Raises `SearchSpaceError` when the puzzle has more candidate worlds than
+    `ceiling` (2^28 by default); pass a larger `ceiling` to solve it anyway.
+    """
     space = _Space(puzzle, ceiling)
     suspects = puzzle.suspects
     count = 0

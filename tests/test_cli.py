@@ -123,8 +123,7 @@ class TestSolveCommand:
         code, out, err = run_process("solve", str(puz))
         assert (code, out) == (1, "")
         assert err == ("islander: search space of more than 2^14399 candidate worlds exceeds "
-                       "the ceiling of 268435456; raise the ceiling explicitly to solve this "
-                       "puzzle\n")
+                       "the ceiling of 268435456\n")
 
     def test_each_puzzle_is_validated_once(self, capsys, monkeypatch):
         # A parsed puzzle is checked by the parser alone, as it reads it; a
@@ -178,6 +177,16 @@ class TestClosedPipe:
         assert child.wait(timeout=120) == 1
         assert head.startswith(b'{\n  "strategy": "solve_liars"')
         assert err == b""
+
+
+class TestInterrupt:
+    def test_ctrl_c_prints_one_line_and_exits_130(self, capsys, monkeypatch):
+        def interrupted(puzzle):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "solve", interrupted)
+        code, out, err = run(capsys, "solve", str(corpus_dir() / "ben.puz"))
+        assert (code, out, err) == (130, "", "islander: interrupted\n")
 
 
 class TestLongFormulaFile:
@@ -280,7 +289,7 @@ class TestCorpusCommand:
         assert (code, err) == (1, "")
         assert out.splitlines() == [
             "crowd  FAIL  search space of more than 2^14399 candidate worlds exceeds the "
-            "ceiling of 268435456; raise the ceiling explicitly to solve this puzzle",
+            "ceiling of 268435456",
             "will   PASS"]
 
     def test_missing_expectation_fails(self, capsys, tmp_path):

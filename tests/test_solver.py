@@ -13,6 +13,7 @@ from islander.model import (
     ALL_TYPES,
     CountCmp,
     ExactTruthTellers,
+    Free,
     FromIsland,
     Guilty,
     HasType,
@@ -161,8 +162,7 @@ class TestEnumerateWorlds:
         assert next(stream) is not None
 
     def test_a_search_space_too_long_to_print_is_refused_in_bounded_form(self):
-        refusal = ("search space of {} candidate worlds exceeds the ceiling of {}; "
-                   "raise the ceiling explicitly to solve this puzzle")
+        refusal = "search space of {} candidate worlds exceeds the ceiling of {}"
         # 8^4800 = 2^14400 candidates: 4,336 decimal digits, past the
         # interpreter's int-to-str limit.
         suspects = tuple(f"S{i}" for i in range(4800))
@@ -336,14 +336,17 @@ class TestChunkedSpace:
 
     TINY = 2 ** 4
 
-    def test_random_puzzles_match_oracle_across_chunks(self, monkeypatch):
+    # Chunks of 2 and 4 candidates put guilt and free-key digits in the
+    # prefix, where they are constants.
+    @pytest.mark.parametrize("chunk", [2 ** 1, 2 ** 2, TINY])
+    def test_random_puzzles_match_oracle_across_chunks(self, monkeypatch, chunk):
         rng = random.Random(1618)
         for i in range(60):
             puzzle = random_puzzle(rng, max_candidates=6000)
             whole = [w.key() for w in enumerate_worlds(puzzle)]
             report = solve(puzzle)
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_CHUNK_CANDIDATES", self.TINY)
+                patch.setattr(solver, "_CHUNK_CANDIDATES", chunk)
                 chunked = [w.key() for w in enumerate_worlds(puzzle)]
                 assert solve(puzzle) == report, f"random puzzle {i}"
             assert chunked == whole, f"random puzzle {i}"
@@ -396,48 +399,86 @@ class TestBoundedMemory:
         assert report.world_count > 0
 
 
-class TestSharedLayouts:
-    """Every chunk of a solve reads the tail digits' patterns from the one
-    layout its solve built."""
+class TestOneSpacePerSolve:
+    """A solve builds one space; every chunk reads the tail digits' bitsets
+    from it and holds constants for its prefix digits."""
 
     TINY = 2 ** 4
 
-    def test_digit_patterns_mark_each_candidate_by_its_digit(self):
-        rng = random.Random(28)
+    def test_chunk_bitsets_mark_each_candidate_by_its_digit(self, monkeypatch):
+        rng = random.Random(30)
         for _ in range(200):
-            tail = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(0, 6)))
-            layout = solver._Layout(tail, 0, len(tail))
-            digits = list(itertools.product(*map(range, tail)))  # index order
-            for k, radix in enumerate(tail):
-                for d in range(radix):
-                    want = sum(1 << r for r, index in enumerate(digits) if index[k] == d)
-                    assert layout.digit(k, d) == want, (tail, k, d)
+            n = rng.randint(1, 3)
+            suspects = tuple(f"S{i}" for i in range(n))
+            domains = {s: frozenset(rng.sample(ALL_TYPES, rng.randint(1, 4))) for s in suspects}
+            axioms = tuple(Free(name) for name in rng.sample("xyz", rng.randint(0, 2)))
+            axioms += tuple(KnowsWhodunit(s) for s in suspects if rng.random() < 0.3)
+            puzzle = Puzzle(suspects=suspects, type_domain=domains, count=CountCmp(">=", 0),
+                            axioms=axioms)
+            monkeypatch.setattr(solver, "_CHUNK_CANDIDATES", 2 ** rng.randint(1, 6))
+            space = solver._Space(puzzle, ceiling=2 ** 20)
+            ordered = [tuple(t for t in ALL_TYPES if t in domains[s]) for s in suspects]
+            radices = [len(d) for d in ordered] + [2] * (n + len(space.keys))
+            candidates = list(itertools.product(*map(range, radices)))  # index order
+            start = 0
+            for chunk in space.chunks():
+                size = chunk.ones.bit_length()
+                rows = candidates[start:start + size]
+                start += size
+                assert {row[:len(chunk.prefix)] for row in rows} == {chunk.prefix}
 
-    def test_a_solve_builds_one_layout_for_all_its_chunks(self, monkeypatch):
-        built, tiles = [], []
-        layout, tile = solver._Layout, solver._tile
+                def marks(holds):
+                    return sum(1 << r for r, row in enumerate(rows) if holds(row))
 
-        def counted_layout(*args):
-            built.append(args)
-            return layout(*args)
+                for q, p in enumerate(suspects):
+                    assert set(chunk.types[p]) <= set(ordered[q])
+                    for t in ordered[q]:
+                        want = marks(lambda row: ordered[q][row[q]] is t)
+                        assert chunk.types[p].get(t, 0) == want, (radices, p, t)
+                    assert chunk.liar[p] == marks(
+                        lambda row: ordered[q][row[q]].island is Island.LIARS)
+                    assert chunk.partial[p] == marks(lambda row: ordered[q][row[q]].partial)
+                    assert chunk.guilty[p] == marks(lambda row: row[2 * n - 1 - q]), (radices, p)
+                for j, key in enumerate(space.keys):
+                    assert chunk.free[key] == marks(lambda row: row[2 * n + j]), (radices, key)
+            assert start == len(candidates)
 
-        def counted_tile(pattern, period, width):
-            tiles.append((period, width))
-            return tile(pattern, period, width)
+    def test_every_chunk_holds_the_space_s_own_tail_bitsets(self, monkeypatch):
+        chunks, exact = [], []
+        chunks_, exact_counts = solver._Space.chunks, solver._exact_counts
 
-        monkeypatch.setattr(solver, "_Layout", counted_layout)
-        monkeypatch.setattr(solver, "_tile", counted_tile)
+        def recorded_chunks(space):
+            for chunk in chunks_(space):
+                chunks.append(chunk)
+                yield chunk
+
+        def counted_exact_counts(bitsets, ones):
+            exact.append(len(bitsets))
+            return exact_counts(bitsets, ones)
+
+        monkeypatch.setattr(solver._Space, "chunks", recorded_chunks)
+        monkeypatch.setattr(solver, "_exact_counts", counted_exact_counts)
         puzzle = eight_suspect_chain()
         report = solve(puzzle)
-        # 16 chunks, each varying six type digits and eight guilt bits: one
-        # layout, and the count constraint's pattern tiled once, chunk wide.
-        assert built == [((4,) * 6 + (2,) * 8, 6, 14)]
-        assert tiles == [(2 ** 8, 4 ** 6 * 2 ** 8)]
-        # Nothing is kept between solves: the next one builds its own.
+        # 16 chunks, each varying the last six type digits and every guilt
+        # bit: the exact guilt counts over the eight tail guilt bits are built
+        # once, chunk wide.
+        assert len(chunks) == 16 and exact == [8]
+        space = chunks[0].space
+        assert list(space.types) == list(puzzle.suspects[2:])
+        assert list(space.guilty) == list(puzzle.suspects)
+        for chunk in chunks:
+            assert chunk.space is space
+            for name in ("types", "liar", "partial", "guilty", "free"):
+                mine = getattr(chunk, name)
+                assert all(mine[key] is bits for key, bits in getattr(space, name).items())
+            assert chunk.count("=", 1) is space.count("=", 1)
+        # Nothing is kept between solves: the next one builds its own space.
         assert solve(puzzle) == report
-        assert len(built) == len(tiles) == 2
+        assert len(chunks) == 32 and exact == [8, 8]
+        assert chunks[16].space is not space
 
-    def test_shared_layouts_change_no_answer(self, monkeypatch):
+    def test_one_space_per_solve_changes_no_answer(self, monkeypatch):
         """Random puzzles solved interleaved under tiny and default chunks
         give the oracle's reports and worlds, in one order for both."""
         rng = random.Random(2828)
