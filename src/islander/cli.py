@@ -85,8 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--knowledge-density", type=float, default=0.0)
     p_sim.add_argument("--count-public", action="store_true",
                        help="make the criminal count public knowledge")
-    p_sim.add_argument("--mode", default="robust", choices=("robust", "paper-literal"),
-                       help="variant of the liars strategy")
+    modes = dict.fromkeys(mode for strategy in STRATEGIES.values() for mode in strategy.modes)
+    p_sim.add_argument("--mode", default="robust", choices=tuple(modes),
+                       help="variant of a strategy that has several")
     p_sim.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
@@ -240,7 +241,7 @@ def _parse_criminals(raw: str, n: int):
         raise SystemExit(f"islander: bad --criminals value {raw!r} (want e.g. 2 or 1-3)")
     if not 1 <= low <= high <= n:
         raise SystemExit(f"islander: criminal range {raw!r} is infeasible for n={n}")
-    return low if low == high else (low, high)
+    return low, high
 
 
 def _transcript_json(transcript) -> list[dict]:
@@ -259,20 +260,18 @@ def _transcript_json(transcript) -> list[dict]:
 
 def _cmd_simulate(args) -> int:
     strategy = STRATEGIES[args.strategy]
-    if args.mode != "robust" and not strategy.takes_mode:
-        takers = ", ".join(name for name, s in STRATEGIES.items() if s.takes_mode)
-        print(f"islander: --mode applies only to the {takers} strategy", file=sys.stderr)
-        return EXIT_ERROR
     if args.trials < 1:
         print("islander: --trials must be at least 1", file=sys.stderr)
         return EXIT_ERROR
+    criminals = _parse_criminals(args.criminals, args.n)
+    # Someone may know another's guilt when there is a pair to know of.
     refusal = strategy.refusal(args.strategy, args.island, args.count_public,
-                               strategy.needs_secret)
+                               strategy.needs_secret, args.mode, criminals,
+                               args.knowledge_density > 0 and args.n > 1)
     if refusal:
         print(f"islander: precondition refused: {refusal}", file=sys.stderr)
         return EXIT_ERROR
     seed = args.seed if args.seed is not None else _default_seed()
-    criminals = _parse_criminals(args.criminals, args.n)
 
     # Each trial's seed is drawn when the trial starts and only running
     # question statistics are kept, so memory does not grow with --trials.

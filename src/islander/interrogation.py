@@ -17,11 +17,14 @@ below are checked to be independent of those coin flips.
 
 `STRATEGIES` is the one place where a strategy and its premises are
 declared: for each name, its `run_<name>` runner, the island modes and
-count premise it accepts, whether it needs a secret or takes a mode, and
-what counts as success. `Strategy.refusal` checks a world against them, for
-`run_strategy`, which runs any entry by name, and for the CLI's `simulate`,
-whose `--strategy` choices are the table's keys, before any draw. A runner
-assumes them and checks only what no entry declares. Every runner asks
+count premise it accepts, whether it needs a secret, a crowd that knows
+nothing of anyone else's guilt or a lone criminal, the modes it has, and
+what counts as success. One check, `Strategy.refusal`, holds every premise;
+each caller gives it what it knows. `run_strategy`, which runs any entry by
+name, reads the world; the CLI's `simulate`, whose `--strategy` and
+`--mode` choices come from the table, reads its flags, before any draw. A
+runner checks no premise: only the paper-literal `solve_liars` can refuse
+at run time, when it has no list to draw. Every runner asks
 through one loop, `_ask_each`: put each (asker, question, suspect) to the
 asker and accuse the suspect on the answer a criminal gives, a
 truth-teller's mark from an asker read as a truth-teller (by default,
@@ -689,13 +692,6 @@ def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
     return lambda p: PossibleSubset(_AllBut(everyone, p))
 
 
-def _require_all_unknown(kw: KnowledgeWorld, what: str) -> None:
-    if not kw.all_knowledge_unknown():
-        raise PreconditionError(
-            f"{what} assumes no one knows anything about anyone else's guilt"
-        )
-
-
 def run_classify_islands(
     kw: KnowledgeWorld, rng: Optional[random.Random] = None
 ) -> StrategyResult:
@@ -725,8 +721,8 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
     """With the criminal count public and nobody knowing about anybody else,
     ask each person whether that many criminals could exist without them.
     The guilty know they are in the gang, so their honest answer is no.
-    Assumes the public count its entry declares, as `run_strategy` checks."""
-    _require_all_unknown(kw, "the public-count strategy")
+    Assumes the public count and blank knowledge its entry declares, as
+    `run_strategy` checks."""
     return _ask_each(kw, rng, _each(kw.persons, PossibleSizeExcludingSelf(kw.count_public)), _NO)
 
 
@@ -734,8 +730,8 @@ def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -
     """With no count known and no knowledge of others, ask everyone whether
     it is possible that everyone committed the crime. Only the guilty can
     honestly say yes; the innocent know of their own innocence. Assumes the
-    hidden count its entry declares, as `run_strategy` checks."""
-    _require_all_unknown(kw, "the unknown-count strategy")
+    hidden count and blank knowledge its entry declares, as `run_strategy`
+    checks."""
     return _ask_each(kw, rng, _each(kw.persons, PossibleExact(kw._person_set)), _YES)
 
 
@@ -770,12 +766,10 @@ def run_solve_liars(
     including the askee; it is guaranteed only when nobody knows anything
     about anybody else, since an innocent whose knowledge rules the list out
     (a criminal missing from it, or an innocent on it) would honestly answer
-    no and get misaccused. Assumes the liars' crowd its entry declares, as
-    `run_strategy` checks."""
+    no and get misaccused. Assumes the liars' crowd and a mode its entry
+    declares, as `run_strategy` checks; any other mode is asked as the
+    question itself, which the first answer refuses."""
     rng = rng or random.Random(0)
-    if mode not in ("robust", "paper-literal"):
-        raise PreconditionError(f"unknown liars-strategy mode '{mode}'")
-
     roster = sorted(kw.persons)
 
     def literal(p: str) -> Question:
@@ -790,7 +784,7 @@ def run_solve_liars(
             )
         return PossibleExact(frozenset(rng.sample(others, size)))
 
-    question = _among_the_others(kw) if mode == "robust" else literal
+    question = {"robust": _among_the_others(kw), "paper-literal": literal}.get(mode, mode)
     return _ask_each(kw, rng, _each(kw.persons, question), _NO)
 
 
@@ -813,10 +807,8 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     better and says no, the innocent honestly cannot tell. Liars get the
     possibility form of the same question so nobody has to answer "I don't
     know", and the criminal's flipped answer is yes. Assumes the one-island
-    crowd and public count its entry declares, as `run_strategy` checks."""
-    if len(kw.guilty) != 1:
-        raise PreconditionError("this strategy needs exactly one criminal")
-    _require_all_unknown(kw, "the lone-criminal strategy")
+    crowd, public count, lone criminal and blank knowledge its entry
+    declares, as `run_strategy` checks."""
     tt = kw.type_of[kw.persons[0]].island is Island.TRUTH_TELLERS  # the crowd's one island
     question: Question = DidDetectiveDoIt() if tt else DetectivePossiblyGuilty()
     return _ask_each(kw, rng, _each(kw.persons, question), _NO)
@@ -856,22 +848,32 @@ class Strategy:
     `islands` are the island modes of `generate_knowledge_world` whose worlds
     the runner accepts. `count_public` is True or False when the runner needs
     the criminal count public or hidden, None when either will do.
-    `needs_secret` says the world must carry a secret attribute, and
-    `takes_mode` that the runner has variants chosen by a `mode` argument.
-    `succeeds(kw, result)` says whether a run did what the strategy promises.
-    `run_strategy` and `simulate` refuse from `refusal`, which reads the first three."""
+    `needs_secret` says the world must carry a secret attribute,
+    `needs_blank_knowledge` that nobody may know anything of anyone else's
+    guilt, and `needs_one_criminal` that there must be exactly one criminal.
+    `modes` are the variants the runner has, chosen by a `mode` argument
+    when there are more than one. `succeeds(kw, result)` says whether a run
+    did what the strategy promises. Every premise but `succeeds` is checked
+    by `refusal`, the one check `run_strategy` and `simulate` refuse from."""
 
     run: Callable[..., StrategyResult]
     islands: tuple[str, ...] = ISLAND_MODES
     count_public: Optional[bool] = None
     needs_secret: bool = False
     succeeds: Callable[[KnowledgeWorld, StrategyResult], bool] = _accuses_the_guilty
-    takes_mode: bool = False
+    needs_blank_knowledge: bool = False
+    needs_one_criminal: bool = False
+    modes: tuple[str, ...] = ("robust",)
 
-    def refusal(self, name: str, island: str, count_public: bool, secret: bool) -> Optional[str]:
-        """Why a world of the island mode `island`, the count public or not and
-        a secret or not, is outside this entry for the strategy `name`, or None."""
+    def refusal(self, name: str, island: str, count_public: bool, secret: bool, mode: str,
+                criminals: tuple[int, int], knowing: bool) -> Optional[str]:
+        """Why a run of the strategy `name` in `mode` is outside this entry,
+        or None: on worlds of the island mode `island`, the count public or
+        not, a secret or not, between `criminals` (low, high) criminals, and
+        where someone may know another's guilt or not (`knowing`)."""
         declared = f"the {name} strategy is declared for"
+        if mode not in self.modes:
+            return f"{declared} --mode {' or '.join(self.modes)}, not {mode}"
         if island not in self.islands:
             return f"{declared} --island {' or '.join(self.islands)}, not {island}"
         if self.count_public not in (None, count_public):
@@ -879,6 +881,13 @@ class Strategy:
             return f"{declared} a {wanted} criminal count, not a {given} one"
         if self.needs_secret and not secret:
             return f"{declared} a world with a secret, not one without"
+        if self.needs_one_criminal and criminals != (1, 1):
+            low, high = criminals
+            given = low if low == high else f"{low}-{high}"
+            return f"{declared} exactly one criminal, not {given}"
+        if self.needs_blank_knowledge and knowing:
+            return (f"{declared} a crowd where no one knows anything about anyone else's "
+                    "guilt, not one where someone may")
         return None
 
 
@@ -888,12 +897,15 @@ STRATEGIES: dict[str, Strategy] = {
     "ask_all_about_others": Strategy(
         run_ask_all_about_others, succeeds=_accuses_the_known_criminals
     ),
-    "count_known": Strategy(run_count_known, count_public=True),
-    "count_unknown": Strategy(run_count_unknown, count_public=False),
+    "count_known": Strategy(run_count_known, count_public=True, needs_blank_knowledge=True),
+    "count_unknown": Strategy(run_count_unknown, count_public=False,
+                              needs_blank_knowledge=True),
     "solve_truthtellers": Strategy(run_solve_truthtellers, islands=("tt",)),
-    "solve_liars": Strategy(run_solve_liars, islands=("liars",), takes_mode=True),
+    "solve_liars": Strategy(run_solve_liars, islands=("liars",),
+                            modes=("robust", "paper-literal")),
     "solve_mixed": Strategy(run_solve_mixed),
-    "neil": Strategy(run_neil, islands=("tt", "liars"), count_public=True),
+    "neil": Strategy(run_neil, islands=("tt", "liars"), count_public=True,
+                     needs_blank_knowledge=True, needs_one_criminal=True),
     "secret_attribute": Strategy(run_secret_attribute, islands=("tt",), needs_secret=True),
 }
 
@@ -904,22 +916,22 @@ def run_strategy(
     rng: Optional[random.Random] = None,
     mode: str = "robust",
 ) -> StrategyResult:
-    """Run the registered strategy `name` on `kw` unless its entry refuses
-    the world. Only a strategy that `takes_mode` accepts a mode but "robust"."""
+    """Run the registered strategy `name` in `mode` on `kw` unless its entry
+    refuses the world."""
     strategy = STRATEGIES.get(name)
     if strategy is None:
         raise PreconditionError(f"no strategy '{name}' (the strategies: {', '.join(STRATEGIES)})")
-    if mode != "robust" and not strategy.takes_mode:
-        raise PreconditionError(f"the {name} strategy has no mode '{mode}'")
     # Any crowd is a mixed one: only a narrower entry reads the crowd's islands.
     islands = set() if "mixed" in strategy.islands else {t.island for t in kw.type_of.values()}
     island = "mixed" if len(islands) != 1 else "tt" if Island.TRUTH_TELLERS in islands else "liars"
-    refusal = strategy.refusal(name, island, kw.count_public is not None, kw.secret is not None)
+    # Only an entry that needs blank knowledge reads the rows.
+    knowing = strategy.needs_blank_knowledge and not kw.all_knowledge_unknown()
+    refusal = strategy.refusal(name, island, kw.count_public is not None, kw.secret is not None,
+                               mode, (len(kw.guilty),) * 2, knowing)
     if refusal:
         raise PreconditionError(refusal)
-    if strategy.takes_mode:
-        return strategy.run(kw, rng, mode)
-    return strategy.run(kw, rng)
+    # A mode but "robust" is one the entry declares, so its runner takes one.
+    return strategy.run(kw, rng) if mode == "robust" else strategy.run(kw, rng, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON output, corpus checking, simulation."""
 
+import itertools
 import json
 import os
 import shutil
@@ -368,11 +369,50 @@ class TestSimulateCommand:
         assert "successes: 50" in out
 
     def test_mode_flag_rejected_for_other_strategies(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "simulate", "--strategy", "solve_mixed", "--mode", "paper-literal",
         )
-        assert code == 1
-        assert "solve_liars" in err
+        assert (code, out) == (1, "")
+        assert err == ("islander: precondition refused: the solve_mixed strategy is declared "
+                       "for --mode robust, not paper-literal\n")
+
+    def test_the_flags_decide_every_refusal(self, capsys, monkeypatch):
+        """Every entry, island mode, count premise, density, criminal range,
+        mode and crowd size: a run is refused from its flags alone, with one
+        line, no stdout and no world drawn, or no trial of it is refused. The
+        paper-literal list's two runtime facts are the only exemption."""
+        draws = []
+        generate = cli.generate_knowledge_world
+
+        def recorded(**kwargs):
+            draws.append(kwargs)
+            return generate(**kwargs)
+
+        monkeypatch.setattr(cli, "generate_knowledge_world", recorded)
+        modes = ("robust", "paper-literal")
+        literal_facts = ("the literal liars strategy needs at least two persons",
+                         "the literal liars strategy cannot draw a list when everyone is guilty")
+        ran = refused = 0
+        for name, island, public, density, criminals, mode, n in itertools.product(
+            STRATEGIES, ISLAND_MODES, (False, True), ("0", "0.3"), ("1", "1-3"), modes, (1, 2, 5)
+        ):
+            argv = ["simulate", "--strategy", name, "--island", island, "--n", str(n),
+                    "--criminals", criminals, "--knowledge-density", density, "--mode", mode,
+                    "--trials", "6", "--seed", "3", *(["--count-public"] * public)]
+            draws.clear()
+            code, out, err = run(capsys, *argv)
+            if not draws:
+                assert (code, out) == (1, ""), argv
+                assert len(err.splitlines()) == 1, argv
+                assert err.startswith(("islander: precondition refused: the ",
+                                       "islander: criminal range ")), argv
+                refused += 1
+                continue
+            for line in err.splitlines():
+                assert line.removeprefix("islander: precondition refused: ") in literal_facts, \
+                    (argv, line)
+            ran += 1
+        assert ran and refused
 
     def test_infeasible_criminals_range(self, capsys):
         code, _, err = run(

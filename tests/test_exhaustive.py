@@ -11,14 +11,14 @@ or be refused with `PreconditionError`.
 - n = 3: every world on the islands each `solve_*` entry declares.
 
 The premises are tight: over every world with n <= 2, the secret also
-unset, `run_strategy` refuses exactly the worlds outside the islands, count
-premise and secret its entry declares, with the entry's `refusal` text, and
-those where a premise that the runner checks itself fails.
+unset, `run_strategy` refuses exactly the worlds outside the premises its
+entry declares (islands, count, secret, a lone criminal, blank knowledge),
+with the entry's `refusal` text.
 
 A liar's answer to an honest "I don't know" comes from one seeded source;
 every run that is not refused is checked never to draw from it, so no
 branching over both answers is needed. Only the default mode of
-a strategy that takes a mode is run by those two tests. The paper-literal
+a strategy that has several is run by those two tests. The paper-literal
 mode of `solve_liars` is checked on its own premise, blank knowledge, with
 three adversary seeds; the smallest world where it fails is pinned. Its
 list draws come from the same source, so there every answer is checked to
@@ -141,38 +141,36 @@ def test_every_world_of_three_persons_on_the_declared_islands(name):
     assert check_every_world(name, all_worlds(3, types)) > 0
 
 
-# The premises a runner checks itself, which no registry entry declares.
-RUNNER_PREMISES = {
-    "count_known": KnowledgeWorld.all_knowledge_unknown,
-    "count_unknown": KnowledgeWorld.all_knowledge_unknown,
-    "neil": lambda kw: kw.all_knowledge_unknown() and len(kw.guilty) == 1,
-}
-
-
 @pytest.mark.parametrize("name", list(STRATEGIES))
 def test_premises_are_tight(name):
+    """A world is refused exactly when it is outside the entry's declared
+    premises, with the entry's own refusal, and every other world runs."""
     strategy = STRATEGIES[name]
-    runner_premise = RUNNER_PREMISES.get(name, lambda kw: True)
     for kw in itertools.chain(all_worlds(1, ALL_TYPES), all_worlds(2, ALL_TYPES)):
         types = set(kw.type_of.values())
         # The narrowest island mode whose crowds include this one.
         island = next(mode for mode, pool in POOLS.items() if types <= set(pool))
         public = kw.count_public is not None
+        knowing = not kw.all_knowledge_unknown()
+        guilty = len(kw.guilty)
         for secret in (kw.secret, None):
             world = KnowledgeWorld(kw.persons, kw.type_of, kw.guilty, kw.knowledge,
                                    kw.count_public, secret)
             outside = (not any(types <= set(POOLS[mode]) for mode in strategy.islands)
                        or strategy.count_public not in (None, public)
-                       or (strategy.needs_secret and secret is None))
-            refusal = strategy.refusal(name, island, public, secret is not None)
+                       or (strategy.needs_secret and secret is None)
+                       or (strategy.needs_one_criminal and guilty != 1)
+                       or (strategy.needs_blank_knowledge and knowing))
+            refusal = strategy.refusal(name, island, public, secret is not None, "robust",
+                                       (guilty, guilty), knowing)
             assert (refusal is not None) == outside, (name, world)
             try:
                 run_strategy(world, name, random.Random(0))
                 ran = True
             except PreconditionError as exc:
-                assert refusal is None or str(exc) == refusal, (name, world)
+                assert str(exc) == refusal, (name, world)
                 ran = False
-            assert ran == (not outside and runner_premise(world)), (name, world)
+            assert ran == (not outside), (name, world)
 
 
 LITERAL_SEEDS = (0, 1, 2)

@@ -692,7 +692,7 @@ class TestCountStrategies:
         knowledge = {("P1", "P2"): Knowledge.KNOWS_GUILTY}
         kw = all_truth_tellers(4, {"P2"}, knowledge=knowledge, count_public=1)
         with pytest.raises(PreconditionError, match="know"):
-            run_count_known(kw)
+            run_strategy(kw, "count_known")
 
     def test_unknown_count_money_parade(self):
         kw = all_truth_tellers(6, {"P1", "P3", "P5"})
@@ -1262,11 +1262,10 @@ class TestDeferredDraw:
 
     def test_strategies_run_alike_on_drawn_and_undrawn_worlds(self):
         for name, strategy in STRATEGIES.items():
-            modes = ("robust", "paper-literal") if strategy.takes_mode else ("robust",)
             publics = (False, True) if strategy.count_public is None else (strategy.count_public,)
             criminals = (lambda n: 1) if name == "neil" else (lambda n: (1, n))
             for island, n, public, mode, seed in itertools.product(
-                strategy.islands, (1, 2, 5, 12), publics, modes, range(4)
+                strategy.islands, (1, 2, 5, 12), publics, strategy.modes, range(4)
             ):
                 outcomes = []
                 for read_first in (False, True):
@@ -1305,14 +1304,28 @@ class TestStrategyRegistry:
             with pytest.raises(PreconditionError, match="count"):
                 run_strategy(world(strategy.islands[0], not public), name)
 
-    def test_only_a_strategy_that_takes_a_mode_accepts_one(self):
+    def test_only_a_strategy_that_declares_a_mode_accepts_it(self):
         kw = generate_knowledge_world(5, "liars", (1, 3), 0.0, seed=2)
         for name, strategy in STRATEGIES.items():
-            if strategy.takes_mode:
+            if "paper-literal" in strategy.modes:
                 assert run_strategy(kw, name, mode="paper-literal").accused == kw.guilty
             else:
                 with pytest.raises(PreconditionError, match="mode"):
                     run_strategy(kw, name, mode="paper-literal")
+
+    def test_a_direct_call_in_an_unknown_mode_is_refused(self, monkeypatch):
+        """The runner checks no mode name, yet an unknown mode asks nothing:
+        neither the robust nor the literal question is put."""
+        kw = generate_knowledge_world(5, "liars", (1, 3), 0.0, seed=2)
+        asked = []
+        answer = interrogation._answer
+        monkeypatch.setattr(interrogation, "_answer",
+                            lambda *args: asked.append(args[2]) or answer(*args))
+        for mode in ("bogus", "Robust", ""):
+            with pytest.raises(PreconditionError, match="unknown question"):
+                run_solve_liars(kw, random.Random(0), mode)
+        assert all(not isinstance(question, (PossibleSubset, PossibleExact))
+                   for question in asked)
 
     def test_an_unknown_name_is_refused_with_the_registered_names(self):
         kw = generate_knowledge_world(5, "mixed", 1, 0.0, seed=2)
