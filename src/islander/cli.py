@@ -263,10 +263,13 @@ def _cmd_simulate(args) -> int:
     if args.trials < 1:
         print("islander: --trials must be at least 1", file=sys.stderr)
         return EXIT_ERROR
+    if args.n < 1:
+        print("islander: --n must be at least 1", file=sys.stderr)
+        return EXIT_ERROR
     criminals = _parse_criminals(args.criminals, args.n)
     # Someone may know another's guilt when there is a pair to know of.
     refusal = strategy.refusal(args.strategy, args.island, args.count_public,
-                               strategy.needs_secret, args.mode, criminals,
+                               strategy.needs_secret, args.mode, args.n, criminals,
                                args.knowledge_density > 0 and args.n > 1)
     if refusal:
         print(f"islander: precondition refused: {refusal}", file=sys.stderr)

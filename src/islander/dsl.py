@@ -15,34 +15,31 @@ the tokens after the keyword: punctuation marks, words and the node's
 fields, each read and written as `_FIELDS` says. `_DIRECTIVES` maps each
 directive's keyword to the function that reads the rest of it.
 
-One reader lexes a text: `_read` runs one findall, each distinct token
-text becomes one shared Token, and no Python code runs per token. An atom
-written exactly as serialize() writes it, such as `guilty(Ada3)`,
-`type(Bo7)=AL` or `count >= 2`, is one token of kind "atom", which holds
-its fine tokens (keyword, marks, fields) as its parts. Its regular
-expression is built from the atom table, and any other spacing, or a
-comment inside an atom, gives the fine tokens. Texts once classified, a
-compact atom's parts among them, are kept for later parses, in one table
-with a fixed cap. A compact atom's token also carries its node, built once
-in the process, when its text is first lexed: what its parts read to
-wherever its person is a suspect and its label that of an earlier modeled
-statement. A token carries no position. A parse error names the
-index of its token, or of a part within a compact atom, and `parse` works
-out that token's line and column only then, by one walk of the same
-regular expression. One error parses a text twice: a compact atom where
-no atom may stand (a directive head, an operator position, a label) fails
-as a whole, and the tokens are parsed again with each compact atom's parts
-in its place, so the error names the fine token within it that the grammar
-stops at.
+One reader lexes a text: `_read` runs one findall of a lexer, each distinct
+token text becomes one shared Token, and no Python code runs per token.
+The fine lexer, `_FINE_RE`, gives one token per name, mark, integer and
+string. The parse lexer, `_TOKEN_RE`, also reads an atom written exactly as
+serialize() writes it, such as `guilty(Ada3)`, `type(Bo7)=AL` or
+`count >= 2`, as one token of kind "atom"; its regular expression is built
+from the atom table, and any other spacing, or a comment inside an atom,
+gives the fine tokens. Texts once classified, and the fine texts within
+compact atoms, are kept for later parses, in one table with a fixed cap. A
+compact atom's token carries its node, built once in the process, when its
+text is first lexed: what its fine tokens read to wherever its person is a
+suspect and its label that of an earlier modeled statement. A token
+carries no position.
 
-A parse takes a compact atom's node wherever it fits the puzzle read so
-far (see `_fits`), so equal compact atoms within one text, which share one
-token, are one node. An atom whose node does not fit, or that has none (an
-integer past the interpreter's conversion limit, a free atom name that is
-not an identifier), is read from its parts, so the error is the one its
-fine tokens give. An atom spelled any other way is read where it stands,
-from its fine tokens, every time. serialize() formats each distinct atom
-node once.
+A compact atom is only a fast path. A parse takes its node wherever it
+fits the puzzle read so far (see `_fits`), so equal compact atoms within
+one text, which share one token, are one node. Anywhere else, an atom whose
+node does not fit or that has none (an integer past the interpreter's
+conversion limit, a free atom name that is not an identifier) or an atom
+where no atom may stand, the parse fails at its token. A failed parse is
+read again from fine tokens; its error is theirs. It names the index of its
+fine token, and `parse` works out that token's line and column only then,
+by one walk of the fine lexer. An atom spelled any other way is read where
+it stands, from its fine tokens, every time. serialize() formats each
+distinct atom node once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
 and validation, serialize(), ==, hash, repr, the `axiom forall` expansion
@@ -119,19 +116,16 @@ class ParseError(Exception):
 class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "atom", "eof", or the punctuation itself
     text: str
-    parts: tuple[Token, ...] = ()  # a compact atom's fine tokens, its keyword first
-    # A compact atom's node, as its parts read to where they fit the puzzle:
-    # built once, when its text is first lexed (see `_node`).
+    # A compact atom's node, as its fine tokens read to where they fit the
+    # puzzle: built once, when its text is first lexed (see `_node`).
     node: Formula | None = None
 
 
 class _Failure(Exception):
     """A ParseError at the index-th token, before its line and column are
-    worked out: args are (index, message, expected). The index of a fine
-    token inside a compact atom is the pair (the atom's index, the fine
-    token's index among its parts)."""
+    worked out: args are (index, message, expected)."""
 
-    def __init__(self, index: int | tuple[int, int], message: str,
+    def __init__(self, index: int, message: str,
                  expected: tuple[str, ...] = ()):
         super().__init__(index, message, expected)
 
@@ -173,9 +167,9 @@ _EOF = Token("eof", "end of input")
 
 
 def _classify(raws: list[str]) -> dict[str, Token | None]:
-    """Each distinct fine token text, one that `_TOKEN_RE` captured or a part
-    of a compact atom, mapped to its token without a position: the end-of-input token for the empty text,
-    None for a bad character."""
+    """Each distinct fine token text, one that a lexer captured or one within
+    a compact atom, mapped to its token without a position: the end-of-input
+    token for the empty text, None for a bad character."""
     match = re.compile(_CLASS_PATTERN).fullmatch
     table: dict[str, Token | None] = {}
     for raw in set(raws):
@@ -192,8 +186,8 @@ def _classify(raws: list[str]) -> dict[str, Token | None]:
 
 
 # Token texts classified by earlier parses, since keywords, punctuation and
-# most names recur from text to text: compact atoms, and the fine texts of
-# their parts and of every other token. A bad character is never kept, and
+# most names recur from text to text: compact atoms, and the fine texts
+# within them and of every other token. A bad character is never kept, and
 # the table holds at most _KNOWN_CAP texts: a parse that would pass the cap
 # starts a new one from its own texts (and keeps the old one if its own
 # texts alone pass it).
@@ -201,14 +195,14 @@ _known: dict[str, Token] = {}
 _KNOWN_CAP = 4096
 
 
-def _read(text: str) -> tuple[Token, ...]:
-    """The tokens of `text`, shared and without positions: one findall, then
-    one lookup per token. The fine texts new to the table, the parts of new
-    compact atoms among them, are classified by one `_classify` call, and
-    each new compact atom's node is built from its parts. A bad character
-    fails at its index."""
+def _read(text: str, lexer: re.Pattern[str]) -> tuple[Token, ...]:
+    """The tokens `lexer` finds in `text`, shared and without positions: one
+    findall, then one lookup per token. The fine texts new to the table,
+    those within new compact atoms among them, are classified by one
+    `_classify` call, and each new compact atom's node is built from its
+    fine tokens. A bad character fails at its index."""
     global _known
-    raws = _TOKEN_RE.findall(text)
+    raws = lexer.findall(text)
     if len(raws) > 1 and not raws[-2]:
         raws.pop()  # the second empty text at the end
     known, distinct = _known, set(raws)
@@ -219,8 +213,7 @@ def _read(text: str) -> tuple[Token, ...]:
         index = next(i for i, raw in enumerate(raws) if raw in new and new[raw] is None)
         raise _Failure(index, f"unexpected character {raws[index]!r}")
     for raw, parts in compact.items():
-        tokens = tuple(new.get(part) or known[part] for part in parts)
-        new[raw] = Token("atom", raw, tokens, _node(tokens))
+        new[raw] = Token("atom", raw, _node(tuple(new.get(part) or known[part] for part in parts)))
     if new:
         if len(known) + len(new) > _KNOWN_CAP:
             # A new table, of this text's tokens alone.
@@ -231,17 +224,12 @@ def _read(text: str) -> tuple[Token, ...]:
     return tuple(map(known.__getitem__, raws))
 
 
-def _locate(text: str, index: int | tuple[int, int]) -> tuple[str, int, int, int]:
-    """The token text at `index` that `_read` finds in `text`, with its
-    offset, line and column: one walk of the same lexer, and for a part of a
-    compact atom one more within the atom. The end of input sits at the end
-    of the text, or at the '#' of a comment that ends it."""
-    whole, part = index if isinstance(index, tuple) else (index, None)
-    m = next(islice(_TOKEN_RE.finditer(text), whole, None))
+def _locate(text: str, index: int) -> tuple[str, int, int, int]:
+    """The fine token text at `index` that `_read` finds in `text`, with its
+    offset, line and column: one walk of the fine lexer. The end of input
+    sits at the end of the text, or at the '#' of a comment that ends it."""
+    m = next(islice(_FINE_RE.finditer(text), index, None))
     raw, start = m[1], m.start(1)
-    if part is not None:
-        m = next(islice(_PART_RE.finditer(text, start, m.end(1)), part, None))
-        raw, start = m[0], m.start()
     line_start = text.rfind("\n", 0, start) + 1
     if not raw and (comment := text.find("#", max(m.start(), line_start))) != -1:
         start = comment
@@ -355,22 +343,15 @@ def parse(text: str) -> Puzzle:
     """Parse DSL source into a valid Puzzle, checked as it is read, or raise
     ParseError.
 
-    A failure at a compact atom as a whole puts an atom where none may
-    stand, and the error is the one its fine tokens give: only then are the
-    tokens parsed again, with each compact atom's parts in its place."""
-    tokens: tuple[Token, ...] = ()  # none if a bad character fails the read
+    A failed parse is read again from fine tokens; its error is theirs."""
     try:
-        tokens = _read(text)
-        return _parse(tokens)
+        return _parse(_read(text, _TOKEN_RE))
+    except _Failure:
+        pass
+    try:
+        return _parse(_read(text, _FINE_RE))
     except _Failure as failure:
         index, message, expected = failure.args
-    if isinstance(index, int) and index < len(tokens) and tokens[index].parts:
-        try:
-            return _parse(tuple(part for tok in tokens for part in tok.parts or (tok,)))
-        except _Failure as failure:
-            index, message, expected = failure.args
-        index = [(i, j) if tok.parts else i
-                 for i, tok in enumerate(tokens) for j in range(len(tok.parts) or 1)][index]
     raw, start, line, column = _locate(text, index)
     if raw == '"':
         raise _bad_string(text, start, line, column) from None
@@ -695,10 +676,11 @@ def _syntax(table: dict[str, tuple], column: int = 1, literal=str) -> dict[type,
 _ATOM_SYNTAX = _syntax(_ATOMS)
 _TYPECOUNT_SYNTAX = _syntax(_TYPECOUNTS)
 
-# A compact atom: one written exactly as `serialize` writes it. The lexer
-# reads it as one token of kind "atom", whose parts are its fine tokens;
-# other spacing, or a comment inside an atom, gives the fine tokens.
+# A compact atom: one written exactly as `serialize` writes it. The parse
+# lexer reads it as one token of kind "atom"; other spacing, or a comment
+# inside an atom, gives the fine tokens, the only ones the fine lexer gives.
 _TOKEN_RE = _lexer(*_syntax(_ATOMS, 2, re.escape).values())
+_FINE_RE = _lexer()
 
 ATOM_EXPECTED = (*_ATOMS, "true", "false", "not", "'('")
 
@@ -710,16 +692,15 @@ KEYWORDS = frozenset({
 
 def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """One atom; parentheses and `not` are _parse_formula's. A compact atom
-    is its token's node where that fits the puzzle read so far, and is read
-    from its parts otherwise, so a failure names its part. An atom spelled
-    any other way is read where it stands, by `_read_row`."""
+    is its token's node where that fits the puzzle read so far, and fails
+    otherwise, so that `parse` reads the text again from fine tokens. An
+    atom spelled any other way is read where it stands, by `_read_row`."""
     tok = p.tokens[p.pos]
     if tok.kind == "atom":
-        atom = tok.node
-        if atom is None or not _fits(atom, b):
-            atom = _read_parts(p, b, tok)
+        if tok.node is None or not _fits(tok.node, b):
+            raise p.unexpected(())
         p.pos += 1
-        return atom
+        return tok.node
     if tok.kind != "ident":
         raise p.unexpected(ATOM_EXPECTED)
     row = _ATOMS.get(tok.text)
@@ -732,19 +713,9 @@ def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
     return _read_row(p, b, row)
 
 
-def _read_parts(p: _Parser, b: _PuzzleBuilder, tok: Token) -> Formula:
-    """The node of the compact atom `tok`, the next token, read from its
-    parts as its fine tokens are read; a failure names its part."""
-    try:
-        return _read_row(_Parser(tok.parts, 1), b, _ATOMS[tok.parts[0].text])
-    except _Failure as failure:
-        part, message, expected = failure.args
-    raise _Failure((p.pos, part), message, expected)
-
-
 def _fits(node: Formula, b: _PuzzleBuilder) -> bool:
     """Whether a compact atom's node, built before any puzzle, is what its
-    parts read to here. Only two fields are read against the puzzle: a
+    fine tokens read to here. Only two fields are read against the puzzle: a
     person must be a suspect, a label that of an earlier modeled statement."""
     if type(node) is Truthful:
         return node.label in b.modeled_labels
@@ -760,16 +731,17 @@ class _Every:
 
 
 # A puzzle read so far where every name is a suspect and every label that of
-# an earlier modeled statement: a compact atom's parts read to its node here.
+# an earlier modeled statement: a compact atom's fine tokens read to its
+# node here.
 _ANY_PUZZLE = _PuzzleBuilder()
 _ANY_PUZZLE.suspects = _ANY_PUZZLE.labels = _ANY_PUZZLE.modeled_labels = _Every()
 
 
 def _node(parts: tuple[Token, ...]) -> Formula | None:
-    """The node a compact atom's parts read to wherever they fit the puzzle
-    (see `_fits`), or None where they read to none at all: an integer past
-    the interpreter's conversion limit, or a free atom name that is not an
-    identifier."""
+    """The node a compact atom's fine tokens, `parts`, read to wherever they
+    fit the puzzle (see `_fits`), or None where they read to none at all: an
+    integer past the interpreter's conversion limit, or a free atom name
+    that is not an identifier."""
     try:
         return _read_row(_Parser(parts, 1), _ANY_PUZZLE, _ATOMS[parts[0].text])
     except _Failure:

@@ -18,13 +18,13 @@ below are checked to be independent of those coin flips.
 `STRATEGIES` is the one place where a strategy and its premises are
 declared: for each name, its `run_<name>` runner, the island modes and
 count premise it accepts, whether it needs a secret, a crowd that knows
-nothing of anyone else's guilt or a lone criminal, the modes it has, and
-what counts as success. One check, `Strategy.refusal`, holds every premise;
-each caller gives it what it knows. `run_strategy`, which runs any entry by
-name, reads the world; the CLI's `simulate`, whose `--strategy` and
-`--mode` choices come from the table, reads its flags, before any draw. A
-runner checks no premise: only the paper-literal `solve_liars` can refuse
-at run time, when it has no list to draw. Every runner asks
+nothing of anyone else's guilt or a lone criminal, the modes it has and
+those that draw a list from the others, and what counts as success. One
+check, `Strategy.refusal`, holds every premise; each caller gives it what
+it knows. `run_strategy`, which runs any entry by name, reads the world;
+the CLI's `simulate`, whose `--strategy` and `--mode` choices come from the
+table, reads its flags, before any draw. No runner checks a premise or
+refuses at run time. Every runner asks
 through one loop, `_ask_each`: put each (asker, question, suspect) to the
 asker and accuse the suspect on the answer a criminal gives, a
 truth-teller's mark from an asker read as a truth-teller (by default,
@@ -767,21 +767,16 @@ def run_solve_liars(
     about anybody else, since an innocent whose knowledge rules the list out
     (a criminal missing from it, or an innocent on it) would honestly answer
     no and get misaccused. Assumes the liars' crowd and a mode its entry
-    declares, as `run_strategy` checks; any other mode is asked as the
-    question itself, which the first answer refuses."""
+    declares, and for the literal list someone to draw it from, as
+    `run_strategy` checks; any other mode is asked as the question itself,
+    which the first answer refuses."""
     rng = rng or random.Random(0)
     roster = sorted(kw.persons)
 
     def literal(p: str) -> Question:
         at = bisect.bisect_left(roster, p)
         others = roster[:at] + roster[at + 1:]
-        if not others:
-            raise PreconditionError("the literal liars strategy needs at least two persons")
         size = kw.count_public if kw.count_public is not None else rng.randint(1, len(others))
-        if size > len(others):
-            raise PreconditionError(
-                "the literal liars strategy cannot draw a list when everyone is guilty"
-            )
         return PossibleExact(frozenset(rng.sample(others, size)))
 
     question = {"robust": _among_the_others(kw), "paper-literal": literal}.get(mode, mode)
@@ -852,7 +847,10 @@ class Strategy:
     `needs_blank_knowledge` that nobody may know anything of anyone else's
     guilt, and `needs_one_criminal` that there must be exactly one criminal.
     `modes` are the variants the runner has, chosen by a `mode` argument
-    when there are more than one. `succeeds(kw, result)` says whether a run
+    when there are more than one. `list_modes` are those that ask each
+    person about a list drawn from the others, of the count's size when it
+    is public: they need two persons or more and, with the count public,
+    fewer criminals than persons. `succeeds(kw, result)` says whether a run
     did what the strategy promises. Every premise but `succeeds` is checked
     by `refusal`, the one check `run_strategy` and `simulate` refuse from."""
 
@@ -864,14 +862,18 @@ class Strategy:
     needs_blank_knowledge: bool = False
     needs_one_criminal: bool = False
     modes: tuple[str, ...] = ("robust",)
+    list_modes: tuple[str, ...] = ()
 
     def refusal(self, name: str, island: str, count_public: bool, secret: bool, mode: str,
-                criminals: tuple[int, int], knowing: bool) -> Optional[str]:
+                n: int, criminals: tuple[int, int], knowing: bool) -> Optional[str]:
         """Why a run of the strategy `name` in `mode` is outside this entry,
         or None: on worlds of the island mode `island`, the count public or
-        not, a secret or not, between `criminals` (low, high) criminals, and
-        where someone may know another's guilt or not (`knowing`)."""
+        not, a secret or not, `n` persons with between `criminals` (low,
+        high) criminals, and where someone may know another's guilt or not
+        (`knowing`)."""
         declared = f"the {name} strategy is declared for"
+        low, high = criminals
+        given = low if low == high else f"{low}-{high}"
         if mode not in self.modes:
             return f"{declared} --mode {' or '.join(self.modes)}, not {mode}"
         if island not in self.islands:
@@ -882,12 +884,15 @@ class Strategy:
         if self.needs_secret and not secret:
             return f"{declared} a world with a secret, not one without"
         if self.needs_one_criminal and criminals != (1, 1):
-            low, high = criminals
-            given = low if low == high else f"{low}-{high}"
             return f"{declared} exactly one criminal, not {given}"
         if self.needs_blank_knowledge and knowing:
             return (f"{declared} a crowd where no one knows anything about anyone else's "
                     "guilt, not one where someone may")
+        if mode in self.list_modes and n < 2:
+            return f"{declared} at least two persons in --mode {mode}, not {n}"
+        if mode in self.list_modes and count_public and high >= n:
+            return (f"{declared} fewer criminals than persons in --mode {mode} with a public "
+                    f"count, not {given} of {n}")
         return None
 
 
@@ -902,7 +907,7 @@ STRATEGIES: dict[str, Strategy] = {
                               needs_blank_knowledge=True),
     "solve_truthtellers": Strategy(run_solve_truthtellers, islands=("tt",)),
     "solve_liars": Strategy(run_solve_liars, islands=("liars",),
-                            modes=("robust", "paper-literal")),
+                            modes=("robust", "paper-literal"), list_modes=("paper-literal",)),
     "solve_mixed": Strategy(run_solve_mixed),
     "neil": Strategy(run_neil, islands=("tt", "liars"), count_public=True,
                      needs_blank_knowledge=True, needs_one_criminal=True),
@@ -927,7 +932,7 @@ def run_strategy(
     # Only an entry that needs blank knowledge reads the rows.
     knowing = strategy.needs_blank_knowledge and not kw.all_knowledge_unknown()
     refusal = strategy.refusal(name, island, kw.count_public is not None, kw.secret is not None,
-                               mode, (len(kw.guilty),) * 2, knowing)
+                               mode, len(kw.persons), (len(kw.guilty),) * 2, knowing)
     if refusal:
         raise PreconditionError(refusal)
     # A mode but "robust" is one the entry declares, so its runner takes one.

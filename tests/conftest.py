@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import pytest
 
-from islander.dsl import _locate, _read
+from islander.dsl import _FINE_RE, _locate, _read
 from islander.model import (
     ALL_TYPES,
     And,
@@ -57,12 +57,11 @@ class PlacedToken(NamedTuple):
 
 
 def placed_tokens(text: str) -> list[PlacedToken]:
-    """The fine tokens `dsl._read` finds in `text`, each compact atom's
-    parts in its place, each with the line and column that `dsl._locate`,
-    the position walk of an error report, gives its index."""
-    return [PlacedToken(part.kind, part.text, *_locate(text, (i, j) if tok.parts else i)[2:])
-            for i, tok in enumerate(_read(text))
-            for j, part in enumerate(tok.parts or (tok,))]
+    """The fine tokens `dsl._read` finds in `text`, each with the line and
+    column that `dsl._locate`, the position walk of an error report, gives
+    its index."""
+    return [PlacedToken(tok.kind, tok.text, *_locate(text, i)[2:])
+            for i, tok in enumerate(_read(text, _FINE_RE))]
 
 
 # ---------------------------------------------------------------------------

@@ -379,8 +379,7 @@ class TestSimulateCommand:
     def test_the_flags_decide_every_refusal(self, capsys, monkeypatch):
         """Every entry, island mode, count premise, density, criminal range,
         mode and crowd size: a run is refused from its flags alone, with one
-        line, no stdout and no world drawn, or no trial of it is refused. The
-        paper-literal list's two runtime facts are the only exemption."""
+        line, no stdout and no world drawn, or no trial of it is refused."""
         draws = []
         generate = cli.generate_knowledge_world
 
@@ -390,8 +389,6 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(cli, "generate_knowledge_world", recorded)
         modes = ("robust", "paper-literal")
-        literal_facts = ("the literal liars strategy needs at least two persons",
-                         "the literal liars strategy cannot draw a list when everyone is guilty")
         ran = refused = 0
         for name, island, public, density, criminals, mode, n in itertools.product(
             STRATEGIES, ISLAND_MODES, (False, True), ("0", "0.3"), ("1", "1-3"), modes, (1, 2, 5)
@@ -408,11 +405,32 @@ class TestSimulateCommand:
                                        "islander: criminal range ")), argv
                 refused += 1
                 continue
-            for line in err.splitlines():
-                assert line.removeprefix("islander: precondition refused: ") in literal_facts, \
-                    (argv, line)
+            assert "precondition refused" not in err, (argv, err)
             ran += 1
         assert ran and refused
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_a_literal_list_that_may_hold_everyone_is_refused_before_any_draw(
+        self, capsys, monkeypatch, seed
+    ):
+        def no_draw(**kwargs):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr(cli, "generate_knowledge_world", no_draw)
+        code, out, err = run(
+            capsys, "simulate", "--strategy", "solve_liars", "--island", "liars",
+            "--mode", "paper-literal", "--count-public", "--criminals", "1-2", "--n", "2",
+            "--trials", "1", "--seed", str(seed),
+        )
+        assert (code, out) == (1, "")
+        assert err == ("islander: precondition refused: the solve_liars strategy is declared "
+                       "for fewer criminals than persons in --mode paper-literal with a public "
+                       "count, not 1-2 of 2\n")
+
+    def test_a_crowd_of_no_one_names_the_n_flag(self, capsys):
+        code, out, err = run(capsys, "simulate", "--strategy", "solve_mixed", "--n", "0",
+                             "--trials", "1")
+        assert (code, out, err) == (1, "", "islander: --n must be at least 1\n")
 
     def test_infeasible_criminals_range(self, capsys):
         code, _, err = run(

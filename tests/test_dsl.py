@@ -337,10 +337,22 @@ LEXICAL_EDGE_CASES = {
 }
 
 
+def counted_parses(monkeypatch) -> list:
+    """The token tuples of each `dsl._parse` call from here on."""
+    calls = []
+
+    def counted(tokens):
+        calls.append(tokens)
+        return parse_tokens(tokens)
+    parse_tokens = dsl._parse
+    monkeypatch.setattr(dsl, "_parse", counted)
+    return calls
+
+
 class TestOneReader:
     """`parse` reads a text with `_read`, one findall and a lookup per token.
-    A failure names its token's index, and only then does `_locate` walk the
-    text for that token's line and column."""
+    A failed parse is read again from fine tokens, and only then does
+    `_locate` walk the text for its fine token's line and column."""
 
     @pytest.mark.parametrize("name", LEXICAL_EDGE_CASES)
     def test_edge_cases(self, name):
@@ -364,18 +376,22 @@ class TestOneReader:
         for text in texts:
             parse(text)
 
-    def test_a_failing_parse_parses_once_and_raises_without_a_chain(self, monkeypatch):
-        calls = []
+    def test_a_valid_parse_parses_once(self, monkeypatch):
+        """A corpus or `dsl_roundtrip` text, or its serialized form, never
+        takes the fine fallback."""
+        texts = [corpus_text(name) for name in CORPUS_NAMES] + benchmark_texts(1)
+        texts += [serialize(parse(text)) for text in texts]
+        calls = counted_parses(monkeypatch)
+        for text in texts:
+            parse(text)
+        assert len(calls) == len(texts)
 
-        def counted(tokens):
-            calls.append(tokens)
-            return parse_tokens(tokens)
-        parse_tokens = dsl._parse
-        monkeypatch.setattr(dsl, "_parse", counted)
+    def test_a_failing_parse_is_read_again_fine_and_raises_without_a_chain(self, monkeypatch):
+        calls = counted_parses(monkeypatch)
         text = "puzzle { suspects A; criminals = 1; statement s A: guilty(B); }"
         with pytest.raises(ParseError) as info:
             parse(text)
-        assert len(calls) == 1
+        assert calls == [dsl._read(text, dsl._TOKEN_RE), dsl._read(text, dsl._FINE_RE)]
         assert info.value.__cause__ is None and info.value.__context__ is None
         assert _error(info.value) == (SourceSpan(1, 59, 1), "unknown suspect 'B'", ())
 
@@ -402,16 +418,12 @@ class TestOneReader:
 FINE_LEXER = dsl._lexer()
 
 
-def with_fine_lexer(call, text: str):
-    """`call(text)` with `FINE_LEXER` as the lexer."""
+def parse_fine(text: str):
+    """`parse` with `FINE_LEXER` as its first lexer: every atom is read as
+    its fine tokens."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dsl, "_TOKEN_RE", FINE_LEXER)
-        return call(text)
-
-
-def parse_fine(text: str):
-    """`parse` with `FINE_LEXER`: every atom is read as its fine tokens."""
-    return with_fine_lexer(parse, text)
+        return parse(text)
 
 
 def parse_both(text: str):
@@ -430,9 +442,9 @@ _HEAD = "puzzle { suspects A, B; criminals = 1; "
 
 
 class TestCompactAtoms:
-    """An atom written as `serialize` writes it is one token, read from its
-    fine parts where its node does not fit; errors stay where the fine
-    tokens put them."""
+    """An atom written as `serialize` writes it is one token, whose node a
+    parse takes where it fits; a failed parse is read again from fine
+    tokens, so errors stay where the fine tokens put them."""
 
     def test_every_formatted_atom_is_one_token(self):
         args = {"person": "Bo7", "speaker_type": SpeakerType.ABSOLUTE_LIAR,
@@ -441,17 +453,19 @@ class TestCompactAtoms:
         for keyword, row in _ATOMS.items():
             node = row[0](*(args[slot] for slot in row[1:] if slot in dsl._FIELDS))
             text = format_formula(node)
-            tokens = dsl._read(text)
+            tokens = dsl._read(text, dsl._TOKEN_RE)
             assert [tok.kind for tok in tokens] == ["atom", "eof"], keyword
-            assert tokens[0].parts == with_fine_lexer(dsl._read, text)[:-1]
+            assert type(tokens[0].node) is type(node) and tokens[0].node == node, keyword
+            fine = dsl._read(text, dsl._FINE_RE)
+            assert fine == dsl._read(text, FINE_LEXER) and len(fine) == len(row) + 1, keyword
 
     @pytest.mark.parametrize("text", [
         "type(A)=ATx", "island(A)=liarsx", "type( A)=AT", "count>=2", "guilty(A )",
         "guilty(# c\nA)", "island(A)=mixed", "count -> 2",
     ])
     def test_other_spellings_lex_as_fine_tokens(self, text):
-        assert "atom" not in {tok.kind for tok in dsl._read(text)}
-        assert dsl._read(text) == with_fine_lexer(dsl._read, text)
+        assert "atom" not in {tok.kind for tok in dsl._read(text, dsl._TOKEN_RE)}
+        assert dsl._read(text, dsl._TOKEN_RE) == dsl._read(text, FINE_LEXER)
 
     @pytest.mark.parametrize("text, error", [
         (_HEAD + "island(A)=liars; }",
@@ -467,15 +481,8 @@ class TestCompactAtoms:
           "truthful() reference to 'guilty', which is not an earlier statement", ())),
     ], ids=["directive", "operator", "label", "after_block", "truthful_label"])
     def test_an_atom_where_none_may_stand_is_read_again_fine(self, monkeypatch, text, error):
-        """The one case that reads a text twice: the error names the fine
-        `guilty` token, not the compact atom."""
-        calls = []
-
-        def counted(tokens):
-            calls.append(tokens)
-            return parse_tokens(tokens)
-        parse_tokens = dsl._parse
-        monkeypatch.setattr(dsl, "_parse", counted)
+        """The error names the fine `guilty` token, not the compact atom."""
+        calls = counted_parses(monkeypatch)
         with pytest.raises(ParseError) as info:
             parse(text)
         assert _error(info.value) == error
@@ -552,7 +559,8 @@ def atom_texts(draw, keyword=None):
 @functools.cache
 def compact_atom_spans(name: str) -> list[tuple[int, int]]:
     """Where the compact atoms of a corpus text start and end."""
-    text, kinds = corpus_text(name), [tok.kind for tok in dsl._read(corpus_text(name))]
+    text = corpus_text(name)
+    kinds = [tok.kind for tok in dsl._read(text, dsl._TOKEN_RE)]
     return [m.span(1) for m, kind in zip(dsl._TOKEN_RE.finditer(text), kinds) if kind == "atom"]
 
 
@@ -588,12 +596,14 @@ class TestCompactAgainstFine:
         assert compact == fine, text
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_a_corpus_text_has_compact_atoms_whose_parts_are_its_fine_tokens(self, name):
+    def test_a_corpus_text_has_compact_atoms_that_lex_alone_to_its_fine_tokens(self, name):
         text = corpus_text(name)
-        tokens = dsl._read(text)
+        tokens = dsl._read(text, dsl._TOKEN_RE)
         assert "atom" in {tok.kind for tok in tokens}
-        fine = with_fine_lexer(dsl._read, text)
-        assert tuple(part for tok in tokens for part in (tok.parts or (tok,))) == fine
+        fine = dsl._read(text, dsl._FINE_RE)
+        assert fine == dsl._read(text, FINE_LEXER)
+        assert tuple(part for tok in tokens for part in (
+            dsl._read(tok.text, FINE_LEXER)[:-1] if tok.kind == "atom" else (tok,))) == fine
 
     def test_every_golden_corpus_and_benchmark_text(self):
         for name, text in differential_texts().items():
@@ -619,13 +629,13 @@ def _error(exc: ParseError) -> tuple:
 
 
 def parse_table_free(text: str):
-    """`parse` of tokens that carry no node built when lexed: every atom is
-    read from its parts."""
+    """`parse` of tokens that carry no node built when lexed: every compact
+    atom fails, and every atom is read from fine tokens."""
     read = dsl._read
 
-    def read_without_nodes(text):
+    def read_without_nodes(text, lexer):
         return tuple(tok._replace(node=None) if tok.node is not None else tok
-                     for tok in read(text))
+                     for tok in read(text, lexer))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dsl, "_read", read_without_nodes)
@@ -635,7 +645,7 @@ def parse_table_free(text: str):
 class TestTheParserIsTheCheck:
     """A parsed puzzle is checked by the parser alone, which takes each
     compact atom's node built when lexed where it fits. `parse_table_free`
-    reads every atom from its parts, so it is the oracle."""
+    reads every atom from fine tokens, so it is the oracle."""
 
     def test_parse_agrees_with_the_table_free_parse_and_validate(self):
         parsed = 0
@@ -712,7 +722,7 @@ class TestOneAtomTable:
                "axiom not guilty(A) or lies_about_guilt(B); }")
 
     def test_a_hand_spaced_text_parses_as_its_compact_spelling(self):
-        assert "atom" not in {tok.kind for tok in dsl._read(self.HAND)}
+        assert "atom" not in {tok.kind for tok in dsl._read(self.HAND, dsl._TOKEN_RE)}
         compact = parse(self.COMPACT)
         assert parse(self.HAND) == compact
         s1, s2 = compact.statements
@@ -736,13 +746,14 @@ def _outcome(text: str):
         return _error(exc)
 
 
-def _read_from_parts(tok):
-    """What `_read_row` reads a compact atom's parts to where every name in
-    them is a suspect and a modeled label, or None where it fails."""
+def _read_fine(tok):
+    """What `_read_row` reads a compact atom's fine tokens to where every
+    name in them is a suspect and a modeled label, or None where it fails."""
+    fine = dsl._read(tok.text, FINE_LEXER)
     b = dsl._PuzzleBuilder()
-    b.suspects = b.labels = b.modeled_labels = {part.text: None for part in tok.parts}
+    b.suspects = b.labels = b.modeled_labels = {part.text: None for part in fine}
     try:
-        return dsl._read_row(dsl._Parser(tok.parts, 1), b, _ATOMS[tok.parts[0].text])
+        return dsl._read_row(dsl._Parser(fine, 1), b, _ATOMS[fine[0].text])
     except dsl._Failure:
         return None
 
@@ -755,40 +766,38 @@ _INT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 class TestAtomNodesBuiltWhenLexed:
     """A compact atom's node is built once, when its text is first lexed.
     A parse takes it where its person is a suspect and its label that of an
-    earlier modeled statement, and reads the atom from its parts otherwise,
-    so every error is the one its hand-spaced spelling gives."""
+    earlier modeled statement, and fails otherwise, to be read again from
+    fine tokens, so every error is the one its hand-spaced spelling gives."""
 
-    def test_every_lexed_node_is_what_its_parts_read_to(self):
+    def test_every_lexed_node_is_what_its_fine_tokens_read_to(self):
         seen = {}
         for name, text in differential_texts().items():
             try:
-                tokens = dsl._read(text)
+                tokens = dsl._read(text, dsl._TOKEN_RE)
             except dsl._Failure:
                 continue
             for tok in tokens:
                 if tok.kind == "atom" and tok.text not in seen:
                     seen[tok.text] = tok
-                    node = _read_from_parts(tok)
+                    node = _read_fine(tok)
                     assert type(tok.node) is type(node) and tok.node == node, (name, tok.text)
         assert sum(tok.node is not None for tok in seen.values()) > 1000
 
     @pytest.mark.parametrize("atom", [f"count >= {_LONG_K}", 'free("1x")'])
     def test_an_atom_that_reads_to_no_node_keeps_none(self, atom):
-        (tok, _eof) = dsl._read(atom)
+        (tok, _eof) = dsl._read(atom, dsl._TOKEN_RE)
         assert tok.kind == "atom"
         if atom.startswith("count") and not _INT_LIMIT:
             assert tok.node == CountCmp(">=", int(_LONG_K))
         else:
-            assert tok.node is None and _read_from_parts(tok) is None
+            assert tok.node is None and _read_fine(tok) is None
 
-    def test_a_node_that_fits_is_taken_without_reading_the_parts(self, monkeypatch):
+    def test_a_node_that_fits_is_taken_in_one_parse(self, monkeypatch):
         text = TestOneAtomTable.COMPACT
         expected = parse_table_free(text)
-
-        def never(p, b, tok):
-            raise AssertionError(f"{tok.text} read from its parts")
-        monkeypatch.setattr(dsl, "_read_parts", never)
+        calls = counted_parses(monkeypatch)
         assert parse(text) == expected
+        assert calls == [dsl._read(text, dsl._TOKEN_RE)]
 
     @pytest.mark.parametrize("before, compact, hand, error", [
         (None, _HEAD + f"statement s A: count >= {_LONG_K}; }}",
@@ -808,17 +817,15 @@ class TestAtomNodesBuiltWhenLexed:
             self, monkeypatch, before, compact, hand, error):
         if before is not None:
             parse(before)  # the atom's node was built and read well
-        read = []
-        read_parts = dsl._read_parts
-        monkeypatch.setattr(dsl, "_read_parts", lambda p, b, tok: (
-            read.append(tok.text), read_parts(p, b, tok))[1])
-        outcome, reads = _outcome(compact), len(read)
+        calls = counted_parses(monkeypatch)
+        outcome, kinds = _outcome(compact), [{tok.kind for tok in tokens} for tokens in calls]
         assert outcome == _outcome(hand) == parse_both(compact)[1]
         if "count" in compact and not _INT_LIMIT:
             assert isinstance(outcome, Puzzle)
         else:
             assert outcome == error
-            assert reads == 1  # the compact atom, read from its parts
+            # The compact parse fails at the atom, and the fine one gives the error.
+            assert len(kinds) == 2 and "atom" in kinds[0] and "atom" not in kinds[1]
 
 
 class TestDepth:

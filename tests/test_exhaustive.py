@@ -11,14 +11,16 @@ or be refused with `PreconditionError`.
 - n = 3: every world on the islands each `solve_*` entry declares.
 
 The premises are tight: over every world with n <= 2, the secret also
-unset, `run_strategy` refuses exactly the worlds outside the premises its
-entry declares (islands, count, secret, a lone criminal, blank knowledge),
-with the entry's `refusal` text.
+unset, and in each mode of the entry, `run_strategy` refuses exactly the
+worlds outside the premises its entry declares (islands, count, secret, a
+lone criminal, blank knowledge, and in a mode that draws a list from the
+others, two persons and, with the count public, an innocent), with the
+entry's `refusal` text.
 
 A liar's answer to an honest "I don't know" comes from one seeded source;
 every run that is not refused is checked never to draw from it, so no
-branching over both answers is needed. Only the default mode of
-a strategy that has several is run by those two tests. The paper-literal
+branching over both answers is needed. Only the default mode of a
+strategy that has several is run by the two every-world tests. The paper-literal
 mode of `solve_liars` is checked on its own premise, blank knowledge, with
 three adversary seeds; the smallest world where it fails is pinned. Its
 list draws come from the same source, so there every answer is checked to
@@ -152,7 +154,7 @@ def test_premises_are_tight(name):
         island = next(mode for mode, pool in POOLS.items() if types <= set(pool))
         public = kw.count_public is not None
         knowing = not kw.all_knowledge_unknown()
-        guilty = len(kw.guilty)
+        guilty, n = len(kw.guilty), len(kw.persons)
         for secret in (kw.secret, None):
             world = KnowledgeWorld(kw.persons, kw.type_of, kw.guilty, kw.knowledge,
                                    kw.count_public, secret)
@@ -161,16 +163,20 @@ def test_premises_are_tight(name):
                        or (strategy.needs_secret and secret is None)
                        or (strategy.needs_one_criminal and guilty != 1)
                        or (strategy.needs_blank_knowledge and knowing))
-            refusal = strategy.refusal(name, island, public, secret is not None, "robust",
-                                       (guilty, guilty), knowing)
-            assert (refusal is not None) == outside, (name, world)
-            try:
-                run_strategy(world, name, random.Random(0))
-                ran = True
-            except PreconditionError as exc:
-                assert str(exc) == refusal, (name, world)
-                ran = False
-            assert ran == (not outside), (name, world)
+            for mode in strategy.modes:
+                # A list drawn from the others needs others, and an innocent
+                # among them for a public count.
+                unlisted = mode in strategy.list_modes and (n < 2 or (public and guilty == n))
+                refusal = strategy.refusal(name, island, public, secret is not None, mode,
+                                           n, (guilty, guilty), knowing)
+                assert (refusal is not None) == (outside or unlisted), (name, mode, world)
+                try:
+                    run_strategy(world, name, random.Random(0), mode)
+                    ran = True
+                except PreconditionError as exc:
+                    assert str(exc) == refusal, (name, mode, world)
+                    ran = False
+                assert ran == (not (outside or unlisted)), (name, mode, world)
 
 
 LITERAL_SEEDS = (0, 1, 2)
@@ -197,7 +203,7 @@ def answers_never_draw(monkeypatch):
 def literal_outcome(kw, seed):
     """The accused of the paper-literal liars mode, or None when refused."""
     try:
-        return run_solve_liars(kw, random.Random(seed), mode="paper-literal").accused
+        return run_strategy(kw, "solve_liars", random.Random(seed), "paper-literal").accused
     except PreconditionError:
         return None
 

@@ -179,13 +179,16 @@ def test_run_strategy_matches_each_runner():
     entry does not refuse."""
     for name, strategy in STRATEGIES.items():
         assert strategy.run is getattr(interrogation, f"run_{name}")
+    compared = 0
     for key, name, mode, kw, seed in golden_worlds():
-        if STRATEGIES[name].needs_blank_knowledge and not kw.all_knowledge_unknown():
-            continue
+        registry = _outcome(lambda rng: run_strategy(kw, name, rng, mode), seed)
+        if isinstance(registry, str):
+            continue  # refused by the entry: its runner assumes the premises
         runner = getattr(interrogation, f"run_{name}")
         extra = {} if mode == "robust" else {"mode": mode}
-        direct = _outcome(lambda rng: runner(kw, rng, **extra), seed)
-        assert _outcome(lambda rng: run_strategy(kw, name, rng, mode), seed) == direct, key
+        assert _outcome(lambda rng: runner(kw, rng, **extra), seed) == registry, key
+        compared += 1
+    assert compared
 
 
 def test_the_loop_agrees_with_one_question_at_a_time():
