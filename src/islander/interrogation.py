@@ -29,9 +29,14 @@ through one loop, `_ask_each`: put each (asker, question, suspect) to the
 asker and accuse the suspect on the answer a criminal gives, a
 truth-teller's mark from an asker read as a truth-teller (by default,
 anyone from the truth-tellers' island) and its flip from anyone else;
-`classify_islands` reads every answer at face value. A question's
-transcript text follows one rule, `describe_question`: the class name in
-snake case, then its field, if it has one, in parentheses.
+`classify_islands` reads every answer at face value. The loop keeps, per
+ask, the asker, the question and the answer's value as one byte, and the
+rare tokens by ask index, in a `_Transcript`: a strategy's
+`StrategyResult.transcript` turns into `Answer` records only when it is
+first read, as `simulate` does only for a failing trial under `--json`.
+It equals, hashes, copies and pickles like the tuple of those records. A
+question's transcript text follows one rule, `describe_question`: the
+class name in snake case, then its field, if it has one, in parentheses.
 
 A world's knowledge is always a `KnowledgeRows`: one `bytes` row per asker,
 `KnowledgeWorld.knowledge.rows`, where byte j of person i's row is 1 when i
@@ -80,13 +85,17 @@ many the asker knows to be guilty and how many innocent, themselves
 included, and their row; it counts every row's set bits when first read.
 So the robust `solve_liars` and `solve_mixed`, which ask each person about
 themselves, draw no row at all, while `ask_all_about_others` and
-`solve_truthtellers` do. `truthful_answer` and `spoken_answer` are one call
-of `_answer` each, and `_ask_each` calls it once per ask and nothing else.
+`solve_truthtellers` do. `_answer` gives an answer's value and token;
+`truthful_answer` and `spoken_answer` are one call of it each, made into an
+`Answer`, and `_ask_each` calls it once per ask and nothing else.
 Every question a registered strategy asks costs O(1) in the crowd size: it
 reads at most the counts and one byte of the row, and a question that is
-the same for every asker is built once per world. "Everyone but q" is an
-O(1) set view of the roster without q, `_AllBut`, that equals and hashes
-like the (n-1)-person frozenset and has its transcript text. Any other
+the same for every asker is built once per world. The robust strategies'
+"could the criminals all be among everyone but you?" is asked in its
+normal form, `_AmongTheOthers`, one per world, read as the asker absent;
+only a transcript, when read, shows it as "everyone but q", an O(1) set
+view of the roster without q, `_AllBut`, that equals and hashes like the
+(n-1)-person frozenset and has its transcript text. Any other
 subset or exact-group question reads the row once over its group, at C
 level, and builds nothing per world. `knows` remains the plain per-pair
 lookup the tests' oracles use.
@@ -138,8 +147,8 @@ class Knowledge(enum.Enum):
     UNKNOWN = "unknown"
 
 
-# Held while a deferred draw of knowledge rows runs, so that threads reading
-# a table first draw it once.
+# Held while a deferred draw of knowledge rows, or a transcript's answers,
+# is made, so that threads reading a table or a transcript first make it once.
 _FIRST_READ = threading.Lock()
 
 
@@ -430,6 +439,14 @@ Question = Union[
 ]
 
 
+@record
+class _AmongTheOthers:
+    """Could the criminals all be among everyone but you? The robust
+    strategies' question as asked: `_answer` reads it in its normal form,
+    the asker absent, and a transcript shows it, when read, as
+    `PossibleSubset(_AllBut(roster, asker))`."""
+
+
 def describe_question(question: Question) -> str:
     """The class name in snake case, then the field, if the question has one,
     in parentheses: a group as its sorted names, a bool in lower case."""
@@ -449,6 +466,10 @@ class AnswerValue(enum.Enum):
     UNKNOWN = "unknown"
     TOKEN = "token"
 
+    # Members are singletons and `==` is identity, so the identity hash
+    # agrees with it; Enum's own hashes the name in Python code.
+    __hash__ = object.__hash__
+
 
 @record
 class Answer:
@@ -459,7 +480,9 @@ class Answer:
 
 
 # Bound once: reading `AnswerValue.YES` is over ten times slower than a global.
-_YES, _NO, _UNKNOWN, _TOKEN = AnswerValue
+_YES, _NO, _UNKNOWN, _TOKEN = _VALUES = tuple(AnswerValue)
+# A value's byte in a transcript: its index in `_VALUES`.
+_BYTE = {value: i for i, value in enumerate(_VALUES)}
 _LIARS = Island.LIARS
 
 
@@ -500,10 +523,11 @@ def _require_group(kw: KnowledgeWorld, group: collections.abc.Set[str]) -> None:
 
 def _answer(
     kw: KnowledgeWorld, p: str, question: Question, rng: Optional[random.Random]
-) -> Answer:
-    """p's answer to `question`. With `rng` None it is the honest answer, to
-    the extent of p's knowledge, a token standing for `kw.secret`; else it
-    is the answer p's speaker type gives, `rng` being the liars' adversarial
+) -> tuple[AnswerValue, Optional[str]]:
+    """The value and token of p's answer to `question`: the token is None
+    but for a TOKEN answer. With `rng` None it is the honest answer, to the
+    extent of p's knowledge, a token standing for `kw.secret`; else it is
+    the answer p's speaker type gives, `rng` being the liars' adversarial
     source. Every answer rule is here.
 
     The asker and the person a question names are checked first, then a
@@ -516,8 +540,9 @@ def _answer(
     guilty target other than p, another size or group, and the detective
     questions. A listed group left unsettled is read by
     `_compatible_within`. The questions the registered strategies ask call
-    no other function of the package than the `Answer` constructor, but for
-    the paper-literal lists of `solve_liars`, which are listed groups."""
+    no other function of the package and build no record, but for the
+    paper-literal lists of `solve_liars`, which are listed groups; the
+    robust strategies' `_AmongTheOthers` is read as "could p be innocent?"."""
     kind = type(question)
     try:
         speaker = kw.type_of[p]
@@ -542,6 +567,8 @@ def _answer(
             absent = question.target
             if absent not in kw.type_of:
                 raise PreconditionError(f"unknown person '{absent}'")
+        elif kind is _AmongTheOthers:
+            absent = p
         elif kind is PossibleSubset or kind is PossibleExact:
             group = question.group
             if kind is PossibleSubset and type(group) is _AllBut \
@@ -604,24 +631,25 @@ def _answer(
                     else _NO
 
     if rng is None or speaker.island is not _LIARS:
-        return Answer(p, question, honest, kw.secret if honest is _TOKEN else None)
+        return honest, kw.secret if honest is _TOKEN else None
     if kind is SecretAttribute:
         while True:
             token = f"bogus-{rng.getrandbits(32):08x}"
             if token != kw.secret:
-                return Answer(p, question, _TOKEN, token)
+                return _TOKEN, token
     if honest is _UNKNOWN:
         # Honest "I don't know" on a yes-or-no question: the liar answers
         # adversarially. Robust strategies must not depend on this choice.
-        return Answer(p, question, rng.choice((_YES, _NO)))
-    return Answer(p, question, _NO if honest is _YES else _YES)
+        return rng.choice((_YES, _NO)), None
+    return _NO if honest is _YES else _YES, None
 
 
 def truthful_answer(kw: KnowledgeWorld, p: str, question: Question) -> Answer:
     """What p would answer if answering honestly to the extent of their
     knowledge. Possibility questions never come back unknown: they ask about
     the askee's own knowledge."""
-    return _answer(kw, p, question, None)
+    value, token = _answer(kw, p, question, None)
+    return Answer(p, question, value, token)
 
 
 def spoken_answer(
@@ -630,22 +658,87 @@ def spoken_answer(
     """The answer p actually gives, filtered through their speaker type: a
     partial type's honest answer to the guilt question is no, and a liar
     then flips yes and no."""
-    return _answer(kw, p, question, rng or random.Random(0))
+    value, token = _answer(kw, p, question, rng or random.Random(0))
+    return Answer(p, question, value, token)
 
 
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
 
+class _Transcript(collections.abc.Sequence):
+    """A strategy's answers, as asked of one world: per ask, the asker, the
+    question and the value as one byte (its index in `_VALUES`), and the
+    tokens of TOKEN answers by ask index. A read-only sequence of `Answer`
+    records, built on the first read, once, whichever thread reads first;
+    the robust `_AmongTheOthers` reads as `PossibleSubset(_AllBut(roster,
+    asker))`. It equals and hashes like the tuple of its answers, and
+    copies and pickles as that tuple; `+` joins two of one world without
+    building either."""
+
+    def __init__(self, kw: KnowledgeWorld, askers: list[str], questions: list[Question],
+                 values: bytearray, tokens: dict[int, str]) -> None:
+        self._kw = kw
+        self._askers = askers
+        self._questions = questions
+        self._values = values
+        self._tokens = tokens
+
+    @functools.cached_property
+    def answers(self) -> tuple[Answer, ...]:
+        with _FIRST_READ:
+            if "answers" not in self.__dict__:
+                everyone, tokens = self._kw._person_set, self._tokens
+                self.__dict__["answers"] = tuple(
+                    Answer(p, PossibleSubset(_AllBut(everyone, p))
+                           if type(question) is _AmongTheOthers else question,
+                           _VALUES[value], tokens.get(i))
+                    for i, (p, question, value)
+                    in enumerate(zip(self._askers, self._questions, self._values)))
+        return self.__dict__["answers"]
+
+    def __add__(self, other: "_Transcript") -> "_Transcript":
+        shift = len(self)
+        return _Transcript(self._kw, self._askers + other._askers,
+                           self._questions + other._questions, self._values + other._values,
+                           {**self._tokens, **{i + shift: t for i, t in other._tokens.items()}})
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index):
+        return self.answers[index]
+
+    def __iter__(self) -> Iterator[Answer]:
+        return iter(self.answers)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Transcript):
+            other = other.answers
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self.answers == other
+
+    def __hash__(self) -> int:
+        return hash(self.answers)
+
+    def __repr__(self) -> str:
+        return repr(self.answers)
+
+    def __reduce__(self) -> tuple:
+        return tuple, (self.answers,)
+
+
 @record
 class StrategyResult:
     accused: frozenset[str]
-    transcript: tuple[Answer, ...]
+    # A `_Transcript` from a runner; any sequence of answers will do.
+    transcript: Sequence[Answer]
     questions_asked: int
 
 
 def _result(accused: Iterable[str], transcript: Sequence[Answer]) -> StrategyResult:
-    return StrategyResult(frozenset(accused), tuple(transcript), len(transcript))
+    return StrategyResult(frozenset(accused), transcript, len(transcript))
 
 
 def _ask_each(
@@ -659,20 +752,28 @@ def _ask_each(
     when the answer is `guilty_says` from an asker read as a truth-teller,
     one of `truth_tellers` (by default, those from the truth-tellers'
     island), or its flip from any other. The one ask-and-read loop of the
-    strategies: it makes one call per ask, the answer's."""
+    strategies: it makes one call per ask, `_answer`, and keeps the asker,
+    the question and the value's byte, building no `Answer`."""
     rng = rng or random.Random(0)
     if truth_tellers is None:
         truth_tellers = kw.truth_tellers()
     liar_says = {_YES: _NO, _NO: _YES}.get(guilty_says)
-    transcript: list[Answer] = []
+    askers: list[str] = []
+    questions: list[Question] = []
+    values = bytearray()
+    tokens: dict[int, str] = {}
     accused: list[str] = []
-    # Identity tests, not enum-keyed lookups: an enum's hash runs Python code.
+    answer, byte = _answer, _BYTE
     for asker, question, suspect in asks:
-        answer = _answer(kw, asker, question, rng)
-        transcript.append(answer)
-        if answer.value is (guilty_says if asker in truth_tellers else liar_says):
+        value, token = answer(kw, asker, question, rng)
+        askers.append(asker)
+        questions.append(question)
+        values.append(byte[value])
+        if token is not None:
+            tokens[len(values) - 1] = token
+        if value is (guilty_says if asker in truth_tellers else liar_says):
             accused.append(suspect)
-    return _result(accused, transcript)
+    return _result(accused, _Transcript(kw, askers, questions, values, tokens))
 
 
 def _each(
@@ -683,13 +784,6 @@ def _each(
     if callable(question):
         return ((p, question(p), p) for p in persons)
     return ((p, question, p) for p in persons)
-
-
-def _among_the_others(kw: KnowledgeWorld) -> Callable[[str], Question]:
-    """For each p: could the criminals all be among everyone but p? The
-    group is a view of the roster without p, not a copy of it."""
-    everyone = kw._person_set
-    return lambda p: PossibleSubset(_AllBut(everyone, p))
 
 
 def run_classify_islands(
@@ -748,7 +842,7 @@ def run_solve_truthtellers(
     # The accused are all among everyone but p, so this asks about the
     # identified criminals and the rest of the crowd.
     unknown = (p for p in kw.persons if p not in known.accused)
-    rest = _ask_each(kw, rng, _each(unknown, _among_the_others(kw)), _NO)
+    rest = _ask_each(kw, rng, _each(unknown, _AmongTheOthers()), _NO)
     return _result(known.accused | rest.accused, known.transcript + rest.transcript)
 
 
@@ -779,7 +873,7 @@ def run_solve_liars(
         size = kw.count_public if kw.count_public is not None else rng.randint(1, len(others))
         return PossibleExact(frozenset(rng.sample(others, size)))
 
-    question = {"robust": _among_the_others(kw), "paper-literal": literal}.get(mode, mode)
+    question = {"robust": _AmongTheOthers(), "paper-literal": literal}.get(mode, mode)
     return _ask_each(kw, rng, _each(kw.persons, question), _NO)
 
 
@@ -791,7 +885,7 @@ def run_solve_mixed(
     the island. At most two questions per person, for any crowd."""
     classified = run_classify_islands(kw, rng)
     tt = classified.accused
-    found = _ask_each(kw, rng, _each(kw.persons, _among_the_others(kw)), _NO, tt)
+    found = _ask_each(kw, rng, _each(kw.persons, _AmongTheOthers()), _NO, tt)
     return _result(found.accused, classified.transcript + found.transcript)
 
 

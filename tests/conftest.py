@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from importlib import resources
 from typing import NamedTuple
 
@@ -263,3 +264,36 @@ def stolen_files_consistent_assignments() -> list:
             if ok:
                 consistent.append(((t_a, t_n, t_b), (g_a, g_n, g_b)))
     return consistent
+
+
+# ---------------------------------------------------------------------------
+# Strategy runs
+# ---------------------------------------------------------------------------
+
+# A crowd on which each registry entry succeeds in each of its modes, whatever
+# the seed: (strategy, mode, island, criminals, knowledge density, count public).
+SUCCESSFUL_RUNS = (
+    ("classify_islands", "robust", "mixed", (1, 3), 0.3, False),
+    ("ask_all_about_others", "robust", "mixed", (1, 3), 0.3, False),
+    ("count_known", "robust", "mixed", (1, 3), 0.0, True),
+    ("count_unknown", "robust", "mixed", (1, 3), 0.0, False),
+    ("solve_truthtellers", "robust", "tt", (1, 3), 0.3, False),
+    ("solve_liars", "robust", "liars", (1, 3), 0.3, False),
+    ("solve_liars", "paper-literal", "liars", (1, 3), 0.0, True),
+    ("solve_mixed", "robust", "mixed", (1, 3), 0.3, False),
+    ("neil", "robust", "tt", (1, 1), 0.0, True),
+    ("neil", "robust", "liars", (1, 1), 0.0, True),
+    ("secret_attribute", "robust", "tt", (1, 3), 0.3, False),
+)
+
+
+def count_constructions(monkeypatch, *classes) -> Counter:
+    """Count, by class, each object of `classes` built while the test runs,
+    however its constructor is reached: the count wraps `__init__`."""
+    built: Counter = Counter()
+    for cls in classes:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built

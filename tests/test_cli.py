@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON output, corpus checking, simulation."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ from islander.cli import main
 from islander.interrogation import ISLAND_MODES, STRATEGIES
 from islander.model import ALL_TYPES, CountCmp, Puzzle
 
-from conftest import chain_puzzle_text
+from conftest import SUCCESSFUL_RUNS, chain_puzzle_text, count_constructions
 
 
 def corpus_dir() -> Path:
@@ -492,6 +493,36 @@ class TestSimulateCommand:
         )
         assert code == 0 and json.loads(out)["successes"] == 3
 
+    def test_a_failing_json_run_prints_every_failure_with_its_transcript(self, capsys):
+        """No golden run fails; this one fails in every trial, so its stdout
+        holds 20 transcripts of 7 rows, each read through `_transcript_json`."""
+        code, out, err = run(
+            capsys, "simulate", "--strategy", "solve_liars", "--island", "liars",
+            "--mode", "paper-literal", "--knowledge-density", "0.6", "--criminals", "1-3",
+            "--n", "7", "--trials", "20", "--seed", "11", "--json",
+        )
+        failures = json.loads(out)["failures"]
+        assert code == 1 and err == ""
+        assert len(failures) == 20 and sum(len(f["transcript"]) for f in failures) == 140
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "ce1c12ba0e58c263751c9abad881c2b98590338df6c7718175de1f3637b05fc8"
+
+    @pytest.mark.parametrize("name, mode, island, criminals, density, public", SUCCESSFUL_RUNS)
+    def test_a_successful_json_run_builds_no_answer(
+        self, capsys, monkeypatch, name, mode, island, criminals, density, public
+    ):
+        built = count_constructions(monkeypatch, interrogation.Answer,
+                                    interrogation.PossibleSubset, interrogation._AllBut)
+        low, high = criminals
+        argv = ["simulate", "--strategy", name, "--island", island, "--n", "30",
+                "--criminals", f"{low}-{high}", "--knowledge-density", str(density),
+                "--trials", "3", "--seed", "5", "--json", "--mode", mode]
+        code, out, _ = run(capsys, *argv, *["--count-public"] * public)
+        assert code == 0 and json.loads(out)["successes"] == 3
+        assert built[interrogation.Answer] == 0
+        if mode == "robust" and name in ("solve_liars", "solve_mixed"):
+            assert built[interrogation.PossibleSubset] == built[interrogation._AllBut] == 0
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ISLANDER_SEED", "99")
         _, out, _ = run(
@@ -538,6 +569,21 @@ class TestSimulateMemory:
 
         peak(10)
         assert peak(20000) - peak(2000) < 256 * 2 ** 10
+
+    def test_asking_everyone_about_everyone_keeps_under_32_bytes_a_question(self, capsys):
+        argv = ["simulate", "--strategy", "ask_all_about_others", "--n", "300",
+                "--knowledge-density", "0.3", "--trials", "1", "--seed", "1", "--json"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = json.loads(capsys.readouterr().out)
+        questions = out["question_stats"]["max"]
+        assert code == 0 and out["successes"] == 1 and questions == 300 * 299
+        # About 82 bytes a question when each answer was an `Answer` record.
+        assert peak < 32 * questions
 
     def test_text_mode_memory_does_not_grow_with_failing_trials(self, capsys):
         def peak(trials):

@@ -184,17 +184,18 @@ LITERAL_SEEDS = (0, 1, 2)
 
 @pytest.fixture
 def answers_never_draw(monkeypatch):
-    """Wrap every answer the strategies get: none may move the source it is
-    given. Returns the list of the answers checked."""
+    """Wrap `_answer`, the one call the strategies' ask loop makes per ask:
+    no answer may move the source it is given. Returns the list of the
+    (value, token) pairs checked, one per ask."""
     answer = interrogation._answer
     checked = []
 
     def undrawing(kw, p, question, rng):
         before = rng.getstate()
-        result = answer(kw, p, question, rng)
+        value, token = answer(kw, p, question, rng)
         assert rng.getstate() == before, (kw, p, question)
-        checked.append(result)
-        return result
+        checked.append((value, token))
+        return value, token
 
     monkeypatch.setattr(interrogation, "_answer", undrawing)
     return checked

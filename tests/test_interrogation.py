@@ -15,6 +15,7 @@ from islander.interrogation import (
     ISLAND_MODES,
     MAX_CROWD,
     STRATEGIES,
+    Answer,
     AnswerValue,
     DetectivePossiblyGuilty,
     DidDetectiveDoIt,
@@ -30,6 +31,7 @@ from islander.interrogation import (
     PossibleSubset,
     PreconditionError,
     SecretAttribute,
+    StrategyResult,
     describe_question,
     generate_knowledge_world,
     run_ask_all_about_others,
@@ -48,6 +50,8 @@ from islander.interrogation import (
 from islander.interrogation import _AllBut
 from islander.model import Guilty, Island, Not, SpeakerType, World
 from islander.semantics import admissible_for_type
+
+from conftest import SUCCESSFUL_RUNS, count_constructions
 
 AT = SpeakerType.ABSOLUTE_TRUTH_TELLER
 PT = SpeakerType.PARTIAL_TRUTH_TELLER
@@ -1280,6 +1284,97 @@ class TestDeferredDraw:
                     except PreconditionError as exc:
                         outcomes.append(str(exc))
                 assert outcomes[0] == outcomes[1], (name, island, n, public, mode, seed)
+
+
+class TestDeferredTranscript:
+    """A strategy keeps each answer as one byte beside its asker and question,
+    and builds the `Answer` records when its transcript is first read."""
+
+    def test_the_runs_cover_every_entry_and_mode(self):
+        assert {(name, mode) for name, mode, *_ in SUCCESSFUL_RUNS} == \
+            {(name, mode) for name, strategy in STRATEGIES.items() for mode in strategy.modes}
+
+    @pytest.mark.parametrize("name, mode, island, criminals, density, public", SUCCESSFUL_RUNS)
+    def test_a_run_builds_no_answer_until_its_transcript_is_read(
+        self, monkeypatch, name, mode, island, criminals, density, public
+    ):
+        built = count_constructions(monkeypatch, Answer, PossibleSubset, _AllBut)
+        strategy = STRATEGIES[name]
+        robust = mode == "robust" and name in ("solve_liars", "solve_mixed")
+        for seed in range(3):
+            kw = generate_knowledge_world(30, island, criminals, density, public,
+                                          strategy.needs_secret, seed)
+            built.clear()
+            result = run_strategy(kw, name, random.Random(seed), mode)
+            assert strategy.succeeds(kw, result) and result.questions_asked > 0
+            assert built[Answer] == 0 and len(result.transcript) == result.questions_asked
+            if robust:
+                # "Everyone but p" is asked in its normal form, the asker absent.
+                assert built[PossibleSubset] == built[_AllBut] == 0
+            answers = tuple(result.transcript)
+            assert built[Answer] == len(answers) == result.questions_asked
+            if robust:
+                assert built[PossibleSubset] == built[_AllBut] == len(kw.persons)
+                assert all(a.question == PossibleSubset(kw._person_set - {a.person})
+                           for a in answers[-len(kw.persons):])
+            assert tuple(result.transcript) == answers and built[Answer] == len(answers)
+
+    def test_the_first_read_builds_once_whichever_thread_reads_first(self, monkeypatch):
+        built = count_constructions(monkeypatch, Answer)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                kw = generate_knowledge_world(100, "mixed", (1, 3), 0.3, seed=seed)
+                transcript = run_solve_mixed(kw, random.Random(seed)).transcript
+                seen = []
+                threads = [threading.Thread(target=lambda: seen.append(transcript.answers))
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8 and all(answers is seen[0] for answers in seen)
+                assert built[Answer] == len(transcript) == 200
+                assert transcript.answers is seen[0] and tuple(transcript) == seen[0]
+                assert built[Answer] == 200
+                built.clear()
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("name, island, secret", [
+        ("solve_mixed", "mixed", False), ("solve_truthtellers", "tt", False),
+        ("solve_liars", "liars", False), ("secret_attribute", "tt", True),
+    ])
+    def test_an_unread_result_is_the_result_of_its_answers(self, name, island, secret):
+        def world():
+            return generate_knowledge_world(12, island, (1, 3), 0.5, secret=secret, seed=4)
+
+        def unread():
+            return run_strategy(world(), name, random.Random(4))
+
+        read = unread()
+        eager = StrategyResult(read.accused, tuple(read.transcript), read.questions_asked)
+        assert type(eager.transcript) is tuple
+        assert not secret or any(answer.token == world().secret for answer in eager.transcript)
+        assert unread() == eager and eager == unread() and unread() == unread()
+        assert unread().transcript == eager.transcript == unread().transcript
+        assert hash(unread()) == hash(eager)
+        assert repr(unread()) == repr(eager)
+        for copied in (copy.copy(unread()), copy.deepcopy(unread()),
+                       pickle.loads(pickle.dumps(unread()))):
+            assert copied == eager and hash(copied) == hash(eager)
+            assert repr(copied) == repr(eager)
+        assert type(pickle.loads(pickle.dumps(unread())).transcript) is tuple
+
+    def test_a_shallow_copy_shares_the_unread_transcript(self, monkeypatch):
+        built = count_constructions(monkeypatch, Answer)
+        kw = generate_knowledge_world(12, "mixed", (1, 3), 0.5, seed=4)
+        result = run_solve_mixed(kw, random.Random(4))
+        copied = copy.copy(result)
+        assert copied.transcript is result.transcript and built[Answer] == 0
+        assert copied.transcript.answers is result.transcript.answers and built[Answer] == 24
 
 
 class TestStrategyRegistry:
