@@ -50,12 +50,7 @@ Everything below the constructor reads the rows through
 Generation draws in one order: each person's type, the criminal count when
 it is a range, the guilty set, the secret when the world has one, and then
 the knowledge rows, when they are first read. The rows draw once per ordered
-pair, `rng.random() < density`, in p-major order, and fill each row from one
-`getrandbits` call instead (`_draw_rows`). This is exact, not an
-approximation: `random()` is made from two consecutive 32-bit generator
-outputs, `getrandbits` returns the same outputs in a known layout, and the
-comparison with `density` is decided on integers, from the top byte of each
-draw and, in about 1 case in 256, from the full 53 bits.
+pair, `rng.random() < density`, in p-major order (`_draw_rows`).
 
 Nothing is drawn after the rows, so `generate_knowledge_world` hands
 `KnowledgeRows` a deferred draw, `_draw_rows` bound to the generator, which
@@ -95,10 +90,10 @@ the same for every asker is built once per world. The robust strategies'
 normal form, `_AmongTheOthers`, one per world, read as the asker absent;
 only a transcript, when read, shows it as "everyone but q", an O(1) set
 view of the roster without q, `_AllBut`, that equals and hashes like the
-(n-1)-person frozenset and has its transcript text. Any other
-subset or exact-group question reads the row once over its group, at C
-level, and builds nothing per world. `knows` remains the plain per-pair
-lookup the tests' oracles use.
+(n-1)-person frozenset and has its transcript text. Any other subset or
+exact-group question, such a view included, is checked by `_require_group`
+and reads the row once over its group, at C level, and builds nothing per
+world. `knows` remains the plain per-pair lookup the tests' oracles use.
 
 Generated worlds are limited to MAX_CROWD persons, because generation draws
 once per ordered pair of persons and keeps a byte per pair; a larger crowd is
@@ -111,7 +106,6 @@ import bisect
 import collections.abc
 import enum
 import functools
-import math
 import random
 import re
 import threading
@@ -361,7 +355,6 @@ class _AllBut(collections.abc.Set):
     Set operations on it return frozensets."""
 
     __slots__ = ("roster", "absent")
-    __match_args__ = ("roster", "absent")
 
     def __init__(self, roster: frozenset[str], absent: str) -> None:
         self.roster = roster
@@ -541,8 +534,10 @@ def _answer(
     questions. A listed group left unsettled is read by
     `_compatible_within`. The questions the registered strategies ask call
     no other function of the package and build no record, but for the
-    paper-literal lists of `solve_liars`, which are listed groups; the
-    robust strategies' `_AmongTheOthers` is read as "could p be innocent?"."""
+    paper-literal lists of `solve_liars`, which are listed groups. The one
+    "everyone but p" form read without its group is the robust strategies'
+    `_AmongTheOthers`, read as "could p be innocent?"; an `_AllBut` view is
+    a listed group like any other."""
     kind = type(question)
     try:
         speaker = kw.type_of[p]
@@ -571,11 +566,7 @@ def _answer(
             absent = p
         elif kind is PossibleSubset or kind is PossibleExact:
             group = question.group
-            if kind is PossibleSubset and type(group) is _AllBut \
-                    and group.roster is kw._person_set and group.absent in group.roster:
-                # Everyone but q: the set form of "could q be innocent?".
-                absent, group = group.absent, None
-            elif group is not kw._person_set:
+            if group is not kw._person_set:
                 _require_group(kw, group)
         elif kind is PossibleSizeExcludingSelf:
             absent, size = p, question.m
@@ -1040,37 +1031,9 @@ def run_strategy(
 def _draw_rows(rng: random.Random, n: int, density: float) -> tuple[bytes, ...]:
     """The knowledge rows of n persons: byte j of row i is 1 when
     `rng.random() < density` for the ordered pair (i, j), 0 on the diagonal.
-
-    Makes exactly the draws of `for i: for j != i: rng.random() < density`,
-    in that order, and leaves `rng` in the same state. `random()` is
-    X / 2**53 with X = (a >> 5) << 26 | (b >> 6) for the next two 32-bit
-    outputs a, b, and `getrandbits(64 * (n - 1))` returns the next
-    2 * (n - 1) outputs, first output least significant; so byte 3 of each
-    8-byte little-endian group is the top byte t = X >> 45 of one draw.
-    With c = ceil(density * 2**53) (exact: `ldexp` only moves the exponent),
-    random() < density exactly when X < c; t < c >> 45 settles that as yes,
-    t > c >> 45 as no, and the rare draws with t == c >> 45 are compared
-    in full.
-    """
-    c = math.ceil(math.ldexp(density, 53))
-    split = c >> 45
-    # By top byte: 1 below, 2 for a tie to settle from the full draw, 0 above.
-    verdict = (b"\x01" * split + b"\x02" + b"\x00" * 255)[:256]
-    draws = n - 1
-    rows = []
-    for i in range(n):
-        buf = rng.getrandbits(64 * draws).to_bytes(8 * draws, "little")
-        row = buf[3::8].translate(verdict)
-        tie = row.find(2)
-        if tie >= 0:
-            row = bytearray(row)
-            while tie >= 0:
-                a = int.from_bytes(buf[8 * tie: 8 * tie + 4], "little")
-                b = int.from_bytes(buf[8 * tie + 4: 8 * tie + 8], "little")
-                row[tie] = ((a >> 5) << 26 | (b >> 6)) < c
-                tie = row.find(2, tie + 1)
-        rows.append(b"".join((row[:i], b"\x00", row[i:])))
-    return tuple(rows)
+    One draw per ordered pair of distinct persons, p-major."""
+    draw = rng.random
+    return tuple(bytes([j != i and draw() < density for j in range(n)]) for i in range(n))
 
 
 def generate_knowledge_world(
@@ -1121,7 +1084,7 @@ def generate_knowledge_world(
     else:
         # Drawn when first read. The draw holds the generator itself, not a
         # `getstate()` snapshot, which costs about as much to take and restore
-        # as the rows of ten persons cost to draw.
+        # as the rows of ten persons cost to draw (13 us each, Python 3.11).
         rows = functools.partial(_draw_rows, rng, n, density)
     return KnowledgeWorld(
         persons=persons,

@@ -175,6 +175,18 @@ class TestTruthfulAnswers:
                                match=f"question group must be a set, not {type(group).__name__}"):
                 answer(kw, "P1", form(group))
 
+    @pytest.mark.parametrize("form, group", [
+        (PossibleSubset, frozenset({"P1", "X"})),
+        (PossibleExact, frozenset({"P1", "X"})),
+        (PossibleSubset, _AllBut(frozenset({"P1", "P2", "P3", "X"}), "P3")),
+    ], ids=["subset", "exact", "view"])
+    def test_a_group_that_names_a_stranger_is_refused(self, form, group):
+        kw = all_truth_tellers(3, {"P2"})
+        for answer in (truthful_answer, spoken_answer):
+            with pytest.raises(PreconditionError,
+                               match=r"question group references unknown persons \['X'\]"):
+                answer(kw, "P1", form(group))
+
     def test_knowledge_restricts_compatible_sets(self):
         knowledge = {("P1", "P2"): Knowledge.KNOWS_GUILTY}
         kw = all_truth_tellers(3, {"P2", "P3"}, knowledge=knowledge)
@@ -1019,8 +1031,8 @@ class TestKnowledgeWorldInvariants:
 
 
 def plain_rows(rng, n, density):
-    """The reference the bulk draw must equal: one `rng.random()` per
-    ordered pair of distinct persons, p-major."""
+    """The reference `_draw_rows` must equal, written apart from it: one
+    `rng.random()` per ordered pair of distinct persons, p-major."""
     draw = rng.random
     return tuple(
         bytes(1 if p != q and draw() < density else 0 for q in range(n)) for p in range(n)
@@ -1028,9 +1040,9 @@ def plain_rows(rng, n, density):
 
 
 def plain_world(n, island, criminals, density, count_public=False, secret=False, seed=0,
-                bulk=False):
+                draw_rows=False):
     """`generate_knowledge_world` with the knowledge always drawn, after the
-    secret: by the plain loop into a (p, q)-keyed dict, or with `bulk`
+    secret: by the plain loop into a (p, q)-keyed dict, or with `draw_rows`
     through `_draw_rows`."""
     rng = random.Random(seed)
     persons = tuple(f"P{i}" for i in range(1, n + 1))
@@ -1041,7 +1053,7 @@ def plain_world(n, island, criminals, density, count_public=False, secret=False,
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
     secret = f"secret-{rng.getrandbits(32):08x}" if secret else None
-    if bulk:
+    if draw_rows:
         knowledge = KnowledgeRows(persons, guilty, interrogation._draw_rows(rng, n, density))
     else:
         knowledge = {}
@@ -1064,17 +1076,17 @@ _DENSITIES = (
 )
 
 
-class TestBulkDraw:
-    """The bulk row draw against the plain per-pair loop."""
+class TestRowDraw:
+    """`_draw_rows` against the plain per-pair loop of `plain_rows`."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 129])
     def test_rows_and_generator_state_match_the_plain_loop(self, n):
         for density in _DENSITIES:
             for seed in (0, 1, 2):
-                bulk, plain = random.Random(seed), random.Random(seed)
-                assert interrogation._draw_rows(bulk, n, density) \
+                drawn, plain = random.Random(seed), random.Random(seed)
+                assert interrogation._draw_rows(drawn, n, density) \
                     == plain_rows(plain, n, density), (n, density, seed)
-                assert bulk.getrandbits(64) == plain.getrandbits(64), (n, density, seed)
+                assert drawn.getrandbits(64) == plain.getrandbits(64), (n, density, seed)
 
     @pytest.mark.parametrize("n", [100, 300])
     def test_generated_worlds_equal_plain_loop_worlds(self, n):
@@ -1115,14 +1127,14 @@ class TestBlankWorlds:
         ):
             args = (n, island, (1, n), 0.0)
             kw = generate_knowledge_world(*args, count_public=public, seed=seed)
-            ref = plain_world(*args, count_public=public, seed=seed, bulk=True)
+            ref = plain_world(*args, count_public=public, seed=seed, draw_rows=True)
             assert kw == ref and kw.knowledge.rows == ref.knowledge.rows, (island, n, seed)
 
     def test_a_secret_is_drawn_before_the_blank_rows(self):
         for island, n, seed in itertools.product(ISLAND_MODES, (2, 5, 40), range(4)):
             args = (n, island, (1, n), 0.0)
             kw = generate_knowledge_world(*args, secret=True, seed=seed)
-            ref = plain_world(*args, secret=True, seed=seed, bulk=True)
+            ref = plain_world(*args, secret=True, seed=seed, draw_rows=True)
             assert kw == ref and kw.secret == ref.secret, (island, n, seed)
 
     def test_no_generated_world_draws_at_generation(self, monkeypatch):
@@ -1167,7 +1179,7 @@ class TestDeferredDraw:
             for seed in range(3):
                 where = (island, n, density, secret, seed)
                 args = (n, island, (1, n), density)
-                ref = plain_world(*args, secret=secret, seed=seed, bulk=True)
+                ref = plain_world(*args, secret=secret, seed=seed, draw_rows=True)
                 calls.clear()
                 kw = generate_knowledge_world(*args, secret=secret, seed=seed)
                 assert not calls and undrawn(kw), where
@@ -1181,7 +1193,7 @@ class TestDeferredDraw:
     def test_copies_and_pickles_of_an_undrawn_world_draw_the_same_rows(self):
         for density, seed in itertools.product((2 ** -53, 0.3, 1.0), range(3)):
             args = (40, "mixed", (1, 3), density)
-            ref = plain_world(*args, seed=seed, bulk=True)
+            ref = plain_world(*args, seed=seed, draw_rows=True)
             kw = generate_knowledge_world(*args, seed=seed)
             copies = [copy.copy(kw), copy.deepcopy(kw), pickle.loads(pickle.dumps(kw)),
                       copy.copy(kw.knowledge), copy.deepcopy(kw.knowledge)]
@@ -1195,7 +1207,7 @@ class TestDeferredDraw:
                        for c in copies)
 
     def test_threads_reading_first_share_one_draw(self):
-        ref = plain_world(300, "mixed", (1, 3), 0.3, seed=7, bulk=True).knowledge.rows
+        ref = plain_world(300, "mixed", (1, 3), 0.3, seed=7, draw_rows=True).knowledge.rows
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
