@@ -25,18 +25,23 @@ it knows. `run_strategy`, which runs any entry by name, reads the world;
 the CLI's `simulate`, whose `--strategy` and `--mode` choices come from the
 table, reads its flags, before any draw. No runner checks a premise or
 refuses at run time. Every runner asks
-through one loop, `_ask_each`: put each (asker, question, suspect) to the
-asker and accuse the suspect on the answer a criminal gives, a
-truth-teller's mark from an asker read as a truth-teller (by default,
-anyone from the truth-tellers' island) and its flip from anyone else;
-`classify_islands` reads every answer at face value. The loop keeps, per
-ask, the asker, the question and the answer's value as one byte, and the
-rare tokens by ask index, in a `_Transcript`: a strategy's
-`StrategyResult.transcript` turns into `Answer` records only when it is
-first read, as `simulate` does only for a failing trial under `--json`.
-It equals, hashes, copies and pickles like the tuple of those records. A
-question's transcript text follows one rule, `describe_question`: the
-class name in snake case, then its field, if it has one, in parentheses.
+through `_ask_each`: put each (asker, question, suspect) to the asker and
+accuse the suspect on the answer a criminal gives, a truth-teller's mark
+from an asker read as a truth-teller (by default, anyone from the
+truth-tellers' island) and its flip from anyone else; `classify_islands`
+reads every answer at face value. The one exception is the sweep of
+`ask_all_about_others`, the first phase of `solve_truthtellers` too, which
+asks everyone whether each other person could be innocent: n(n-1)
+questions, answered and read with the same rule by `_ask_about_others` in
+one step of byte operations per asker. Both keep, per ask, the asker, the
+question and the answer's value as one byte, and the rare tokens by ask
+index, in a `_Transcript`, which a runner's later phase extends: a
+strategy's `StrategyResult.transcript` turns into `Answer` records only
+when it is first read, as `simulate` does only for a failing trial under
+`--json`. It equals, hashes, copies and pickles like the tuple of those
+records. A question's transcript text follows one rule,
+`describe_question`: the class name in snake case, then its field, if it
+has one, in parentheses.
 
 A world's knowledge is always a `KnowledgeRows`: one `bytes` row per asker,
 `KnowledgeWorld.knowledge.rows`, where byte j of person i's row is 1 when i
@@ -62,10 +67,11 @@ reads the same bytes. A strategy that never reads a row, such as
 knowledge density 0 draws no row: every draw would come out 0, so its rows
 are zeros from the start.
 
-Every answer comes from one function, `_answer`, which holds every answer
-rule: it applies the honest rule of the question's class and then, given an
-adversarial source, the speaker-type filter, reading the speaker's liar and
-partial flags from `KnowledgeWorld.type_of`. The control, guilt and secret
+Every answer but those of the sweep above comes from one function,
+`_answer`, which holds every other answer rule: it applies the honest rule
+of the question's class and then, given an adversarial source, the
+speaker-type filter, reading the speaker's liar and partial flags from
+`KnowledgeWorld.type_of`. The control, guilt and secret
 questions depend on the asker's type alone and read no knowledge row. A
 possibility question is first settled, where it can be, from two facts
 that need no row. Knowledge is factive, so the guilty set itself is
@@ -82,7 +88,12 @@ So the robust `solve_liars` and `solve_mixed`, which ask each person about
 themselves, draw no row at all, while `ask_all_about_others` and
 `solve_truthtellers` do. `_answer` gives an answer's value and token;
 `truthful_answer` and `spoken_answer` are one call of it each, made into an
-`Answer`, and `_ask_each` calls it once per ask and nothing else.
+`Answer`, and `_ask_each` calls it once per ask and nothing else. The
+"could q be innocent?" sweep makes no call per ask: for a guilty q the
+asker knows nothing of, the answer is the same for every such q, `_fits`
+of the asker's counts, the rule `_answer` reads for that question too, so
+a whole row of answers is the asker's knowledge row and the guilty set's
+bytes, added and translated at C level.
 Every question a registered strategy asks costs O(1) in the crowd size: it
 reads at most the counts and one byte of the row, and a question that is
 the same for every asker is built once per world. The robust strategies'
@@ -506,6 +517,13 @@ def _compatible_within(kw: KnowledgeWorld, p: str, group: collections.abc.Set[st
     return must + len(group) - known(group)
 
 
+def _fits(must: int, most: int, size: Optional[int]) -> bool:
+    """Whether a criminal set compatible with an asker's knowledge can hold
+    `size` persons, or any number when `size` is None, when such sets hold
+    from `must` to `most` persons: a crime has at least one criminal."""
+    return most > 0 if size is None else 1 <= size and must <= size <= most
+
+
 def _require_group(kw: KnowledgeWorld, group: collections.abc.Set[str]) -> None:
     if not isinstance(group, collections.abc.Set):
         raise PreconditionError(f"question group must be a set, not {type(group).__name__}")
@@ -521,7 +539,9 @@ def _answer(
     but for a TOKEN answer. With `rng` None it is the honest answer, to the
     extent of p's knowledge, a token standing for `kw.secret`; else it is
     the answer p's speaker type gives, `rng` being the liars' adversarial
-    source. Every answer rule is here.
+    source. Every answer rule is here but the table of the "could q be
+    innocent?" sweep, `_ask_about_others`, which `tests/test_exhaustive.py`
+    checks against `spoken_answer`.
 
     The asker and the person a question names are checked first, then a
     listed group, by `_require_group`. p's liar and partial flags come from
@@ -532,9 +552,12 @@ def _answer(
     p knows. Only what is left reads p's counts and row from `_askers`: a
     guilty target other than p, another size or group, and the detective
     questions. A listed group left unsettled is read by
-    `_compatible_within`. The questions the registered strategies ask call
-    no other function of the package and build no record, but for the
-    paper-literal lists of `solve_liars`, which are listed groups. The one
+    `_compatible_within`. Whether a compatible set can have the size asked
+    for is `_fits`, which the "could q be innocent?" sweep,
+    `_ask_about_others`, also reads. The questions the registered
+    strategies ask through `_ask_each` call no other function of the
+    package and build no record, but for the paper-literal lists of
+    `solve_liars`, which are listed groups. The one
     "everyone but p" form read without its group is the robust strategies'
     `_AmongTheOthers`, read as "could p be innocent?"; an `_AllBut` view is
     a listed group like any other."""
@@ -616,10 +639,8 @@ def _answer(
                 if kind is PossibleExact:
                     # The one subset of the group as large as the group is the group.
                     size = len(group)
-                target = public if size is None else size
-                honest = _YES if (public is None or size is None or size == public) and (
-                    most > 0 if target is None else 1 <= target and must <= target <= most) \
-                    else _NO
+                honest = _YES if (public is None or size is None or size == public) and _fits(
+                    must, most, public if size is None else size) else _NO
 
     if rng is None or speaker.island is not _LIARS:
         return honest, kw.secret if honest is _TOKEN else None
@@ -664,16 +685,16 @@ class _Transcript(collections.abc.Sequence):
     records, built on the first read, once, whichever thread reads first;
     the robust `_AmongTheOthers` reads as `PossibleSubset(_AllBut(roster,
     asker))`. It equals and hashes like the tuple of its answers, and
-    copies and pickles as that tuple; `+` joins two of one world without
-    building either."""
+    copies and pickles as that tuple. It starts empty; a runner's asks
+    extend it, a later phase extending the transcript of the one before,
+    and no ask is added once it has been read."""
 
-    def __init__(self, kw: KnowledgeWorld, askers: list[str], questions: list[Question],
-                 values: bytearray, tokens: dict[int, str]) -> None:
+    def __init__(self, kw: KnowledgeWorld) -> None:
         self._kw = kw
-        self._askers = askers
-        self._questions = questions
-        self._values = values
-        self._tokens = tokens
+        self._askers: list[str] = []
+        self._questions: list[Question] = []
+        self._values = bytearray()
+        self._tokens: dict[int, str] = {}
 
     @functools.cached_property
     def answers(self) -> tuple[Answer, ...]:
@@ -687,12 +708,6 @@ class _Transcript(collections.abc.Sequence):
                     for i, (p, question, value)
                     in enumerate(zip(self._askers, self._questions, self._values)))
         return self.__dict__["answers"]
-
-    def __add__(self, other: "_Transcript") -> "_Transcript":
-        shift = len(self)
-        return _Transcript(self._kw, self._askers + other._askers,
-                           self._questions + other._questions, self._values + other._values,
-                           {**self._tokens, **{i + shift: t for i, t in other._tokens.items()}})
 
     def __len__(self) -> int:
         return len(self._values)
@@ -738,21 +753,24 @@ def _ask_each(
     asks: Iterable[tuple[str, Question, str]],
     guilty_says: AnswerValue,
     truth_tellers: Optional[collections.abc.Container[str]] = None,
+    transcript: Optional[_Transcript] = None,
 ) -> StrategyResult:
     """Put each (asker, question, suspect) of `asks` and accuse the suspect
     when the answer is `guilty_says` from an asker read as a truth-teller,
     one of `truth_tellers` (by default, those from the truth-tellers'
-    island), or its flip from any other. The one ask-and-read loop of the
-    strategies: it makes one call per ask, `_answer`, and keeps the asker,
-    the question and the value's byte, building no `Answer`."""
+    island), or its flip from any other. The ask-and-read loop of every
+    strategy but the "could q be innocent?" sweep, `_ask_about_others`: it
+    makes one `_answer` call per ask and adds the asker, the question and
+    the value's byte to `transcript` (by default, a new one), building no
+    `Answer`."""
     rng = rng or random.Random(0)
     if truth_tellers is None:
         truth_tellers = kw.truth_tellers()
     liar_says = {_YES: _NO, _NO: _YES}.get(guilty_says)
-    askers: list[str] = []
-    questions: list[Question] = []
-    values = bytearray()
-    tokens: dict[int, str] = {}
+    if transcript is None:
+        transcript = _Transcript(kw)
+    askers, questions = transcript._askers, transcript._questions
+    values, tokens = transcript._values, transcript._tokens
     accused: list[str] = []
     answer, byte = _answer, _BYTE
     for asker, question, suspect in asks:
@@ -764,7 +782,55 @@ def _ask_each(
             tokens[len(values) - 1] = token
         if value is (guilty_says if asker in truth_tellers else liar_says):
             accused.append(suspect)
-    return _result(accused, _Transcript(kw, askers, questions, values, tokens))
+    return _result(accused, transcript)
+
+
+# By the honest answer about a criminal the asker knows nothing of, a
+# `bytes.translate` table from `2 * guilty + known` for a target, as
+# `_ask_about_others` forms it, to the byte of the honest answer to "could
+# the target be innocent?": yes for an innocent (0 or 1), that answer for a
+# criminal the asker knows nothing of (2), no for one they know (3).
+_INNOCENCE = {unknown: bytes.maketrans(b"\0\1\2\3",
+                                       bytes(_BYTE[value] for value in (_YES, _YES, unknown, _NO)))
+              for unknown in (_YES, _NO)}
+# Yes for no and no for yes, as bytes: the 0 and 1 of `_BYTE`.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _ask_about_others(kw: KnowledgeWorld) -> StrategyResult:
+    """Ask every person, in roster order, whether each other person, in
+    roster order, could be innocent, and accuse the target on a no from a
+    truth-teller or a yes from a liar: the asks, values and accused of
+    `_ask_each` with `guilty_says` no, in one step per asker instead of one
+    `_answer` call per ask.
+
+    The honest answer is yes for an innocent target (the truth axiom) and no
+    for a criminal the asker knows; for a criminal the asker knows nothing
+    of it is the same for every such target, `_fits` with the most persons
+    a compatible set free of the target may hold: everyone the asker has
+    not ruled out, less the target. So each row of honest answers is the
+    asker's knowledge row plus twice the guilt bytes, added as integers,
+    with the asker's own byte dropped, translated by `_INNOCENCE`; a liar
+    speaks its flip. Either way the accused are the honest no's. This
+    question is never honestly "I don't know", so no liar draws an
+    adversarial choice and no source is taken."""
+    persons, n, public = kw.persons, len(kw.persons), kw.count_public
+    transcript = _Transcript(kw)
+    askers, questions, values = transcript._askers, transcript._questions, transcript._values
+    asked = [PossibleInnocent(q) for q in persons]
+    twice_guilt = int.from_bytes(bytes(q in kw.guilty for q in persons), "little") << 1
+    accused: set[str] = set()
+    for i, (p, (must, banned, row)) in enumerate(kw._askers.items()):
+        unknown = _YES if _fits(must, n - banned - 1, public) else _NO
+        targets = (twice_guilt + int.from_bytes(row, "little")).to_bytes(n, "little")
+        honest = (targets[:i] + targets[i + 1:]).translate(_INNOCENCE[unknown])
+        askers += [p] * (n - 1)
+        questions += asked[:i]
+        questions += asked[i + 1:]
+        values += honest.translate(_FLIP) if kw.type_of[p].island is _LIARS else honest
+        # A no is byte 1 and a yes byte 0, so the no's select themselves.
+        accused.update(compress(persons[:i] + persons[i + 1:], honest))
+    return _result(accused, transcript)
 
 
 def _each(
@@ -795,11 +861,9 @@ def run_ask_all_about_others(
     A truth-teller answers no (or a liar answers yes) exactly when they know
     the target must be guilty, so the accused are the criminals whose deed
     some other person knows about; never an innocent. Islands are assumed
-    already known (run classification first on mixed crowds)."""
-    persons = kw.persons
-    questions = [(q, PossibleInnocent(q)) for q in persons]
-    asks = ((p, question, q) for p in persons for q, question in questions if q != p)
-    return _ask_each(kw, rng, asks, _NO)
+    already known (run classification first on mixed crowds). No answer is
+    honestly "I don't know", so `rng` is never drawn from."""
+    return _ask_about_others(kw)
 
 
 def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -833,8 +897,9 @@ def run_solve_truthtellers(
     # The accused are all among everyone but p, so this asks about the
     # identified criminals and the rest of the crowd.
     unknown = (p for p in kw.persons if p not in known.accused)
-    rest = _ask_each(kw, rng, _each(unknown, _AmongTheOthers()), _NO)
-    return _result(known.accused | rest.accused, known.transcript + rest.transcript)
+    rest = _ask_each(kw, rng, _each(unknown, _AmongTheOthers()), _NO,
+                     transcript=known.transcript)
+    return _result(known.accused | rest.accused, rest.transcript)
 
 
 def run_solve_liars(
@@ -876,8 +941,9 @@ def run_solve_mixed(
     the island. At most two questions per person, for any crowd."""
     classified = run_classify_islands(kw, rng)
     tt = classified.accused
-    found = _ask_each(kw, rng, _each(kw.persons, _AmongTheOthers()), _NO, tt)
-    return _result(found.accused, classified.transcript + found.transcript)
+    found = _ask_each(kw, rng, _each(kw.persons, _AmongTheOthers()), _NO, tt,
+                      transcript=classified.transcript)
+    return _result(found.accused, found.transcript)
 
 
 def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:

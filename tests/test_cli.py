@@ -570,20 +570,38 @@ class TestSimulateMemory:
         peak(10)
         assert peak(20000) - peak(2000) < 256 * 2 ** 10
 
-    def test_asking_everyone_about_everyone_keeps_under_32_bytes_a_question(self, capsys):
-        argv = ["simulate", "--strategy", "ask_all_about_others", "--n", "300",
-                "--knowledge-density", "0.3", "--trials", "1", "--seed", "1", "--json"]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        out = json.loads(capsys.readouterr().out)
-        questions = out["question_stats"]["max"]
-        assert code == 0 and out["successes"] == 1 and questions == 300 * 299
-        # About 82 bytes a question when each answer was an `Answer` record.
-        assert peak < 32 * questions
+    def test_asking_everyone_about_everyone_keeps_under_32_bytes_a_question(
+            self, capsys, monkeypatch):
+        # `solve_truthtellers` asks the same n(n-1) questions first, then one
+        # more of each person the sweep did not accuse.
+        swept = []
+        sweep = interrogation._ask_about_others
+
+        def counted(kw):
+            result = sweep(kw)
+            swept.append(len(result.accused))
+            return result
+
+        monkeypatch.setattr(interrogation, "_ask_about_others", counted)
+        for strategy in (["ask_all_about_others"], ["solve_truthtellers", "--island", "tt"]):
+            argv = ["simulate", "--strategy", *strategy, "--n", "300", "--knowledge-density",
+                    "0.3", "--trials", "1", "--seed", "1", "--json"]
+            swept.clear()
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out = json.loads(capsys.readouterr().out)
+            questions = out["question_stats"]["max"]
+            assert code == 0 and out["successes"] == 1 and len(swept) == 1, strategy
+            second_phase = 300 - swept[0] if strategy[0] == "solve_truthtellers" else 0
+            assert questions == 300 * 299 + second_phase, strategy
+            # About 82 bytes a question when each answer was an `Answer`
+            # record, and 38 for `solve_truthtellers` when its second phase
+            # copied the first phase's transcript.
+            assert peak < 32 * questions, (strategy, peak / questions)
 
     def test_text_mode_memory_does_not_grow_with_failing_trials(self, capsys):
         def peak(trials):

@@ -26,6 +26,13 @@ three adversary seeds; the smallest world where it fails is pinned. Its
 list draws come from the same source, so there every answer is checked to
 leave the source as it found it: the source serves the lists alone.
 
+The "could q be innocent?" sweep of `ask_all_about_others`, the first phase
+of `solve_truthtellers` too, answers a whole row per asker without an
+`_answer` call per question. Its askers, questions, answer bytes and
+accused are checked against the same questions put one at a time through
+`spoken_answer`, on every world of up to three persons and on seeded worlds
+of 4 to 40, and neither draws from the adversary's source.
+
 The truthful answers to the listed-group questions, "could the criminals
 all be within g?" and "could exactly g have done it?", are checked for
 every group, every asker and every world against plain subset enumeration:
@@ -66,7 +73,11 @@ from islander.interrogation import (
     PreconditionError,
     SecretAttribute,
     _AllBut,
+    _AmongTheOthers,
+    generate_knowledge_world,
+    run_ask_all_about_others,
     run_solve_liars,
+    run_solve_truthtellers,
     run_strategy,
     spoken_answer,
     truthful_answer,
@@ -184,9 +195,11 @@ LITERAL_SEEDS = (0, 1, 2)
 
 @pytest.fixture
 def answers_never_draw(monkeypatch):
-    """Wrap `_answer`, the one call the strategies' ask loop makes per ask:
-    no answer may move the source it is given. Returns the list of the
-    (value, token) pairs checked, one per ask."""
+    """Wrap `_answer`, the one call `_ask_each`, the ask loop of every
+    strategy but the "could q be innocent?" sweep, makes per ask: no answer
+    may move the source it is given. Returns the list of the (value, token)
+    pairs checked, one per ask. The sweep, which makes no `_answer` call,
+    is checked against `spoken_answer` by the row-step tests below."""
     answer = interrogation._answer
     checked = []
 
@@ -243,6 +256,72 @@ def test_paper_literal_liars_smallest_failing_world(answers_never_draw):
     assert literal_outcome(kw, 0) == frozenset({"P1", "P3"})
     assert run_solve_liars(kw, random.Random(0)).accused == kw.guilty
     assert answers_never_draw
+
+
+BYTE = {value: i for i, value in enumerate(AnswerValue)}
+
+
+def asked_one_at_a_time(kw, rng, asks):
+    """The askers, questions, value bytes and accused of `asks`, (asker,
+    question, suspect) triples, each put through `spoken_answer` with `rng`:
+    a suspect accused on a no from a truth-teller and on a yes from a liar."""
+    truth_tellers = kw.truth_tellers()
+    askers, questions, values, accused = [], [], bytearray(), set()
+    for p, question, suspect in asks:
+        answer = spoken_answer(kw, p, question, rng)
+        askers.append(p)
+        questions.append(question)
+        values.append(BYTE[answer.value])
+        if (answer.value is AnswerValue.NO) is (p in truth_tellers):
+            accused.add(suspect)
+    return askers, questions, values, accused
+
+
+def sweep_asks(kw):
+    """"Could q be innocent?" of every person about every other, in roster order."""
+    return [(p, PossibleInnocent(q), q) for p in kw.persons for q in kw.persons if q != p]
+
+
+def compact(result):
+    transcript = result.transcript
+    assert not transcript._tokens
+    return transcript._askers, transcript._questions, transcript._values, result.accused
+
+
+def check_row_step(kw, rng, replay):
+    """`ask_all_about_others` and `solve_truthtellers`, given the adversary's
+    source `rng`, give the askers, questions, value bytes and accused of
+    their questions asked one at a time of `replay`, and neither run nor
+    replay draws from its source: every draw a `CountingRandom` serves is
+    counted, so a count still 0 is a state unchanged."""
+    sweep, solved = run_ask_all_about_others(kw, rng), run_solve_truthtellers(kw, rng)
+    one_by_one = asked_one_at_a_time(kw, replay, sweep_asks(kw))
+    assert compact(sweep) == one_by_one, kw
+    rest = asked_one_at_a_time(
+        kw, replay, [(p, _AmongTheOthers(), p) for p in kw.persons if p not in one_by_one[3]])
+    assert compact(solved) == (one_by_one[0] + rest[0], one_by_one[1] + rest[1],
+                               one_by_one[2] + rest[2], one_by_one[3] | rest[3]), kw
+    assert rng.draws == replay.draws == 0, kw
+
+
+def test_the_row_step_on_every_world_of_up_to_three_persons():
+    rng, replay = CountingRandom(1), CountingRandom(1)
+    ran = 0
+    for n, pool in itertools.product((1, 2, 3), POOLS.values()):
+        for kw in all_worlds(n, pool):
+            check_row_step(kw, rng, replay)
+            ran += 1
+    assert ran == 2 * sum(len(pool) ** n * (2 ** n - 1) * 2 ** (n * (n - 1))
+                          for n in (1, 2, 3) for pool in POOLS.values())
+
+
+def test_the_row_step_on_seeded_worlds_of_four_to_forty_persons():
+    """Every crowd size from 4 to 40, at densities 0, 0.3 and 1, each island
+    and count mode coming round in turn."""
+    for n, density in itertools.product(range(4, 41), (0.0, 0.3, 1.0)):
+        kw = generate_knowledge_world(n, list(POOLS)[n % 3], (1, n), density,
+                                      count_public=bool(n % 2), seed=n)
+        check_row_step(kw, CountingRandom(n), CountingRandom(n))
 
 
 def subsets(persons):
