@@ -27,24 +27,32 @@ compact atoms, are kept for later parses, in one table with a fixed cap. A
 compact atom's token carries its node, built once in the process, when its
 text is first lexed: what its fine tokens read to wherever its person is a
 suspect and its label that of an earlier modeled statement. A token
-carries no position.
+carries no position, but it carries its role in a formula, recorded when
+its text is first classified: an operator's precedence row (`or`, `and`,
+`->`, `<->`), or the operator-stack entry of `(` or `not`. A string token
+has no role, whatever its text.
 
 A compact atom is only a fast path. A parse takes its node wherever it
-fits the puzzle read so far (see `_fits`), so equal compact atoms within
-one text, which share one token, are one node. Anywhere else, an atom whose
-node does not fit or that has none (an integer past the interpreter's
-conversion limit, a free atom name that is not an identifier) or an atom
-where no atom may stand, the parse fails at its token. A failed parse is
-read again from fine tokens; its error is theirs. It names the index of its
-fine token, and `parse` works out that token's line and column only then,
-by one walk of the fine lexer. An atom spelled any other way is read where
-it stands, from its fine tokens, every time. serialize() formats each
-distinct atom node once.
+fits the puzzle read so far, its person a suspect and its label that of an
+earlier modeled statement, so equal compact atoms within one text, which
+share one token, are one node. Anywhere else, an atom whose node does not
+fit or that has none (an integer past the interpreter's conversion limit, a
+free atom name that is not an identifier) or an atom where no atom may
+stand, the parse fails at its token. A failed parse is read again from
+fine tokens; its error is theirs. It names the index of its fine token, and
+`parse` works out that token's line and column only then, by one walk of
+the fine lexer. An atom spelled any other way is read where it stands, from
+its fine tokens, every time. serialize() formats each distinct atom node
+once.
 
 Formulas are read by precedence climbing over an explicit operator stack,
-and validation, serialize(), ==, hash, repr, the `axiom forall` expansion
-and eval_formula, with check_world through it, walk them over explicit
-stacks too, so any nesting depth or chain length works.
+one loop that reads each token's role, takes each fitting compact atom's
+node and steps over each `)` itself, so a compact text's formulas cost no
+call per token; only an atom spelled in fine tokens, `true` and `false`
+are read by a call. Validation, serialize(), ==, hash, repr, the `axiom
+forall` expansion and eval_formula, with check_world through it, walk
+formulas over explicit stacks too, so any nesting depth or chain length
+works.
 """
 
 from __future__ import annotations
@@ -119,6 +127,11 @@ class Token(NamedTuple):
     # A compact atom's node, as its fine tokens read to where they fit the
     # puzzle: built once, when its text is first lexed (see `_node`).
     node: Formula | None = None
+    # The token's role in a formula, set by `_classify` from `_ROLES`: an
+    # operator's `_INFIX` row, or the operator-stack entry that "(" and
+    # `not` push where an operand stands. A string token has neither.
+    infix: tuple | None = None
+    opening: tuple | None = None
 
 
 class _Failure(Exception):
@@ -168,20 +181,20 @@ _EOF = Token("eof", "end of input")
 
 def _classify(raws: list[str]) -> dict[str, Token | None]:
     """Each distinct fine token text, one that a lexer captured or one within
-    a compact atom, mapped to its token without a position: the end-of-input
-    token for the empty text, None for a bad character."""
+    a compact atom, mapped to its token without a position, with its role in
+    a formula: the end-of-input token for the empty text, None for a bad
+    character."""
     match = re.compile(_CLASS_PATTERN).fullmatch
     table: dict[str, Token | None] = {}
     for raw in set(raws):
         m = match(raw)
         if m is None:
             table[raw] = None if raw else _EOF
-        elif m.lastgroup == "punct":
-            table[raw] = Token(raw, raw)
         elif m.lastgroup == "string":
             table[raw] = Token("string", _ESCAPE_RE.sub(r"\1", raw[1:-1]))
         else:
-            table[raw] = Token(m.lastgroup, raw)
+            kind = raw if m.lastgroup == "punct" else m.lastgroup
+            table[raw] = Token(kind, raw, None, *_ROLES.get(raw, ()))
     return table
 
 
@@ -529,42 +542,57 @@ _PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 _BINARY = {"<->": Iff, "->": Implies, "or": Or, "and": And}
 _RIGHT_ASSOC = (Iff, Implies)
 # An operator's token text -> (its precedence, its node class, the floor: an
-# operator on the stack above it is applied before it is pushed). A string
-# token is never an operator, whatever its text.
+# operator on the stack above it is applied before it is pushed).
 _INFIX = {symbol: (_PRECEDENCE[cls], cls, _PRECEDENCE[cls] - (cls not in _RIGHT_ASSOC))
           for symbol, cls in _BINARY.items()}
 # Operator-stack entries for "(" and "not"; a binary operator is pushed as
 # (precedence, node class, left operand).
 _OPEN = (0, None, None)
 _NOT = (_PRECEDENCE[Not], Not, None)
+# A token text -> its `Token.infix` and `Token.opening`. A string token is
+# never given a role, whatever its text.
+_ROLES = {**{symbol: (row,) for symbol, row in _INFIX.items()},
+          "(": (None, _OPEN), "not": (None, _NOT)}
 
 
 def _parse_formula(p: _Parser, b: _PuzzleBuilder) -> Formula:
     """Precedence climbing over an explicit operator stack, so nesting depth
     and chain length never touch the Python stack. The grammar is the one in
     docs/grammar.md; errors are raised at the same tokens as by a recursive
-    descent over it. The cursor is the local `pos`, handed to `p` around
-    each call that reads or fails at a token."""
+    descent over it. Each token carries its role (`Token.infix`,
+    `Token.opening`), so the loop looks nothing up: where an operand stands
+    it pushes a token's opening entry, takes a compact atom's node where
+    its person is a suspect and its label that of an earlier modeled
+    statement, and hands any other token to `_parse_primary`; in operator
+    position it pushes an operator and steps over a closing ")". A compact
+    atom that does not fit fails the parse, to be read again from fine
+    tokens. The cursor is the local `pos`, handed to `p` around each call
+    that reads or fails at a token."""
     tokens = p.tokens
     pos = p.pos
+    suspects, modeled = b.suspects, b.modeled_labels
     stack: list[tuple] = []
     while True:
         tok = tokens[pos]
-        kind = tok.kind
-        if kind == "(":
-            stack.append(_OPEN)
+        if tok.opening is not None:
+            stack.append(tok.opening)
             pos += 1
             continue
-        if kind == "ident" and tok.text == "not":
-            stack.append(_NOT)
+        value = tok.node
+        if value is None:
+            p.pos = pos
+            value = _parse_primary(p, b)
+            pos = p.pos
+        else:  # a compact atom, taken where its node fits the puzzle read so far
+            person = getattr(value, "person", None)
+            if not (person in suspects if person is not None
+                    else type(value) is not Truthful or value.label in modeled):
+                p.pos = pos
+                raise p.unexpected(())
             pos += 1
-            continue
-        p.pos = pos
-        value = _parse_primary(p, b)
-        pos = p.pos
         while True:  # operator position, with `value` the operand just read
             tok = tokens[pos]
-            op = _INFIX.get(tok.text) if tok.kind != "string" else None
+            op = tok.infix
             floor = 0 if op is None else op[2]  # 0: the formula or a parenthesis ends here
             while stack and stack[-1][0] > floor:
                 _, node, left = stack.pop()
@@ -576,7 +604,8 @@ def _parse_formula(p: _Parser, b: _PuzzleBuilder) -> Formula:
             p.pos = pos
             if not stack:
                 return value
-            p.expect_punct(")")
+            if tok.kind != ")":
+                raise p.unexpected(("')'",))
             pos += 1
             stack.pop()
 
@@ -691,16 +720,11 @@ KEYWORDS = frozenset({
 
 
 def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
-    """One atom; parentheses and `not` are _parse_formula's. A compact atom
-    is its token's node where that fits the puzzle read so far, and fails
-    otherwise, so that `parse` reads the text again from fine tokens. An
-    atom spelled any other way is read where it stands, by `_read_row`."""
+    """One atom spelled in fine tokens, read where it stands by `_read_row`,
+    or `true` or `false`; parentheses, `not` and compact atoms are
+    _parse_formula's. A compact atom whose text reads to no node fails here,
+    so that `parse` reads the text again from fine tokens."""
     tok = p.tokens[p.pos]
-    if tok.kind == "atom":
-        if tok.node is None or not _fits(tok.node, b):
-            raise p.unexpected(())
-        p.pos += 1
-        return tok.node
     if tok.kind != "ident":
         raise p.unexpected(ATOM_EXPECTED)
     row = _ATOMS.get(tok.text)
@@ -711,16 +735,6 @@ def _parse_primary(p: _Parser, b: _PuzzleBuilder) -> Formula:
         return TRUE if tok.text == "true" else FALSE
     p.pos += 1
     return _read_row(p, b, row)
-
-
-def _fits(node: Formula, b: _PuzzleBuilder) -> bool:
-    """Whether a compact atom's node, built before any puzzle, is what its
-    fine tokens read to here. Only two fields are read against the puzzle: a
-    person must be a suspect, a label that of an earlier modeled statement."""
-    if type(node) is Truthful:
-        return node.label in b.modeled_labels
-    person = getattr(node, "person", None)
-    return person is None or person in b.suspects
 
 
 class _Every:
@@ -739,9 +753,10 @@ _ANY_PUZZLE.suspects = _ANY_PUZZLE.labels = _ANY_PUZZLE.modeled_labels = _Every(
 
 def _node(parts: tuple[Token, ...]) -> Formula | None:
     """The node a compact atom's fine tokens, `parts`, read to wherever they
-    fit the puzzle (see `_fits`), or None where they read to none at all: an
-    integer past the interpreter's conversion limit, or a free atom name
-    that is not an identifier."""
+    fit the puzzle (its person a suspect, its label that of an earlier
+    modeled statement; `_parse_formula` checks both), or None where they
+    read to none at all: an integer past the interpreter's conversion
+    limit, or a free atom name that is not an identifier."""
     try:
         return _read_row(_Parser(parts, 1), _ANY_PUZZLE, _ATOMS[parts[0].text])
     except _Failure:

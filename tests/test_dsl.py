@@ -507,6 +507,23 @@ class TestCompactAtoms:
         text = _HEAD + "axiom forall X: guilty(X); statement s A: guilty(X); }"
         assert parse_both(text) == ((SourceSpan(1, 89, 1), "unknown suspect 'X'", ()),) * 2
 
+    @pytest.mark.parametrize("text, at, expected", [
+        *((_HEAD + f'axiom free("a") "{op}" free("b"); }}', f'"{op}"', ("';'",))
+          for op in ("or", "and", "->", "<->")),
+        (_HEAD + 'axiom guilty "(" A ")"; }', '"("', ("'('",)),
+        (_HEAD + 'axiom guilty(A ")"; }', '")"', ("')'",)),
+        (_HEAD + 'axiom type(A) "=" AT; }', '"="', ("'='",)),
+        (_HEAD + 'axiom "not" guilty(A); }', '"not"', ATOM_EXPECTED),
+        (_HEAD + 'axiom "(" guilty(A)); }', '"("', ATOM_EXPECTED),
+    ], ids=["or", "and", "implies", "iff", "open_mark", "close_mark", "equals_mark",
+            "not_operand", "open_operand"])
+    def test_a_string_token_never_stands_for_a_mark(self, text, at, expected):
+        """A string whose text is an operator, a mark or `not` is a string:
+        it is no operator, no mark of an atom and opens nothing."""
+        error = (SourceSpan(1, text.index(at) + 1, len(at)), f"unexpected token '{at[1:-1]}'",
+                 expected)
+        assert parse_both(text) == (error, error)
+
 
 # The text of each slot kind of an `_ATOMS` row, right and wrong: persons
 # known, unknown, reserved and the forall variable; malformed words, marks,
@@ -798,6 +815,32 @@ class TestAtomNodesBuiltWhenLexed:
         calls = counted_parses(monkeypatch)
         assert parse(text) == expected
         assert calls == [dsl._read(text, dsl._TOKEN_RE)]
+
+    def test_a_node_that_fits_costs_no_call(self, monkeypatch):
+        """A compact atom's node and a closing parenthesis are taken by
+        `_parse_formula` itself: `_parse_primary` reads only `true` and
+        `false`, and no `)` is read by `expect_punct`."""
+        deep = benchmark_texts(1)[8]
+        text = serialize(parse(deep[:deep.rindex("}")]
+                               + "axiom (true or not (false)) and (true -> count >= 1); }"))
+        expected = parse_table_free(text)
+        tokens = dsl._read(text, dsl._TOKEN_RE)
+        assert sum(tok.kind == ")" for tok in tokens) > 100
+        primaries, puncts = [], []
+
+        def primary(p, b):
+            primaries.append(p.tokens[p.pos].text)
+            return parse_primary(p, b)
+
+        def expect_punct(self, *kinds):
+            puncts.append(kinds)
+            return punct(self, *kinds)
+        parse_primary, punct = dsl._parse_primary, dsl._Parser.expect_punct
+        monkeypatch.setattr(dsl, "_parse_primary", primary)
+        monkeypatch.setattr(dsl._Parser, "expect_punct", expect_punct)
+        assert parse(text) == expected
+        assert primaries == [tok.text for tok in tokens if tok.text in ("true", "false")]
+        assert len(primaries) == 3 and (")",) not in puncts
 
     @pytest.mark.parametrize("before, compact, hand, error", [
         (None, _HEAD + f"statement s A: count >= {_LONG_K}; }}",
