@@ -279,7 +279,8 @@ def _cmd_simulate(args) -> int:
     # Each trial's seed is drawn when the trial starts and only running
     # question statistics are kept, so memory does not grow with --trials.
     # Text mode prints ten failures, so it keeps only those, without their
-    # transcripts, and a count.
+    # transcripts, and a count. JSON mode keeps each failure as the text it
+    # prints as, an item of the payload's list, not its rows.
     master = random.Random(seed)
     successes = failed = 0
     failures = []
@@ -318,6 +319,7 @@ def _cmd_simulate(args) -> int:
             }
             if args.json:
                 failure["transcript"] = _transcript_json(result.transcript)
+                failure = "    " + json.dumps(failure, indent=2).replace("\n", "\n    ")
             failures.append(failure)
 
     stats = {"min": fewest, "max": most, "mean": round(total / args.trials, 4)}
@@ -333,10 +335,16 @@ def _cmd_simulate(args) -> int:
             "count_public": args.count_public,
             "mode": args.mode,
             "successes": successes,
-            "failures": failures,
+            "failures": [],
             "question_stats": stats,
         }
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2)
+        if failures:
+            # JSON text holds no raw line break in a string, so this line is
+            # the empty list's own.
+            text = text.replace('\n  "failures": [],\n',
+                                '\n  "failures": [\n' + ",\n".join(failures) + "\n  ],\n", 1)
+        print(text)
     else:
         print(f"strategy: {args.strategy} (island {args.island}, n {args.n}, "
               f"criminals {args.criminals}, seed {seed})")

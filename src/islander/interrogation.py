@@ -24,22 +24,27 @@ check, `Strategy.refusal`, holds every premise; each caller gives it what
 it knows. `run_strategy`, which runs any entry by name, reads the world;
 the CLI's `simulate`, whose `--strategy` and `--mode` choices come from the
 table, reads its flags, before any draw. No runner checks a premise or
-refuses at run time. Every runner asks
-through `_ask_each`: put each (asker, question, suspect) to the asker and
-accuse the suspect on the answer a criminal gives, a truth-teller's mark
-from an asker read as a truth-teller (by default, anyone from the
-truth-tellers' island) and its flip from anyone else; `classify_islands`
-reads every answer at face value. The one exception is the sweep of
+refuses at run time. A runner asks in phases, and every phase reads its
+answers by one rule: accuse the suspect on the answer a criminal gives, a
+truth-teller's mark from an asker read as a truth-teller (by default,
+anyone from the truth-tellers' island) and its flip from anyone else;
+`classify_islands` reads every answer at face value. A phase that asks
+everyone the same question about themselves (the control question, "could
+the criminals all be among everyone but you?", the two count questions and
+the detective questions) is answered by `_ask_about_themselves` in one step
+of byte operations for the whole column. The sweep of
 `ask_all_about_others`, the first phase of `solve_truthtellers` too, which
-asks everyone whether each other person could be innocent: n(n-1)
-questions, answered and read with the same rule by `_ask_about_others` in
-one step of byte operations per asker. Both keep, per ask, the asker, the
-question and the answer's value as one byte, and the rare tokens by ask
-index, in a `_Transcript`, which a runner's later phase extends: a
-strategy's `StrategyResult.transcript` turns into `Answer` records only
-when it is first read, as `simulate` does only for a failing trial under
-`--json`. It equals, hashes, copies and pickles like the tuple of those
-records. A question's transcript text follows one rule,
+asks everyone whether each other person could be innocent, n(n-1)
+questions, is answered by `_ask_about_others` in one step per asker.
+`_ask_each` puts each (asker, question, suspect) to the asker with one
+`_answer` call: it asks the paper-literal lists, one of each asker's own,
+the secret question, and a column in which a liar must draw. All three
+keep, per ask, the asker, the question and the answer's value as one byte,
+and the rare tokens by ask index, in a `_Transcript`, which a runner's
+later phase extends: a strategy's `StrategyResult.transcript` turns into
+`Answer` records only when it is first read, as `simulate` does only for a
+failing trial under `--json`. It equals, hashes, copies and pickles like
+the tuple of those records. A question's transcript text follows one rule,
 `describe_question`: the class name in snake case, then its field, if it
 has one, in parentheses.
 
@@ -54,8 +59,11 @@ Everything below the constructor reads the rows through
 
 Generation draws in one order: each person's type, the criminal count when
 it is a range, the guilty set, the secret when the world has one, and then
-the knowledge rows, when they are first read. The rows draw once per ordered
-pair, `rng.random() < density`, in p-major order (`_draw_rows`).
+the knowledge rows, when they are first read. The types are one
+`rng.choice` from the island's pool per person, drawn in one `getrandbits`
+call per round by `_draw_types`, which gives the same types and leaves the
+generator in the same state. The rows draw once per ordered pair,
+`rng.random() < density`, in p-major order (`_draw_rows`).
 
 Nothing is drawn after the rows, so `generate_knowledge_world` hands
 `KnowledgeRows` a deferred draw, `_draw_rows` bound to the generator, which
@@ -65,9 +73,10 @@ and a deep copy or a pickle copies the generator's state, so every copy
 reads the same bytes. A strategy that never reads a row, such as
 `classify_islands` or `secret_attribute`, makes no draw at all. A world with
 knowledge density 0 draws no row: every draw would come out 0, so its rows
-are zeros from the start.
+are zeros from the start, one shared zero row that the shape check reads
+once.
 
-Every answer but those of the sweep above comes from one function,
+Every answer but those of the two steps above comes from one function,
 `_answer`, which holds every other answer rule: it applies the honest rule
 of the question's class and then, given an adversarial source, the
 speaker-type filter, reading the speaker's liar and partial flags from
@@ -88,12 +97,16 @@ So the robust `solve_liars` and `solve_mixed`, which ask each person about
 themselves, draw no row at all, while `ask_all_about_others` and
 `solve_truthtellers` do. `_answer` gives an answer's value and token;
 `truthful_answer` and `spoken_answer` are one call of it each, made into an
-`Answer`, and `_ask_each` calls it once per ask and nothing else. The
-"could q be innocent?" sweep makes no call per ask: for a guilty q the
-asker knows nothing of, the answer is the same for every such q, `_fits`
-of the asker's counts, the rule `_answer` reads for that question too, so
-a whole row of answers is the asker's knowledge row and the guilty set's
-bytes, added and translated at C level.
+`Answer`, and `_ask_each` calls it once per ask and nothing else. The two
+steps make no call per ask. In the "could q be innocent?" sweep, for a
+guilty q the asker knows nothing of, the answer is the same for every such
+q, `_fits` of the asker's counts, the rule `_answer` reads for that
+question too, so a whole row of answers is the asker's knowledge row and
+the guilty set's bytes, added and translated at C level. In a column, the
+honest answers follow `_answer`'s rule for the question's class from the
+guilty set's bytes, and from `_askers` only where `_answer` reads it, so a
+column draws no row that its asks one at a time would not; one integer XOR
+turns them into the spoken answers.
 Every question a registered strategy asks costs O(1) in the crowd size: it
 reads at most the counts and one byte of the row, and a question that is
 the same for every asker is built once per world. The robust strategies'
@@ -120,7 +133,7 @@ import functools
 import random
 import re
 import threading
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -201,7 +214,9 @@ class KnowledgeRows(collections.abc.Mapping):
 
     def _checked(self, rows: tuple[bytes, ...]) -> tuple[bytes, ...]:
         n = len(self.persons)
-        if len(rows) != n or any(
+        # Density-0 rows are one shared zero row: checking it checks them all.
+        shared = rows[0] if rows and len(set(map(id, rows))) == 1 else None
+        if len(rows) != n or not (type(shared) is bytes and shared == bytes(n)) and any(
             type(row) is not bytes or len(row) != n or row[i] or row.translate(None, b"\0\1")
             for i, row in enumerate(rows)
         ):
@@ -539,28 +554,31 @@ def _answer(
     but for a TOKEN answer. With `rng` None it is the honest answer, to the
     extent of p's knowledge, a token standing for `kw.secret`; else it is
     the answer p's speaker type gives, `rng` being the liars' adversarial
-    source. Every answer rule is here but the table of the "could q be
-    innocent?" sweep, `_ask_about_others`, which `tests/test_exhaustive.py`
+    source. Every answer rule is here but the forms of them that the two
+    steps read a whole row or column by: the table of the "could q be
+    innocent?" sweep, `_ask_about_others`, and the honest bytes of the
+    questions each person is asked about themselves,
+    `_ask_about_themselves`, both of which `tests/test_exhaustive.py`
     checks against `spoken_answer`.
 
     The asker and the person a question names are checked first, then a
     listed group, by `_require_group`. p's liar and partial flags come from
-    `type_of`. A possibility question is then settled, where it can be,
-    with no knowledge row: yes when the guilty set itself fits it, since
+    `type_of`. A possibility question is then settled, where it can be, with
+    no knowledge row: yes when the guilty set itself fits it, since
     knowledge is factive and so the truth is compatible with what anyone
-    knows; no when every set that fits disagrees with p's own guilt, which
-    p knows. Only what is left reads p's counts and row from `_askers`: a
+    knows; no when every set that fits disagrees with p's own guilt, which p
+    knows. Only what is left reads p's counts and row from `_askers`: a
     guilty target other than p, another size or group, and the detective
     questions. A listed group left unsettled is read by
     `_compatible_within`. Whether a compatible set can have the size asked
     for is `_fits`, which the "could q be innocent?" sweep,
-    `_ask_about_others`, also reads. The questions the registered
-    strategies ask through `_ask_each` call no other function of the
-    package and build no record, but for the paper-literal lists of
-    `solve_liars`, which are listed groups. The one
-    "everyone but p" form read without its group is the robust strategies'
-    `_AmongTheOthers`, read as "could p be innocent?"; an `_AllBut` view is
-    a listed group like any other."""
+    `_ask_about_others`, also reads, and a guilty asker's "could everyone be
+    guilty?" in `_ask_about_themselves`. An ask of a registered strategy
+    through `_ask_each` calls no other function of the package and builds no
+    record, but for the paper-literal lists of `solve_liars`, which are
+    listed groups. The one "everyone but p" form read without its group is
+    the robust strategies' `_AmongTheOthers`, read as "could p be
+    innocent?"; an `_AllBut` view is a listed group like any other."""
     kind = type(question)
     try:
         speaker = kw.type_of[p]
@@ -758,11 +776,15 @@ def _ask_each(
     """Put each (asker, question, suspect) of `asks` and accuse the suspect
     when the answer is `guilty_says` from an asker read as a truth-teller,
     one of `truth_tellers` (by default, those from the truth-tellers'
-    island), or its flip from any other. The ask-and-read loop of every
-    strategy but the "could q be innocent?" sweep, `_ask_about_others`: it
-    makes one `_answer` call per ask and adds the asker, the question and
-    the value's byte to `transcript` (by default, a new one), building no
-    `Answer`."""
+    island), or its flip from any other. The ask-and-read loop of the asks
+    that neither the "could q be innocent?" sweep, `_ask_about_others`, nor
+    the column step, `_ask_about_themselves`, takes: the paper-literal
+    lists, where each asker gets a list of their own, the secret question,
+    whose liars draw a wrong token, and a column in which a liar's honest
+    answer is "I don't know", so that the liar draws. It makes one
+    `_answer` call per ask, so the draws are made in ask order, and adds the
+    asker, the question and the value's byte to `transcript` (by default, a
+    new one), building no `Answer`."""
     rng = rng or random.Random(0)
     if truth_tellers is None:
         truth_tellers = kw.truth_tellers()
@@ -833,6 +855,91 @@ def _ask_about_others(kw: KnowledgeWorld) -> StrategyResult:
     return _result(accused, transcript)
 
 
+# For the yes or the no byte v, a `bytes.translate` table to 1 from v and to
+# 0 from any other byte.
+_EQUALS = tuple(bytes(b == v for b in range(256)) for v in range(2))
+
+
+def _ask_about_themselves(
+    kw: KnowledgeWorld,
+    rng: Optional[random.Random],
+    persons: Sequence[str],
+    question: Question,
+    guilty_says: AnswerValue,
+    truth_tellers: Optional[collections.abc.Container[str]] = None,
+    transcript: Optional[_Transcript] = None,
+) -> StrategyResult:
+    """Ask each of `persons`, in order, the same `question` about
+    themselves: the asks, values and accused of `_ask_each` over
+    `_each(persons, question)`, with `guilty_says` yes or no, in one step of
+    byte operations for the whole column instead of one `_answer` call per
+    ask.
+
+    The honest answers are a byte per asker, made by the rule `_answer`
+    applies to the question's class: the control question's one value; the
+    guilt bytes for "could the criminals all be among everyone but you?"
+    and for the count question of the public count (or none), which the
+    guilty set itself fits for an innocent asker and no set fits for a
+    guilty one; for "could everyone be guilty?", no from an innocent and,
+    unless everyone is guilty, the guilty asker's `_fits`; and for the
+    detective questions, the asker's counts. Only those last two read
+    `_askers`, as `_answer` does, so no other phase draws a knowledge row.
+    One integer XOR flips the liars' bytes, and the accused are read by the
+    `truth_tellers` rule of `_ask_each`. Any other question, such as a
+    function of the asker, and a liar whose honest answer is "I don't know",
+    who must draw from `rng`, are asked through `_ask_each`, whose draws are
+    then those of the asks one at a time."""
+    kind, guilty, n = type(question), kw.guilty, len(kw.persons)
+    if kind is KnownFact:
+        honest = bytes((_BYTE[_YES if question.truth else _NO],)) * len(persons)
+    elif kind is _AmongTheOthers or (
+            kind is PossibleSizeExcludingSelf and question.m == kw.count_public):
+        # Yes (byte 0) from an innocent, no (byte 1) from a criminal.
+        honest = bytes(map(guilty.__contains__, persons))
+    elif kind is PossibleExact and question.group is kw._person_set:
+        if len(guilty) == n:
+            honest = bytes(len(persons))
+        else:
+            honest = bytearray(b"\1") * len(persons)
+            public = kw.count_public
+            for i in compress(range(len(persons)), map(guilty.__contains__, persons)):
+                must, banned, _ = kw._askers[persons[i]]
+                if (public is None or n == public) and _fits(must, n - banned, n):
+                    honest[i] = _BYTE[_YES]
+    elif kind is DidDetectiveDoIt or kind is DetectivePossiblyGuilty:
+        public = kw.count_public
+        unsure = _BYTE[_UNKNOWN if kind is DidDetectiveDoIt else _YES]
+        honest = bytes(
+            unsure if must + banned < n and (public is None or must <= public - 1 <= n - banned)
+            else _BYTE[_NO] for must, banned, _ in map(kw._askers.__getitem__, persons))
+    else:
+        return _ask_each(kw, rng, _each(persons, question), guilty_says, truth_tellers,
+                         transcript)
+    liars = int.from_bytes(
+        bytes(map(LIAR_TYPES.__contains__, map(kw.type_of.__getitem__, persons))), "little")
+    honest_bits = int.from_bytes(honest, "little")
+    if honest_bits & liars << 1:
+        # A liar's honest "I don't know", byte 2, the one value with bit 1 set.
+        return _ask_each(kw, rng, _each(persons, question), guilty_says, truth_tellers,
+                         transcript)
+    spoken = honest_bits ^ liars
+    if truth_tellers is None:
+        # Read by the true islands, a liar's flip is undone: the honest byte.
+        read, says = honest, guilty_says
+    else:
+        # A criminal read as a truth-teller says `guilty_says`, so its answer
+        # flipped is the liar's; one read as a liar says that unflipped.
+        flip = int.from_bytes(bytes(map(truth_tellers.__contains__, persons)), "little")
+        read = (spoken ^ flip).to_bytes(len(persons), "little")
+        says = _NO if guilty_says is _YES else _YES
+    if transcript is None:
+        transcript = _Transcript(kw)
+    transcript._askers += persons
+    transcript._questions += (question,) * len(persons)
+    transcript._values += spoken.to_bytes(len(persons), "little")
+    return _result(compress(persons, read.translate(_EQUALS[_BYTE[says]])), transcript)
+
+
 def _each(
     persons: Iterable[str], question: Union[Question, Callable[[str], Question]]
 ) -> Iterator[tuple[str, Question, str]]:
@@ -850,7 +957,7 @@ def run_classify_islands(
     affirm a known truth; liars deny it. The accused are the persons
     classified as truth-tellers."""
     # Every answer is read at face value: a yes classifies its speaker.
-    return _ask_each(kw, rng, _each(kw.persons, KnownFact(True)), _YES, kw._person_set)
+    return _ask_about_themselves(kw, rng, kw.persons, KnownFact(True), _YES, kw._person_set)
 
 
 def run_ask_all_about_others(
@@ -872,7 +979,8 @@ def run_count_known(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> 
     The guilty know they are in the gang, so their honest answer is no.
     Assumes the public count and blank knowledge its entry declares, as
     `run_strategy` checks."""
-    return _ask_each(kw, rng, _each(kw.persons, PossibleSizeExcludingSelf(kw.count_public)), _NO)
+    return _ask_about_themselves(kw, rng, kw.persons, PossibleSizeExcludingSelf(kw.count_public),
+                                 _NO)
 
 
 def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -881,7 +989,7 @@ def run_count_unknown(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -
     honestly say yes; the innocent know of their own innocence. Assumes the
     hidden count and blank knowledge its entry declares, as `run_strategy`
     checks."""
-    return _ask_each(kw, rng, _each(kw.persons, PossibleExact(kw._person_set)), _YES)
+    return _ask_about_themselves(kw, rng, kw.persons, PossibleExact(kw._person_set), _YES)
 
 
 def run_solve_truthtellers(
@@ -896,9 +1004,9 @@ def run_solve_truthtellers(
     known = run_ask_all_about_others(kw, rng)
     # The accused are all among everyone but p, so this asks about the
     # identified criminals and the rest of the crowd.
-    unknown = (p for p in kw.persons if p not in known.accused)
-    rest = _ask_each(kw, rng, _each(unknown, _AmongTheOthers()), _NO,
-                     transcript=known.transcript)
+    unknown = tuple(filterfalse(known.accused.__contains__, kw.persons))
+    rest = _ask_about_themselves(kw, rng, unknown, _AmongTheOthers(), _NO,
+                                 transcript=known.transcript)
     return _result(known.accused | rest.accused, rest.transcript)
 
 
@@ -920,6 +1028,8 @@ def run_solve_liars(
     declares, and for the literal list someone to draw it from, as
     `run_strategy` checks; any other mode is asked as the question itself,
     which the first answer refuses."""
+    if mode == "robust":
+        return _ask_about_themselves(kw, rng, kw.persons, _AmongTheOthers(), _NO)
     rng = rng or random.Random(0)
     roster = sorted(kw.persons)
 
@@ -929,7 +1039,7 @@ def run_solve_liars(
         size = kw.count_public if kw.count_public is not None else rng.randint(1, len(others))
         return PossibleExact(frozenset(rng.sample(others, size)))
 
-    question = {"robust": _AmongTheOthers(), "paper-literal": literal}.get(mode, mode)
+    question = literal if mode == "paper-literal" else mode
     return _ask_each(kw, rng, _each(kw.persons, question), _NO)
 
 
@@ -940,10 +1050,8 @@ def run_solve_mixed(
     the criminals could all be among the others, reading the answer through
     the island. At most two questions per person, for any crowd."""
     classified = run_classify_islands(kw, rng)
-    tt = classified.accused
-    found = _ask_each(kw, rng, _each(kw.persons, _AmongTheOthers()), _NO, tt,
-                      transcript=classified.transcript)
-    return _result(found.accused, found.transcript)
+    return _ask_about_themselves(kw, rng, kw.persons, _AmongTheOthers(), _NO, classified.accused,
+                                 classified.transcript)
 
 
 def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> StrategyResult:
@@ -957,7 +1065,7 @@ def run_neil(kw: KnowledgeWorld, rng: Optional[random.Random] = None) -> Strateg
     declares, as `run_strategy` checks."""
     tt = kw.type_of[kw.persons[0]].island is Island.TRUTH_TELLERS  # the crowd's one island
     question: Question = DidDetectiveDoIt() if tt else DetectivePossiblyGuilty()
-    return _ask_each(kw, rng, _each(kw.persons, question), _NO)
+    return _ask_about_themselves(kw, rng, kw.persons, question, _NO)
 
 
 def run_secret_attribute(
@@ -1102,6 +1210,38 @@ def _draw_rows(rng: random.Random, n: int, density: float) -> tuple[bytes, ...]:
     return tuple(bytes([j != i and draw() < density for j in range(n)]) for i in range(n))
 
 
+# `rng.choice` of a pool of 2 or 4 types takes the top 2 or 3 bits of one
+# 32-bit word of the generator, and takes the next word while that value is
+# past the pool: from a word's top byte b, b >> 6 or b >> 5, kept when b < 128
+# for either pool. So each pool size has a `bytes.translate` table from a top
+# byte to the value, and both delete the same top bytes.
+_TOP_BYTE = {size: bytes(b >> (8 - size.bit_length()) for b in range(256)) for size in (2, 4)}
+_PAST_THE_POOL = bytes(range(128, 256))
+
+
+def _draw_types(rng: random.Random, pool: tuple[SpeakerType, ...],
+                n: int) -> tuple[SpeakerType, ...]:
+    """n calls of `rng.choice(pool)`, the same values and the same
+    generator state after, in one `getrandbits` call per round: a round
+    draws as many words as values are still missing, which the calls would
+    take at the least, in order (`getrandbits(32 * k)` gives k words, least
+    significant first), and keeps the top byte of each word the calls would
+    keep."""
+    table = _TOP_BYTE[len(pool)]
+    drawn = b""
+    while len(drawn) < n:
+        words = n - len(drawn)
+        drawn += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
+            table, _PAST_THE_POOL)
+    return tuple(map(pool.__getitem__, drawn))
+
+
+@functools.lru_cache(maxsize=1)
+def _roster(n: int) -> tuple[str, ...]:
+    """P1..Pn, kept for the next world of the same size."""
+    return tuple(f"P{i}" for i in range(1, n + 1))
+
+
 def generate_knowledge_world(
     n: int,
     island: str = "mixed",
@@ -1116,6 +1256,12 @@ def generate_knowledge_world(
     `criminals` is a fixed count or an inclusive (low, high) range; knowledge
     entries are drawn per ordered pair with probability `density` and always
     record the truth, so factivity holds by construction.
+
+    The persons are P1..Pn, the roster of the last world of the same size
+    when there was one. Each person's type is one `rng.choice` from the
+    island's pool, all drawn together by `_draw_types`. The rows are drawn
+    when first read, and a world of density 0 has the one shared zero row
+    for everyone.
     """
     if n < 1:
         raise PreconditionError("need at least one person")
@@ -1138,9 +1284,9 @@ def generate_knowledge_world(
         )
 
     rng = random.Random(seed)
-    persons = tuple(f"P{i}" for i in range(1, n + 1))
+    persons = _roster(n)
     pool = {"tt": TT_POOL, "liars": LIAR_POOL, "mixed": TT_POOL + LIAR_POOL}[island]
-    type_of = {p: rng.choice(pool) for p in persons}
+    type_of = dict(zip(persons, _draw_types(rng, pool, n)))
     k = low if low == high else rng.randint(low, high)
     guilty = frozenset(rng.sample(persons, k))
     secret_text = f"secret-{rng.getrandbits(32):08x}" if secret else None

@@ -31,6 +31,10 @@ class Island(enum.Enum):
     TRUTH_TELLERS = "truthtellers"
     LIARS = "liars"
 
+    # Members are singletons and `==` is identity, so the identity hash
+    # agrees with it; Enum's own hashes the name in Python code.
+    __hash__ = object.__hash__
+
 
 class SpeakerType(enum.Enum):
     """The four speaker types, one row each: (code, island, partial).

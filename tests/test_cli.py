@@ -603,6 +603,25 @@ class TestSimulateMemory:
             # copied the first phase's transcript.
             assert peak < 32 * questions, (strategy, peak / questions)
 
+    def test_json_failures_are_kept_as_their_text(self, capsys):
+        """Every trial of this run fails, so its stdout holds 500 transcripts
+        of 7 rows, about 0.55 MB. Each failure is kept as the text it prints
+        as; when each was kept as its dict and transcript rows until the end,
+        the peak was 5.2 MB."""
+        argv = ["simulate", "--strategy", "solve_liars", "--island", "liars",
+                "--mode", "paper-literal", "--knowledge-density", "0.6", "--criminals", "1-3",
+                "--n", "7", "--trials", "500", "--seed", "11", "--json"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        failures = json.loads(out)["failures"]
+        assert code == 1 and len(failures) == 500
+        assert peak < 5 * len(out), (peak, len(out))
+
     def test_text_mode_memory_does_not_grow_with_failing_trials(self, capsys):
         def peak(trials):
             argv = ["simulate", "--strategy", "solve_liars", "--mode", "paper-literal",

@@ -31,7 +31,15 @@ of `solve_truthtellers` too, answers a whole row per asker without an
 `_answer` call per question. Its askers, questions, answer bytes and
 accused are checked against the same questions put one at a time through
 `spoken_answer`, on every world of up to three persons and on seeded worlds
-of 4 to 40, and neither draws from the adversary's source.
+of 4 to 40, and neither draws from the adversary's source. So is each phase
+that asks everyone the same question about themselves, which the runners
+answer a column at a time (`_ask_about_themselves`): the control question,
+"could the criminals all be among everyone but you?", the two count
+questions and the detective questions. On the seeded worlds each side also
+runs on a world of its own whose rows are drawn on first read, and the
+column step must draw them exactly when the asks one at a time do. Where a
+liar must draw, on a mixed crowd asked "did the detective do it?", the
+phase is asked one at a time, with the same draws.
 
 The truthful answers to the listed-group questions, "could the criminals
 all be within g?" and "could exactly g have done it?", are checked for
@@ -76,7 +84,12 @@ from islander.interrogation import (
     _AmongTheOthers,
     generate_knowledge_world,
     run_ask_all_about_others,
+    run_classify_islands,
+    run_count_known,
+    run_count_unknown,
+    run_neil,
     run_solve_liars,
+    run_solve_mixed,
     run_solve_truthtellers,
     run_strategy,
     spoken_answer,
@@ -261,18 +274,20 @@ def test_paper_literal_liars_smallest_failing_world(answers_never_draw):
 BYTE = {value: i for i, value in enumerate(AnswerValue)}
 
 
-def asked_one_at_a_time(kw, rng, asks):
+def asked_one_at_a_time(kw, rng, asks, guilty_says=AnswerValue.NO, truth_tellers=None):
     """The askers, questions, value bytes and accused of `asks`, (asker,
     question, suspect) triples, each put through `spoken_answer` with `rng`:
-    a suspect accused on a no from a truth-teller and on a yes from a liar."""
-    truth_tellers = kw.truth_tellers()
+    a suspect accused on `guilty_says` from an asker of `truth_tellers` (by
+    default, the truth-tellers' island) and on its flip from any other."""
+    if truth_tellers is None:
+        truth_tellers = kw.truth_tellers()
     askers, questions, values, accused = [], [], bytearray(), set()
     for p, question, suspect in asks:
         answer = spoken_answer(kw, p, question, rng)
         askers.append(p)
         questions.append(question)
         values.append(BYTE[answer.value])
-        if (answer.value is AnswerValue.NO) is (p in truth_tellers):
+        if answer.value is (guilty_says if p in truth_tellers else FLIP[guilty_says]):
             accused.add(suspect)
     return askers, questions, values, accused
 
@@ -322,6 +337,97 @@ def test_the_row_step_on_seeded_worlds_of_four_to_forty_persons():
         kw = generate_knowledge_world(n, list(POOLS)[n % 3], (1, n), density,
                                       count_public=bool(n % 2), seed=n)
         check_row_step(kw, CountingRandom(n), CountingRandom(n))
+
+
+def column_phases(kw, classified):
+    """Each runner phase that asks everyone the same question about
+    themselves, as (runner, after the control question, question,
+    guilty_says, truth_tellers), truth_tellers None for the true islands:
+    the control question, read at face value; `solve_mixed`'s second phase,
+    read by `classified`, the accused of the first; and the single-phase
+    runners, `neil` only on a one-island crowd, where no liar answers "I
+    don't know". `solve_truthtellers`' second phase is the row step's."""
+    yes, no = AnswerValue.YES, AnswerValue.NO
+    phases = [
+        (run_classify_islands, False, KnownFact(True), yes, kw._person_set),
+        (run_solve_mixed, True, _AmongTheOthers(), no, classified),
+        (run_solve_liars, False, _AmongTheOthers(), no, None),
+        (run_count_known, False, PossibleSizeExcludingSelf(kw.count_public), no, None),
+        (run_count_unknown, False, PossibleExact(kw._person_set), yes, None),
+    ]
+    islands = {t.island for t in kw.type_of.values()}
+    if islands == {Island.TRUTH_TELLERS}:
+        phases.append((run_neil, False, DidDetectiveDoIt(), no, None))
+    elif islands == {Island.LIARS}:
+        phases.append((run_neil, False, DetectivePossiblyGuilty(), no, None))
+    return phases
+
+
+def check_column_step(kw, rng, replay, fresh=None):
+    """Each column phase, given the adversary's source `rng`, gives the
+    askers, questions, value bytes and accused of its questions asked one at
+    a time of `replay`, after the control question's when it follows it,
+    and neither side draws from its source. With `fresh`, a function of no
+    arguments that makes the world again with its rows undrawn, each side
+    runs on its own fresh world, and the phase must leave its rows drawn
+    exactly when the asks one at a time do."""
+    # The control question reads no row, so one world answers it for all.
+    classified = asked_one_at_a_time(kw, replay, [(p, KnownFact(True), p) for p in kw.persons],
+                                     AnswerValue.YES, kw._person_set)
+    for run, second, question, guilty_says, truth_tellers in column_phases(kw, classified[3]):
+        ran, asked = (fresh(), fresh()) if fresh else (kw, kw)
+        before = classified if second else ([], [], bytearray(), set())
+        one_by_one = asked_one_at_a_time(asked, replay, [(p, question, p) for p in kw.persons],
+                                         guilty_says, truth_tellers)
+        assert compact(run(ran, rng)) == (before[0] + one_by_one[0], before[1] + one_by_one[1],
+                                          before[2] + one_by_one[2], one_by_one[3]), (run, kw)
+        if fresh:
+            assert undrawn(ran) is undrawn(asked), (run, kw)
+    assert rng.draws == replay.draws == 0, kw
+
+
+def test_the_column_step_on_every_world_of_up_to_three_persons():
+    rng, replay = CountingRandom(1), CountingRandom(1)
+    ran = 0
+    for n, pool in itertools.product((1, 2, 3), POOLS.values()):
+        for kw in all_worlds(n, pool):
+            check_column_step(kw, rng, replay)
+            ran += 1
+    assert ran == 2 * sum(len(pool) ** n * (2 ** n - 1) * 2 ** (n * (n - 1))
+                          for n in (1, 2, 3) for pool in POOLS.values())
+
+
+def test_the_column_step_on_seeded_worlds_of_four_to_forty_persons():
+    """Every crowd size from 4 to 40, at densities 0, 0.3 and 1, each island
+    and count mode coming round in turn, each side on a world of its own
+    whose rows are drawn on first read."""
+    for n, density in itertools.product(range(4, 41), (0.0, 0.3, 1.0)):
+        args = (n, list(POOLS)[n % 3], (1, n), density)
+
+        def fresh():
+            return generate_knowledge_world(*args, count_public=bool(n % 2), seed=n)
+
+        check_column_step(fresh(), CountingRandom(n), CountingRandom(n), fresh)
+
+
+def test_a_liar_who_must_draw_is_asked_one_at_a_time():
+    """On a mixed crowd, a liar's honest answer to "did the detective do
+    it?" may be "I don't know", so the phase draws, as the asks one at a
+    time do, and both leave the source in the same state: on every world
+    of up to two persons and on seeded mixed crowds of 3 to 30."""
+    seeded = (generate_knowledge_world(n, "mixed", (1, n), density, count_public=public, seed=n)
+              for n, density, public in itertools.product(range(3, 31), (0.0, 0.3), (False, True)))
+    drew = 0
+    for kw in itertools.chain(all_worlds(1, ALL_TYPES), all_worlds(2, ALL_TYPES), seeded):
+        for seed in range(3):
+            rng, replay = CountingRandom(seed), CountingRandom(seed)
+            asks = [(p, DidDetectiveDoIt(), p) for p in kw.persons]
+            result = interrogation._ask_about_themselves(
+                kw, rng, kw.persons, DidDetectiveDoIt(), AnswerValue.NO)
+            assert compact(result) == asked_one_at_a_time(kw, replay, asks), kw
+            assert rng.getstate() == replay.getstate() and rng.draws == replay.draws, kw
+            drew += rng.draws > 0
+    assert drew > 0
 
 
 def subsets(persons):

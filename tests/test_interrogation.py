@@ -1000,6 +1000,11 @@ class TestKnowledgeWorldInvariants:
             (b"\x01\x01", b"\x01\x00"),
             (b"\x00\x02", b"\x01\x00"),
             (bytearray(b"\x00\x01"), b"\x01\x00"),
+            # One row shared by every person, as a world of density 0 has.
+            (b"\x00\x01",) * 2,
+            (bytearray(2),) * 2,
+            (bytes(3),) * 2,
+            (bytes(2),) * 3,
         ):
             with pytest.raises(KnowledgeWorldError, match="knowledge rows"):
                 KnowledgeRows(persons, guilty, rows)
@@ -1009,6 +1014,7 @@ class TestKnowledgeWorldInvariants:
         ):
             with pytest.raises(KnowledgeWorldError, match="knowledge rows"):
                 make_kw({"A": AT, "B": AT}, guilty, knowledge=table)
+        assert len(KnowledgeRows(persons, guilty, (bytes(2),) * 2)) == 0
         table = KnowledgeRows(persons, guilty, good)
         kw = make_kw({"A": AT, "B": AT}, guilty, knowledge=table)
         assert dict(kw.knowledge) == {("A", "B"): Knowledge.KNOWS_INNOCENT,
@@ -1074,6 +1080,27 @@ _DENSITIES = (
     + [k / 256 for k in (1, 77, 128, 255)]
     + [random.Random(11).random() for _ in range(4)]
 )
+
+
+class TestTypeDraw:
+    """`_draw_types` against n calls of `rng.choice`: the same types and
+    the same generator state after. It reads the 32-bit words that
+    `random.Random.choice` takes, so it is checked on every Python version
+    the tests run on."""
+
+    SEEDS = list(range(60)) + [random.Random(5).getrandbits(64) for _ in range(4)]
+
+    @pytest.mark.parametrize("island", ISLAND_MODES)
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, MAX_CROWD])
+    def test_types_and_generator_state_match_one_choice_per_person(self, island, n):
+        pool = {"tt": interrogation.TT_POOL, "liars": interrogation.LIAR_POOL,
+                "mixed": interrogation.TT_POOL + interrogation.LIAR_POOL}[island]
+        assert len(pool) == (4 if island == "mixed" else 2)
+        for seed in self.SEEDS if n <= 10 else self.SEEDS[:8]:
+            drawn, plain = random.Random(seed), random.Random(seed)
+            assert interrogation._draw_types(drawn, pool, n) \
+                == tuple(plain.choice(pool) for _ in range(n)), (island, n, seed)
+            assert drawn.getstate() == plain.getstate(), (island, n, seed)
 
 
 class TestRowDraw:

@@ -314,21 +314,24 @@ class TestFormulaEquality:
 
 
 class TestSpeakerTypeHash:
-    """Members hash by identity: they are singletons and `==` is identity."""
+    """Members of `SpeakerType` and `Island` hash by identity: they are
+    singletons and `==` is identity."""
 
     def test_each_member_and_its_hash_survive_containers_copies_and_pickles(self):
-        for t in ALL_TYPES:
-            assert hash(t) == object.__hash__(t)
-            for same in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
-                         SpeakerType(t.value), SpeakerType[t.name]):
-                assert same is t and hash(same) == hash(t)
-        types = frozenset(ALL_TYPES)
-        codes = {t: t.value for t in ALL_TYPES}
-        for clone in (set(ALL_TYPES), copy.copy(types), copy.deepcopy(types),
-                      pickle.loads(pickle.dumps(types))):
-            assert clone == types and all(t in clone for t in ALL_TYPES)
-        for clone in (dict(codes), copy.deepcopy(codes), pickle.loads(pickle.dumps(codes))):
-            assert clone == codes and all(clone[t] == t.value for t in ALL_TYPES)
+        for members, kind in ((ALL_TYPES, SpeakerType), (tuple(Island), Island)):
+            for t in members:
+                assert hash(t) == object.__hash__(t)
+                for same in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                             kind(t.value), kind[t.name]):
+                    assert same is t and hash(same) == hash(t)
+            every = frozenset(members)
+            codes = {t: t.value for t in members}
+            for clone in (set(members), copy.copy(every), copy.deepcopy(every),
+                          pickle.loads(pickle.dumps(every))):
+                assert clone == every and all(t in clone for t in members)
+            for clone in (dict(codes), copy.deepcopy(codes), pickle.loads(pickle.dumps(codes))):
+                assert clone == codes and all(clone[t] == t.value for t in members)
+        assert {t.island for t in ALL_TYPES} == set(Island)
 
     def test_a_pickled_puzzle_keeps_its_type_domains(self):
         puzzle = Puzzle(
